@@ -678,13 +678,11 @@ let random_layered_design rng ~tech ~depth ~width =
 
 (* A synthetic-model factory with per-cell seed overrides, so a
    Touch_cell ECO can stand in for re-characterizing one instance.
-   Mirrors Sta.synthetic_factory's stats plumbing: the merged counters
-   cover the factory memo plus every built model's internal cache. *)
+   Synthetic models keep no query cache, so the factory's own
+   (gate, seed) memo holds every counter there is. *)
 let eco_model_factory () =
   let overrides : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let cache = Memo_cache.create ~shards:4 () in
-  let created = ref [] in
-  let created_mutex = Mutex.create () in
   let models (cell : Design.cell) =
     let seed =
       match Hashtbl.find_opt overrides cell.Design.name with
@@ -693,19 +691,9 @@ let eco_model_factory () =
     in
     Memo_cache.find_or_compute cache
       (cell.Design.gate.Gate.name, seed)
-      (fun () ->
-        let m = Models.synthetic ~seed cell.Design.gate in
-        Mutex.protect created_mutex (fun () -> created := m :: !created);
-        m)
+      (fun () -> Models.synthetic ~seed cell.Design.gate)
   in
-  let factory_stats () =
-    let built = Mutex.protect created_mutex (fun () -> !created) in
-    List.fold_left
-      (fun acc (m : Models.t) ->
-        Models.merge_stats acc (m.Models.cache_stats ()))
-      (Memo_cache.stats cache) built
-  in
-  (overrides, models, factory_stats)
+  (overrides, models, fun () -> Memo_cache.stats cache)
 
 let arrival_bits_eq (a : Sta.arrival) (b : Sta.arrival) =
   Int64.equal (Int64.bits_of_float a.Sta.time) (Int64.bits_of_float b.Sta.time)
@@ -844,9 +832,9 @@ let parallel_bench () =
   in
   (* STA workload: proximity-mode reanalysis of a layered design whose
      levels are wide enough for chunked level execution, with synthetic
-     models carrying an artificial per-evaluation cost.  A fresh factory
-     per run keeps the model caches cold, so every run times real
-     evaluations rather than replays.  The same PRNG seed at every width
+     models carrying an artificial per-evaluation cost.  Synthetic models
+     keep no query cache, so every query pays that cost and every run
+     times real evaluations.  The same PRNG seed at every width
      makes the design, arrivals and models identical across runs. *)
   let depth, width = if !quick then (3, 48) else (5, 64) in
   let work = if !quick then 5_000 else 20_000 in
@@ -1010,9 +998,8 @@ let incremental_design rng pool th ~tech ~depth ~width ~trials =
 (* Scaling curve: generated designs at 10^4 .. 10^6 cells, one full
    analyze and one single-edit update each, with the peak-RSS
    high-water mark reset per row so the footprint is attributable.
-   Synthetic models run memo-free: their query keys are continuous
-   floats that essentially never repeat across a large design, so the
-   unbounded cache would otherwise dominate the measurement.           *)
+   Synthetic models keep no query cache, so the footprint is the
+   design and its annotation arena.                                    *)
 
 type scale_row = {
   sc_cells : int;
@@ -1034,7 +1021,7 @@ let scaling_row pool th ~tech ~cells =
   let t0 = Unix.gettimeofday () in
   let _name, design = Synthgen.generate ~seed:1 ~tech ~cells () in
   let gen_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-  let factory = Sta.synthetic_factory ~memo:false () in
+  let factory = Sta.synthetic_factory () in
   let pi =
     List.map
       (fun net ->
@@ -1110,9 +1097,7 @@ let incremental_bench () =
   let stats =
     List.fold_left
       (fun acc r -> Models.merge_stats acc r.ir_stats)
-      { Memo_cache.hits = 0; misses = 0; waits = 0; evictions = 0; entries = 0;
-        local_hits = 0 }
-      results
+      Memo_cache.zero_stats results
   in
   subsection "Scaling: generated designs, full analyze vs single-edit ECO";
   let scale_sizes =

@@ -38,8 +38,7 @@ let merge_stats (a : Memo_cache.stats) (b : Memo_cache.stats) =
     local_hits = a.Memo_cache.local_hits + b.Memo_cache.local_hits;
   }
 
-let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = true) gate =
-  let cache = Memo_cache.create ~shards:4 ~local:true () in
+let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
   let jitter key =
     (* deterministic per-(gate, seed, key) value in [0, 1) *)
     let h = Hashtbl.hash (gate.Gate.name, seed, key) in
@@ -56,12 +55,6 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = true) gate =
       done;
       x +. (0. *. !acc)
     end
-  in
-  let q key compute =
-    (* the cache is unbounded and synthetic query keys carry continuous
-       floats that rarely repeat across a large design, so million-cell
-       runs opt out rather than hold every response forever *)
-    if memo then Memo_cache.find_or_compute cache key compute else compute ()
   in
   let assist_of ~edge ~pins =
     Gate.switching_assist gate ~pins ~output_rising:(edge = Measure.Fall)
@@ -89,42 +82,27 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) ?(memo = true) gate =
     if assist then 0.5 *. (1. -. tanh (sep /. window))
     else 1. /. (1. +. ((sep /. window) ** 2.))
   in
+  (* the dominant input's single-input response, sped up (assisting) or
+     slowed down (gating) by the other input's weighted influence *)
+  let dual single ~weight ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
+    let assist = assist_of ~edge ~pins:[ dom; other ] in
+    let infl = influence ~assist ~sep in
+    let k = weight *. strength other tau_other in
+    let v = single ~pin:dom ~edge ~tau:tau_dom in
+    spin
+      (if assist then v *. (1. -. (k *. infl)) else v *. (1. +. (k *. infl)))
+  in
   {
     fan_in = gate.Gate.fan_in;
     name = Printf.sprintf "synthetic:%s#%d" gate.Gate.name seed;
     tau_range = None;
-    cache_stats = (fun () -> Memo_cache.stats cache);
+    cache_stats = (fun () -> Memo_cache.zero_stats);
     assist = (fun ~edge ~pins -> assist_of ~edge ~pins);
-    delay1 =
-      (fun ~pin ~edge ~tau ->
-        q (`D1 (pin, edge, tau)) (fun () -> spin (d1 ~pin ~edge ~tau)));
-    trans1 =
-      (fun ~pin ~edge ~tau ->
-        q (`T1 (pin, edge, tau)) (fun () -> spin (t1 ~pin ~edge ~tau)));
-    delay2 =
-      (fun ~dom ~other ~edge ~tau_dom ~tau_other ~sep ->
-        q
-          (`D2 (dom, other, edge, tau_dom, tau_other, sep))
-          (fun () ->
-            let assist = assist_of ~edge ~pins:[ dom; other ] in
-            let infl = influence ~assist ~sep in
-            let k = strength other tau_other in
-            let d = d1 ~pin:dom ~edge ~tau:tau_dom in
-            spin
-              (if assist then d *. (1. -. (k *. infl))
-               else d *. (1. +. (k *. infl)))));
-    trans2 =
-      (fun ~dom ~other ~edge ~tau_dom ~tau_other ~sep ->
-        q
-          (`T2 (dom, other, edge, tau_dom, tau_other, sep))
-          (fun () ->
-            let assist = assist_of ~edge ~pins:[ dom; other ] in
-            let infl = influence ~assist ~sep in
-            let k = 0.6 *. strength other tau_other in
-            let t = t1 ~pin:dom ~edge ~tau:tau_dom in
-            spin
-              (if assist then t *. (1. -. (k *. infl))
-               else t *. (1. +. (k *. infl)))));
+    delay1 = (fun ~pin ~edge ~tau -> spin (d1 ~pin ~edge ~tau));
+    trans1 = (fun ~pin ~edge ~tau -> spin (t1 ~pin ~edge ~tau));
+    (* [1. *. x] is exactly [x]: delay2 keeps its unweighted strength *)
+    delay2 = dual d1 ~weight:1.;
+    trans2 = dual t1 ~weight:0.6;
   }
 
 let of_oracle ?opts ?load gate th =

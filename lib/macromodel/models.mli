@@ -19,7 +19,8 @@ type t = {
       (** hit/miss/entry counters of the model's internal memoization
           (merged over the single- and dual-input caches).  [hits] counts
           queries answered without a new golden-simulator run — including
-          waits on a computation already in flight on another domain. *)
+          waits on a computation already in flight on another domain.
+          All zero for models that keep no cache ({!synthetic}). *)
   assist : edge:Proxim_measure.Measure.edge -> pins:int list -> bool;
       (** do the switching transistors of [pins] assist each other in the
           driving network for this input edge (see
@@ -60,12 +61,7 @@ val merge_stats :
     can aggregate statistics across many models. *)
 
 val synthetic :
-  ?seed:int ->
-  ?spread:float ->
-  ?work:int ->
-  ?memo:bool ->
-  Proxim_gates.Gate.t ->
-  t
+  ?seed:int -> ?spread:float -> ?work:int -> Proxim_gates.Gate.t -> t
 (** Purely analytic models: smooth closed-form single- and dual-input
     responses with the right qualitative shape (positive delays, slew
     dependence, assisting inputs speeding the response up and gating
@@ -80,17 +76,15 @@ val synthetic :
     [synthetic ~seed:1] for [synthetic ~seed:2] models a
     re-characterized library), [spread] scales that perturbation, and
     [work] adds an artificial per-query evaluation cost (a pure float
-    loop) for benchmarks that want model evaluation to dominate.  Queries
-    are memoized through a real domain-safe {!Proxim_util.Memo_cache}, so
-    [cache_stats] reports live hit/miss counters exactly like the
-    simulator-backed models.
+    loop) for benchmarks that want model evaluation to dominate.
 
-    [memo:false] disables that cache (every query recomputes, counters
-    stay zero).  The cache is unbounded, and on large generated designs
-    the query keys — continuous arrival/slew floats — essentially never
-    repeat, so the default would retain one entry per evaluation forever;
-    million-cell scaling runs pass [~memo:false] to keep peak RSS
-    proportional to the design, not to the evaluation count. *)
+    Every query evaluates its closed form directly, and [cache_stats] is
+    always {!Proxim_util.Memo_cache.zero_stats}.  No cache is needed: a
+    response is a pure function of its arguments that costs a few flops,
+    less than hashing the key would, and the keys — continuous
+    arrival/slew floats — rarely repeat, so a memo would only retain one
+    entry per evaluation.  Thread-safe by construction: the closures
+    share no mutable state. *)
 
 val of_oracle :
   ?opts:Proxim_spice.Options.t ->
@@ -140,7 +134,7 @@ val of_tables :
     degenerate box — every axis a single point — is one evaluation with
     zero spread, so the bounds are {e exact}: with ±0 PI windows the
     interval analysis collapses onto the concrete STA.  All evaluations
-    go through the model's own memoized closures. *)
+    go through the model's own closures (and so its caches, if any). *)
 
 val delay1_bounds :
   t ->

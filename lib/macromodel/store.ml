@@ -84,16 +84,7 @@ let to_models gate set =
     (* the archive records normalized-argument knots, not the tau sweep
        that produced them, so the characterized tau span is unknown *)
     tau_range = None;
-    cache_stats =
-      (fun () ->
-        {
-          Proxim_util.Memo_cache.hits = 0;
-          misses = 0;
-          waits = 0;
-          evictions = 0;
-          entries = 0;
-          local_hits = 0;
-        });
+    cache_stats = (fun () -> Proxim_util.Memo_cache.zero_stats);
     assist =
       (fun ~edge ~pins ->
         Gate.switching_assist gate ~pins

@@ -224,9 +224,11 @@ type store = {
   store_m : Mutex.t;
   designs : (string, Design.t * Vtc.thresholds option) Hashtbl.t;
   synth_factories : (int, Sta.factory) Hashtbl.t;
-      (** one shared synthetic factory per seed: its memo cache is
-          domain-safe, so sessions share characterized models *)
-  oracle_factories : (string, Sta.factory) Hashtbl.t  (** per design *)
+      (** one shared synthetic factory per seed: its per-gate model
+          cache is domain-safe, so sessions share the built models *)
+  oracle_factories : (string, Design.t * Sta.factory) Hashtbl.t;
+      (** per design name, with the design whose fanout loads it was
+          built at; dropped whenever the name is bound to a new design *)
 }
 
 let store_create () =
@@ -243,7 +245,8 @@ let with_lock m f =
 
 let store_put store name design th =
   with_lock store.store_m (fun () ->
-      Hashtbl.replace store.designs name (design, th))
+      Hashtbl.replace store.designs name (design, th);
+      Hashtbl.remove store.oracle_factories name)
 
 let store_get store name =
   with_lock store.store_m (fun () -> Hashtbl.find_opt store.designs name)
@@ -262,13 +265,15 @@ let synth_factory store seed =
         Hashtbl.add store.synth_factories seed f;
         f)
 
+(* an attach may race a reload of its design's name: a factory is reused
+   only for the very design it was built for *)
 let oracle_factory store name design th =
   with_lock store.store_m (fun () ->
       match Hashtbl.find_opt store.oracle_factories name with
-      | Some f -> f
-      | None ->
+      | Some (d, f) when d == design -> f
+      | Some _ | None ->
         let f = Sta.oracle_factory design th in
-        Hashtbl.add store.oracle_factories name f;
+        Hashtbl.replace store.oracle_factories name (design, f);
         f)
 
 (* --- engine serialization --------------------------------------------- *)

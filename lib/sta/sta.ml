@@ -426,12 +426,17 @@ let worst_paths ir ~po ~k =
          })
 
 let po_slacks design report ~required =
+  (* the first arrival listed for a net wins, as with [List.assoc] *)
+  let first = Hashtbl.create (List.length report.arrivals) in
+  List.iter
+    (fun (net, a) -> if not (Hashtbl.mem first net) then Hashtbl.add first net a)
+    report.arrivals;
   Design.primary_outputs design
   |> List.filter_map (fun net ->
        Option.map
          (fun (a : arrival) -> (net, required -. a.time))
-         (List.assoc_opt net report.arrivals))
-  |> List.sort (fun (_, a) (_, b) -> compare a b)
+         (Hashtbl.find_opt first net))
+  |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
 
 (* ---- model factories ---- *)
 
@@ -499,12 +504,12 @@ let table_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others ?pool
       let gate = { cell.Design.gate with Gate.load } in
       Models.of_tables ?opts ?taus ?x_tau ?x_sep ?share_others ?pool gate th)
 
-let synthetic_factory ?seed ?spread ?work ?memo () =
+let synthetic_factory ?seed ?spread ?work () =
   let cache = Memo_cache.create ~shards:4 ~local:true () in
   factory_of ~cache
     ~key_of:(fun (cell : Design.cell) -> cell.Design.gate.Gate.name)
     ~build:(fun (cell : Design.cell) ->
-      Models.synthetic ?seed ?spread ?work ?memo cell.Design.gate)
+      Models.synthetic ?seed ?spread ?work cell.Design.gate)
 
 let oracle_model_factory ?opts ?wire_cap design th =
   (oracle_factory ?opts ?wire_cap design th).models

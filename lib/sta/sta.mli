@@ -86,7 +86,10 @@ val critical_path : report -> po:string -> string list
 val po_slacks :
   Design.t -> report -> required:float -> (string * float) list
 (** Slack (required - arrival) of every switching primary-output net of
-    the design, worst first. *)
+    the design, worst first (a stable sort: equal slacks keep the
+    design's output order).  A net listed more than once in
+    [report.arrivals] takes its first entry, found through a table
+    built in one pass over the report. *)
 
 val analyze :
   ?mode:mode ->
@@ -256,15 +259,15 @@ val table_factory :
     builders. *)
 
 val synthetic_factory :
-  ?seed:int -> ?spread:float -> ?work:int -> ?memo:bool -> unit -> factory
+  ?seed:int -> ?spread:float -> ?work:int -> unit -> factory
 (** A [models] function over {!Proxim_macromodel.Models.synthetic}
     analytic models, one per gate type (synthetic models carry no load
     dependence).  No simulator behind it: this is the factory the
     randomized equivalence tests, the incremental benchmark and quick
     CLI experiments use.  The options are forwarded to
-    {!Proxim_macromodel.Models.synthetic}; pass [~memo:false] on
-    million-cell designs so the unbounded query cache does not dominate
-    peak RSS. *)
+    {!Proxim_macromodel.Models.synthetic}.  The models keep no query
+    cache, so [factory_stats] counts only the per-gate-type lookups and
+    memory stays proportional to the gate library. *)
 
 val oracle_model_factory :
   ?opts:Proxim_spice.Options.t ->

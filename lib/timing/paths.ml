@@ -12,7 +12,12 @@
    response tracks the EARLIEST would-be crossing, so the critical
    (timing-setting) path can carry a smaller number than a losing pin's
    single-input estimate.  Ranks 2..K are the alternatives, latest
-   estimate first. *)
+   estimate first.
+
+   Only cells in the fan-in cone of the PO's driver are merged: a cell
+   outside it cannot lie on a path that ends at the PO, and every
+   candidate input of a cone cell is a source or driven from inside the
+   cone, so the restriction leaves the PO's list bit-identical. *)
 
 type step = { net : int; via_pin : int }
 
@@ -39,16 +44,19 @@ let k_worst timing ~po ~k =
   let memo = Array.make (Graph.net_count g) [] in
   let source net =
     match Timing.arrival timing ~net with
-    | Some a when Graph.driver g ~net = None ->
+    | Some a ->
       memo.(net) <- [ { p_arrival = a.Timing.time; p_steps = [ { net; via_pin = -1 } ] } ]
-    | Some _ | None -> ()
+    | None -> ()
   in
   for net = 0 to Graph.net_count g - 1 do
-    source net
+    if Graph.driver_id g ~net < 0 then source net
   done;
+  let cone =
+    Graph.fanin_cone g ~cells:(Option.to_list (Graph.driver g ~net:po))
+  in
   Array.iter
     (fun cell ->
-      match Timing.verdict timing ~cell with
+      match if cone.(cell) then Timing.verdict timing ~cell else None with
       | None -> ()
       | Some v ->
         let out = Graph.cell_output g cell in

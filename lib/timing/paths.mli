@@ -1,8 +1,10 @@
 (** K-worst path enumeration over an analyzed {!Timing} state.
 
-    Replaces the single [critical_path] chain: for every endpoint the
+    Replaces the single [critical_path] chain: for an endpoint the
     top-K latest-arriving paths are enumerated by merging per-net top-K
-    lists in topological order (cost [O(E * K log K)]).
+    lists in topological order over the endpoint's fan-in cone only
+    (cost [O(E_cone * K log K)], where [E_cone] counts the arcs into
+    that cone; cells outside it cannot reach the endpoint).
 
     Path semantics: every arc [(input net -> cell output)] contributes
     [would_be - arrival(input)], where [would_be] is the engine's

@@ -149,6 +149,9 @@ type stats = {
   local_hits : int;
 }
 
+let zero_stats =
+  { hits = 0; misses = 0; waits = 0; evictions = 0; entries = 0; local_hits = 0 }
+
 let stats (t : _ t) =
   Array.fold_left
     (fun acc shard ->
@@ -171,14 +174,7 @@ let stats (t : _ t) =
       in
       Mutex.unlock shard.mutex;
       acc)
-    {
-      hits = 0;
-      misses = 0;
-      waits = 0;
-      evictions = 0;
-      entries = 0;
-      local_hits = Dcounter.value t.local_hits;
-    }
+    { zero_stats with local_hits = Dcounter.value t.local_hits }
     t.shards
 
 let length t = (stats t).entries

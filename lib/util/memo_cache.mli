@@ -67,6 +67,10 @@ type stats = {
 
 val stats : ('k, 'v) t -> stats
 
+val zero_stats : stats
+(** Every counter zero: the stats of a fresh cache, and of a model that
+    keeps no cache at all. *)
+
 val reset_stats : ('k, 'v) t -> unit
 (** Zero the counters, including [local_hits] ([entries] is
     unaffected). *)

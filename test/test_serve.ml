@@ -51,21 +51,23 @@ let pi_events =
 let eco_arrival = { Sta.time = 2.1e-11; slew = 3.51e-10; edge = Measure.Fall }
 let ecos = [ Sta.Set_pi ("a", Some eco_arrival) ]
 
+(* a netlist text as the server reads it: the design and the thresholds
+   from its [thresholds] line *)
+let parse_offline text =
+  let design =
+    match Netlist_text.parse tech text with
+    | Ok (_, d) -> d
+    | Error m -> Alcotest.failf "offline parse: %s" m
+  in
+  match (Netlist_text.parse_raw tech text).Netlist_text.raw_thresholds with
+  | Some (th, _) -> (design, th)
+  | None -> Alcotest.fail "netlist has no thresholds line"
+
 (* what the daemon must reproduce, computed through the very same
    engine entry points the server calls *)
 let offline_report =
   lazy
-    (let design =
-       match Netlist_text.parse tech netlist_text with
-       | Ok (_, d) -> d
-       | Error m -> Alcotest.failf "offline parse: %s" m
-     in
-     let raw = Netlist_text.parse_raw tech netlist_text in
-     let thresholds =
-       match raw.Netlist_text.raw_thresholds with
-       | Some (th, _) -> th
-       | None -> Alcotest.fail "netlist has no thresholds line"
-     in
+    (let design, thresholds = parse_offline netlist_text in
      let factory = Sta.synthetic_factory ~seed:0 () in
      let ir =
        Sta.build_ir ~mode:Sta.Proximity ~models:factory.Sta.models
@@ -267,6 +269,59 @@ let test_concurrent_sessions () =
               (Lazy.force offline_report))
         results)
 
+(* regression: oracle factories were cached by design name alone, so an
+   oracle attach after a same-name reload timed the new design with the
+   old design's fanout loads *)
+let test_oracle_reload () =
+  let one_inv =
+    "design d\ninput a\noutput y\ncell u1 inv a -> y\n\
+     thresholds 1.263 3.737 5.0\n"
+  in
+  let two_inv =
+    "design d\ninput a\noutput y\ncell u1 inv a -> n1\n\
+     cell u2 inv n1 -> y\nthresholds 1.263 3.737 5.0\n"
+  in
+  let pi = [ List.hd pi_events ] (* the event on "a" *) in
+  let attach =
+    Json.Obj
+      [
+        ("op", str "attach");
+        ("design", str "d");
+        ("models", str "oracle");
+        ( "pi",
+          Json.List
+            (List.map
+               (fun (net, a) -> Json.List [ str net; Serve.arrival_to_json a ])
+               pi) );
+      ]
+  in
+  let load text =
+    Json.Obj [ ("op", str "load_text"); ("text", str text); ("name", str "d") ]
+  in
+  let got =
+    with_server (fun addr ->
+        with_conn addr (fun fd ->
+            ignore (rpc_ok fd (load one_inv));
+            ignore (rpc_ok fd attach);
+            ignore (rpc_ok fd (load two_inv));
+            ignore (rpc_ok fd attach);
+            let resp = rpc_ok fd (Json.Obj [ ("op", str "report") ]) in
+            match
+              Option.map Serve.report_of_json (Json.member "report" resp)
+            with
+            | Some (Ok r) -> r
+            | Some (Error m) -> Alcotest.failf "report decode: %s" m
+            | None -> Alcotest.fail "no report field"))
+  in
+  let design, thresholds = parse_offline two_inv in
+  let factory = Sta.oracle_factory design thresholds in
+  let ir =
+    Sta.build_ir ~mode:Sta.Proximity ~models:factory.Sta.models ~thresholds
+      design ~pi
+  in
+  ignore (Sta.reanalyze ir);
+  check_report_identical "reloaded oracle vs offline" got (Sta.report ir)
+
 let test_typed_errors () =
   with_server (fun addr ->
       with_conn addr (fun fd ->
@@ -404,6 +459,8 @@ let () =
             test_e2e_bit_identity;
           Alcotest.test_case "concurrent sessions agree" `Quick
             test_concurrent_sessions;
+          Alcotest.test_case "oracle attach after a same-name reload"
+            `Quick test_oracle_reload;
           Alcotest.test_case "typed per-session errors" `Quick
             test_typed_errors;
           Alcotest.test_case "adversarial frames never kill the server"

@@ -161,6 +161,33 @@ let test_critical_path_and_slack () =
       | None -> Alcotest.fail "no critical po")
    | _ -> Alcotest.fail "expected one po slack")
 
+(* [Sta.analyze] leads its report with the pi list verbatim, so a PO
+   that is also a PI listed twice appears twice: its slack must come from
+   the first entry, as with [List.assoc], and equal slacks must keep the
+   design's output order *)
+let test_po_slacks_first_match () =
+  let d =
+    Design.create
+      ~cells:[ cell "u1" inv [| "b" |] "y" ]
+      ~primary_inputs:[ "a"; "b"; "c" ]
+      ~primary_outputs:[ "y"; "c"; "a" ]
+  in
+  let th = { Vtc.vil = 1.263; vih = 3.737; vdd = 5.0 } in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let arr t = { Sta.time = t; slew = 2e-10; edge = Measure.Fall } in
+  let report =
+    Sta.analyze ~models ~thresholds:th d
+      ~pi:[ ("a", arr 3e-10); ("b", arr 0.); ("c", arr 3e-10); ("a", arr 9e-10) ]
+  in
+  let required = 1e-9 in
+  let y = List.assoc "y" report.Sta.arrivals in
+  Alcotest.(check bool) "y settles before the pads" true (y.Sta.time < 3e-10);
+  Alcotest.(check (list (pair string (float 0.))))
+    "first entry wins, ties in output order"
+    [ ("c", required -. 3e-10); ("a", required -. 3e-10);
+      ("y", required -. y.Sta.time) ]
+    (Sta.po_slacks d report ~required)
+
 let test_mixed_edges_rejected () =
   let d = tree () in
   let th = Lazy.force thresholds in
@@ -194,6 +221,8 @@ let () =
           Alcotest.test_case "quiet inputs" `Slow test_quiet_inputs_stay_quiet;
           Alcotest.test_case "critical path + slack" `Slow
             test_critical_path_and_slack;
+          Alcotest.test_case "po slacks first match" `Quick
+            test_po_slacks_first_match;
           Alcotest.test_case "mixed edges" `Quick test_mixed_edges_rejected;
         ] );
     ]

@@ -525,6 +525,80 @@ let test_equivalence_classic () =
 let test_equivalence_proximity () =
   run_equivalence_sequences Sta.Proximity ~sequences:100
 
+(* Paths.k_worst merges only the PO's fan-in cone: for every PO of random
+   designs it must agree bit-for-bit with the enumeration over a design
+   that holds nothing but that cone *)
+let test_k_worst_cone () =
+  let th = Lazy.force thresholds in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let rng = Prng.create 0xC0E5L in
+  let partial_cones = ref 0 in
+  for trial = 1 to 30 do
+    let design =
+      random_design rng
+        ~depth:(Prng.int rng ~lo:2 ~hi:4)
+        ~width:(Prng.int rng ~lo:3 ~hi:6)
+    in
+    let pi =
+      List.map (fun p -> (p, random_event rng)) (Design.primary_inputs design)
+    in
+    let analyzed d =
+      let ir = Sta.build_ir ~models ~thresholds:th d ~pi in
+      ignore (Sta.reanalyze ir);
+      (Design.graph d, Sta.timing ir)
+    in
+    let g, full = analyzed design in
+    let named gr (p : Paths.path) =
+      List.map (fun s -> (Graph.net_name gr s.Paths.net, s.Paths.via_pin))
+        p.Paths.p_steps
+    in
+    Array.iter
+      (fun po ->
+        let cone =
+          Graph.fanin_cone g ~cells:(Option.to_list (Graph.driver g ~net:po))
+        in
+        let cells =
+          List.filter
+            (fun c -> cone.(Option.get (Graph.cell_id g c.Design.name)))
+            (Design.cells design)
+        in
+        if List.length cells < Graph.cell_count g then incr partial_cones;
+        let po_name = Graph.net_name g po in
+        let cg, part =
+          analyzed
+            (Design.create ~cells
+               ~primary_inputs:(Design.primary_inputs design)
+               ~primary_outputs:[ po_name ])
+        in
+        let cpo = Option.get (Graph.net_id cg po_name) in
+        for k = 1 to 4 do
+          let want = Paths.k_worst full ~po ~k in
+          let got = Paths.k_worst part ~po:cpo ~k in
+          let same (a : Paths.path) (b : Paths.path) =
+            bits_eq a.Paths.p_arrival b.Paths.p_arrival
+            && named g a = named cg b
+          in
+          if
+            not
+              (List.length want = List.length got
+              && List.for_all2 same want got)
+          then
+            Alcotest.failf "trial %d, po %s, k %d: cone paths differ" trial
+              po_name k;
+          (* both sides restrict alike, so also pin rank 1 to the
+             reported arrival: a cone missing a cell breaks the chain *)
+          match (want, Timing.arrival full ~net:po) with
+          | [], None -> ()
+          | top :: _, Some a when bits_eq top.Paths.p_arrival a.Timing.time
+            -> ()
+          | _ ->
+            Alcotest.failf "trial %d, po %s, k %d: rank 1 is not the arrival"
+              trial po_name k
+        done)
+      (Graph.primary_outputs g)
+  done;
+  Alcotest.(check bool) "some cones leave cells out" true (!partial_cones > 0)
+
 let test_swap_models_equiv () =
   let d = reconvergent () in
   let th = Lazy.force thresholds in
@@ -576,5 +650,7 @@ let () =
           Alcotest.test_case "proximity 100 sequences" `Slow
             test_equivalence_proximity;
           Alcotest.test_case "swap models" `Slow test_swap_models_equiv;
+          Alcotest.test_case "k-worst over the fan-in cone" `Slow
+            test_k_worst_cone;
         ] );
     ]
