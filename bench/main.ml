@@ -695,23 +695,6 @@ let eco_model_factory () =
   in
   (overrides, models, fun () -> Memo_cache.stats cache)
 
-let arrival_bits_eq (a : Sta.arrival) (b : Sta.arrival) =
-  Int64.equal (Int64.bits_of_float a.Sta.time) (Int64.bits_of_float b.Sta.time)
-  && Int64.equal (Int64.bits_of_float a.Sta.slew) (Int64.bits_of_float b.Sta.slew)
-  && a.Sta.edge = b.Sta.edge
-
-let report_bits_eq (a : Sta.report) (b : Sta.report) =
-  List.length a.Sta.arrivals = List.length b.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> String.equal n1 n2 && arrival_bits_eq a1 a2)
-       a.Sta.arrivals b.Sta.arrivals
-  && (match (a.Sta.critical_po, b.Sta.critical_po) with
-     | None, None -> true
-     | Some (n1, a1), Some (n2, a2) ->
-       String.equal n1 n2 && arrival_bits_eq a1 a2
-     | _ -> false)
-  && a.Sta.predecessors = b.Sta.predecessors
-
 type incr_result = {
   ir_cells : int;
   ir_levels : int;
@@ -872,7 +855,7 @@ let parallel_bench () =
   let t_sta_serial, _, report_serial = sta_run 1 in
   Printf.printf "  STA serial (1 domain): median %.4f s\n%!" t_sta_serial;
   let t_sta_par, sta_delta, report_par = sta_run sta_domains in
-  let sta_identical = report_bits_eq report_serial report_par in
+  let sta_identical = Sta.report_equal report_serial report_par in
   let sta_speedup =
     if t_sta_par > 0. then t_sta_serial /. t_sta_par else 1.
   in
@@ -977,7 +960,7 @@ let incremental_design rng pool th ~tech ~depth ~width ~trials =
     let t0 = Unix.gettimeofday () in
     ignore (Sta.reanalyze ~pool ir_full);
     t_full.(t) <- Unix.gettimeofday () -. t0;
-    if not (report_bits_eq (Sta.report ir) (Sta.report ir_full)) then
+    if not (Sta.report_equal (Sta.report ir) (Sta.report ir_full)) then
       identical := false
   done;
   let median a = Stats.percentile a 50. in
@@ -1293,7 +1276,7 @@ let verify_bench () =
   let t_pruned, r_pruned, pruned_evals =
     run_trials (Some (Prune.make ~never_proximate:prune ()))
   in
-  let identical = report_bits_eq r_full r_pruned in
+  let identical = Sta.report_equal r_full r_pruned in
   let speedup = if t_pruned > 0. then t_full /. t_pruned else 1. in
   Pool.shutdown pool;
   Printf.printf
@@ -1471,7 +1454,7 @@ let hazard_bench () =
   let t_pruned, r_pruned, pruned_evals =
     run_trials (Some (Prune.make ~quiet:mask ()))
   in
-  let identical = report_bits_eq r_full r_pruned in
+  let identical = Sta.report_equal r_full r_pruned in
   if not identical then begin
     (* name the diverging nets and the quiet verdicts of their drivers *)
     let by_cell = Hashtbl.create 64 in
@@ -1480,7 +1463,7 @@ let hazard_bench () =
       (Design.cells design);
     List.iter2
       (fun (n1, (a1 : Sta.arrival)) (_, (a2 : Sta.arrival)) ->
-        if not (arrival_bits_eq a1 a2) then begin
+        if not (Timing.arrival_eq a1 a2) then begin
           let quiet =
             match Hashtbl.find_opt by_cell n1 with
             | Some cl -> if mask cl then " (driver marked quiet!)" else ""
@@ -1572,7 +1555,7 @@ let hazard_bench () =
    BENCH_sense.json.                                                   *)
 
 module Sense = Proxim_sense.Sense
-module Netlist_text = Proxim_sta.Netlist_text
+module Netlist_bin = Proxim_sta.Netlist_bin
 
 (* exact two-frame boolean simulation of a whole design — the golden
    reference the Unsensitizable verdicts are drawn against *)
@@ -1837,7 +1820,7 @@ let sense_bench () =
   let fused = fused_of () in
   let t_fused, r_fused, fused_evals = run_trials (Some fused) in
   let counts = Prune.counts fused in
-  let identical = ref (report_bits_eq r_full r_fused) in
+  let identical = ref (Sta.report_equal r_full r_fused) in
   let designs_checked = ref 1 in
   (* ... and across independent random designs and every example netlist *)
   let check_design design pi =
@@ -1863,7 +1846,7 @@ let sense_bench () =
     let full = run None in
     let pruned = run (Some fused) in
     incr designs_checked;
-    if not (report_bits_eq full pruned) then identical := false
+    if not (Sta.report_equal full pruned) then identical := false
   in
   for _ = 1 to 10 do
     let d = random_layered_design rng ~tech:c.tech ~depth:3 ~width:20 in
@@ -1879,9 +1862,9 @@ let sense_bench () =
   List.iter
     (fun file ->
       if Sys.file_exists file then
-        match Netlist_text.parse_file c.tech file with
+        match Netlist_bin.load_file c.tech file with
         | Error _ -> () (* lint fodder; not a loadable design *)
-        | Ok (_, d) ->
+        | Ok (_, d, _) ->
           (* an all-input stimulus when the reconvergence parities allow
              it, else one event per run — the single-vector STA refuses
              to order mixed edges at a cell *)
@@ -1993,10 +1976,10 @@ let hist_percentile (h : Obs_metrics.hist_snapshot) p =
     Float.min !res (if h.max > 0. then h.max else !res)
   end
 
+(* a rejected request fails the bench *)
 let serve_rpc fd req =
-  match Serve.request fd req with
-  | Ok j when Serve.ok j -> j
-  | Ok j -> failwith ("serve bench: request rejected: " ^ Sjson.to_string j)
+  match Serve.call fd req with
+  | Ok j -> j
   | Error m -> failwith ("serve bench: " ^ m)
 
 let serve_bench () =
@@ -2025,11 +2008,7 @@ let serve_bench () =
   subsection "offline reference";
   let _name, design = Synthgen.generate ~seed ~depth ~tech ~cells () in
   let factory = Sta.synthetic_factory ~seed:0 () in
-  let thresholds =
-    match Design.cells design with
-    | c :: _ -> Vtc.thresholds c.Design.gate
-    | [] -> failwith "generated design has no cells"
-  in
+  let thresholds = Sta.default_thresholds design None in
   let pi =
     List.map
       (fun net ->
@@ -2072,24 +2051,6 @@ let serve_bench () =
             { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall } );
       ]
   in
-  let eco_req r =
-    let kind, fields =
-      match eco_at r with
-      | Sta.Set_pi (net, Some a) ->
-        ( "set_pi",
-          [ ("net", Sjson.String net); ("arrival", Serve.arrival_to_json a) ]
-        )
-      | Sta.Set_pi (net, None) ->
-        ("set_pi", [ ("net", Sjson.String net); ("arrival", Sjson.Null) ])
-      | Sta.Touch_cell c -> ("touch_cell", [ ("cell", Sjson.String c) ])
-    in
-    Sjson.Obj
-      [
-        ("op", Sjson.String "eco");
-        ( "ecos",
-          Sjson.List [ Sjson.Obj (("kind", Sjson.String kind) :: fields) ] );
-      ]
-  in
   (* one connection loads the shared design into the store *)
   let fd0 = Serve.connect addr in
   ignore (serve_rpc fd0 gen_req : Sjson.t);
@@ -2105,7 +2066,14 @@ let serve_bench () =
         ignore (serve_rpc fd attach_req : Sjson.t);
         for r = 0 to rounds - 1 do
           let t0 = Unix.gettimeofday () in
-          ignore (serve_rpc fd (eco_req r) : Sjson.t);
+          ignore
+            (serve_rpc fd
+               (Sjson.Obj
+                  [
+                    ("op", Sjson.String "eco");
+                    ("ecos", Sjson.List [ Serve.eco_to_json (eco_at r) ]);
+                  ])
+              : Sjson.t);
           eco_ts.((s * rounds) + r) <- Unix.gettimeofday () -. t0;
           let t0 = Unix.gettimeofday () in
           let resp =
@@ -2125,7 +2093,7 @@ let serve_bench () =
   List.iter Thread.join threads;
   let bit_identical =
     Array.for_all
-      (function Some r -> report_bits_eq r offline | None -> false)
+      (function Some r -> Sta.report_equal r offline | None -> false)
       finals
   in
   let p a q = 1e3 *. Stats.percentile a q in

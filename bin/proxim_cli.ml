@@ -44,16 +44,18 @@ let edge_of_string = function
 (* The EDGE:TAU_PS:CROSS_PS core every event spec ends with — shared by
    --event (pin-prefixed), --pi (net-prefixed), --pi-all (bare) and the
    eco specs, so a malformed edge or number yields one message and one
-   exit code (2) whatever the subcommand.  [spec] is the caller's whole
+   exit code (2) whatever the subcommand.  Both numbers must be finite
+   and the transition time positive.  [spec] is the caller's whole
    original argument, quoted verbatim in the diagnostic. *)
 let parse_edge_tau_t ~spec edge_s tau_s t_s =
   match edge_of_string edge_s with
   | Error e -> Error e
   | Ok edge -> (
     match (float_of_string_opt tau_s, float_of_string_opt t_s) with
-    | Some tau_ps, Some t_ps -> Ok (edge, tau_ps *. 1e-12, t_ps *. 1e-12)
-    | None, _ | _, None ->
-      Error (`Msg (Printf.sprintf "bad numbers in event %s" spec)))
+    | Some tau_ps, Some t_ps
+      when Float.is_finite tau_ps && Float.is_finite t_ps && tau_ps > 0. ->
+      Ok (edge, tau_ps *. 1e-12, t_ps *. 1e-12)
+    | _ -> Error (`Msg (Printf.sprintf "bad numbers in event %s" spec)))
 
 (* exit code for a malformed event/eco spec on every subcommand *)
 let usage_error m =
@@ -375,7 +377,7 @@ let run_lint files format fail_on fanout_limit codes =
     Diagnostic.exit_code ~fail_on diags
 
 (* ------------------------------------------------------------------ *)
-(* sta                                                                 *)
+(* the analysis front end                                              *)
 
 module Sta = Proxim_sta.Sta
 module Prune = Proxim_sta.Prune
@@ -386,6 +388,10 @@ module Synthgen = Proxim_sta.Synthgen
 module Timing = Proxim_timing.Timing
 module Graph = Proxim_timing.Graph
 module Memo_cache = Proxim_util.Memo_cache
+module Verify = Proxim_verify.Verify
+module Interval = Proxim_verify.Interval
+module Hazard = Proxim_hazard.Hazard
+module Sense = Proxim_sense.Sense
 
 let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
 
@@ -436,41 +442,111 @@ let parse_pi_all_spec s =
             fall:500:0)"
            s))
 
-let rec parse_all parse acc = function
-  | [] -> Ok (List.rev acc)
-  | s :: tl -> (
-    match parse s with
-    | Ok v -> parse_all parse (v :: acc) tl
-    | Error e -> Error e)
+(* --pi-window: a bare PS value sets the global arrival-time window,
+   NET=PS overrides it for one net *)
+let parse_window_spec s =
+  let bad () =
+    Error
+      (`Msg
+        (Printf.sprintf "bad window %s (expected PS or NET=PS, e.g. 25 or a=25)"
+           s))
+  in
+  match String.index_opt s '=' with
+  | None -> (
+    match float_of_string_opt s with
+    | Some ps when ps >= 0. -> Ok (`Global (ps *. 1e-12))
+    | Some _ | None -> bad ())
+  | Some i -> (
+    let net = String.sub s 0 i in
+    let v = String.sub s (i + 1) (String.length s - i - 1) in
+    match float_of_string_opt v with
+    | Some ps when ps >= 0. && net <> "" -> Ok (`Net (net, ps *. 1e-12))
+    | Some _ | None -> bad ())
 
-(* bit-exact report comparison, the --verify-eco gate: an incremental
-   update must reproduce a fresh analysis to the last bit *)
-let report_eq (r1 : Sta.report) (r2 : Sta.report) =
-  let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let aeq (a : Sta.arrival) (b : Sta.arrival) =
-    feq a.Sta.time b.Sta.time && feq a.Sta.slew b.Sta.slew
-    && a.Sta.edge = b.Sta.edge
+let parse_const_spec s =
+  match String.index_opt s '=' with
+  | Some i when i > 0 && i = String.length s - 2 -> (
+    let net = String.sub s 0 i in
+    match s.[i + 1] with
+    | '0' -> Ok (net, false)
+    | '1' -> Ok (net, true)
+    | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s)))
+  | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s))
+
+(* every spec of one option, or the first malformed one *)
+let parse_all parse specs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: tl -> (
+      match parse s with Ok v -> go (v :: acc) tl | Error e -> Error e)
   in
-  let alist_eq l1 l2 =
-    List.length l1 = List.length l2
-    && List.for_all2 (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2) l1 l2
+  go [] specs
+
+let parse_opt parse = function
+  | None -> Ok None
+  | Some s -> Result.map Option.some (parse s)
+
+(* The front end's checks read as a flat sequence: [Error (`Msg m)]
+   prints [m] and exits 2, the status of every usage error. *)
+let ( let* ) r k = match r with Ok v -> k v | Error (`Msg m) -> usage_error m
+
+(* the first failed usage check, in order *)
+let check checks =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, m) -> Error (`Msg m)
+  | None -> Ok ()
+
+(* a usage error a library call reports past the command-line checks *)
+exception Usage of string
+
+(* The boundary of every analysis subcommand: the one netlist loader
+   (exit 1 when the file is unreadable), then the user errors the
+   analyses find — a stimulus on a net that is not a primary input, an
+   ECO naming an unknown net or cell, edges a single-vector analysis
+   cannot order — each printed as "proxim CMD: error: ..." with exit 2,
+   never escaping as an uncaught exception.  [around_load] wraps the
+   load (profile times it as a phase). *)
+let with_design ?(around_load = fun f -> f ()) cmd file k =
+  let error fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "proxim %s: error: %s\n" cmd m;
+        2)
+      fmt
   in
-  alist_eq r1.Sta.arrivals r2.Sta.arrivals
-  && (match (r1.Sta.critical_po, r2.Sta.critical_po) with
-     | None, None -> true
-     | Some (n1, a1), Some (n2, a2) -> n1 = n2 && aeq a1 a2
-     | Some _, None | None, Some _ -> false)
-  && r1.Sta.predecessors = r2.Sta.predecessors
+  let load () = Netlist_bin.load_file Tech.generic_5v file in
+  match around_load load with
+  | Error m ->
+    prerr_endline m;
+    1
+  | Ok (name, design, file_th) -> (
+    try k name design file_th with
+    | Usage m ->
+      Printf.eprintf "proxim %s: %s\n" cmd m;
+      2
+    | Verify.Not_primary_input { flag; net } ->
+      error "%s names %s, which is not a primary input of the design" flag net
+    | Sta.Unknown_eco_target { kind; name } ->
+      error "--eco refers to unknown %s %s" kind name
+    | Sta.Mixed_input_edges { cell } ->
+      error
+        "mixed input edges at cell %s (a single-vector analysis cannot order \
+         a glitch)"
+        cell)
+
+let factory_of models_kind design th =
+  match models_kind with
+  | `Oracle -> Sta.oracle_factory design th
+  | `Synthetic -> Sta.synthetic_factory ()
+
+(* ------------------------------------------------------------------ *)
+(* sta                                                                 *)
 
 let apply_eco_to_pi pi = function
   | Sta.Touch_cell _ -> pi
   | Sta.Set_pi (net, a) -> (
     let rest = List.remove_assoc net pi in
     match a with None -> rest | Some a -> rest @ [ (net, a) ])
-
-module Verify = Proxim_verify.Verify
-module Interval = Proxim_verify.Interval
-module Sense = Proxim_sense.Sense
 
 (* The prune mask must stay sound for the initial analysis AND every
    post-ECO re-analysis, so verify over interval events hulling both
@@ -520,17 +596,12 @@ let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
        group); both masks are sound for the fast path, so take the
        union *)
     let h =
-      Proxim_hazard.Hazard.analyze ~mode:Sta.Proximity ~models ~thresholds
-        design ~pi:events
+      Hazard.analyze ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
     in
-    let hs = Proxim_hazard.Hazard.summary h in
     Printf.printf "hazard analysis: %d of %d classified cells proven quiet\n"
-      (List.length
-         (List.filter
-            (fun c -> c.Proxim_hazard.Hazard.hc_quiet)
-            (Proxim_hazard.Hazard.cells h)))
-      hs.Proxim_hazard.Hazard.classified;
-    let vm = Verify.prune_mask v and hm = Proxim_hazard.Hazard.quiet_mask h in
+      (List.length (List.filter (fun c -> c.Hazard.hc_quiet) (Hazard.cells h)))
+      (Hazard.summary h).Hazard.classified;
+    let vm = Verify.prune_mask v and hm = Hazard.quiet_mask h in
     (* the sensitization mask covers cells where at most one event can
        structurally arrive; its activity depends only on which nets
        switch, so the edge-compatibility check above keeps it sound
@@ -554,176 +625,115 @@ let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
     Some (Prune.make ?unsensitizable:sm ~quiet:hm ~never_proximate:vm ())
   end
 
-(* one loader for both netlist encodings: route on the magic bytes, not
-   the file extension *)
-let load_design tech file =
-  if Netlist_bin.file_is_binary file then Netlist_bin.read_file tech file
-  else
-    match In_channel.with_open_text file In_channel.input_all with
-    | exception Sys_error m -> Error m
-    | text ->
-      Result.map
-        (fun (name, design) ->
-          let raw = Netlist_text.parse_raw tech text in
-          ( name,
-            design,
-            Option.map fst raw.Netlist_text.raw_thresholds ))
-        (Netlist_text.parse tech text)
+(* The arrivals, critical output and K worst paths of one report — the
+   block `proxim sta` prints and `serve --smoke` reproduces byte for
+   byte from a served report.  [paths po] gives the paths to the
+   critical output [po]. *)
+let print_sta_report ?(summary = false) (report : Sta.report) ~paths =
+  if summary then
+    Printf.printf "arrivals: %d switching nets\n"
+      (List.length report.Sta.arrivals)
+  else begin
+    Printf.printf "arrivals:\n";
+    List.iter
+      (fun (net, (a : Sta.arrival)) ->
+        Printf.printf "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
+          (ps a.Sta.time) (ps a.Sta.slew) (edge_name a.Sta.edge))
+      report.Sta.arrivals
+  end;
+  match report.Sta.critical_po with
+  | None -> Printf.printf "no primary output switches\n"
+  | Some (po, a) ->
+    Printf.printf "critical output: %s at %.1f ps\n" po (ps a.Sta.time);
+    List.iteri
+      (fun i (p : Sta.path) ->
+        Printf.printf "path #%d (%8.1f ps): %s\n" (i + 1)
+          (ps p.Sta.path_arrival)
+          (String.concat " <- " p.Sta.path_nets))
+      (paths po)
 
 let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
     eco_specs verify_eco no_prune sense summary =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
-      match
-        ( parse_all parse_pi_spec [] pi_specs,
-          parse_all parse_eco_spec [] eco_specs,
-          Option.fold ~none:(Ok None)
-            ~some:(fun s -> Result.map Option.some (parse_pi_all_spec s))
-            pi_all_spec )
-      with
-      | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-        usage_error m
-      | Ok [], _, Ok None ->
-        usage_error "proxim sta: need at least one --pi event (or --pi-all)"
-      | Ok named_pi, Ok ecos, Ok pi_all ->
-        let pi =
-          match pi_all with
-          | None -> named_pi
-          | Some a ->
-            named_pi
-            @ List.filter_map
-                (fun net ->
-                  if List.mem_assoc net named_pi then None else Some (net, a))
-                (Design.primary_inputs design)
-        in
-        if paths_k < 1 then begin
-          prerr_endline "proxim sta: --paths must be >= 1";
-          2
-        end
-        else begin
-          let th =
-            match file_th with
-            | Some th -> th
-            | None -> (
-              match Design.cells design with
-              | c :: _ -> Vtc.thresholds c.Design.gate
-              | [] -> (
-                match Gate.of_name tech "inv" with
-                | Ok g -> Vtc.thresholds g
-                | Error m -> failwith m))
-          in
-          let factory =
-            match models_kind with
-            | `Oracle -> Sta.oracle_factory design th
-            | `Synthetic -> Sta.synthetic_factory ()
-          in
-          let g = Design.graph design in
-          Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
-            (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
-          let prune =
-            if no_prune || mode <> Sta.Proximity then None
-            else
-              sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th
-                design ~pi ~ecos ()
-          in
-          let ir =
-            Sta.build_ir ~mode ?prune ~models:factory.Sta.models
-              ~thresholds:th design ~pi
-          in
-          ignore (Sta.reanalyze ir : Timing.stats);
-          let show_results () =
-            let report = Sta.report ir in
-            if summary then
-              Printf.printf "arrivals: %d switching nets\n"
-                (List.length report.Sta.arrivals)
-            else begin
-              Printf.printf "arrivals:\n";
-              List.iter
-                (fun (net, (a : Sta.arrival)) ->
-                  Printf.printf "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
-                    (ps a.Sta.time) (ps a.Sta.slew) (edge_name a.Sta.edge))
-                report.Sta.arrivals
-            end;
-            (match report.Sta.critical_po with
-             | None -> Printf.printf "no primary output switches\n"
-             | Some (po, a) ->
-               Printf.printf "critical output: %s at %.1f ps\n" po
-                 (ps a.Sta.time);
-               List.iteri
-                 (fun i (p : Sta.path) ->
-                   Printf.printf "path #%d (%8.1f ps): %s\n" (i + 1)
-                     (ps p.Sta.path_arrival)
-                     (String.concat " <- " p.Sta.path_nets))
-                 (Sta.worst_paths ir ~po ~k:paths_k));
-            match required_ps with
-            | None -> ()
-            | Some req ->
-              Printf.printf "slacks (required %.1f ps):\n" req;
-              List.iter
-                (fun (net, slack) ->
-                  Printf.printf "  %-14s %+8.1f ps\n" net (ps slack))
-                (Sta.po_slacks design (Sta.report ir)
-                   ~required:(req *. 1e-12))
-          in
-          show_results ();
-          let eco_ok =
-            if ecos = [] then true
-            else begin
-              let stats = Sta.update ir ecos in
-              Printf.printf
-                "\nECO: re-evaluated %d of %d cells (%d changed)\n"
-                stats.Timing.evaluated stats.Timing.total_cells
-                stats.Timing.changed;
-              show_results ();
-              if not verify_eco then true
-              else begin
-                let pi' = List.fold_left apply_eco_to_pi pi ecos in
-                let fresh =
-                  Sta.build_ir ~mode ?prune ~models:factory.Sta.models
-                    ~thresholds:th design ~pi:pi'
-                in
-                ignore (Sta.reanalyze fresh : Timing.stats);
-                let same = report_eq (Sta.report ir) (Sta.report fresh) in
-                Printf.printf "incremental vs full re-analysis: %s\n"
-                  (if same then "bit-identical" else "MISMATCH");
-                same
-              end
+  with_design "sta" file @@ fun name design file_th ->
+  let* named_pi = parse_all parse_pi_spec pi_specs in
+  let* ecos = parse_all parse_eco_spec eco_specs in
+  let* pi_all = parse_opt parse_pi_all_spec pi_all_spec in
+  let* () =
+    check
+      [
+        ( named_pi <> [] || pi_all <> None,
+          "proxim sta: need at least one --pi event (or --pi-all)" );
+        (paths_k >= 1, "proxim sta: --paths must be >= 1");
+      ]
+  in
+  Verify.validate_pi_nets ~flag:"--pi" design (List.map fst named_pi);
+  let pi = Sta.with_pi_all design named_pi pi_all in
+  let th = Sta.default_thresholds design file_th in
+  let factory = factory_of models_kind design th in
+  let g = Design.graph design in
+  Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
+    (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
+  let prune =
+    if no_prune || mode <> Sta.Proximity then None
+    else
+      sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th design
+        ~pi ~ecos ()
+  in
+  let analyzed pi =
+    let ir =
+      Sta.build_ir ~mode ?prune ~models:factory.Sta.models ~thresholds:th
+        design ~pi
+    in
+    ignore (Sta.reanalyze ir : Timing.stats);
+    ir
+  in
+  let ir = analyzed pi in
+  let show_results () =
+    let report = Sta.report ir in
+    print_sta_report ~summary report ~paths:(fun po ->
+        Sta.worst_paths ir ~po ~k:paths_k);
+    Option.iter
+      (fun req ->
+        Printf.printf "slacks (required %.1f ps):\n" req;
+        List.iter
+          (fun (net, slack) ->
+            Printf.printf "  %-14s %+8.1f ps\n" net (ps slack))
+          (Sta.po_slacks design report ~required:(req *. 1e-12)))
+      required_ps
+  in
+  show_results ();
+  let eco_ok =
+    ecos = []
+    || begin
+         let stats = Sta.update ir ecos in
+         Printf.printf "\nECO: re-evaluated %d of %d cells (%d changed)\n"
+           stats.Timing.evaluated stats.Timing.total_cells
+           stats.Timing.changed;
+         show_results ();
+         (not verify_eco)
+         || begin
+              let fresh = analyzed (List.fold_left apply_eco_to_pi pi ecos) in
+              let same = Sta.report_equal (Sta.report ir) (Sta.report fresh) in
+              Printf.printf "incremental vs full re-analysis: %s\n"
+                (if same then "bit-identical" else "MISMATCH");
+              same
             end
-          in
-          (match prune with
-           | None -> ()
-           | Some p ->
-             let c = Prune.counts p in
-             Printf.printf
-               "proximity pruning: %d cell evaluations took the fast path \
-                (%d unsensitizable, %d quiet, %d never-proximate)\n"
-               (Sta.pruned_evaluations ir)
-               c.Prune.unsensitizable c.Prune.quiet
-               c.Prune.never_proximate);
-          let cs = factory.Sta.factory_stats () in
-          Printf.printf
-            "model cache: %d hits, %d misses, %d waits, %d entries\n"
-            cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
-            cs.Memo_cache.entries;
-          if eco_ok then 0 else 1
-        end)
-
-(* CLI boundary: an unknown net or cell in --eco is a user typo, not an
-   internal failure — report it like a lint error (exit 2) instead of
-   escaping as a raw exception with a backtrace. *)
-let run_sta file pi_specs pi_all mode models_kind paths_k required_ps
-    eco_specs verify_eco no_prune sense summary =
-  try
-    run_sta file pi_specs pi_all mode models_kind paths_k required_ps
-      eco_specs verify_eco no_prune sense summary
-  with Sta.Unknown_eco_target { kind; name } ->
-    Printf.eprintf "proxim sta: error: --eco refers to unknown %s %s\n" kind
-      name;
-    2
+       end
+  in
+  Option.iter
+    (fun p ->
+      let c = Prune.counts p in
+      Printf.printf
+        "proximity pruning: %d cell evaluations took the fast path (%d \
+         unsensitizable, %d quiet, %d never-proximate)\n"
+        (Sta.pruned_evaluations ir) c.Prune.unsensitizable c.Prune.quiet
+        c.Prune.never_proximate)
+    prune;
+  let cs = factory.Sta.factory_stats () in
+  Printf.printf "model cache: %d hits, %d misses, %d waits, %d entries\n"
+    cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
+    cs.Memo_cache.entries;
+  if eco_ok then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* gen / convert                                                       *)
@@ -779,8 +789,7 @@ let run_gen cells seed depth window reach out fmt =
     0
 
 let run_convert input output fmt =
-  let tech = Tech.generic_5v in
-  match load_design tech input with
+  match Netlist_bin.load_file Tech.generic_5v input with
   | Error m ->
     prerr_endline m;
     1
@@ -807,423 +816,422 @@ let run_convert input output fmt =
    analyze (the section-4 fold) -> report.  Prints the per-phase
    time/alloc breakdown from the trace aggregation. *)
 let run_profile file pi_specs mode models_kind =
-  let tech = Tech.generic_5v in
   Obs_metrics.install_util_sources ();
   Obs_trace.clear ();
   Obs_trace.enable ();
   let wall0 = Unix.gettimeofday () in
   let phase name f = Obs_trace.with_span ~cat:"phase" name f in
-  let parsed =
-    phase "parse" (fun () ->
-        match In_channel.with_open_text file In_channel.input_all with
-        | exception Sys_error m -> Error m
-        | text -> (
-          match Netlist_text.parse tech text with
-          | Error m -> Error m
-          | Ok (name, design) -> Ok (text, name, design)))
+  with_design ~around_load:(phase "parse") "profile" file
+  @@ fun name design file_th ->
+  let* pi = parse_all parse_pi_spec pi_specs in
+  let* () =
+    check [ (pi <> [], "proxim profile: need at least one --pi event") ]
   in
-  match parsed with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (text, name, design) -> (
-    match parse_all parse_pi_spec [] pi_specs with
-    | Error (`Msg m) -> usage_error m
-    | Ok [] -> usage_error "proxim profile: need at least one --pi event"
-    | Ok pi ->
-      let th =
-        phase "thresholds" (fun () ->
-            let raw = Netlist_text.parse_raw tech text in
-            match raw.Netlist_text.raw_thresholds with
-            | Some (th, _) -> th
-            | None -> (
-              match Design.cells design with
-              | c :: _ -> Vtc.thresholds c.Design.gate
-              | [] -> (
-                match Gate.of_name tech "inv" with
-                | Ok g -> Vtc.thresholds g
-                | Error m -> failwith m)))
-      in
-      let factory =
-        match models_kind with
-        | `Oracle -> Sta.oracle_factory design th
-        | `Synthetic -> Sta.synthetic_factory ()
-      in
-      phase "characterize" (fun () ->
-          List.iter
-            (fun c -> ignore (factory.Sta.models c : Models.t))
-            (Design.cells design));
-      let ir =
-        phase "build_ir" (fun () ->
-            Sta.build_ir ~mode ~models:factory.Sta.models ~thresholds:th
-              design ~pi)
-      in
-      ignore (phase "analyze" (fun () -> Sta.reanalyze ir) : Timing.stats);
-      let report = phase "report" (fun () -> Sta.report ir) in
-      let wall_us = (Unix.gettimeofday () -. wall0) *. 1e6 in
-      let g = Design.graph design in
-      Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
-        (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
-      (match report.Sta.critical_po with
-       | None -> Printf.printf "no primary output switches\n"
-       | Some (po, a) ->
-         Printf.printf "critical output: %s at %.1f ps\n" po (ps a.Sta.time));
-      let aggs = Obs_trace.aggregate ~cat:"phase" () in
-      (* pipeline order reads better than duration order for six rows *)
-      let phases =
-        List.filter_map
-          (fun n ->
-            List.find_opt (fun a -> a.Obs_trace.agg_name = n) aggs)
-          [ "parse"; "thresholds"; "characterize"; "build_ir"; "analyze";
-            "report" ]
-      in
-      let mb bytes = bytes /. 1048576. in
-      Printf.printf "\n%-14s %12s  %6s %12s\n" "phase" "time" "% wall"
-        "alloc";
+  Verify.validate_pi_nets ~flag:"--pi" design (List.map fst pi);
+  let th =
+    phase "thresholds" (fun () -> Sta.default_thresholds design file_th)
+  in
+  let factory = factory_of models_kind design th in
+  phase "characterize" (fun () ->
       List.iter
-        (fun (a : Obs_trace.agg) ->
-          Printf.printf "%-14s %9.3f ms  %5.1f%% %9.2f MB\n" a.Obs_trace.agg_name
-            (a.Obs_trace.total_us /. 1e3)
-            (100. *. a.Obs_trace.total_us /. wall_us)
-            (mb a.Obs_trace.alloc_bytes))
-        phases;
-      let covered =
-        List.fold_left (fun s a -> s +. a.Obs_trace.total_us) 0. phases
-      in
-      Printf.printf "phase coverage: %.1f%% of %.3f ms wall\n"
-        (100. *. covered /. wall_us)
-        (wall_us /. 1e3);
-      let hot =
-        List.concat_map
-          (fun c -> Obs_trace.aggregate ~cat:c ())
-          [ "characterize"; "sta"; "verify"; "pool" ]
-        |> List.sort (fun a b ->
-               Float.compare b.Obs_trace.total_us a.Obs_trace.total_us)
-      in
-      if hot <> [] then begin
-        Printf.printf "\nhot spans:\n";
-        List.iteri
-          (fun i (a : Obs_trace.agg) ->
-            if i < 8 then
-              Printf.printf "  %-22s %5dx %9.3f ms %9.2f MB\n"
-                a.Obs_trace.agg_name a.Obs_trace.count
-                (a.Obs_trace.total_us /. 1e3)
-                (mb a.Obs_trace.alloc_bytes))
-          hot
-      end;
-      0)
-
-(* ------------------------------------------------------------------ *)
-(* verify                                                              *)
-
-(* --pi-window: a bare PS value sets the global arrival-time window,
-   NET=PS overrides it for one net *)
-let parse_window_spec s =
-  let bad () =
-    Error
-      (`Msg
-        (Printf.sprintf "bad window %s (expected PS or NET=PS, e.g. 25 or a=25)"
-           s))
+        (fun c -> ignore (factory.Sta.models c : Models.t))
+        (Design.cells design));
+  let ir =
+    phase "build_ir" (fun () ->
+        Sta.build_ir ~mode ~models:factory.Sta.models ~thresholds:th design
+          ~pi)
   in
-  match String.index_opt s '=' with
-  | None -> (
-    match float_of_string_opt s with
-    | Some ps when ps >= 0. -> Ok (`Global (ps *. 1e-12))
-    | Some _ | None -> bad ())
-  | Some i -> (
-    let net = String.sub s 0 i in
-    let v = String.sub s (i + 1) (String.length s - i - 1) in
-    match float_of_string_opt v with
-    | Some ps when ps >= 0. && net <> "" -> Ok (`Net (net, ps *. 1e-12))
-    | Some _ | None -> bad ())
-
-let window_net_names windows =
-  List.filter_map (function `Net (n, _) -> Some n | `Global _ -> None) windows
-
-let run_verify file pi_specs window_specs tau_window_ps mode models_kind
-    format fail_on codes_filter sense =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
-    1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
-    match
-      ( parse_all parse_pi_spec [] pi_specs,
-        parse_all parse_window_spec [] window_specs,
-        resolve_code_filter codes_filter )
-    with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
-    | _, _, Ok `Table -> print_code_table ()
-    | Ok [], _, _ ->
-      prerr_endline "proxim verify: need at least one --pi event";
-      2
-    | Ok pi, Ok windows, Ok codes ->
-      Verify.validate_window_nets design (window_net_names windows);
-      let th =
-        match file_th with
-        | Some th -> th
-        | None -> (
-          match Design.cells design with
-          | c :: _ -> Vtc.thresholds c.Design.gate
-          | [] -> (
-            match Gate.of_name tech "inv" with
-            | Ok g -> Vtc.thresholds g
-            | Error m -> failwith m))
-      in
-        let global =
-          List.fold_left
-            (fun acc -> function `Global w -> w | `Net _ -> acc)
-            0. windows
-        in
-        let window_for net =
-          List.fold_left
-            (fun acc -> function
-              | `Net (n, w) when n = net -> w
-              | `Net _ | `Global _ -> acc)
-            global windows
-        in
-        let tau_window = tau_window_ps *. 1e-12 in
-        let events =
-          List.map
-            (fun (net, a) ->
-              Verify.of_sta_event ~time_window:(window_for net) ~tau_window
-                (net, a))
-            pi
-        in
-        let factory =
-          match models_kind with
-          | `Oracle -> Sta.oracle_factory design th
-          | `Synthetic -> Sta.synthetic_factory ()
-        in
-        let v =
-          Verify.analyze ~mode ~models:factory.Sta.models ~thresholds:th
-            design ~pi:events
-        in
-        let v, refinement =
-          if not sense then (v, None)
-          else begin
-            let s = Sense.analyze design ~pi:(Sense.stimuli_of_events events) in
-            let v, r =
-              Verify.refine v ~unsensitizable:(Sense.pair_unsensitizable s)
-            in
-            (v, Some r)
-          end
-        in
-        let diags = apply_code_filter codes (Verify.check ~file v) in
-        (match format with
-         | `Text ->
-           let s = Verify.summary v in
-           Printf.printf
-             "design %s: %d cells, %d switching; never-proximate %d, \
-              always-proximate %d, may-be-proximate %d\n"
-             name s.Verify.total_cells s.Verify.switching_cells s.Verify.never
-             s.Verify.always s.Verify.may;
-           (match refinement with
-            | None -> ()
-            | Some (r : Verify.refinement) ->
-              Printf.printf
-                "sensitization refinement: %d pairs and %d cells converted \
-                 to never-proximate\n"
-                r.Verify.refined_pairs r.Verify.refined_cells);
-           print_string (Diagnostic.report_text diags)
-         | `Json | `Sarif -> print_report format diags);
-        Diagnostic.exit_code ~fail_on diags)
-
-(* CLI boundary: a typo'd --pi-window net name is a usage error (exit 2),
-   not a crash *)
-let run_verify file pi_specs window_specs tau_window_ps mode models_kind
-    format fail_on codes_filter sense =
-  try
-    run_verify file pi_specs window_specs tau_window_ps mode models_kind
-      format fail_on codes_filter sense
-  with Verify.Unknown_window_net { net } ->
-    Printf.eprintf
-      "proxim verify: error: --pi-window names %s, which is not a primary \
-       input of the design\n"
-      net;
-    2
+  ignore (phase "analyze" (fun () -> Sta.reanalyze ir) : Timing.stats);
+  let report = phase "report" (fun () -> Sta.report ir) in
+  let wall_us = (Unix.gettimeofday () -. wall0) *. 1e6 in
+  let g = Design.graph design in
+  Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
+    (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
+  (match report.Sta.critical_po with
+   | None -> Printf.printf "no primary output switches\n"
+   | Some (po, a) ->
+     Printf.printf "critical output: %s at %.1f ps\n" po (ps a.Sta.time));
+  let aggs = Obs_trace.aggregate ~cat:"phase" () in
+  (* pipeline order reads better than duration order for six rows *)
+  let phases =
+    List.filter_map
+      (fun n -> List.find_opt (fun a -> a.Obs_trace.agg_name = n) aggs)
+      [ "parse"; "thresholds"; "characterize"; "build_ir"; "analyze"; "report" ]
+  in
+  let mb bytes = bytes /. 1048576. in
+  Printf.printf "\n%-14s %12s  %6s %12s\n" "phase" "time" "% wall" "alloc";
+  List.iter
+    (fun (a : Obs_trace.agg) ->
+      Printf.printf "%-14s %9.3f ms  %5.1f%% %9.2f MB\n" a.Obs_trace.agg_name
+        (a.Obs_trace.total_us /. 1e3)
+        (100. *. a.Obs_trace.total_us /. wall_us)
+        (mb a.Obs_trace.alloc_bytes))
+    phases;
+  let covered =
+    List.fold_left (fun s a -> s +. a.Obs_trace.total_us) 0. phases
+  in
+  Printf.printf "phase coverage: %.1f%% of %.3f ms wall\n"
+    (100. *. covered /. wall_us)
+    (wall_us /. 1e3);
+  let hot =
+    List.concat_map
+      (fun c -> Obs_trace.aggregate ~cat:c ())
+      [ "characterize"; "sta"; "verify"; "pool" ]
+    |> List.sort (fun a b ->
+           Float.compare b.Obs_trace.total_us a.Obs_trace.total_us)
+  in
+  if hot <> [] then begin
+    Printf.printf "\nhot spans:\n";
+    List.iteri
+      (fun i (a : Obs_trace.agg) ->
+        if i < 8 then
+          Printf.printf "  %-22s %5dx %9.3f ms %9.2f MB\n" a.Obs_trace.agg_name
+            a.Obs_trace.count
+            (a.Obs_trace.total_us /. 1e3)
+            (mb a.Obs_trace.alloc_bytes))
+      hot
+  end;
+  0
 
 (* ------------------------------------------------------------------ *)
-(* hazards                                                             *)
+(* verify / hazards / sense                                            *)
 
-module Hazard = Proxim_hazard.Hazard
+(* what a diagnostic analysis is handed by {!run_diagnostics} *)
+type diag_input = {
+  file : string;
+  design : Design.t;
+  thresholds : Vtc.thresholds Lazy.t;  (* only forced by analyses using it *)
+  events : Verify.pi_event list;
+  consts : (string * bool) list;
+  unsensitizable : (cell:string -> a:int -> b:int -> bool) option;
+      (* the --sense oracle *)
+}
 
-let run_hazards file pi_specs window_specs tau_window_ps mode models_kind
-    filter_margin_ps required_ps format fail_on codes_filter sense =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
-    1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, file_th) -> (
-    match
-      ( parse_all parse_pi_spec [] pi_specs,
-        parse_all parse_window_spec [] window_specs,
-        resolve_code_filter codes_filter )
-    with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
-    | _, _, Ok `Table -> print_code_table ()
-    | Ok [], _, _ ->
-      prerr_endline "proxim hazards: need at least one --pi event";
-      2
-    | Ok pi, Ok windows, Ok codes ->
-      Verify.validate_window_nets design (window_net_names windows);
-      let th =
-        match file_th with
-        | Some th -> th
-        | None -> (
-          match Design.cells design with
-          | c :: _ -> Vtc.thresholds c.Design.gate
-          | [] -> (
-            match Gate.of_name tech "inv" with
-            | Ok g -> Vtc.thresholds g
-            | Error m -> failwith m))
-      in
-        let global =
-          List.fold_left
-            (fun acc -> function `Global w -> w | `Net _ -> acc)
-            0. windows
-        in
-        let window_for net =
-          List.fold_left
-            (fun acc -> function
-              | `Net (n, w) when n = net -> w
-              | `Net _ | `Global _ -> acc)
-            global windows
-        in
-        let tau_window = tau_window_ps *. 1e-12 in
-        let events =
-          List.map
-            (fun (net, a) ->
-              Verify.of_sta_event ~time_window:(window_for net) ~tau_window
-                (net, a))
-            pi
-        in
-        let factory =
-          match models_kind with
-          | `Oracle -> Sta.oracle_factory design th
-          | `Synthetic -> Sta.synthetic_factory ()
-        in
-        let rule =
-          match models_kind with
-          | `Synthetic -> Hazard.model_rule
-          | `Oracle -> Hazard.inertial_rule ~thresholds:th ()
-        in
-        let h =
-          Hazard.analyze ~mode
-            ~filter_margin:(filter_margin_ps *. 1e-12)
-            ?required:(Option.map (fun r -> r *. 1e-12) required_ps)
-            ~rule ~models:factory.Sta.models ~thresholds:th design ~pi:events
-        in
-        let h, refinement =
-          if not sense then (h, None)
-          else begin
-            let s = Sense.analyze design ~pi:(Sense.stimuli_of_events events) in
-            let h, r =
-              Hazard.refine h ~impossible:(Sense.pair_unsensitizable s)
-            in
-            (h, Some r)
-          end
-        in
-        let diags = apply_code_filter codes (Hazard.check ~file h) in
-        (match format with
-         | `Text ->
-           Printf.printf "design %s: %s" name (Hazard.report_text h);
-           (match refinement with
-            | None -> ()
-            | Some (r : Hazard.refinement) ->
-              Printf.printf
-                "sensitization refinement: %d impossible pairs dropped, %d \
-                 cells demoted\n"
-                r.Hazard.refined_pairs r.Hazard.refined_cells);
-           print_string (Diagnostic.report_text diags)
-         | `Json | `Sarif -> print_report format diags);
-        Diagnostic.exit_code ~fail_on diags)
-
-let run_hazards file pi_specs window_specs tau_window_ps mode models_kind
-    filter_margin_ps required_ps format fail_on codes_filter sense =
-  try
-    run_hazards file pi_specs window_specs tau_window_ps mode models_kind
-      filter_margin_ps required_ps format fail_on codes_filter sense
-  with Verify.Unknown_window_net { net } ->
-    Printf.eprintf
-      "proxim hazards: error: --pi-window names %s, which is not a primary \
-       input of the design\n"
-      net;
-    2
-
-(* ------------------------------------------------------------------ *)
-(* sense                                                               *)
-
-let parse_const_spec s =
-  match String.index_opt s '=' with
-  | Some i when i > 0 && i = String.length s - 2 -> (
-    let net = String.sub s 0 i in
-    match s.[i + 1] with
-    | '0' -> Ok (net, false)
-    | '1' -> Ok (net, true)
-    | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s)))
-  | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s))
-
-let run_sense file pi_specs const_specs budget max_support format fail_on
-    codes_filter =
-  let tech = Tech.generic_5v in
-  match load_design tech file with
-  | exception Sys_error m ->
-    prerr_endline m;
-    1
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok (name, design, _file_th) -> (
-    match
-      ( parse_all parse_pi_spec [] pi_specs,
-        parse_all parse_const_spec [] const_specs,
-        resolve_code_filter codes_filter )
-    with
-    | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-      prerr_endline m;
-      2
-    | _, _, Ok `Table -> print_code_table ()
-    | Ok pi, Ok consts, Ok codes -> (
-      if budget < 1 then begin
-        prerr_endline "proxim sense: --budget must be >= 1";
-        2
-      end
-      else if max_support < 0 then begin
-        prerr_endline "proxim sense: --support must be >= 0";
-        2
-      end
+(* The one pipeline of the diagnostic subcommands: load -> specs ->
+   --codes table -> input checks -> thresholds and events -> analysis
+   (with the --sense oracle) -> code filter -> text/JSON/SARIF -> exit
+   code.  [analysis] returns the text summary that follows "design
+   NAME: " and its findings; [checks] are the subcommand's own usage
+   checks, first failure wins. *)
+let run_diagnostics ~cmd ~file ~pi_specs ?(need_pi = true) ?(window_specs = [])
+    ?(tau_window_ps = 0.) ?(const_specs = []) ?(checks = []) ?(sense = false)
+    ~format ~fail_on ~codes analysis =
+  with_design cmd file @@ fun name design file_th ->
+  let* pi = parse_all parse_pi_spec pi_specs in
+  let* windows = parse_all parse_window_spec window_specs in
+  let* consts = parse_all parse_const_spec const_specs in
+  let* codes = resolve_code_filter codes in
+  if codes = `Table then print_code_table ()
+  else
+    let need_pi =
+      ( (not need_pi) || pi <> [],
+        Printf.sprintf "proxim %s: need at least one --pi event" cmd )
+    and tau_window =
+      ( Float.is_finite tau_window_ps && tau_window_ps >= 0.,
+        Printf.sprintf "proxim %s: --tau-window must be a finite value >= 0"
+          cmd )
+    in
+    let* () = check ((need_pi :: checks) @ [ tau_window ]) in
+    Verify.validate_pi_nets ~flag:"--pi" design (List.map fst pi);
+    Verify.validate_pi_nets ~flag:"--pi-window" design
+      (List.filter_map
+         (function `Net (n, _) -> Some n | `Global _ -> None)
+         windows);
+    Verify.validate_pi_nets ~flag:"--const" design (List.map fst consts);
+    let global =
+      List.fold_left
+        (fun acc -> function `Global w -> w | `Net _ -> acc)
+        0. windows
+    in
+    let window_for net =
+      List.fold_left
+        (fun acc -> function
+          | `Net (n, w) when n = net -> w
+          | `Net _ | `Global _ -> acc)
+        global windows
+    in
+    let tau_window = tau_window_ps *. 1e-12 in
+    let events =
+      List.map
+        (fun (net, a) ->
+          Verify.of_sta_event ~time_window:(window_for net) ~tau_window
+            (net, a))
+        pi
+    in
+    let unsensitizable =
+      if not sense then None
       else
-        let events = List.map (Verify.of_sta_event ?time_window:None) pi in
-        match Sense.stimuli_of_events ~consts events with
-        | exception Invalid_argument m ->
-          prerr_endline ("proxim sense: " ^ m);
-          2
-        | stim -> (
-          match Sense.analyze ~budget ~max_support design ~pi:stim with
-          | exception Invalid_argument m ->
-            prerr_endline ("proxim sense: " ^ m);
-            2
-          | s ->
-            let diags = apply_code_filter codes (Sense.check ~file s) in
-            (match format with
-             | `Text ->
-               Printf.printf "design %s: %s" name (Sense.report_text s);
-               print_string (Diagnostic.report_text diags)
-             | `Json | `Sarif -> print_report format diags);
-            Diagnostic.exit_code ~fail_on diags)))
+        Some
+          (Sense.pair_unsensitizable
+             (Sense.analyze design ~pi:(Sense.stimuli_of_events events)))
+    in
+    let summary, diags =
+      analysis
+        {
+          file;
+          design;
+          thresholds = lazy (Sta.default_thresholds design file_th);
+          events;
+          consts;
+          unsensitizable;
+        }
+    in
+    let diags = apply_code_filter codes diags in
+    if format = `Text then Printf.printf "design %s: %s" name summary;
+    print_report format diags;
+    Diagnostic.exit_code ~fail_on diags
+
+let verify_analysis ~mode ~models_kind d =
+  let th = Lazy.force d.thresholds in
+  let models = (factory_of models_kind d.design th).Sta.models in
+  let v = Verify.analyze ~mode ~models ~thresholds:th d.design ~pi:d.events in
+  let v, refined =
+    match d.unsensitizable with
+    | None -> (v, "")
+    | Some unsensitizable ->
+      let v, r = Verify.refine v ~unsensitizable in
+      ( v,
+        Printf.sprintf
+          "sensitization refinement: %d pairs and %d cells converted to \
+           never-proximate\n"
+          r.Verify.refined_pairs r.Verify.refined_cells )
+  in
+  let s = Verify.summary v in
+  ( Printf.sprintf
+      "%d cells, %d switching; never-proximate %d, always-proximate %d, \
+       may-be-proximate %d\n\
+       %s"
+      s.Verify.total_cells s.Verify.switching_cells s.Verify.never
+      s.Verify.always s.Verify.may refined,
+    Verify.check ~file:d.file v )
+
+let hazards_analysis ~mode ~models_kind ~filter_margin_ps ~required_ps d =
+  let th = Lazy.force d.thresholds in
+  let models = (factory_of models_kind d.design th).Sta.models in
+  let rule =
+    match models_kind with
+    | `Synthetic -> Hazard.model_rule
+    | `Oracle -> Hazard.inertial_rule ~thresholds:th ()
+  in
+  let h =
+    Hazard.analyze ~mode
+      ~filter_margin:(filter_margin_ps *. 1e-12)
+      ?required:(Option.map (fun r -> r *. 1e-12) required_ps)
+      ~rule ~models ~thresholds:th d.design ~pi:d.events
+  in
+  let h, refined =
+    match d.unsensitizable with
+    | None -> (h, "")
+    | Some impossible ->
+      let h, r = Hazard.refine h ~impossible in
+      ( h,
+        Printf.sprintf
+          "sensitization refinement: %d impossible pairs dropped, %d cells \
+           demoted\n"
+          r.Hazard.refined_pairs r.Hazard.refined_cells )
+  in
+  (Hazard.report_text h ^ refined, Hazard.check ~file:d.file h)
+
+let sense_analysis ~budget ~max_support d =
+  match
+    Sense.analyze ~budget ~max_support d.design
+      ~pi:(Sense.stimuli_of_events ~consts:d.consts d.events)
+  with
+  | exception Invalid_argument m -> raise (Usage m)
+  | s -> (Sense.report_text s, Sense.check ~file:d.file s)
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                               *)
+
+module Serve = Proxim_serve.Serve
+module Sjson = Proxim_lint.Json
+
+(* unix:PATH | tcp:HOST:PORT | bare PATH (a unix socket) *)
+let parse_addr s =
+  let prefixed p =
+    String.length s > String.length p
+    && String.sub s 0 (String.length p) = p
+  in
+  if prefixed "unix:" then
+    Ok (`Unix (String.sub s 5 (String.length s - 5)))
+  else if prefixed "tcp:" then begin
+    let rest = String.sub s 4 (String.length s - 4) in
+    match String.rindex_opt rest ':' with
+    | Some i -> (
+      let host = String.sub rest 0 i in
+      let port_s = String.sub rest (i + 1) (String.length rest - i - 1) in
+      match int_of_string_opt port_s with
+      | Some port when port >= 0 -> Ok (`Tcp (host, port))
+      | _ -> Error (Printf.sprintf "bad port in address %s" s))
+    | None -> Error (Printf.sprintf "bad address %s (tcp:HOST:PORT)" s)
+  end
+  else Ok (`Unix s)
+
+let addr_to_string = function
+  | `Unix path -> "unix:" ^ path
+  | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+(* the daemon: bind, announce, serve until a protocol shutdown (or a
+   signal) stops it — a clean stop is exit 0 *)
+let run_serve_daemon addr =
+  match Serve.start addr with
+  | exception Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "proxim serve: cannot listen on %s: %s\n"
+      (addr_to_string addr) (Unix.error_message e);
+    1
+  | srv ->
+    let announced =
+      match (addr, Serve.port srv) with
+      | `Tcp (host, _), Some p -> `Tcp (host, p)
+      | a, _ -> a
+    in
+    Printf.printf "proxim serve: listening on %s\n%!"
+      (addr_to_string announced);
+    List.iter
+      (fun s ->
+        try Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.stop srv))
+        with Invalid_argument _ | Sys_error _ -> ())
+      [ Sys.sigint; Sys.sigterm ];
+    Serve.wait srv;
+    Printf.printf "proxim serve: shut down cleanly\n%!";
+    0
+
+let serve_fail m =
+  prerr_endline ("proxim serve: " ^ m);
+  1
+
+let with_connection addr k =
+  match Serve.connect addr with
+  | exception Unix.Unix_error (e, _, _) ->
+    serve_fail
+      (Printf.sprintf "cannot connect to %s: %s" (addr_to_string addr)
+         (Unix.error_message e))
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> k fd)
+
+(* raw client: each --send payload goes out as one frame verbatim (so a
+   test can push deliberately broken JSON through the framing), and
+   each response prints as one line of JSON *)
+let run_serve_send addr payloads =
+  with_connection addr @@ fun fd ->
+  let rec go = function
+    | [] -> 0
+    | payload :: tl -> (
+      Proxim_serve.Frame.write fd payload;
+      match Proxim_serve.Frame.read fd with
+      | Ok response ->
+        print_endline response;
+        go tl
+      | Error e -> serve_fail (Proxim_serve.Frame.read_error_to_string e))
+  in
+  go payloads
+
+(* smoke client for CI: drive load -> attach -> eco -> report -> paths
+   through a live daemon and print the result with the `proxim sta`
+   printer, so the bytes can be diffed against offline analysis *)
+let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
+  let* named_pi = parse_all parse_pi_spec pi_specs in
+  let* ecos = parse_all parse_eco_spec eco_specs in
+  let* pi_all = parse_opt parse_pi_all_spec pi_all_spec in
+  let* () =
+    check
+      [
+        ( named_pi <> [] || pi_all <> None,
+          "proxim serve: need at least one --pi event (or --pi-all)" );
+        (paths_k >= 1, "proxim serve: --paths must be >= 1");
+      ]
+  in
+  with_connection addr @@ fun fd ->
+  let ( let* ) = Result.bind in
+  let req op fields =
+    Serve.call fd (Sjson.Obj (("op", Sjson.String op) :: fields))
+  in
+  let payload key resp =
+    Option.to_result ~none:("response carries no " ^ key)
+      (Sjson.member key resp)
+  in
+  let session =
+    let path =
+      if Filename.is_relative file then Filename.concat (Sys.getcwd ()) file
+      else file
+    in
+    let* loaded = req "load" [ ("path", Sjson.String path) ] in
+    let* design = payload "design" loaded in
+    let* _ =
+      req "attach"
+        ([
+           ("design", design);
+           ( "mode",
+             Sjson.String
+               (if mode = Sta.Classic then "classic" else "proximity") );
+           ("models", Sjson.String "synthetic");
+           ( "pi",
+             Sjson.List
+               (List.map
+                  (fun (net, a) ->
+                    Sjson.List [ Sjson.String net; Serve.arrival_to_json a ])
+                  named_pi) );
+         ]
+        @ Option.fold ~none:[]
+            ~some:(fun a -> [ ("pi_all", Serve.arrival_to_json a) ])
+            pi_all)
+    in
+    let* _ =
+      if ecos = [] then Ok Sjson.Null
+      else req "eco" [ ("ecos", Sjson.List (List.map Serve.eco_to_json ecos)) ]
+    in
+    let* resp = req "report" [] in
+    let* rj = payload "report" resp in
+    let* report = Serve.report_of_json rj in
+    let* paths =
+      match report.Sta.critical_po with
+      | None -> Ok []
+      | Some (po, _) ->
+        let* resp =
+          req "paths"
+            [
+              ("po", Sjson.String po);
+              ("k", Sjson.Number (float_of_int paths_k));
+            ]
+        in
+        let* pj = payload "paths" resp in
+        Serve.paths_of_json pj
+    in
+    let* _ = req "bye" [] in
+    Ok (report, paths)
+  in
+  match session with
+  | Error m -> serve_fail m
+  | Ok (report, paths) ->
+    print_sta_report report ~paths:(fun _ -> paths);
+    0
+
+let run_serve listen_s connect_s payloads smoke_file pi_specs pi_all_spec
+    eco_specs mode paths_k =
+  let with_addr s k =
+    match parse_addr s with Error m -> usage_error m | Ok a -> k a
+  in
+  match (connect_s, smoke_file, payloads) with
+  | None, None, [] -> (
+    match listen_s with
+    | Some s -> with_addr s run_serve_daemon
+    | None ->
+      usage_error
+        "proxim serve: pass --listen ADDR to serve, or --connect ADDR with \
+         --send/--smoke to talk to a daemon")
+  | None, _, _ ->
+    usage_error "proxim serve: --send/--smoke need --connect ADDR"
+  | Some _, Some _, _ :: _ ->
+    usage_error "proxim serve: --send and --smoke are mutually exclusive"
+  | Some c, None, (_ :: _ as payloads) ->
+    with_addr c (fun a -> run_serve_send a payloads)
+  | Some c, Some file, [] ->
+    with_addr c (fun a ->
+        run_serve_smoke a file pi_specs pi_all_spec eco_specs mode paths_k)
+  | Some _, None, [] ->
+    usage_error "proxim serve: --connect needs --send or --smoke"
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner wiring                                                     *)
@@ -1307,6 +1315,91 @@ let finish_obs obs code =
      print_endline (Obs_metrics.to_json (Obs_metrics.snapshot ())));
   code
 
+(* ---- options used by several subcommands: each is defined once and
+   takes only its default, its accepted values and its doc text ---- *)
+
+let file_arg doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+
+let pi_arg
+    ?(doc =
+      "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), e.g. \
+       --pi a:fall:500:0.") () =
+  Arg.(value & opt_all string [] & info [ "pi" ] ~docv:"EVENT" ~doc)
+
+let pi_all_arg doc =
+  Arg.(value & opt (some string) None & info [ "pi-all" ] ~docv:"EVENT" ~doc)
+
+let eco_arg ~docv doc =
+  Arg.(value & opt_all string [] & info [ "eco" ] ~docv ~doc)
+
+let mode_arg
+    ?(modes = [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ]) doc =
+  Arg.(
+    value
+    & opt (enum modes) Sta.Proximity
+    & info [ "mode" ] ~docv:"MODE" ~doc)
+
+let models_arg default doc =
+  Arg.(
+    value
+    & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) default
+    & info [ "models" ] ~docv:"KIND" ~doc)
+
+let paths_arg doc = Arg.(value & opt int 1 & info [ "paths" ] ~docv:"K" ~doc)
+
+let required_arg doc =
+  Arg.(value & opt (some float) None & info [ "required" ] ~docv:"PS" ~doc)
+
+let sense_arg doc = Arg.(value & flag & info [ "sense" ] ~doc)
+
+let pi_window_arg =
+  Arg.(
+    value & opt_all string []
+    & info [ "pi-window" ] ~docv:"PS|NET=PS"
+        ~doc:
+          "Arrival-time uncertainty window, ±PS picoseconds (repeatable): a \
+           bare value applies to every event, NET=PS overrides one net. \
+           Default ±0 (the concrete events).")
+
+let tau_window_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "tau-window" ] ~docv:"PS"
+        ~doc:"Transition-time uncertainty window, ±PS, for every event.")
+
+let report_format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
+
+let fail_on_arg =
+  Arg.(
+    value
+    & opt
+        (enum [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
+        Diagnostic.Warning
+    & info [ "fail-on" ] ~docv:"SEV"
+        ~doc:
+          "Lowest severity that makes the exit status nonzero: warning \
+           (default) or error.")
+
+let codes_arg doc =
+  Arg.(
+    value
+    & opt ~vopt:(Some "") (some string) None
+    & info [ "codes" ] ~docv:"CODES" ~doc)
+
+(* the --codes doc of the analysis subcommands, with their own example *)
+let codes_doc example =
+  Printf.sprintf
+    "Comma-separated diagnostic codes or glob patterns to keep (e.g. %s); \
+     everything else is dropped from the report and the exit status.  \
+     Without a value, print the code table and exit."
+    example
+
 let vtc_cmd =
   Cmd.v (Cmd.info "vtc" ~doc:"Print the VTC family and chosen thresholds")
     Term.(const (fun () g -> run_vtc g) $ domains_setup $ gate_arg)
@@ -1364,26 +1457,6 @@ let lint_cmd =
       & info [] ~docv:"FILE"
           ~doc:"Netlist (.ntl) or characterized-store file to lint.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
   let fanout_limit =
     Arg.(
       value & opt int Netlist_lint.default_options.Netlist_lint.fanout_limit
@@ -1391,15 +1464,11 @@ let lint_cmd =
           ~doc:"Fanout above which PX112 fires.")
   in
   let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Without a value, print the diagnostic-code table and exit. \
-             With a comma-separated list of codes or glob patterns (e.g. \
-             PX101,PX112 or PX1*,PX30?), keep only those codes — the \
-             filter applies before --fail-on computes the exit status.")
+    codes_arg
+      "Without a value, print the diagnostic-code table and exit. With a \
+       comma-separated list of codes or glob patterns (e.g. PX101,PX112 or \
+       PX1*,PX30?), keep only those codes — the filter applies before \
+       --fail-on computes the exit status."
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1408,75 +1477,42 @@ let lint_cmd =
           stores")
     Term.(
       const (fun obs fs fmt fo fl c -> finish_obs obs (run_lint fs fmt fo fl c))
-      $ obs_setup $ files $ format $ fail_on $ fanout_limit $ codes)
+      $ obs_setup $ files $ report_format_arg $ fail_on_arg $ fanout_limit
+      $ codes)
 
 let sta_cmd =
   let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Netlist to analyze: text (.ntl) or binary (.pxb), detected by \
-             content.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
+    file_arg
+      "Netlist to analyze: text (.ntl) or binary (.pxb), detected by content."
   in
   let mode =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("classic", Sta.Classic);
-               ("proximity", Sta.Proximity);
-               ("jun", Sta.Collapsed Collapse.Jun);
-               ("nabavi-lishi", Sta.Collapsed Collapse.Nabavi_lishi) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Propagation mode: classic (latest single-input response), \
-             proximity (the paper's algorithm, default), jun or \
-             nabavi-lishi (collapse-to-inverter baselines on the golden \
-             simulator).")
+    mode_arg
+      ~modes:
+        [
+          ("classic", Sta.Classic);
+          ("proximity", Sta.Proximity);
+          ("jun", Sta.Collapsed Collapse.Jun);
+          ("nabavi-lishi", Sta.Collapsed Collapse.Nabavi_lishi);
+        ]
+      "Propagation mode: classic (latest single-input response), proximity \
+       (the paper's algorithm, default), jun or nabavi-lishi \
+       (collapse-to-inverter baselines on the golden simulator)."
   in
   let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Oracle
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: oracle (golden-simulator backed, default) or \
-             synthetic (fast analytic stand-ins, for flow experiments).")
+    models_arg `Oracle
+      "Cell models: oracle (golden-simulator backed, default) or synthetic \
+       (fast analytic stand-ins, for flow experiments)."
   in
-  let paths =
-    Arg.(
-      value & opt int 1
-      & info [ "paths" ] ~docv:"K"
-          ~doc:"Enumerate the K worst paths to the critical output.")
-  in
+  let paths = paths_arg "Enumerate the K worst paths to the critical output." in
   let required =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "required" ] ~docv:"PS"
-          ~doc:"Required arrival time; prints per-output slacks.")
+    required_arg "Required arrival time; prints per-output slacks."
   in
   let eco =
-    Arg.(
-      value & opt_all string []
-      & info [ "eco" ] ~docv:"EDIT"
-          ~doc:
-            "Apply an engineering change order after the initial analysis \
-             and re-analyze incrementally (repeatable): \
-             pi:NET:EDGE:TAU_PS:CROSS_PS re-times a primary input, \
-             pi:NET:quiet silences one, cell:NAME marks a cell \
-             re-characterized.")
+    eco_arg ~docv:"EDIT"
+      "Apply an engineering change order after the initial analysis and \
+       re-analyze incrementally (repeatable): pi:NET:EDGE:TAU_PS:CROSS_PS \
+       re-times a primary input, pi:NET:quiet silences one, cell:NAME marks \
+       a cell re-characterized."
   in
   let verify_eco =
     Arg.(
@@ -1496,23 +1532,16 @@ let sta_cmd =
              by construction; this flag exists to measure it).")
   in
   let pi_all =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pi-all" ] ~docv:"EVENT"
-          ~doc:
-            "Apply one event as edge:tau_ps:cross_ps to every primary input \
-             not already named by a --pi option — the practical way to \
-             drive generated designs with thousands of inputs.")
+    pi_all_arg
+      "Apply one event as edge:tau_ps:cross_ps to every primary input not \
+       already named by a --pi option — the practical way to drive \
+       generated designs with thousands of inputs."
   in
   let sense =
-    Arg.(
-      value & flag
-      & info [ "sense" ]
-          ~doc:
-            "Add the static-sensitization mask (cells where at most one \
-             event can structurally arrive) to the fused prune engine \
-             alongside the never-proximate and quiet masks.")
+    sense_arg
+      "Add the static-sensitization mask (cells where at most one event can \
+       structurally arrive) to the fused prune engine alongside the \
+       never-proximate and quiet masks."
   in
   let summary =
     Arg.(
@@ -1530,98 +1559,30 @@ let sta_cmd =
     Term.(
       const (fun () obs f p pa m k pk r e v np sn s ->
           finish_obs obs (run_sta f p pa m k pk r e v np sn s))
-      $ domains_setup $ obs_setup $ file $ pi $ pi_all $ mode $ models
+      $ domains_setup $ obs_setup $ file $ pi_arg () $ pi_all $ mode $ models
       $ paths $ required $ eco $ verify_eco $ no_prune $ sense $ summary)
 
 let verify_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to verify.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
-  in
-  let windows =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi-window" ] ~docv:"PS|NET=PS"
-          ~doc:
-            "Arrival-time uncertainty window, ±PS picoseconds (repeatable): \
-             a bare value applies to every event, NET=PS overrides one net. \
-             Default ±0 (the concrete events).")
-  in
-  let tau_window =
-    Arg.(
-      value & opt float 0.
-      & info [ "tau-window" ] ~docv:"PS"
-          ~doc:"Transition-time uncertainty window, ±PS, for every event.")
+  let run file pi_specs window_specs tau_window_ps mode models_kind format
+      fail_on codes sense =
+    run_diagnostics ~cmd:"verify" ~file ~pi_specs ~window_specs ~tau_window_ps
+      ~sense ~format ~fail_on ~codes
+      (verify_analysis ~mode ~models_kind)
   in
   let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Analysis mode the intervals abstract: proximity (default) or \
-             classic.")
+    mode_arg
+      "Analysis mode the intervals abstract: proximity (default) or classic."
   in
   let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Synthetic
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: synthetic (fast analytic stand-ins, default) or \
-             oracle (golden-simulator backed).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX301,PX304 or PX3*); everything else is dropped from \
-             the report and the exit status.  Without a value, print the \
-             code table and exit.")
+    models_arg `Synthetic
+      "Cell models: synthetic (fast analytic stand-ins, default) or oracle \
+       (golden-simulator backed)."
   in
   let sense =
-    Arg.(
-      value & flag
-      & info [ "sense" ]
-          ~doc:
-            "Refine the classifications with static sensitization: pairs \
-             whose pins can never both carry events under any consistent \
-             logic assignment become never-proximate (false paths).")
+    sense_arg
+      "Refine the classifications with static sensitization: pairs whose \
+       pins can never both carry events under any consistent logic \
+       assignment become never-proximate (false paths)."
   in
   Cmd.v
     (Cmd.info "verify"
@@ -1630,63 +1591,39 @@ let verify_cmd =
           over the timing graph, PX3xx diagnostics")
     Term.(
       const (fun () obs f p w tw m mk fmt fo c sn ->
-          finish_obs obs (run_verify f p w tw m mk fmt fo c sn))
-      $ domains_setup $ obs_setup $ file $ pi $ windows $ tau_window $ mode
-      $ models $ format $ fail_on $ codes $ sense)
+          finish_obs obs (run f p w tw m mk fmt fo c sn))
+      $ domains_setup $ obs_setup
+      $ file_arg "Netlist (.ntl) to verify."
+      $ pi_arg () $ pi_window_arg $ tau_window_arg $ mode $ models
+      $ report_format_arg $ fail_on_arg
+      $ codes_arg (codes_doc "PX301,PX304 or PX3*")
+      $ sense)
 
 let hazards_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to analyze.")
+  let run file pi_specs window_specs tau_window_ps mode models_kind
+      filter_margin_ps required_ps format fail_on codes sense =
+    run_diagnostics ~cmd:"hazards" ~file ~pi_specs ~window_specs
+      ~tau_window_ps ~sense ~format ~fail_on ~codes
+      (hazards_analysis ~mode ~models_kind ~filter_margin_ps ~required_ps)
   in
   let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable). \
-             Unlike sta/verify, edges may mix freely; two events on one \
-             net describe a pulse.")
-  in
-  let windows =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi-window" ] ~docv:"PS|NET=PS"
-          ~doc:
-            "Arrival-time uncertainty window, ±PS picoseconds (repeatable): \
-             a bare value applies to every event, NET=PS overrides one net. \
-             Default ±0 (the concrete events).")
-  in
-  let tau_window =
-    Arg.(
-      value & opt float 0.
-      & info [ "tau-window" ] ~docv:"PS"
-          ~doc:"Transition-time uncertainty window, ±PS, for every event.")
+    pi_arg
+      ~doc:
+        "Primary-input event as net:edge:tau_ps:cross_ps (repeatable). \
+         Unlike sta/verify, edges may mix freely; two events on one net \
+         describe a pulse."
+      ()
   in
   let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Same-edge window transfer the analysis abstracts: proximity \
-             (default) or classic.")
+    mode_arg
+      "Same-edge window transfer the analysis abstracts: proximity (default) \
+       or classic."
   in
   let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ])
-          `Synthetic
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models and section-6 rule: synthetic (analytic stand-ins \
-             with the macromodel surrogate rule, default) or oracle \
-             (golden-simulator models with bisected inertial minimum \
-             separations).")
+    models_arg `Synthetic
+      "Cell models and section-6 rule: synthetic (analytic stand-ins with \
+       the macromodel surrogate rule, default) or oracle (golden-simulator \
+       models with bisected inertial minimum separations)."
   in
   let filter_margin =
     Arg.(
@@ -1697,54 +1634,16 @@ let hazards_cmd =
              separation by less than this are reported as near misses.")
   in
   let required =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "required" ] ~docv:"PS"
-          ~doc:
-            "Primary-output required time for the observability pass; \
-             defaults to the latest arrival bound in the design (every \
-             reachable glitch observable).")
-  in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX401,PX402 or PX40?); everything else is dropped from \
-             the report and the exit status.  Without a value, print the \
-             code table and exit.")
+    required_arg
+      "Primary-output required time for the observability pass; defaults to \
+       the latest arrival bound in the design (every reachable glitch \
+       observable)."
   in
   let sense =
-    Arg.(
-      value & flag
-      & info [ "sense" ]
-          ~doc:
-            "Refine the verdicts with static sensitization: opposing-edge \
-             pairs whose pins can never both carry events are dropped and \
-             the cell verdicts recomputed (pulse pairs always kept).")
+    sense_arg
+      "Refine the verdicts with static sensitization: opposing-edge pairs \
+       whose pins can never both carry events are dropped and the cell \
+       verdicts recomputed (pulse pairs always kept)."
   in
   Cmd.v
     (Cmd.info "hazards"
@@ -1754,26 +1653,33 @@ let hazards_cmd =
           PX4xx diagnostics")
     Term.(
       const (fun () obs f p w tw m mk fm r fmt fo c sn ->
-          finish_obs obs (run_hazards f p w tw m mk fm r fmt fo c sn))
-      $ domains_setup $ obs_setup $ file $ pi $ windows $ tau_window $ mode
-      $ models $ filter_margin $ required $ format $ fail_on $ codes $ sense)
+          finish_obs obs (run f p w tw m mk fm r fmt fo c sn))
+      $ domains_setup $ obs_setup
+      $ file_arg "Netlist (.ntl) to analyze."
+      $ pi $ pi_window_arg $ tau_window_arg $ mode $ models $ filter_margin
+      $ required $ report_format_arg $ fail_on_arg
+      $ codes_arg (codes_doc "PX401,PX402 or PX40?")
+      $ sense)
 
 let sense_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (text or binary) to analyze.")
+  let run file pi_specs const_specs budget max_support format fail_on codes =
+    run_diagnostics ~cmd:"sense" ~file ~pi_specs ~need_pi:false ~const_specs
+      ~checks:
+        [
+          (budget >= 1, "proxim sense: --budget must be >= 1");
+          (max_support >= 0, "proxim sense: --support must be >= 0");
+        ]
+      ~format ~fail_on ~codes
+      (sense_analysis ~budget ~max_support)
   in
   let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable); \
-             only the net and edge matter here.  Two events on one net \
-             describe a pulse.  Inputs named by neither --pi nor --const \
-             are free (quiet at an unknown level).")
+    pi_arg
+      ~doc:
+        "Primary-input event as net:edge:tau_ps:cross_ps (repeatable); only \
+         the net and edge matter here.  Two events on one net describe a \
+         pulse.  Inputs named by neither --pi nor --const are free (quiet at \
+         an unknown level)."
+      ()
   in
   let consts =
     Arg.(
@@ -1797,37 +1703,6 @@ let sense_cmd =
             "Free-input limit per pair: at most 2^N cubes are enumerated \
              before the engine gives up.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("sarif", `Sarif) ])
-          `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Report format: text, json or sarif (SARIF 2.1.0).")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("warning", Diagnostic.Warning); ("error", Diagnostic.Error) ])
-          Diagnostic.Warning
-      & info [ "fail-on" ] ~docv:"SEV"
-          ~doc:
-            "Lowest severity that makes the exit status nonzero: warning \
-             (default) or error.")
-  in
-  let codes =
-    Arg.(
-      value
-      & opt ~vopt:(Some "") (some string) None
-      & info [ "codes" ] ~docv:"CODES"
-          ~doc:
-            "Comma-separated diagnostic codes or glob patterns to keep \
-             (e.g. PX503 or PX5*); everything else is dropped from the \
-             report and the exit status.  Without a value, print the code \
-             table and exit.")
-  in
   Cmd.v
     (Cmd.info "sense"
        ~doc:
@@ -1835,42 +1710,18 @@ let sense_cmd =
           bounded implication over input pairs, PX5xx diagnostics")
     Term.(
       const (fun () obs f p cn b su fmt fo c ->
-          finish_obs obs (run_sense f p cn b su fmt fo c))
-      $ domains_setup $ obs_setup $ file $ pi $ consts $ budget $ support
-      $ format $ fail_on $ codes)
+          finish_obs obs (run f p cn b su fmt fo c))
+      $ domains_setup $ obs_setup
+      $ file_arg "Netlist (text or binary) to analyze."
+      $ pi $ consts $ budget $ support $ report_format_arg $ fail_on_arg
+      $ codes_arg (codes_doc "PX503 or PX5*"))
 
 let profile_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Netlist (.ntl) to profile.")
-  in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:
-            "Primary-input event as net:edge:tau_ps:cross_ps (repeatable), \
-             e.g. --pi a:fall:500:0.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Propagation mode: proximity (default) or classic.")
-  in
+  let mode = mode_arg "Propagation mode: proximity (default) or classic." in
   let models =
-    Arg.(
-      value
-      & opt (enum [ ("oracle", `Oracle); ("synthetic", `Synthetic) ]) `Oracle
-      & info [ "models" ] ~docv:"KIND"
-          ~doc:
-            "Cell models: oracle (golden-simulator backed, default) or \
-             synthetic (fast analytic stand-ins).")
+    models_arg `Oracle
+      "Cell models: oracle (golden-simulator backed, default) or synthetic \
+       (fast analytic stand-ins)."
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1879,7 +1730,9 @@ let profile_cmd =
           thresholds, characterize, build, analyze, report)")
     Term.(
       const (fun () obs f p m mk -> finish_obs obs (run_profile f p m mk))
-      $ domains_setup $ obs_setup $ file $ pi $ mode $ models)
+      $ domains_setup $ obs_setup
+      $ file_arg "Netlist (.ntl) to profile."
+      $ pi_arg () $ mode $ models)
 
 let storage_cmd =
   let fan_in = Arg.(value & opt int 3 & info [ "fan-in" ]) in
@@ -1967,311 +1820,6 @@ let convert_cmd =
           encodings, preserving any thresholds directive")
     Term.(const run_convert $ input $ output $ format_arg)
 
-(* ------------------------------------------------------------------ *)
-(* serve                                                               *)
-
-module Serve = Proxim_serve.Serve
-module Sjson = Proxim_lint.Json
-
-(* unix:PATH | tcp:HOST:PORT | bare PATH (a unix socket) *)
-let parse_addr s =
-  let prefixed p =
-    String.length s > String.length p
-    && String.sub s 0 (String.length p) = p
-  in
-  if prefixed "unix:" then
-    Ok (`Unix (String.sub s 5 (String.length s - 5)))
-  else if prefixed "tcp:" then begin
-    let rest = String.sub s 4 (String.length s - 4) in
-    match String.rindex_opt rest ':' with
-    | Some i -> (
-      let host = String.sub rest 0 i in
-      let port_s = String.sub rest (i + 1) (String.length rest - i - 1) in
-      match int_of_string_opt port_s with
-      | Some port when port >= 0 -> Ok (`Tcp (host, port))
-      | _ -> Error (Printf.sprintf "bad port in address %s" s))
-    | None -> Error (Printf.sprintf "bad address %s (tcp:HOST:PORT)" s)
-  end
-  else Ok (`Unix s)
-
-let addr_to_string = function
-  | `Unix path -> "unix:" ^ path
-  | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
-(* the daemon: bind, announce, serve until a protocol shutdown (or a
-   signal) stops it — a clean stop is exit 0 *)
-let run_serve_daemon addr =
-  match Serve.start addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "proxim serve: cannot listen on %s: %s\n"
-      (addr_to_string addr) (Unix.error_message e);
-    1
-  | srv ->
-    let announced =
-      match (addr, Serve.port srv) with
-      | `Tcp (host, _), Some p -> `Tcp (host, p)
-      | a, _ -> a
-    in
-    Printf.printf "proxim serve: listening on %s\n%!"
-      (addr_to_string announced);
-    List.iter
-      (fun s ->
-        try Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.stop srv))
-        with Invalid_argument _ | Sys_error _ -> ())
-      [ Sys.sigint; Sys.sigterm ];
-    Serve.wait srv;
-    Printf.printf "proxim serve: shut down cleanly\n%!";
-    0
-
-(* raw client: each --send payload goes out as one frame verbatim (so a
-   test can push deliberately broken JSON through the framing), and
-   each response prints as one line of JSON *)
-let run_serve_send addr payloads =
-  match Serve.connect addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "proxim serve: cannot connect to %s: %s\n"
-      (addr_to_string addr) (Unix.error_message e);
-    1
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let rec go = function
-          | [] -> 0
-          | payload :: tl -> (
-            Proxim_serve.Frame.write fd payload;
-            match Proxim_serve.Frame.read fd with
-            | Ok response ->
-              print_endline response;
-              go tl
-            | Error e ->
-              Printf.eprintf "proxim serve: %s\n"
-                (Proxim_serve.Frame.read_error_to_string e);
-              1)
-        in
-        go payloads)
-
-let serve_fail m =
-  prerr_endline ("proxim serve: " ^ m);
-  1
-
-let serve_request fd req k =
-  match Serve.request fd req with
-  | Error m -> serve_fail m
-  | Ok resp ->
-    if Serve.ok resp then k resp
-    else
-      serve_fail
-        (match Sjson.member "error" resp with
-         | Some e ->
-           Printf.sprintf "%s: %s"
-             (Option.value (Serve.error_code resp) ~default:"error")
-             (Option.value
-                (Option.bind (Sjson.member "message" e)
-                   Sjson.to_string_value)
-                ~default:"")
-         | None -> "request failed")
-
-(* smoke client for CI: drive load -> attach -> eco -> report through a
-   live daemon and print the result in exactly the format `proxim sta`
-   uses, so the bytes can be diffed against offline analysis *)
-let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
-  match
-    ( parse_all parse_pi_spec [] pi_specs,
-      parse_all parse_eco_spec [] eco_specs,
-      Option.fold ~none:(Ok None)
-        ~some:(fun s -> Result.map Option.some (parse_pi_all_spec s))
-        pi_all_spec )
-  with
-  | Error (`Msg m), _, _ | _, Error (`Msg m), _ | _, _, Error (`Msg m) ->
-    usage_error m
-  | Ok [], _, Ok None ->
-    usage_error "proxim serve: need at least one --pi event (or --pi-all)"
-  | Ok named_pi, Ok ecos, Ok pi_all -> (
-    match Serve.connect addr with
-    | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "proxim serve: cannot connect to %s: %s\n"
-        (addr_to_string addr) (Unix.error_message e);
-      1
-    | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let abs =
-            if Filename.is_relative file then
-              Filename.concat (Sys.getcwd ()) file
-            else file
-          in
-          serve_request fd
-            (Sjson.Obj
-               [ ("op", Sjson.String "load"); ("path", Sjson.String abs) ])
-            (fun load_resp ->
-              let dname =
-                Option.value
-                  (Option.bind (Sjson.member "design" load_resp)
-                     Sjson.to_string_value)
-                  ~default:""
-              in
-              let attach_fields =
-                [
-                  ("op", Sjson.String "attach");
-                  ("design", Sjson.String dname);
-                  ( "mode",
-                    Sjson.String
-                      (match mode with
-                       | Sta.Classic -> "classic"
-                       | _ -> "proximity") );
-                  ("models", Sjson.String "synthetic");
-                  ( "pi",
-                    Sjson.List
-                      (List.map
-                         (fun (net, a) ->
-                           Sjson.List
-                             [ Sjson.String net; Serve.arrival_to_json a ])
-                         named_pi) );
-                ]
-                @
-                match pi_all with
-                | None -> []
-                | Some a -> [ ("pi_all", Serve.arrival_to_json a) ]
-              in
-              serve_request fd (Sjson.Obj attach_fields) (fun _ ->
-                  let after_ecos k =
-                    if ecos = [] then k ()
-                    else
-                      serve_request fd
-                        (Sjson.Obj
-                           [
-                             ("op", Sjson.String "eco");
-                             ( "ecos",
-                               Sjson.List
-                                 (List.map
-                                    (function
-                                      | Sta.Touch_cell c ->
-                                        Sjson.Obj
-                                          [
-                                            ( "kind",
-                                              Sjson.String "touch_cell" );
-                                            ("cell", Sjson.String c);
-                                          ]
-                                      | Sta.Set_pi (net, a) ->
-                                        Sjson.Obj
-                                          [
-                                            ("kind", Sjson.String "set_pi");
-                                            ("net", Sjson.String net);
-                                            ( "arrival",
-                                              match a with
-                                              | None -> Sjson.Null
-                                              | Some a ->
-                                                Serve.arrival_to_json a );
-                                          ])
-                                    ecos) );
-                           ])
-                        (fun _ -> k ())
-                  in
-                  after_ecos (fun () ->
-                      serve_request fd
-                        (Sjson.Obj [ ("op", Sjson.String "report") ])
-                        (fun resp ->
-                          match
-                            match Sjson.member "report" resp with
-                            | None -> Error "response carries no report"
-                            | Some rj -> Serve.report_of_json rj
-                          with
-                          | Error m -> serve_fail m
-                          | Ok report ->
-                            (* byte-compatible with run_sta's output *)
-                            Printf.printf "arrivals:\n";
-                            List.iter
-                              (fun (net, (a : Sta.arrival)) ->
-                                Printf.printf
-                                  "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
-                                  (ps a.Sta.time) (ps a.Sta.slew)
-                                  (edge_name a.Sta.edge))
-                              report.Sta.arrivals;
-                            (match report.Sta.critical_po with
-                             | None ->
-                               Printf.printf "no primary output switches\n";
-                               ignore
-                                 (serve_request fd
-                                    (Sjson.Obj
-                                       [ ("op", Sjson.String "bye") ])
-                                    (fun _ -> 0)
-                                   : int);
-                               0
-                             | Some (po, a) ->
-                               Printf.printf "critical output: %s at %.1f ps\n"
-                                 po (ps a.Sta.time);
-                               serve_request fd
-                                 (Sjson.Obj
-                                    [
-                                      ("op", Sjson.String "paths");
-                                      ("po", Sjson.String po);
-                                      ( "k",
-                                        Sjson.Number (float_of_int paths_k)
-                                      );
-                                    ])
-                                 (fun presp ->
-                                   let paths =
-                                     Option.value
-                                       (Option.bind
-                                          (Sjson.member "paths" presp)
-                                          Sjson.to_list)
-                                       ~default:[]
-                                   in
-                                   List.iteri
-                                     (fun i p ->
-                                       let arrival =
-                                         Option.value
-                                           (Option.bind
-                                              (Sjson.member "arrival" p)
-                                              Sjson.to_number)
-                                           ~default:Float.nan
-                                       in
-                                       let nets =
-                                         Option.value
-                                           (Option.bind
-                                              (Sjson.member "nets" p)
-                                              Sjson.to_list)
-                                           ~default:[]
-                                       in
-                                       Printf.printf
-                                         "path #%d (%8.1f ps): %s\n" (i + 1)
-                                         (ps arrival)
-                                         (String.concat " <- "
-                                            (List.filter_map
-                                               Sjson.to_string_value nets)))
-                                     paths;
-                                   serve_request fd
-                                     (Sjson.Obj
-                                        [ ("op", Sjson.String "bye") ])
-                                     (fun _ -> 0)))))))))
-
-let run_serve listen_s connect_s payloads smoke_file pi_specs pi_all_spec
-    eco_specs mode paths_k =
-  let with_addr s k =
-    match parse_addr s with Error m -> usage_error m | Ok a -> k a
-  in
-  match (connect_s, smoke_file, payloads) with
-  | None, None, [] -> (
-    match listen_s with
-    | Some s -> with_addr s run_serve_daemon
-    | None ->
-      usage_error
-        "proxim serve: pass --listen ADDR to serve, or --connect ADDR with \
-         --send/--smoke to talk to a daemon")
-  | None, _, _ ->
-    usage_error "proxim serve: --send/--smoke need --connect ADDR"
-  | Some _, Some _, _ :: _ ->
-    usage_error "proxim serve: --send and --smoke are mutually exclusive"
-  | Some c, None, (_ :: _ as payloads) ->
-    with_addr c (fun a -> run_serve_send a payloads)
-  | Some c, Some file, [] ->
-    with_addr c (fun a ->
-        run_serve_smoke a file pi_specs pi_all_spec eco_specs mode paths_k)
-  | Some _, None, [] ->
-    usage_error "proxim serve: --connect needs --send or --smoke"
-
 let serve_cmd =
   let listen =
     Arg.(
@@ -2309,53 +1857,24 @@ let serve_cmd =
              daemon for netlist $(docv) and print the post-ECO report in \
              `proxim sta` format (for byte-comparison in CI).")
   in
-  let pi =
-    Arg.(
-      value & opt_all string []
-      & info [ "pi" ] ~docv:"EVENT"
-          ~doc:"Smoke-mode primary-input event net:edge:tau_ps:cross_ps.")
-  in
-  let pi_all =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "pi-all" ] ~docv:"EVENT"
-          ~doc:
-            "Smoke-mode event edge:tau_ps:cross_ps applied to every \
-             primary input not named by --pi.")
-  in
-  let eco =
-    Arg.(
-      value & opt_all string []
-      & info [ "eco" ] ~docv:"ECO"
-          ~doc:
-            "Smoke-mode edit: pi:NET:EDGE:TAU_PS:CROSS_PS, pi:NET:quiet or \
-             cell:NAME, streamed to the daemon before the report.")
-  in
-  let mode =
-    Arg.(
-      value
-      & opt
-          (enum [ ("classic", Sta.Classic); ("proximity", Sta.Proximity) ])
-          Sta.Proximity
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Smoke-mode analysis mode.")
-  in
-  let paths =
-    Arg.(
-      value & opt int 1
-      & info [ "paths" ] ~docv:"K"
-          ~doc:"Smoke mode: enumerate the K worst paths.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Long-lived multi-session incremental timing daemon (and its \
           client modes) over a length-prefixed JSON protocol")
     Term.(
-      const (fun () l c sn sm p pa e m k ->
-          run_serve l c sn sm p pa e m k)
-      $ domains_setup $ listen $ connect $ send $ smoke $ pi $ pi_all $ eco
-      $ mode $ paths)
+      const (fun () l c sn sm p pa e m k -> run_serve l c sn sm p pa e m k)
+      $ domains_setup $ listen $ connect $ send $ smoke
+      $ pi_arg
+          ~doc:"Smoke-mode primary-input event net:edge:tau_ps:cross_ps." ()
+      $ pi_all_arg
+          "Smoke-mode event edge:tau_ps:cross_ps applied to every primary \
+           input not named by --pi."
+      $ eco_arg ~docv:"ECO"
+          "Smoke-mode edit: pi:NET:EDGE:TAU_PS:CROSS_PS, pi:NET:quiet or \
+           cell:NAME, streamed to the daemon before the report."
+      $ mode_arg "Smoke-mode analysis mode."
+      $ paths_arg "Smoke mode: enumerate the K worst paths.")
 
 let () =
   let doc = "temporal-proximity gate delay modeling (DAC'96 reproduction)" in

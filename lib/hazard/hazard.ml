@@ -1,6 +1,7 @@
 module Measure = Proxim_measure.Measure
 module Models = Proxim_macromodel.Models
 module Gate = Proxim_gates.Gate
+module Ternary = Proxim_gates.Ternary
 module Vtc = Proxim_vtc.Vtc
 module Inertial = Proxim_core.Inertial
 module Graph = Proxim_timing.Graph
@@ -19,7 +20,7 @@ let c_may = Metrics.Counter.v "hazard.may_glitch"
 
 type awin = { w_time : Interval.t; w_slew : Interval.t }
 
-type logic = L0 | L1 | LX
+type logic = Ternary.logic = L0 | L1 | LX
 
 type net_state = {
   ns_rise : awin option;
@@ -67,27 +68,6 @@ type t = {
   h_required : float;
   h_filter_margin : float;
 }
-
-(* --- three-valued gate logic ------------------------------------------- *)
-
-(* The pull-down network is a monotone series/parallel expression over
-   positive pin literals, so one Kleene evaluation per state (initial /
-   final) gives the output's boolean resting levels.  LX stands for "both
-   states reachable" and propagates pessimistically. *)
-
-let and3 a b =
-  match (a, b) with L0, _ | _, L0 -> L0 | L1, L1 -> L1 | _ -> LX
-
-let or3 a b = match (a, b) with L1, _ | _, L1 -> L1 | L0, L0 -> L0 | _ -> LX
-let not3 = function L0 -> L1 | L1 -> L0 | LX -> LX
-
-let rec conduct3 v = function
-  | Gate.Pin p -> v p
-  | Gate.Series l -> List.fold_left (fun acc n -> and3 acc (conduct3 v n)) L1 l
-  | Gate.Parallel l ->
-    List.fold_left (fun acc n -> or3 acc (conduct3 v n)) L0 l
-
-let out3 gate v = not3 (conduct3 v gate.Gate.pulldown)
 
 (* --- the §6 minimum-separation rule ------------------------------------ *)
 
@@ -320,8 +300,10 @@ let analyze ?(mode = Sta.Proximity) ?(filter_margin = 25e-12) ?required
         | Some ns -> (match which with `Init -> ns.ns_init | `Final -> ns.ns_final)
         | None -> if nc.(p) > half_vdd then L1 else L0
       in
-      let init_out = out3 gate (value `Init) in
-      let final_out = out3 gate (value `Final) in
+      (* one Kleene evaluation per state gives the output's resting
+         levels; LX stands for "both states reachable" *)
+      let init_out = Ternary.eval_gate gate (value `Init) in
+      let final_out = Ternary.eval_gate gate (value `Final) in
       let rises = List.filter_map (function (p, Measure.Rise, w) -> Some (p, w) | _ -> None) wins in
       let falls = List.filter_map (function (p, Measure.Fall, w) -> Some (p, w) | _ -> None) wins in
       (* opposing-edge pairs, oriented by the output resting level; an

@@ -40,7 +40,7 @@ type awin = {
 }
 (** One edge's arrival window on a net. *)
 
-type logic = L0 | L1 | LX
+type logic = Proxim_gates.Ternary.logic = L0 | L1 | LX
 
 type net_state = {
   ns_rise : awin option;

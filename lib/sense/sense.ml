@@ -7,6 +7,7 @@
 
 module Measure = Proxim_measure.Measure
 module Gate = Proxim_gates.Gate
+module Ternary = Proxim_gates.Ternary
 module Graph = Proxim_timing.Graph
 module Design = Proxim_sta.Design
 module Diagnostic = Proxim_lint.Diagnostic
@@ -18,37 +19,9 @@ let c_unsens = Metrics.Counter.v "sense.pairs_unsensitizable"
 let c_exhausted = Metrics.Counter.v "sense.pairs_exhausted"
 let c_constants = Metrics.Counter.v "sense.constant_nets"
 
-(* --- ternary logic ------------------------------------------------------ *)
+(* --- logic ------------------------------------------------------------- *)
 
-type logic = L0 | L1 | LX
-
-let logic_name = function L0 -> "0" | L1 -> "1" | LX -> "x"
-let not3 = function L0 -> L1 | L1 -> L0 | LX -> LX
-
-let and3 a b =
-  match (a, b) with L0, _ | _, L0 -> L0 | L1, L1 -> L1 | _ -> LX
-
-let or3 a b =
-  match (a, b) with L1, _ | _, L1 -> L1 | L0, L0 -> L0 | _ -> LX
-
-(* Does the pull-down network conduct?  Series stacks need every leg
-   (AND), parallel branches any (OR); an NMOS gate conducts on 1.  The
-   short-circuit on a definite controlling value IS the §3 skip branch
-   decided statically: one definite 0 in a series stack absorbs the
-   rest. *)
-let rec conducts3 nw ~value =
-  match nw with
-  | Gate.Pin p -> value p
-  | Gate.Series l ->
-    List.fold_left
-      (fun acc c -> if acc = L0 then L0 else and3 acc (conducts3 c ~value))
-      L1 l
-  | Gate.Parallel l ->
-    List.fold_left
-      (fun acc c -> if acc = L1 then L1 else or3 acc (conducts3 c ~value))
-      L0 l
-
-let eval_gate (g : Gate.t) value = not3 (conducts3 g.Gate.pulldown ~value)
+type logic = Ternary.logic = L0 | L1 | LX
 
 let rec conducts_bool nw ~value =
   match nw with
@@ -187,8 +160,8 @@ let cell_activity g c acts =
   let cell : Design.cell = Graph.payload g c in
   let inputs = Graph.cell_inputs g c in
   let input_act pin = acts.(inputs.(pin)) in
-  let init = eval_gate cell.Design.gate (fun p -> (input_act p).act_init) in
-  let final = eval_gate cell.Design.gate (fun p -> (input_act p).act_final) in
+  let init = Ternary.eval_gate cell.Design.gate (fun p -> (input_act p).act_init) in
+  let final = Ternary.eval_gate cell.Design.gate (fun p -> (input_act p).act_final) in
   let n = Array.length inputs in
   let exists f =
     let rec go i = i < n && (f (input_act i) || go (i + 1)) in

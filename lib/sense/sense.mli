@@ -38,23 +38,12 @@
 
 (** {1 Ternary logic} *)
 
-type logic = L0 | L1 | LX
-(** Kleene three-valued logic; [LX] is "unknown", not "illegal". *)
-
-val logic_name : logic -> string
-(** ["0"], ["1"], ["x"]. *)
-
-val not3 : logic -> logic
-val and3 : logic -> logic -> logic
-val or3 : logic -> logic -> logic
-
-val eval_gate : Proxim_gates.Gate.t -> (int -> logic) -> logic
-(** Ternary output of a static CMOS gate: the complement of whether the
-    pull-down network conducts (Series = AND, Parallel = OR over the
-    NMOS gates).  Exact for every gate the netlists can instantiate. *)
+type logic = Proxim_gates.Ternary.logic = L0 | L1 | LX
+(** Kleene three-valued logic ({!Proxim_gates.Ternary}); [LX] is
+    "unknown", not "illegal". *)
 
 val eval_gate_bool : Proxim_gates.Gate.t -> (int -> bool) -> bool
-(** The boolean restriction of {!eval_gate} — the concrete evaluator
+(** The boolean restriction of {!Proxim_gates.Ternary.eval_gate} — the concrete evaluator
     the implication engine and the randomized soundness draws share. *)
 
 (** {1 Inputs} *)

@@ -2,7 +2,6 @@ module Json = Proxim_lint.Json
 module Metrics = Proxim_obs.Metrics
 module Pool = Proxim_util.Pool
 module Tech = Proxim_gates.Tech
-module Gate = Proxim_gates.Gate
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
 module Design = Proxim_sta.Design
@@ -169,18 +168,19 @@ let report_to_json (r : Sta.report) =
              r.Sta.predecessors) );
     ]
 
+(* [f] over every element, or [Error] at the first it rejects *)
+let all_or_error what f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: tl -> (
+      match f x with
+      | Some v -> go (v :: acc) tl
+      | None -> Error ("bad " ^ what))
+  in
+  go [] l
+
 let report_of_json j =
   let ( let* ) = Result.bind in
-  let all_or_error what f l =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: tl -> (
-        match f x with
-        | Some v -> go (v :: acc) tl
-        | None -> Error ("bad " ^ what))
-    in
-    go [] l
-  in
   let* arrivals =
     match Option.bind (field "arrivals" j) Json.to_list with
     | None -> Error "report has no arrivals list"
@@ -209,6 +209,43 @@ let report_of_json j =
         l
   in
   Ok { Sta.arrivals; critical_po; predecessors }
+
+let paths_to_json paths =
+  Json.List
+    (List.map
+       (fun (p : Sta.path) ->
+         Json.Obj
+           [
+             ("arrival", Json.Number p.Sta.path_arrival);
+             ( "nets",
+               Json.List (List.map (fun n -> Json.String n) p.Sta.path_nets) );
+           ])
+       paths)
+
+let paths_of_json j =
+  let path p =
+    let nets = Option.bind (field "nets" p) Json.to_list in
+    match
+      (num_field "arrival" p, Option.map (List.map Json.to_string_value) nets)
+    with
+    | Some path_arrival, Some nets when not (List.mem None nets) ->
+      Some { Sta.path_arrival; path_nets = List.filter_map Fun.id nets }
+    | _ -> None
+  in
+  match Json.to_list j with
+  | None -> Error "paths is not a list"
+  | Some l -> all_or_error "path entry" path l
+
+let eco_to_json = function
+  | Sta.Set_pi (net, a) ->
+    Json.Obj
+      [
+        ("kind", Json.String "set_pi");
+        ("net", Json.String net);
+        ("arrival", Option.fold ~none:Json.Null ~some:arrival_to_json a);
+      ]
+  | Sta.Touch_cell c ->
+    Json.Obj [ ("kind", Json.String "touch_cell"); ("cell", Json.String c) ]
 
 let stats_to_json (s : Timing.stats) =
   Json.Obj
@@ -288,33 +325,6 @@ let oracle_factory store name design th =
 let engine_m = Mutex.create ()
 
 let with_engine f = with_lock engine_m f
-
-(* --- netlist loading -------------------------------------------------- *)
-
-let load_from_text text =
-  Result.map
-    (fun (name, design) ->
-      let raw = Netlist_text.parse_raw tech text in
-      (name, design, Option.map fst raw.Netlist_text.raw_thresholds))
-    (Netlist_text.parse tech text)
-
-let load_from_path path =
-  if Netlist_bin.file_is_binary path then Netlist_bin.read_file tech path
-  else
-    match In_channel.with_open_text path In_channel.input_all with
-    | exception Sys_error m -> Error m
-    | text -> load_from_text text
-
-let default_thresholds design file_th =
-  match file_th with
-  | Some th -> th
-  | None -> (
-    match Design.cells design with
-    | c :: _ -> Vtc.thresholds c.Design.gate
-    | [] -> (
-      match Gate.of_name tech "inv" with
-      | Ok g -> Vtc.thresholds g
-      | Error m -> failwith m))
 
 (* --- sessions --------------------------------------------------------- *)
 
@@ -408,9 +418,10 @@ let handle srv sess req =
       let loaded =
         match op with
         | "load" ->
-          load_from_path (require "load needs a \"path\"" (str_field "path" req))
+          Netlist_bin.load_file tech
+            (require "load needs a \"path\"" (str_field "path" req))
         | _ ->
-          load_from_text
+          Netlist_text.parse_with_thresholds tech
             (require "load_text needs a \"text\"" (str_field "text" req))
       in
       (match loaded with
@@ -457,31 +468,22 @@ let handle srv sess req =
         match Option.value (str_field "models" req) ~default:"synthetic" with
         | "synthetic" -> synth_factory srv.store seed
         | "oracle" ->
-          let th = default_thresholds design file_th in
-          oracle_factory srv.store dname design th
+          oracle_factory srv.store dname design
+            (Sta.default_thresholds design file_th)
         | m -> failf (Bad_request (Printf.sprintf "unknown models %S" m))
       in
       let named_pi =
         match field "pi" req with None -> [] | Some j -> pi_of_json j
       in
       let pi =
-        match field "pi_all" req with
-        | None | Some Json.Null -> named_pi
-        | Some aj ->
-          let a =
-            match arrival_of_json aj with
-            | Some a -> a
-            | None -> failf (Bad_request "bad pi_all arrival")
-          in
-          named_pi
-          @ List.filter_map
-              (fun net ->
-                if List.mem_assoc net named_pi then None else Some (net, a))
-              (Design.primary_inputs design)
+        Sta.with_pi_all design named_pi
+          (match field "pi_all" req with
+           | None | Some Json.Null -> None
+           | Some aj -> Some (require "bad pi_all arrival" (arrival_of_json aj)))
       in
       if pi = [] then
         failf (Bad_request "attach needs at least one pi event (or pi_all)");
-      let thresholds = default_thresholds design file_th in
+      let thresholds = Sta.default_thresholds design file_th in
       let ir, stats =
         with_engine (fun () ->
             let ir =
@@ -524,22 +526,7 @@ let handle srv sess req =
         try Sta.worst_paths att.ir ~po ~k
         with Invalid_argument m -> failf (Bad_request m)
       in
-      ok_json
-        [
-          ( "paths",
-            Json.List
-              (List.map
-                 (fun (p : Sta.path) ->
-                   Json.Obj
-                     [
-                       ("arrival", Json.Number p.Sta.path_arrival);
-                       ( "nets",
-                         Json.List
-                           (List.map (fun n -> Json.String n) p.Sta.path_nets)
-                       );
-                     ])
-                 paths) );
-        ]
+      ok_json [ ("paths", paths_to_json paths) ]
     | "slacks" ->
       let att = get_attached sess in
       let required =
@@ -787,3 +774,16 @@ let ok j = match field "ok" j with Some (Json.Bool b) -> b | _ -> false
 
 let error_code j =
   Option.bind (field "error" j) (fun e -> str_field "code" e)
+
+let call fd req =
+  match request fd req with
+  | Error m -> Error m
+  | Ok resp when ok resp -> Ok resp
+  | Ok resp ->
+    Error
+      (match field "error" resp with
+       | None -> "request failed"
+       | Some e ->
+         Printf.sprintf "%s: %s"
+           (Option.value (str_field "code" e) ~default:"error")
+           (Option.value (str_field "message" e) ~default:""))

@@ -103,6 +103,11 @@ val ok : Json.t -> bool
 val error_code : Json.t -> string option
 (** The response's ["error"]["code"] field, when present. *)
 
+val call : Unix.file_descr -> Json.t -> (Json.t, string) result
+(** {!request} with the error envelope folded in: [Ok] carries a
+    response whose ["ok"] is true; a typed error comes back as
+    [Error "CODE: MESSAGE"], a transport failure as its message. *)
+
 (** {1 JSON codecs}
 
     Shared by the server, the CLI client mode and the tests, so both
@@ -116,5 +121,15 @@ val report_to_json : Proxim_sta.Sta.report -> Json.t
 val report_of_json : Json.t -> (Proxim_sta.Sta.report, string) result
 (** Exact inverse of {!report_to_json}: every float round-trips
     bit-identically (the emitter prints [%.17g]). *)
+
+val paths_to_json : Proxim_sta.Sta.path list -> Json.t
+(** [[{"arrival", "nets"}, ...]], the payload of the [paths] op. *)
+
+val paths_of_json : Json.t -> (Proxim_sta.Sta.path list, string) result
+(** Exact inverse of {!paths_to_json}. *)
+
+val eco_to_json : Proxim_sta.Sta.eco -> Json.t
+(** One entry of the [eco] op's ["ecos"] list, as the server decodes
+    it. *)
 
 val stats_to_json : Proxim_timing.Timing.stats -> Json.t

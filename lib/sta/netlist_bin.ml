@@ -238,3 +238,10 @@ let read_file tech path =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> read_channel tech ic)
+
+let load_file tech path =
+  if file_is_binary path then read_file tech path
+  else
+    match In_channel.with_open_text path In_channel.input_all with
+    | exception Sys_error m -> Error m
+    | text -> Netlist_text.parse_with_thresholds tech text

@@ -83,3 +83,12 @@ val read_file :
   Proxim_gates.Tech.t ->
   string ->
   (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
+
+val load_file :
+  Proxim_gates.Tech.t ->
+  string ->
+  (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
+(** The one netlist loader: a file starting with {!magic} is read with
+    {!read_file}, anything else is parsed as text together with its
+    [thresholds] directive ({!Netlist_text.parse_with_thresholds}).  An
+    unreadable file is an [Error] carrying the system message. *)

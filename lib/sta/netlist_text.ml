@@ -176,7 +176,7 @@ let design_cell c =
     output_net = c.output;
   }
 
-let parse tech text =
+let parse_with_thresholds tech text =
   let raw = parse_raw tech text in
   let errors =
     List.sort
@@ -201,16 +201,13 @@ let parse tech text =
             Design.create
               ~cells:(List.map design_cell raw.raw_cells)
               ~primary_inputs:(List.map fst raw.raw_inputs)
-              ~primary_outputs:(List.map fst raw.raw_outputs) )
+              ~primary_outputs:(List.map fst raw.raw_outputs),
+            Option.map fst raw.raw_thresholds )
       with Invalid_argument m -> Error m))
 
-let parse_file tech path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      parse tech (really_input_string ic n))
+let parse tech text =
+  Result.map (fun (name, design, _) -> (name, design))
+    (parse_with_thresholds tech text)
 
 let to_string ~name design =
   let buf = Buffer.create 1024 in

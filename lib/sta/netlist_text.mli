@@ -70,8 +70,11 @@ val parse :
     once, newline-joined; structural errors from {!Design.create} keep
     that function's single-message form. *)
 
-val parse_file :
-  Proxim_gates.Tech.t -> string -> (string * Design.t, string) result
+val parse_with_thresholds :
+  Proxim_gates.Tech.t ->
+  string ->
+  (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
+(** {!parse} plus the [thresholds] directive, from one scan of the text. *)
 
 val to_string : name:string -> Design.t -> string
 (** Render a design back to the format; [parse] of the result round-trips

@@ -1,4 +1,5 @@
 module Gate = Proxim_gates.Gate
+module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
 module Models = Proxim_macromodel.Models
 module Proximity = Proxim_core.Proximity
@@ -52,6 +53,14 @@ type report = {
   critical_po : (string * arrival) option;
   predecessors : (string * string) list;
 }
+
+let report_equal r1 r2 =
+  let named_eq (n1, a1) (n2, a2) =
+    String.equal n1 n2 && Timing.arrival_eq a1 a2
+  in
+  List.equal named_eq r1.arrivals r2.arrivals
+  && Option.equal named_eq r1.critical_po r2.critical_po
+  && r1.predecessors = r2.predecessors
 
 (* ---- propagation engines over the timing-graph IR ---- *)
 
@@ -437,6 +446,20 @@ let po_slacks design report ~required =
          (fun (a : arrival) -> (net, required -. a.time))
          (Hashtbl.find_opt first net))
   |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+
+let with_pi_all design named = function
+  | None -> named
+  | Some a ->
+    named
+    @ List.filter_map
+        (fun net -> if List.mem_assoc net named then None else Some (net, a))
+        (Design.primary_inputs design)
+
+let default_thresholds design file_th =
+  match (file_th, Design.cells design) with
+  | Some th, _ -> th
+  | None, c :: _ -> Vtc.thresholds c.Design.gate
+  | None, [] -> Vtc.thresholds (Gate.inverter Proxim_gates.Tech.generic_5v)
 
 (* ---- model factories ---- *)
 

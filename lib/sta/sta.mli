@@ -76,6 +76,12 @@ type report = {
           [Collapsed] mode — the edges of the critical-path graph *)
 }
 
+val report_equal : report -> report -> bool
+(** Bit-exact report equality ({!Proxim_timing.Timing.arrival_eq} on
+    every entry, same order) — the gate an incremental update, a pruned
+    analysis or a served report must pass against a fresh full
+    analysis. *)
+
 val critical_path : report -> po:string -> string list
 (** The chain of nets from a primary input to [po], following
     {!report.predecessors} backwards; [po] first.  Returns [[]] only when
@@ -217,6 +223,22 @@ val worst_paths : ir -> po:string -> k:int -> path list
     alternatives by single-input would-be estimates, latest first (see
     {!Proxim_timing.Paths}).  [[]] when [po] is unknown or never
     switched.  Raises [Invalid_argument] when [k < 1]. *)
+
+val with_pi_all :
+  Design.t ->
+  (string * arrival) list ->
+  arrival option ->
+  (string * arrival) list
+(** [with_pi_all design named pi_all]: the [named] events, then
+    [pi_all]'s event on every primary input they leave unnamed — the
+    stimulus of [proxim sta --pi-all] and of the served ["pi_all"]. *)
+
+val default_thresholds :
+  Design.t -> Proxim_vtc.Vtc.thresholds option -> Proxim_vtc.Vtc.thresholds
+(** The measurement thresholds a design is analyzed with: its netlist's
+    [thresholds] directive when it has one, else the §2 VTC choice for
+    the gate of its first cell (an inverter's for a design without
+    cells). *)
 
 (** {1 Model factories} *)
 

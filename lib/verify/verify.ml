@@ -24,18 +24,18 @@ type pi_event = {
 
 let tiny_slew = 1e-15
 
-exception Unknown_window_net of { net : string }
+exception Not_primary_input of { flag : string; net : string }
 
 let () =
   Printexc.register_printer (function
-    | Unknown_window_net { net } ->
+    | Not_primary_input { flag; net } ->
       Some
         (Printf.sprintf
-           "Verify.Unknown_window_net: --pi-window names %S, which is not a \
-            primary input of the design" net)
+           "Verify.Not_primary_input: %s names %S, which is not a primary \
+            input of the design" flag net)
     | _ -> None)
 
-let validate_window_nets design nets =
+let validate_pi_nets ~flag design nets =
   let g = Design.graph design in
   let is_pi net =
     match Graph.net_id g net with
@@ -43,7 +43,7 @@ let validate_window_nets design nets =
     | Some id -> Graph.driver g ~net:id = None
   in
   List.iter
-    (fun net -> if not (is_pi net) then raise (Unknown_window_net { net }))
+    (fun net -> if not (is_pi net) then raise (Not_primary_input { flag; net }))
     nets
 
 let of_sta_event ?(time_window = 0.) ?(tau_window = 0.) (net, (a : Sta.arrival))

@@ -50,15 +50,18 @@ val of_sta_event :
     slew interval is floored at a tiny positive value).  Raises
     [Invalid_argument] on a negative window. *)
 
-exception Unknown_window_net of { net : string }
-(** A window spec ([--pi-window NET=PS]) named something that is not a
-    primary-input net of the design — a user typo the CLI maps to exit
-    status 2.  A printer is registered. *)
+exception Not_primary_input of { flag : string; net : string }
+(** A stimulus spec named something that is not a primary-input net of
+    the design — [flag] is the option that named it ([--pi],
+    [--pi-window], [--const]).  A user typo the CLI maps to exit status
+    2.  A printer is registered. *)
 
-val validate_window_nets : Proxim_sta.Design.t -> string list -> unit
-(** Raise {!Unknown_window_net} on the first name that is not a
-    primary-input net (unknown entirely, or driven by a cell).  Shared
-    by the [proxim verify] and [proxim hazards] CLI window parsing. *)
+val validate_pi_nets : flag:string -> Proxim_sta.Design.t -> string list -> unit
+(** Raise {!Not_primary_input} on the first name that is not a
+    primary-input net (unknown entirely, or driven by a cell).  The
+    analyses themselves keep treating unknown stimulus nets as inert;
+    this is the check the CLI runs on every named net before any
+    analysis. *)
 
 (** {1 Results} *)
 

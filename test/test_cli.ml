@@ -14,6 +14,8 @@ let cli =
   | Some p -> p
   | None -> "proxim"
 
+let sf = Printf.sprintf
+
 (* cells only ever combine nets of the same level, so uniform primary
    input edges never produce mixed edges at any cell (the gates invert) *)
 let netlist =
@@ -36,22 +38,28 @@ let with_netlist f =
           Out_channel.output_string oc netlist);
       f (Filename.quote file))
 
+(* run a command line, returning (exit code, stdout, stderr) verbatim *)
+let run_full args =
+  let out = Filename.temp_file "proxim_cli" ".out" in
+  let err = Filename.temp_file "proxim_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s >%s 2>%s" args (Filename.quote out)
+             (Filename.quote err))
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (code, read out, read err))
+
 (* run a command line, returning (exit code, stderr) *)
 let run_err fmt =
   Printf.ksprintf
     (fun args ->
-      let err = Filename.temp_file "proxim_cli" ".err" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
-        (fun () ->
-          let code =
-            Sys.command
-              (Printf.sprintf "%s >/dev/null 2>%s" args (Filename.quote err))
-          in
-          let text =
-            String.trim (In_channel.with_open_text err In_channel.input_all)
-          in
-          (code, text)))
+      let code, _, err = run_full args in
+      (code, String.trim err))
     fmt
 
 (* every subcommand × way of smuggling in the same broken event spec *)
@@ -91,7 +99,29 @@ let test_bad_numbers_uniform () =
       check_uniform ~ctx:"bad tau" ~spec:"fall:abc:0"
         ~expect_msg:"bad numbers in event a:fall:abc:0" file;
       check_uniform ~ctx:"bad time" ~spec:"fall:400:xyz"
-        ~expect_msg:"bad numbers in event a:fall:400:xyz" file)
+        ~expect_msg:"bad numbers in event a:fall:400:xyz" file;
+      (* numbers that parse but describe no transition *)
+      check_uniform ~ctx:"nan tau" ~spec:"fall:nan:0"
+        ~expect_msg:"bad numbers in event a:fall:nan:0" file;
+      check_uniform ~ctx:"negative tau" ~spec:"fall:-500:0"
+        ~expect_msg:"bad numbers in event a:fall:-500:0" file)
+
+(* the same rule reaches --pi-all and the oracle path's zero slew *)
+let test_non_transition_numbers () =
+  with_netlist (fun file ->
+      List.iter
+        (fun (args, msg) ->
+          let code, err = run_err "%s %s" cli args in
+          Alcotest.(check int) (args ^ " exits 2") 2 code;
+          Alcotest.(check string) (args ^ " message") msg err)
+        [
+          ( sf "sta %s --models synthetic --pi-all fall:500:inf" file,
+            "bad numbers in event fall:500:inf" );
+          (sf "sta %s --pi a:fall:0:0" file, "bad numbers in event a:fall:0:0");
+          ( sf "sta %s --models synthetic --pi a:fall:400:0 --eco \
+                pi:a:fall:nan:0" file,
+            "bad numbers in event a:fall:nan:0" );
+        ])
 
 let test_bad_edge_uniform () =
   with_netlist
@@ -148,6 +178,223 @@ let test_valid_events_accepted () =
       in
       Alcotest.(check int) "pi-all + eco accepted" 0 code)
 
+(* ------------------------------------------------------------------ *)
+(* Stimuli the analyses cannot take                                    *)
+
+(* [cmds] all exit 2 with exactly [msg cmd] on stderr *)
+let check_rejected ~ctx cmds msg =
+  List.iter
+    (fun (cmd, args) ->
+      let code, err = run_err "%s %s %s" cli cmd args in
+      Alcotest.(check int) (sf "%s: %s exits 2" ctx cmd) 2 code;
+      Alcotest.(check string) (sf "%s: %s message" ctx cmd) (msg cmd) err)
+    cmds
+
+let ex f = "../examples/" ^ f
+let carry = ex "carry_tree.ntl"
+
+let not_a_pi flag net cmd =
+  sf "proxim %s: error: %s names %s, which is not a primary input of the \
+      design" cmd flag net
+
+let test_unknown_pi_net () =
+  let pi = sf "%s --pi a:fall:400:0 --pi zz:fall:400:0" carry in
+  check_rejected ~ctx:"unknown --pi net"
+    [
+      ("sta", pi ^ " --models synthetic");
+      ("verify", pi);
+      ("hazards", pi);
+      ("sense", pi);
+      ("profile", pi ^ " --models synthetic");
+    ]
+    (not_a_pi "--pi" "zz");
+  check_rejected ~ctx:"unknown --const net"
+    [ ("sense", sf "%s --pi a:fall:400:0 --const zz=0" carry) ]
+    (not_a_pi "--const" "zz")
+
+let test_cell_driven_pi_net () =
+  let pi = sf "%s --models synthetic --pi n1:fall:400:0" carry in
+  check_rejected ~ctx:"cell-driven --pi net"
+    [
+      ("sta", pi);
+      ("sta", pi ^ " --no-prune");
+      ("verify", pi);
+      ("hazards", pi);
+      ("profile", pi);
+    ]
+    (not_a_pi "--pi" "n1")
+
+let test_negative_tau_window () =
+  check_rejected ~ctx:"negative --tau-window"
+    [
+      ("verify", sf "%s --pi a:fall:400:0 --tau-window=-5" carry);
+      ("hazards", sf "%s --pi a:fall:400:0 --tau-window=-5" carry);
+    ]
+    (fun cmd -> sf "proxim %s: --tau-window must be a finite value >= 0" cmd)
+
+let test_mixed_edges () =
+  let mixed =
+    sf "%s --models synthetic --pi a:fall:500:0 --pi b:rise:500:0" carry
+  in
+  let flip =
+    sf "%s --models synthetic --pi a:fall:500:0 --pi b:fall:500:0 --eco \
+        pi:a:rise:300:0" carry
+  in
+  check_rejected ~ctx:"mixed edges"
+    [
+      ("sta", mixed);
+      ("sta", mixed ^ " --no-prune");
+      ("sta", flip);
+      ("verify", mixed);
+      ("profile", mixed);
+    ]
+    (fun cmd ->
+      sf "proxim %s: error: mixed input edges at cell u1 (a single-vector \
+          analysis cannot order a glitch)"
+        cmd)
+
+(* the smoke client checks what it can before it connects *)
+let test_smoke_checks_first () =
+  let code, err =
+    run_err "%s serve --connect unix:/nonexistent --smoke %s --pi \
+             a:fall:400:0 --paths 0" cli carry
+  in
+  Alcotest.(check int) "--paths 0 exits 2" 2 code;
+  Alcotest.(check string) "--paths message"
+    "proxim serve: --paths must be >= 1" err;
+  let code, _ =
+    run_err "%s serve --connect unix:/nonexistent --smoke %s --pi a:fall:nan:0"
+      cli carry
+  in
+  Alcotest.(check int) "bad spec exits 2" 2 code
+
+(* ------------------------------------------------------------------ *)
+(* Golden transcripts                                                  *)
+
+(* Exit code, stdout and stderr of representative runs, byte for byte,
+   committed under golden/.  Any change to what a valid invocation prints
+   or to how an error path answers shows up as a diff here.  With
+   PROXIM_GOLDEN_UPDATE set to an absolute directory, each transcript is
+   written there instead of compared:
+     PROXIM_GOLDEN_UPDATE=$PWD/test/golden \
+       dune build @test/runtest-test_cli --force *)
+
+let carry_pi = "--pi a:fall:300:0 --pi b:fall:250:40 --pi c:fall:280:15"
+let sep_pi = "--pi a:fall:500:0 --pi b:fall:450:400 --pi c:fall:300:900"
+let verify_demo = ex "verify_demo.ntl"
+let verify_pi = "--pi a:fall:400:0 --pi b:fall:300:20"
+let hazard_demo = ex "hazard_demo.ntl"
+
+let hazard_pi =
+  "--pi a:fall:400:500 --pi b:rise:300:0 --pi c:fall:400:100 --pi \
+   e:rise:300:0"
+
+let sense_demo = ex "sense_demo.ntl"
+
+let sense_pi =
+  "--pi a:rise:300:0 --pi r:rise:200:0 --pi r:fall:200:400 --const k=0"
+
+let missing = ex "no_such_design.ntl"
+
+let golden_cases =
+  [
+    ( "sta_eco",
+      sf
+        "sta %s --domains 1 --models synthetic %s --paths 3 --required 900 \
+         --eco pi:a:fall:200:10 --eco cell:u2 --verify-eco"
+        carry carry_pi );
+    ( "sta_sense",
+      sf "sta %s --domains 1 --models synthetic %s --sense" carry sep_pi );
+    ( "sta_classic",
+      sf "sta %s --domains 1 --models synthetic %s --mode classic --no-prune"
+        carry sep_pi );
+    ( "sta_pi_all",
+      sf "sta %s --domains 1 --models synthetic --summary --pi-all fall:300:0"
+        carry );
+    ("sta_oracle", sf "sta %s --domains 1 %s" carry carry_pi);
+    ( "verify_text",
+      sf "verify %s --domains 1 %s --pi-window 30" verify_demo verify_pi );
+    ( "verify_json",
+      sf "verify %s --domains 1 %s --pi-window 30 --format json" verify_demo
+        verify_pi );
+    ( "verify_sense",
+      sf "verify %s --domains 1 %s --pi-window 30 --sense" verify_demo
+        verify_pi );
+    ( "hazards_sense",
+      sf "hazards %s --domains 1 %s --sense" hazard_demo hazard_pi );
+    ( "hazards_sarif",
+      sf "hazards %s --domains 1 %s --format sarif" hazard_demo hazard_pi );
+    ( "hazards_oracle",
+      sf "hazards %s --domains 1 %s --models oracle" hazard_demo hazard_pi );
+    ("sense_text", sf "sense %s --domains 1 %s" sense_demo sense_pi);
+    ( "sense_json",
+      sf "sense %s --domains 1 %s --format json" sense_demo sense_pi );
+    ("lint_json", sf "lint --format json %s" (ex "lint_demo.ntl"));
+    ("codes_lint", "lint --codes");
+    ("codes_verify", sf "verify %s --domains 1 --codes" verify_demo);
+    ("codes_hazards", sf "hazards %s --domains 1 --codes" hazard_demo);
+    ("codes_sense", sf "sense %s --domains 1 --codes" sense_demo);
+    (* error paths *)
+    ("missing_sta", sf "sta %s --domains 1 %s" missing carry_pi);
+    ("missing_verify", sf "verify %s --domains 1 %s" missing carry_pi);
+    ("missing_hazards", sf "hazards %s --domains 1 %s" missing carry_pi);
+    ("missing_sense", sf "sense %s --domains 1 %s" missing carry_pi);
+    ("missing_profile", sf "profile %s --domains 1 %s" missing carry_pi);
+    ("missing_convert", sf "convert %s out.pxb" missing);
+    ( "bad_spec_verify",
+      sf "verify %s --domains 1 --pi a:fall:400" verify_demo );
+    ( "bad_window_hazards",
+      sf "hazards %s --domains 1 %s --pi-window a=" hazard_demo hazard_pi );
+    ( "bad_const_sense",
+      sf "sense %s --domains 1 %s --const k=2" sense_demo sense_pi );
+    ( "bad_eco_sta",
+      sf "sta %s --domains 1 --models synthetic %s --eco pi:a" carry carry_pi );
+    ( "paths_zero_sta",
+      sf "sta %s --domains 1 --models synthetic %s --paths 0" carry carry_pi );
+    ( "eco_unknown_cell",
+      sf "sta %s --domains 1 --models synthetic %s --eco cell:zz" carry
+        carry_pi );
+    ( "eco_unknown_net",
+      sf "sta %s --domains 1 --models synthetic %s --eco pi:zz:fall:200:0"
+        carry carry_pi );
+    ( "window_unknown_verify",
+      sf "verify %s --domains 1 %s --pi-window zz=10" verify_demo verify_pi );
+    ( "window_unknown_hazards",
+      sf "hazards %s --domains 1 %s --pi-window n1=10" hazard_demo hazard_pi );
+    ( "codes_unknown_verify",
+      sf "verify %s --domains 1 %s --codes PX999" verify_demo verify_pi );
+    ("codes_unknown_lint", sf "lint --codes 'PX9*' %s" carry);
+  ]
+
+let transcript args =
+  let code, out, err = run_full (cli ^ " " ^ args) in
+  sf "$ proxim %s\n[exit %d]\n--- stdout\n%s--- stderr\n%s" args code out err
+
+let golden_case (name, args) =
+  Alcotest.test_case name `Quick (fun () ->
+      let actual = transcript args in
+      let file = name ^ ".txt" in
+      match Sys.getenv_opt "PROXIM_GOLDEN_UPDATE" with
+      | Some dir ->
+        Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+            Out_channel.output_string oc actual)
+      | None ->
+        let expected =
+          In_channel.with_open_bin (Filename.concat "golden" file)
+            In_channel.input_all
+        in
+        Alcotest.(check string) name expected actual)
+
+(* cmdliner rejects a duplicate option name only when that subcommand is
+   evaluated, so every subcommand's help must render *)
+let test_help_renders () =
+  List.iter
+    (fun cmd ->
+      let code, _ = run_err "%s %s --help=plain" cli cmd in
+      Alcotest.(check int) (cmd ^ " --help=plain exits 0") 0 code)
+    [ "vtc"; "delay"; "proximity"; "glitch"; "sta"; "verify"; "hazards";
+      "sense"; "profile"; "storage"; "lint"; "gen"; "convert"; "serve" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -167,4 +414,25 @@ let () =
           Alcotest.test_case "valid events accepted" `Quick
             test_valid_events_accepted;
         ] );
+      ( "stimuli",
+        [
+          Alcotest.test_case "non-transition numbers exit 2" `Quick
+            test_non_transition_numbers;
+          Alcotest.test_case "unknown --pi/--const net exits 2" `Quick
+            test_unknown_pi_net;
+          Alcotest.test_case "cell-driven --pi net exits 2" `Quick
+            test_cell_driven_pi_net;
+          Alcotest.test_case "negative --tau-window exits 2" `Quick
+            test_negative_tau_window;
+          Alcotest.test_case "mixed edges exit 2" `Quick test_mixed_edges;
+          Alcotest.test_case "serve --smoke checks before connecting" `Quick
+            test_smoke_checks_first;
+        ] );
+      ("golden", List.map golden_case golden_cases);
+      ( "help",
+        [
+          Alcotest.test_case "every subcommand renders" `Quick
+            test_help_renders;
+        ]
+      );
     ]

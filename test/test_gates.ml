@@ -2,6 +2,7 @@
    properties of the generated netlists, and logic-level DC behaviour. *)
 
 module Gate = Proxim_gates.Gate
+module Ternary = Proxim_gates.Ternary
 module Tech = Proxim_gates.Tech
 module Netlist = Proxim_circuit.Netlist
 module Pwl = Proxim_waveform.Pwl
@@ -224,6 +225,20 @@ let prop_nand_truth_random_fanin =
       let bits = Array.init fan_in (fun _ -> Prng.bool rng) in
       dc_logic g bits = not (Array.for_all Fun.id bits))
 
+(* Kleene tables of the ternary evaluator the static analyses share *)
+let test_ternary_ops () =
+  let open Ternary in
+  Alcotest.(check string) "not3 0" "1" (name (not3 L0));
+  Alcotest.(check string) "not3 1" "0" (name (not3 L1));
+  Alcotest.(check string) "not3 x" "x" (name (not3 LX));
+  (* Kleene tables: a definite controlling value absorbs X *)
+  Alcotest.(check bool) "and absorbs" true (and3 L0 LX = L0);
+  Alcotest.(check bool) "or absorbs" true (or3 L1 LX = L1);
+  Alcotest.(check bool) "and keeps x" true (and3 L1 LX = LX);
+  Alcotest.(check bool) "or keeps x" true (or3 L0 LX = LX);
+  Alcotest.(check bool) "and3 11" true (and3 L1 L1 = L1);
+  Alcotest.(check bool) "or3 00" true (or3 L0 L0 = L0)
+
 let () =
   Alcotest.run "gates"
     [
@@ -259,4 +274,5 @@ let () =
           Alcotest.test_case "oai21" `Quick test_oai21_truth_table;
           QCheck_alcotest.to_alcotest prop_nand_truth_random_fanin;
         ] );
+      ("ternary", [ Alcotest.test_case "operators" `Quick test_ternary_ops ]);
     ]

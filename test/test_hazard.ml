@@ -740,11 +740,12 @@ let test_analyze_validation () =
     (Hazard.summary h).Hazard.classified;
   (* window-net validation is a typed error *)
   Alcotest.check_raises "unknown window net"
-    (Verify.Unknown_window_net { net = "nosuch" })
-    (fun () -> Verify.validate_window_nets design [ "a"; "nosuch" ]);
+    (Verify.Not_primary_input { flag = "--pi-window"; net = "nosuch" })
+    (fun () ->
+      Verify.validate_pi_nets ~flag:"--pi-window" design [ "a"; "nosuch" ]);
   Alcotest.check_raises "driven window net"
-    (Verify.Unknown_window_net { net = "n1" })
-    (fun () -> Verify.validate_window_nets design [ "n1" ])
+    (Verify.Not_primary_input { flag = "--pi-window"; net = "n1" })
+    (fun () -> Verify.validate_pi_nets ~flag:"--pi-window" design [ "n1" ])
 
 (* ------------------------------------------------------------------ *)
 (* CLI surface                                                         *)

@@ -5,6 +5,7 @@
 
 module Measure = Proxim_measure.Measure
 module Gate = Proxim_gates.Gate
+module Ternary = Proxim_gates.Ternary
 module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 module Models = Proxim_macromodel.Models
@@ -45,19 +46,6 @@ let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 (* ------------------------------------------------------------------ *)
 (* Ternary logic                                                       *)
 
-let test_ternary_ops () =
-  let open Sense in
-  Alcotest.(check string) "not3 0" "1" (logic_name (not3 L0));
-  Alcotest.(check string) "not3 1" "0" (logic_name (not3 L1));
-  Alcotest.(check string) "not3 x" "x" (logic_name (not3 LX));
-  (* Kleene tables: a definite controlling value absorbs X *)
-  Alcotest.(check bool) "and absorbs" true (and3 L0 LX = L0);
-  Alcotest.(check bool) "or absorbs" true (or3 L1 LX = L1);
-  Alcotest.(check bool) "and keeps x" true (and3 L1 LX = LX);
-  Alcotest.(check bool) "or keeps x" true (or3 L0 LX = LX);
-  Alcotest.(check bool) "and3 11" true (and3 L1 L1 = L1);
-  Alcotest.(check bool) "or3 00" true (or3 L0 L0 = L0)
-
 (* the ternary evaluator restricted to booleans IS the boolean one, for
    every gate shape the netlists can instantiate *)
 let test_eval_gate_exhaustive () =
@@ -72,17 +60,17 @@ let test_eval_gate_exhaustive () =
         Alcotest.(check bool)
           (Printf.sprintf "%s bits=%d" name bits)
           true
-          (Sense.eval_gate g l = if expect then Sense.L1 else Sense.L0)
+          (Ternary.eval_gate g l = if expect then Sense.L1 else Sense.L0)
       done)
     [ "inv"; "nand2"; "nand3"; "nor2"; "nor3"; "aoi21"; "oai21" ];
   (* controlling-value absorption: the §3 skip branch decided statically *)
   let x = Sense.LX in
   Alcotest.(check bool) "nand(0,x)=1" true
-    (Sense.eval_gate nand2 (function 0 -> Sense.L0 | _ -> x) = Sense.L1);
+    (Ternary.eval_gate nand2 (function 0 -> Sense.L0 | _ -> x) = Sense.L1);
   Alcotest.(check bool) "nor(1,x)=0" true
-    (Sense.eval_gate nor2 (function 0 -> Sense.L1 | _ -> x) = Sense.L0);
+    (Ternary.eval_gate nor2 (function 0 -> Sense.L1 | _ -> x) = Sense.L0);
   Alcotest.(check bool) "nand(1,x)=x" true
-    (Sense.eval_gate nand2 (function 0 -> Sense.L1 | _ -> x) = Sense.LX)
+    (Ternary.eval_gate nand2 (function 0 -> Sense.L1 | _ -> x) = Sense.LX)
 
 let test_stimuli_of_events () =
   let ev edge net =
@@ -900,7 +888,6 @@ let () =
     [
       ( "ternary",
         [
-          Alcotest.test_case "operators" `Quick test_ternary_ops;
           Alcotest.test_case "gate evaluation" `Quick test_eval_gate_exhaustive;
           Alcotest.test_case "stimuli projection" `Quick test_stimuli_of_events;
         ] );

@@ -233,7 +233,27 @@ let test_codec_roundtrip () =
     | Ok r -> r
     | Error m -> Alcotest.failf "report roundtrip: %s" m
   in
-  check_report_identical "report roundtrip" round report
+  check_report_identical "report roundtrip" round report;
+  (* the paths payload the smoke client decodes *)
+  let paths =
+    List.map
+      (fun (a : Sta.arrival) ->
+        { Sta.path_arrival = a.Sta.time; path_nets = [ "y"; "n1"; "a" ] })
+      nasty
+  in
+  match
+    Result.bind
+      (Json.of_string (Json.to_string (Serve.paths_to_json paths)))
+      Serve.paths_of_json
+  with
+  | Error m -> Alcotest.failf "paths roundtrip: %s" m
+  | Ok back ->
+    List.iter2
+      (fun (p : Sta.path) (q : Sta.path) ->
+        check_bits "path arrival" q.Sta.path_arrival p.Sta.path_arrival;
+        Alcotest.(check (list string))
+          "path nets" p.Sta.path_nets q.Sta.path_nets)
+      paths back
 
 let test_e2e_bit_identity () =
   with_server (fun addr ->
