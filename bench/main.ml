@@ -1158,6 +1158,28 @@ let incremental_bench () =
 module Verify = Proxim_verify.Verify
 module Interval = Proxim_verify.Interval
 
+(* The pruning payoff the verify, hazard and sense benches share: the
+   median wall time of [prune_passes ()] full re-analyses of one
+   Proximity IR built with [prune], its report, and its fast-path
+   evaluations by source over all passes. *)
+let prune_passes () = if !quick then 5 else 20
+
+let prune_trials ~pool ~models ~thresholds design ~pi prune =
+  let times = Array.make (prune_passes ()) 0. in
+  let ir =
+    Sta.build_ir ~mode:Sta.Proximity ?prune ~models ~thresholds design ~pi
+  in
+  for t = 0 to Array.length times - 1 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sta.reanalyze ~pool ir);
+    times.(t) <- Unix.gettimeofday () -. t0
+  done;
+  (Stats.percentile times 50., Sta.report ir, Sta.pruned_counts ir)
+
+(* the number of cells a per-cell-id mask covers *)
+let count_cells mask =
+  Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask
+
 let verify_bench () =
   let c = Lazy.force ctx in
   section
@@ -1257,24 +1279,11 @@ let verify_bench () =
      proximity %d, classic %d\n"
     trials viol_prox viol_classic;
   (* pruning: bit-identity and wall-clock payoff on the nominal events *)
-  let prune = Verify.prune_mask v_prox in
-  let run_trials prune_opt =
-    let n = if !quick then 5 else 20 in
-    let times = Array.make n 0. in
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune:prune_opt ~models
-        ~thresholds:c.th design ~pi
-    in
-    for t = 0 to n - 1 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sta.reanalyze ~pool ir);
-      times.(t) <- Unix.gettimeofday () -. t0
-    done;
-    (Stats.percentile times 50., Sta.report ir, Sta.pruned_evaluations ir)
-  in
+  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
   let t_full, r_full, _ = run_trials None in
-  let t_pruned, r_pruned, pruned_evals =
-    run_trials (Some (Prune.make ~never_proximate:prune ()))
+  let t_pruned, r_pruned, pruned =
+    run_trials
+      (Some (Prune.make ~never_proximate:(Verify.prune_mask v_prox) ()))
   in
   let identical = Sta.report_equal r_full r_pruned in
   let speedup = if t_pruned > 0. then t_full /. t_pruned else 1. in
@@ -1283,7 +1292,7 @@ let verify_bench () =
     "  VERIFY SUMMARY: prune rate %.1f%%, %d evaluations fast-pathed per \
      pass, full %.3f ms vs pruned %.3f ms (%.2fx), reports %s, intervals %s\n"
     (100. *. prune_rate)
-    (pruned_evals / (if !quick then 5 else 20))
+    (Prune.total pruned / prune_passes ())
     (1e3 *. t_full) (1e3 *. t_pruned) speedup
     (if identical then "bit-identical" else "DIFFER")
     (if sound then "sound" else "VIOLATED");
@@ -1432,48 +1441,36 @@ let hazard_bench () =
     trials !violations;
   (* quiet-cell pruning: bit-identity and wall-clock payoff *)
   let mask = Hazard.quiet_mask h in
-  let quiet_cells = List.length (List.filter mask (Design.cells design)) in
+  let quiet_cells = count_cells mask in
   let prune_rate =
     if n_cells = 0 then 0. else float_of_int quiet_cells /. float_of_int n_cells
   in
-  let run_trials prune_opt =
-    let n = if !quick then 5 else 20 in
-    let times = Array.make n 0. in
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune:prune_opt ~models
-        ~thresholds:c.th design ~pi
-    in
-    for t = 0 to n - 1 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sta.reanalyze ~pool ir);
-      times.(t) <- Unix.gettimeofday () -. t0
-    done;
-    (Stats.percentile times 50., Sta.report ir, Sta.pruned_evaluations ir)
-  in
+  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
   let t_full, r_full, _ = run_trials None in
-  let t_pruned, r_pruned, pruned_evals =
+  let t_pruned, r_pruned, pruned =
     run_trials (Some (Prune.make ~quiet:mask ()))
   in
   let identical = Sta.report_equal r_full r_pruned in
   if not identical then begin
     (* name the diverging nets and the quiet verdicts of their drivers *)
-    let by_cell = Hashtbl.create 64 in
-    List.iter
-      (fun (cl : Design.cell) -> Hashtbl.replace by_cell cl.Design.output_net cl)
-      (Design.cells design);
+    let g = Design.graph design in
+    let driver net =
+      Option.bind (Graph.net_id g net) (fun net -> Graph.driver g ~net)
+    in
     List.iter2
       (fun (n1, (a1 : Sta.arrival)) (_, (a2 : Sta.arrival)) ->
         if not (Timing.arrival_eq a1 a2) then begin
           let quiet =
-            match Hashtbl.find_opt by_cell n1 with
-            | Some cl -> if mask cl then " (driver marked quiet!)" else ""
+            match driver n1 with
+            | Some id -> if mask.(id) then " (driver marked quiet!)" else ""
             | None -> " (primary input)"
           in
           Printf.printf
             "  DIVERGES %s%s: full %.17g/%.17g pruned %.17g/%.17g\n" n1 quiet
             a1.Sta.time a1.Sta.slew a2.Sta.time a2.Sta.slew;
-          (match Hashtbl.find_opt by_cell n1 with
-          | Some cl when mask cl ->
+          (match driver n1 with
+          | Some id when mask.(id) ->
+            let cl : Design.cell = Graph.payload g id in
             Printf.printf "    cell %s gate %s inputs:\n" cl.Design.name
               cl.Design.gate.Gate.name;
             Array.iter
@@ -1513,7 +1510,7 @@ let hazard_bench () =
     "  HAZARD SUMMARY: quiet-mask rate %.1f%%, %d evaluations fast-pathed \
      per pass, full %.3f ms vs pruned %.3f ms (%.2fx), reports %s, windows %s\n"
     (100. *. prune_rate)
-    (pruned_evals / (if !quick then 5 else 20))
+    (Prune.total pruned / prune_passes ())
     (1e3 *. t_full) (1e3 *. t_pruned) speedup
     (if identical then "bit-identical" else "DIFFER")
     (if sound then "sound" else "VIOLATED");
@@ -1777,19 +1774,18 @@ let sense_bench () =
     sense_soundness draw_rng design s ~stim ~draws_per_pair
   in
   (* the prune masks, solo and fused *)
-  let cells = Design.cells design in
-  let count mask = List.length (List.filter mask cells) in
-  let n_sense = count (Sense.prune_mask s) in
-  let n_quiet = count (Hazard.quiet_mask h) in
-  let n_never = count (Verify.prune_mask v) in
-  let fused_of () =
+  let fused_of v h s =
     Prune.make
       ~unsensitizable:(Sense.prune_mask s)
       ~quiet:(Hazard.quiet_mask h)
       ~never_proximate:(Verify.prune_mask v)
       ()
   in
-  let n_fused = count (Prune.member (fused_of ())) in
+  let n_sense = count_cells (Sense.prune_mask s) in
+  let n_quiet = count_cells (Hazard.quiet_mask h) in
+  let n_never = count_cells (Verify.prune_mask v) in
+  let fused = fused_of v h s in
+  let n_fused = count_cells (Array.init n_cells (Prune.member fused)) in
   let strictly_best =
     n_fused > n_sense && n_fused > n_quiet && n_fused > n_never
   in
@@ -1802,24 +1798,9 @@ let sense_bench () =
     (if strictly_best then " — fused strictly widest" else " — NOT strict");
   (* bit-identity and wall-clock payoff on the main design *)
   let pool = Pool.create ~domains:1 in
-  let run_trials prune_opt =
-    let n = if !quick then 5 else 20 in
-    let times = Array.make n 0. in
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune:prune_opt ~models
-        ~thresholds:c.th design ~pi
-    in
-    for t = 0 to n - 1 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sta.reanalyze ~pool ir);
-      times.(t) <- Unix.gettimeofday () -. t0
-    done;
-    (Stats.percentile times 50., Sta.report ir, Sta.pruned_evaluations ir)
-  in
+  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
   let t_full, r_full, _ = run_trials None in
-  let fused = fused_of () in
-  let t_fused, r_fused, fused_evals = run_trials (Some fused) in
-  let counts = Prune.counts fused in
+  let t_fused, r_fused, counts = run_trials (Some fused) in
   let identical = ref (Sta.report_equal r_full r_fused) in
   let designs_checked = ref 1 in
   (* ... and across independent random designs and every example netlist *)
@@ -1827,14 +1808,7 @@ let sense_bench () =
     let events = List.map Verify.of_sta_event pi in
     let v = Verify.analyze ~models ~thresholds:c.th design ~pi:events in
     let h = Hazard.analyze ~models ~thresholds:c.th design ~pi:events in
-    let s = Sense.analyze design ~pi:(stim_of pi) in
-    let fused =
-      Prune.make
-        ~unsensitizable:(Sense.prune_mask s)
-        ~quiet:(Hazard.quiet_mask h)
-        ~never_proximate:(Verify.prune_mask v)
-        ()
-    in
+    let fused = fused_of v h (Sense.analyze design ~pi:(stim_of pi)) in
     let run prune_opt =
       let ir =
         Sta.build_ir ~mode:Sta.Proximity ?prune:prune_opt ~models
@@ -1892,7 +1866,7 @@ let sense_bench () =
      bit-checked, %d evaluations fast-pathed per pass (%d/%d/%d by source), \
      full %.3f ms vs fused %.3f ms (%.2fx), reports %s\n"
     draws violations !designs_checked
-    (fused_evals / (if !quick then 5 else 20))
+    (Prune.total counts / prune_passes ())
     counts.Prune.unsensitizable counts.Prune.quiet counts.Prune.never_proximate
     (1e3 *. t_full) (1e3 *. t_fused) speedup
     (if !identical then "bit-identical" else "DIFFER");

@@ -554,12 +554,16 @@ let apply_eco_to_pi pi = function
    silenced, added, or edge-flipped) falls back to no pruning. *)
 let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
   let pi' = List.fold_left apply_eco_to_pi pi ecos in
+  (* each net's first post-ECO event, hashed once: under --pi-all the
+     list names every primary input *)
+  let after = Hashtbl.create (List.length pi') in
+  List.iter (fun (n, a) -> Hashtbl.replace after n a) (List.rev pi');
   let nets l = List.sort compare (List.map fst l) in
   let compatible =
     nets pi = nets pi'
     && List.for_all
          (fun (n, (a : Sta.arrival)) ->
-           match List.assoc_opt n pi' with
+           match Hashtbl.find_opt after n with
            | Some (a' : Sta.arrival) -> a.Sta.edge = a'.Sta.edge
            | None -> false)
          pi
@@ -569,7 +573,7 @@ let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
     let events =
       List.map
         (fun (n, (a : Sta.arrival)) ->
-          let a' = Option.value (List.assoc_opt n pi') ~default:a in
+          let a' = Option.value (Hashtbl.find_opt after n) ~default:a in
           {
             Verify.ev_net = n;
             ev_edge = a.Sta.edge;
@@ -720,15 +724,14 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
             end
        end
   in
-  Option.iter
-    (fun p ->
-      let c = Prune.counts p in
-      Printf.printf
-        "proximity pruning: %d cell evaluations took the fast path (%d \
-         unsensitizable, %d quiet, %d never-proximate)\n"
-        (Sta.pruned_evaluations ir) c.Prune.unsensitizable c.Prune.quiet
-        c.Prune.never_proximate)
-    prune;
+  if Option.is_some prune then begin
+    let c = Sta.pruned_counts ir in
+    Printf.printf
+      "proximity pruning: %d cell evaluations took the fast path (%d \
+       unsensitizable, %d quiet, %d never-proximate)\n"
+      (Prune.total c) c.Prune.unsensitizable c.Prune.quiet
+      c.Prune.never_proximate
+  end;
   let cs = factory.Sta.factory_stats () in
   Printf.printf "model cache: %d hits, %d misses, %d waits, %d entries\n"
     cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits

@@ -55,13 +55,6 @@ let rec reduce_width nw ~conducts ~w =
      | None | Some 0. -> 0.
      | Some s -> 1. /. s)
 
-(* Does the network conduct under a boolean assignment? *)
-let rec network_conducts nw ~on =
-  match nw with
-  | Gate.Pin p -> on p
-  | Gate.Series l -> List.for_all (fun c -> network_conducts c ~on) l
-  | Gate.Parallel l -> List.exists (fun c -> network_conducts c ~on) l
-
 let equivalent_widths gate ~switching ~edge =
   let tech = gate.Gate.tech in
   let vdd = tech.Tech.vdd in
@@ -83,36 +76,15 @@ let equivalent_widths gate ~switching ~edge =
   let floor_w = 0.05 *. Float.min gate.Gate.wn gate.Gate.wp in
   (Float.max wn_eq floor_w, Float.max wp_eq floor_w)
 
-(* In the network that drives the output for this edge, do the switching
-   transistors assist each other (parallel: one suffices) or gate each
-   other (series: all required)? *)
-let switching_assist gate ~switching ~edge =
-  let base =
-    match switching with
-    | pin :: _ -> Gate.noncontrolling_sensitization gate ~pin
-    | [] -> assert false
-  in
-  let vdd = gate.Gate.tech.Tech.vdd in
-  let driving_network, stable_on =
-    match edge with
-    | Measure.Fall ->
-      (* inputs fall -> output rises -> pull-up drives; a stable pin's
-         PMOS conducts when held low *)
-      (Gate.dual gate.Gate.pulldown, fun p -> base.(p) < vdd /. 2.)
-    | Measure.Rise -> (gate.Gate.pulldown, fun p -> base.(p) > vdd /. 2.)
-  in
-  (* conduction with exactly one switching pin active *)
-  match switching with
-  | [] -> assert false
-  | first :: _ ->
-    let on p =
-      if List.mem p switching then p = first else stable_on p
-    in
-    network_conducts driving_network ~on
-
 let equivalent_event variant gate ~switching ~edge
     ~(events : Proximity.event list) =
-  let assist = switching_assist gate ~switching ~edge in
+  (* do the switching transistors assist each other (parallel: one
+     suffices) or gate each other (series: all required) in the network
+     that drives the output for this edge? *)
+  let assist =
+    Gate.switching_assist gate ~pins:switching
+      ~output_rising:(edge = Measure.Fall)
+  in
   (* the critical input: earliest crossing when the switching transistors
      assist each other, latest when they gate each other — the input the
      equivalent-inverter response is referenced to *)

@@ -20,12 +20,7 @@ let rests_high gate th ~fall_pin ~rise_pin =
     else if p = rise_pin then false
     else base.(p) > th.Vtc.vdd /. 2.
   in
-  let rec conducts = function
-    | Gate.Pin p -> level p
-    | Gate.Series l -> List.for_all conducts l
-    | Gate.Parallel l -> List.exists conducts l
-  in
-  not (conducts gate.Gate.pulldown)
+  not (Gate.network_conducts gate.Gate.pulldown ~on:level)
 
 let glitch ?opts ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
   if fall_pin = rise_pin then invalid_arg "Inertial.glitch: same pin";

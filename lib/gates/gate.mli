@@ -69,6 +69,12 @@ val output_parasitic : t -> float
     output sees is [load + output_parasitic]; macromodels use this sum in
     their dimensionless argument. *)
 
+val network_conducts : network -> on:(int -> bool) -> bool
+(** Does the series/parallel network conduct when exactly the pins [on]
+    selects are switched on?  The one boolean evaluator of a transistor
+    network ({!switching_assist}, the collapse baselines and the glitch
+    polarity rule all decide through it). *)
+
 val switching_assist : t -> pins:int list -> output_rising:bool -> bool
 (** Do the transistors of the switching [pins] {e assist} each other in
     the network that drives the output for this transition — i.e. does a

@@ -635,21 +635,13 @@ let summary t =
     t.h_cells
 
 let quiet_mask t =
-  let quiet = Hashtbl.create 64 in
-  Array.iter
+  Array.map
     (function
-      | Some r when r.hc_quiet -> Hashtbl.replace quiet r.hc_name ()
-      | Some _ | None -> ())
-    t.h_cells;
-  let windowless (cell : Design.cell) =
-    (* a cell none of whose inputs carry a window never switches in an
-       admissible run, so the fast path is never consulted *)
-    match Graph.cell_id (Design.graph t.h_design) cell.Design.name with
-    | None -> false
-    | Some id -> t.h_cells.(id) = None
-  in
-  fun (cell : Design.cell) ->
-    Hashtbl.mem quiet cell.Design.name || windowless cell
+      | Some r -> r.hc_quiet
+      (* a cell none of whose inputs carry a window never switches in an
+         admissible run, so the fast path is never consulted *)
+      | None -> true)
+    t.h_cells
 
 (* --- logic refinement --------------------------------------------------- *)
 

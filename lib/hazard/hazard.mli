@@ -204,13 +204,15 @@ val summary : t -> summary
 
 (** {1 Consumers} *)
 
-val quiet_mask : t -> Proxim_sta.Design.cell -> bool
-(** A prune mask for {!Proxim_sta.Sta.build_ir}'s [?prune], in the mold
-    of [Verify.prune_mask]: [true] for cells that in {e every}
+val quiet_mask : t -> bool array
+(** The quiet source for {!Proxim_sta.Prune.make}'s [~quiet], in the
+    mold of [Verify.prune_mask] (indexed by the design's
+    {!Proxim_timing.Graph} cell id): [true] for cells that in {e every}
     admissible concrete run (primary-input events inside the analyzed
     windows) have at most one switching input, or a same-edge input
     group with a provably dominant input — exactly the cases where the
-    pruned fast path reproduces the full fold bit-for-bit. *)
+    pruned fast path reproduces the full fold bit-for-bit — and for
+    cells no window reaches at all, which never switch. *)
 
 type refinement = { refined_pairs : int; refined_cells : int }
 (** How many opposing pairs a {!refine} pass discarded and how many

@@ -65,6 +65,14 @@ let to_string v =
 
 exception Parse_error of int * string
 
+(* The deepest document a writer in this tree emits is the SARIF log of
+   [Diagnostic.report_sarif]: 9 levels (the log, then runs, run,
+   results, result, locations, location, physicalLocation, region).
+   Served frames and the BENCH files reach 5.  The bound leaves ample
+   headroom for them, while a frame of bare '[' no longer recurses (and
+   grows the stack) once per byte. *)
+let max_depth = 64
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -161,10 +169,12 @@ let of_string s =
     | Some v -> Number v
     | None -> fail (Printf.sprintf "bad number %S" text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -178,7 +188,7 @@ let of_string s =
           let key = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -200,7 +210,7 @@ let of_string s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -220,7 +230,7 @@ let of_string s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing content";
     v

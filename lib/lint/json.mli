@@ -21,10 +21,16 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) rendering, RFC 8259 string escaping. *)
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts
+    (64) — well above any document the tree writes. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte offset and a
     reason.  Handles the full value grammar including [\u] escapes
-    (decoded to UTF-8); duplicate object keys are kept in order. *)
+    (decoded to UTF-8); duplicate object keys are kept in order.  A
+    document nested deeper than {!max_depth} is an [Error] naming the
+    limit, found before any deeper level is parsed. *)
 
 val member : string -> t -> t option
 (** First field of that name when the value is an [Obj]. *)

@@ -22,9 +22,15 @@ let check_raw ?(options = default_options) ?file (raw : Netlist_text.raw) =
     add (mk PX108 "missing 'design' directive");
   let cells = raw.Netlist_text.raw_cells in
   let pis = List.map fst raw.Netlist_text.raw_inputs in
-  let pos = List.map fst raw.Netlist_text.raw_outputs in
-  let is_pi net = List.mem net pis in
-  let is_po net = List.mem net pos in
+  (* hash sets, not list scans: [is_pi] runs for every cell output and
+     input pin, [is_po] for every unread output *)
+  let member_of nets =
+    let set = Hashtbl.create (List.length nets) in
+    List.iter (fun net -> Hashtbl.replace set net ()) nets;
+    Hashtbl.mem set
+  in
+  let is_pi = member_of pis in
+  let is_po = member_of (List.map fst raw.Netlist_text.raw_outputs) in
   (* PX101: duplicate cell names (first definition wins downstream) *)
   let cell_lines = Hashtbl.create 16 in
   List.iter

@@ -581,13 +581,7 @@ let summary t =
 
 (* --- consumers ---------------------------------------------------------- *)
 
-let prune_mask t =
-  let prunable = Hashtbl.create 64 in
-  let g = Design.graph t.s_design in
-  Array.iteri
-    (fun c p -> if p then Hashtbl.replace prunable (Graph.cell_name g c) ())
-    t.s_prunable;
-  fun (cell : Design.cell) -> Hashtbl.mem prunable cell.Design.name
+let prune_mask t = Array.copy t.s_prunable
 
 let pair_unsensitizable t ~cell ~a ~b =
   let g = Design.graph t.s_design in

@@ -180,9 +180,11 @@ val summary : t -> summary
 
 (** {1 Consumers} *)
 
-val prune_mask : t -> Proxim_sta.Design.cell -> bool
-(** The sense source for {!Proxim_sta.Prune.make}'s [~unsensitizable]:
-    [true] for cells with at most one event-bearing input.  This is
+val prune_mask : t -> bool array
+(** The sense source for {!Proxim_sta.Prune.make}'s [~unsensitizable],
+    indexed by the design's {!Proxim_timing.Graph} cell id: [true] for
+    cells with at most one event-bearing input (a fresh copy of the
+    analysis' own per-cell table).  This is
     deliberately the {e structural} projection of the analysis: the
     event-driven STA propagates events without consulting logic, so a
     cell whose §3 fold the implication engine proved logically

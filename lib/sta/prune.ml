@@ -1,6 +1,6 @@
-(* The unified STA prune mask: up to three source predicates (one per
-   producing analysis) fused behind a single predicate, with atomic
-   per-source attribution counters.  See the .mli for the contract. *)
+(* The unified STA prune mask: up to three per-cell-id bitmaps (one per
+   producing analysis) fused into one table of claiming sources.  See
+   the .mli for the contract. *)
 
 type source = Unsensitizable | Quiet | Never_proximate
 
@@ -9,52 +9,42 @@ let source_name = function
   | Quiet -> "quiet"
   | Never_proximate -> "never_proximate"
 
-type t = {
-  unsensitizable : (Design.cell -> bool) option;
-  quiet : (Design.cell -> bool) option;
-  never_proximate : (Design.cell -> bool) option;
-  c_unsensitizable : int Atomic.t;
-  c_quiet : int Atomic.t;
-  c_never_proximate : int Atomic.t;
-}
+(* [t.(id)]: the first source, in priority order, whose bitmap covers
+   cell [id].  Only [make] writes it. *)
+type t = source option array
+
+let none = [||]
+
+let rec first id = function
+  | [] -> None
+  | (src, mask) :: rest -> if mask.(id) then src else first id rest
 
 let make ?unsensitizable ?quiet ?never_proximate () =
-  {
-    unsensitizable;
-    quiet;
-    never_proximate;
-    c_unsensitizable = Atomic.make 0;
-    c_quiet = Atomic.make 0;
-    c_never_proximate = Atomic.make 0;
-  }
+  (* the list order is the attribution priority: the cheapest analysis
+     claims a cell that several sources cover.  Each source rides as a
+     constant [Some src], so the table shares three options instead of
+     allocating one per covered cell. *)
+  let given =
+    List.filter_map
+      (function src, Some m -> Some (src, m) | _, None -> None)
+      [
+        (Some Unsensitizable, unsensitizable);
+        (Some Quiet, quiet);
+        (Some Never_proximate, never_proximate);
+      ]
+  in
+  match given with
+  | [] -> none
+  | (_, m) :: _ ->
+    let n = Array.length m in
+    if List.exists (fun (_, m) -> Array.length m <> n) given then
+      invalid_arg "Prune.make: source masks differ in length";
+    Array.init n (fun id -> first id given)
 
-let none = make ()
-
-let is_empty t =
-  t.unsensitizable = None && t.quiet = None && t.never_proximate = None
-
-let check pred cell = match pred with Some p -> p cell | None -> false
-
-let member t cell =
-  check t.unsensitizable cell || check t.quiet cell
-  || check t.never_proximate cell
-
-(* attribution follows the declared priority order: the cheapest analysis
-   claims a cell that several sources cover *)
-let hit t cell =
-  if check t.unsensitizable cell then begin
-    Atomic.incr t.c_unsensitizable;
-    true
-  end
-  else if check t.quiet cell then begin
-    Atomic.incr t.c_quiet;
-    true
-  end
-  else if check t.never_proximate cell then begin
-    Atomic.incr t.c_never_proximate;
-    true
-  end
-  else false
+let is_empty t = Array.length t = 0
+let length = Array.length
+let source t id = if id < Array.length t then t.(id) else None
+let member t id = Option.is_some (source t id)
 
 type counts = {
   unsensitizable : int;
@@ -62,16 +52,4 @@ type counts = {
   never_proximate : int;
 }
 
-let counts t =
-  {
-    unsensitizable = Atomic.get t.c_unsensitizable;
-    quiet = Atomic.get t.c_quiet;
-    never_proximate = Atomic.get t.c_never_proximate;
-  }
-
 let total c = c.unsensitizable + c.quiet + c.never_proximate
-
-let reset_counts t =
-  Atomic.set t.c_unsensitizable 0;
-  Atomic.set t.c_quiet 0;
-  Atomic.set t.c_never_proximate 0

@@ -13,12 +13,15 @@
       ([Proxim_sense.prune_mask]) proved at most one input can carry an
       event once statically-constant nets are absorbed.
 
-    A {!t} fuses any subset of those sources behind one predicate and
-    attributes every hit to the {e first} source (in the priority order
-    unsensitizable, quiet, never-proximate — cheapest analysis first) so
-    reports can show what each mask contributed.  The fused mask is
-    consulted by {!Sta.build_ir} in [Proximity] mode only; each source
-    keeps its own validity contract (see the producing module). *)
+    Each analysis hands over a [bool array] indexed by the design's
+    {!Proxim_timing.Graph} cell id.  {!make} fuses any subset of them
+    into one immutable per-cell table that records, for every covered
+    cell, the {e first} source covering it in the priority order
+    unsensitizable, quiet, never-proximate (cheapest analysis first).
+    Membership and attribution are then one array read by cell id.  The
+    table is consulted by {!Sta.build_ir} in [Proximity] mode only, and
+    the hits are counted per analysis state ({!Sta.pruned_counts}); each
+    source keeps its own validity contract (see the producing module). *)
 
 type source = Unsensitizable | Quiet | Never_proximate
 (** Attribution priority order: an earlier source claims a cell both
@@ -29,39 +32,44 @@ val source_name : source -> string
     names used in reports and BENCH files. *)
 
 type t
+(** The fused table.  Never mutated after {!make}, so one mask may back
+    any number of analysis states and domains at once. *)
 
 val none : t
-(** The empty mask: prunes nothing, counts nothing. *)
+(** The empty mask: covers no cell. *)
 
 val make :
-  ?unsensitizable:(Design.cell -> bool) ->
-  ?quiet:(Design.cell -> bool) ->
-  ?never_proximate:(Design.cell -> bool) ->
+  ?unsensitizable:bool array ->
+  ?quiet:bool array ->
+  ?never_proximate:bool array ->
   unit ->
   t
-(** Fuse the given source predicates.  Omitted sources contribute
-    nothing.  Counters start at zero. *)
+(** Fuse the given per-cell-id bitmaps, resolving the priority order
+    once.  Omitted sources contribute nothing; with none given the
+    result is {!none}.  Raises [Invalid_argument] when the given bitmaps
+    differ in length. *)
 
 val is_empty : t -> bool
-(** No sources attached (so {!member} is constantly [false]). *)
+(** The mask covers no cell id at all ({!none}, or {!make} without a
+    source), so {!member} is constantly [false]. *)
 
-val member : t -> Design.cell -> bool
-(** The fused predicate, without touching the counters — for mask
-    inspection and tests. *)
+val length : t -> int
+(** The number of cell ids the table covers — the cell count of the
+    design the masks were computed on (0 when {!is_empty}). *)
 
-val hit : t -> Design.cell -> bool
-(** The fused predicate as consulted by the propagation engine: a [true]
-    answer atomically increments the counter of the first matching
-    source.  Safe to call from several domains at once. *)
+val source : t -> int -> source option
+(** [source t id]: the source that claims cell [id], if any — [None]
+    for ids beyond {!length}. *)
+
+val member : t -> int -> bool
+(** [source t id <> None]: the fused predicate. *)
 
 type counts = {
   unsensitizable : int;
   quiet : int;
   never_proximate : int;
 }
-(** Per-source attribution of the {!hit} answers since {!make} (or the
-    last {!reset_counts}). *)
+(** Fast-path evaluations per claiming source, as reported by
+    {!Sta.pruned_counts}. *)
 
-val counts : t -> counts
 val total : counts -> int
-val reset_counts : t -> unit

@@ -242,7 +242,14 @@ let collapsed_verdict variant ~design ~thresholds ~slew_scale cell ~edge inputs
            inputs);
   }
 
-let make_engine ~prune ~pruned_count ~mode ~models ~thresholds ~design :
+(* an analysis state counts its fast-path evaluations in one atomic per
+   claiming source, at this slot *)
+let hit_slot = function
+  | Prune.Unsensitizable -> 0
+  | Prune.Quiet -> 1
+  | Prune.Never_proximate -> 2
+
+let make_engine ~prune ~hits ~mode ~models ~thresholds ~design :
     Design.cell Timing.engine =
   (* macromodels consume full-swing ramp widths; measured output
      transitions span Vil..Vih only, so scale them up when they become the
@@ -251,7 +258,7 @@ let make_engine ~prune ~pruned_count ~mode ~models ~thresholds ~design :
     let th : Proxim_vtc.Vtc.thresholds = thresholds in
     th.Proxim_vtc.Vtc.vdd /. (th.Proxim_vtc.Vtc.vih -. th.Proxim_vtc.Vtc.vil)
   in
-  fun cell inputs ->
+  fun id cell inputs ->
     match check_edges cell inputs with
     | None -> None (* fully quiet cell *)
     | Some edge ->
@@ -260,14 +267,14 @@ let make_engine ~prune ~pruned_count ~mode ~models ~thresholds ~design :
         | Classic ->
           classic_verdict (!models cell) ~cell:cell.Design.name ~edge
             ~slew_scale inputs
-        | Proximity ->
-          if Prune.hit prune cell then begin
-            Atomic.incr pruned_count;
+        | Proximity -> (
+          match Prune.source prune id with
+          | Some src ->
+            Atomic.incr hits.(hit_slot src);
             Metrics.Counter.incr c_pruned;
             pruned_proximity_verdict (!models cell) ~cell:cell.Design.name
               ~edge ~slew_scale inputs
-          end
-          else proximity_verdict (!models cell) ~edge ~slew_scale inputs
+          | None -> proximity_verdict (!models cell) ~edge ~slew_scale inputs)
         | Collapsed variant ->
           collapsed_verdict variant ~design ~thresholds ~slew_scale cell ~edge
             inputs)
@@ -279,7 +286,7 @@ type ir = {
   timing : Design.cell Timing.t;
   ir_mode : mode;
   models : (Design.cell -> Models.t) ref;
-  pruned_count : int Atomic.t;
+  hits : int Atomic.t array;
 }
 
 let set_pi ir (net, a) =
@@ -289,16 +296,23 @@ let set_pi ir (net, a) =
 
 let build_ir ?(mode = Proximity) ?(prune = Prune.none) ~models ~thresholds
     design ~pi =
+  let cells = Graph.cell_count (Design.graph design) in
+  let masked = Prune.length prune in
+  (* an id-indexed mask from another design would prune the wrong cells *)
+  if masked <> 0 && masked <> cells then
+    invalid_arg
+      (Printf.sprintf "Sta.build_ir: prune mask covers %d cells, design has %d"
+         masked cells);
   let models = ref models in
-  let pruned_count = Atomic.make 0 in
-  let engine = make_engine ~prune ~pruned_count ~mode ~models ~thresholds ~design in
+  let hits = Array.init 3 (fun _ -> Atomic.make 0) in
+  let engine = make_engine ~prune ~hits ~mode ~models ~thresholds ~design in
   let ir =
     {
       design;
       timing = Timing.create (Design.graph design) ~engine;
       ir_mode = mode;
       models;
-      pruned_count;
+      hits;
     }
   in
   List.iter (set_pi ir) pi;
@@ -307,7 +321,16 @@ let build_ir ?(mode = Proximity) ?(prune = Prune.none) ~models ~thresholds
 let design ir = ir.design
 let timing ir = ir.timing
 let mode ir = ir.ir_mode
-let pruned_evaluations ir = Atomic.get ir.pruned_count
+
+let pruned_counts ir =
+  let n src = Atomic.get ir.hits.(hit_slot src) in
+  {
+    Prune.unsensitizable = n Prune.Unsensitizable;
+    quiet = n Prune.Quiet;
+    never_proximate = n Prune.Never_proximate;
+  }
+
+let pruned_evaluations ir = Prune.total (pruned_counts ir)
 
 let reanalyze ?pool ir =
   Trace.with_span ~cat:"sta" "sta.analyze" @@ fun () ->

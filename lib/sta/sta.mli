@@ -148,17 +148,20 @@ val build_ir :
     produced — never-proximate cells from [Proxim_verify.prune_mask],
     quiet cells from [Proxim_hazard.quiet_mask], unsensitizable cells
     from [Proxim_sense.prune_mask] — under the current primary-input
-    assumptions.  In [Proximity] mode those cells take a single-input
-    fast path — dominant would-be arrival and single-input slew, no
-    dominance sort, no dual-macromodel queries — which is bit-identical
-    to the full evaluation {e by construction of each source's verdict}
-    (the fold provably reduces to those expressions).  The mask is only
-    consulted in [Proximity] mode, and each source is only valid while
+    assumptions.  Its table is indexed by [design]'s cell ids: a
+    non-empty mask whose {!Prune.length} differs from the design's cell
+    count raises [Invalid_argument].  In [Proximity] mode those cells
+    take a single-input fast path — dominant would-be arrival and
+    single-input slew, no dominance sort, no dual-macromodel queries —
+    which is bit-identical to the full evaluation {e by construction of
+    each source's verdict} (the fold provably reduces to those
+    expressions).  The mask is only consulted in [Proximity] mode, and
+    each source is only valid while
     every primary-input event stays inside the uncertainty windows (and
     logic assumptions) its analysis was run with: re-run the analyses
     (or drop the mask) before applying ECOs that move events outside
-    them.  Per-source attribution is available from {!Prune.counts} on
-    the mask the caller passed in. *)
+    them.  The fast-path hits are counted per state, by claiming source
+    ({!pruned_counts}), so one mask may back several states. *)
 
 val design : ir -> Design.t
 val timing : ir -> Design.cell Proxim_timing.Timing.t
@@ -167,10 +170,14 @@ val timing : ir -> Design.cell Proxim_timing.Timing.t
 
 val mode : ir -> mode
 
-val pruned_evaluations : ir -> int
-(** Cumulative count of cell evaluations answered by the never-proximate
-    fast path since {!build_ir} (0 unless a [prune] mask was given).
+val pruned_counts : ir -> Prune.counts
+(** Cumulative count of this state's cell evaluations answered by the
+    single-input fast path since {!build_ir}, attributed to the source
+    that claimed each cell (all 0 unless a [prune] mask was given).
     Incremented atomically — level-parallel analyses count exactly. *)
+
+val pruned_evaluations : ir -> int
+(** [Prune.total (pruned_counts ir)]. *)
 
 val reanalyze : ?pool:Proxim_util.Pool.t -> ir -> Proxim_timing.Timing.stats
 (** Full from-scratch propagation of the current sources and models. *)

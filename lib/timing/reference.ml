@@ -25,7 +25,7 @@ let analyze t =
             :: !inputs
         | None -> ()
       done;
-      verdicts.(c) <- engine (Graph.payload g c) !inputs)
+      verdicts.(c) <- engine c (Graph.payload g c) !inputs)
     (Graph.topological g);
   verdicts
 

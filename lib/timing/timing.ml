@@ -19,7 +19,7 @@ type verdict = {
 
 type input = { in_pin : int; in_net : int; in_arrival : arrival }
 
-type 'cell engine = 'cell -> input list -> verdict option
+type 'cell engine = int -> 'cell -> input list -> verdict option
 
 (* The committed annotation state is the flat SoA arena: arrival times,
    slews and would-be responses in float64 bigarrays, winner pins and
@@ -238,7 +238,7 @@ let compute t cell_id =
           :: !inputs
     end
   done;
-  t.engine (Graph.payload g cell_id) !inputs
+  t.engine cell_id (Graph.payload g cell_id) !inputs
 
 (* Levels narrower than this are timed serially: fanning out costs a
    submit/park handshake with the workers, which only pays for itself

@@ -48,12 +48,14 @@ type verdict = {
 
 type input = { in_pin : int; in_net : int; in_arrival : arrival }
 
-type 'cell engine = 'cell -> input list -> verdict option
-(** [engine payload inputs] times one cell from its switching inputs
-    ([None] = the cell stays quiet).  Must be deterministic and pure with
-    respect to the annotations — it may be called from several pool
-    domains at once, and the incremental engine's cutoff assumes equal
-    inputs give bit-equal verdicts. *)
+type 'cell engine = int -> 'cell -> input list -> verdict option
+(** [engine id payload inputs] times one cell from its switching inputs
+    ([None] = the cell stays quiet).  [id] is the cell's dense
+    {!Graph} id, so per-cell side tables (a prune mask, say) are one
+    array read away; [payload] is {!Graph.payload} of that id.  Must be
+    deterministic and pure with respect to the annotations — it may be
+    called from several pool domains at once, and the incremental
+    engine's cutoff assumes equal inputs give bit-equal verdicts. *)
 
 type 'cell t
 

@@ -621,17 +621,16 @@ let summary t =
     acc t.v_cells
 
 let prune_mask t =
-  match t.v_mode with
-  | Sta.Classic | Sta.Collapsed _ -> fun _ -> false
-  | Sta.Proximity ->
-    let never = Hashtbl.create 64 in
-    Array.iter
-      (function
-        | Some ci when ci.ci_class = Never_proximate ->
-          Hashtbl.replace never ci.ci_name ()
-        | Some _ | None -> ())
-      t.v_timing_cells;
-    fun (cell : Design.cell) -> Hashtbl.mem never cell.Design.name
+  let proximity =
+    match t.v_mode with
+    | Sta.Proximity -> true
+    | Sta.Classic | Sta.Collapsed _ -> false
+  in
+  Array.map
+    (function
+      | Some ci -> proximity && ci.ci_class = Never_proximate
+      | None -> false)
+    t.v_timing_cells
 
 (* --- logic refinement --------------------------------------------------- *)
 

@@ -172,10 +172,12 @@ val summary : t -> summary
 
 (** {1 Consumers} *)
 
-val prune_mask : t -> Proxim_sta.Design.cell -> bool
-(** The never-proximate mask for {!Proxim_sta.Sta.analyze}'s [?prune]:
-    [true] exactly for cells classified {!Never_proximate} by a
-    [Proximity]-mode verification (constant [false] for other modes).
+val prune_mask : t -> bool array
+(** The never-proximate source for {!Proxim_sta.Prune.make}'s
+    [~never_proximate], indexed by the design's
+    {!Proxim_timing.Graph} cell id: [true] exactly for cells classified
+    {!Never_proximate} by a [Proximity]-mode verification (all [false]
+    for other modes).
     Only valid while every primary-input event stays inside the windows
     {!analyze} was run with.  Always computed from the {e timing-pass}
     classifications: {!refine} never widens this mask, because the STA

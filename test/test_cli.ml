@@ -385,6 +385,32 @@ let golden_case (name, args) =
         in
         Alcotest.(check string) name expected actual)
 
+(* the per-source breakdown on the pruning line sums to its headline,
+   also when --verify-eco times a second, fresh analysis over the same
+   mask *)
+let test_prune_attribution_sums () =
+  let code, out, _ =
+    run_full
+      (sf
+         "%s sta %s --domains 1 --models synthetic %s --eco pi:a:fall:520:10 \
+          --verify-eco"
+         cli carry sep_pi)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  match
+    List.find_opt
+      (String.starts_with ~prefix:"proximity pruning:")
+      (String.split_on_char '\n' out)
+  with
+  | None -> Alcotest.fail "no proximity pruning line"
+  | Some line ->
+    Scanf.sscanf line
+      "proximity pruning: %d cell evaluations took the fast path (%d \
+       unsensitizable, %d quiet, %d never-proximate)"
+      (fun total u q n ->
+        Alcotest.(check bool) "fast path taken" true (total > 0);
+        Alcotest.(check int) line total (u + q + n))
+
 (* cmdliner rejects a duplicate option name only when that subcommand is
    evaluated, so every subcommand's help must render *)
 let test_help_renders () =
@@ -427,6 +453,11 @@ let () =
           Alcotest.test_case "mixed edges exit 2" `Quick test_mixed_edges;
           Alcotest.test_case "serve --smoke checks before connecting" `Quick
             test_smoke_checks_first;
+        ] );
+      ( "prune",
+        [
+          Alcotest.test_case "attribution sums to the headline" `Quick
+            test_prune_attribution_sums;
         ] );
       ("golden", List.map golden_case golden_cases);
       ( "help",

@@ -421,6 +421,39 @@ let test_json_report_valid () =
     in
     Alcotest.(check (option (float 0.))) "summary counts" (Some 1.) errors
 
+(* nesting is bounded: the deepest accepted document parses, one level
+   more is an error naming the limit, and a 16 MiB run of '[' (the
+   largest frame the daemon reads) fails without one recursion — and
+   its allocations — per byte *)
+let test_json_depth_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Json.of_string (nested Json.max_depth) with
+   | Ok _ -> ()
+   | Error m -> Alcotest.fail ("deepest accepted document: " ^ m));
+  let limit = Printf.sprintf "deeper than %d levels" Json.max_depth in
+  let expect_limit ctx s =
+    match Json.of_string s with
+    | Ok _ -> Alcotest.failf "%s parsed" ctx
+    | Error m ->
+      let n = String.length limit and k = String.length m in
+      let rec names i =
+        i + n <= k && (String.sub m i n = limit || names (i + 1))
+      in
+      if not (names 0) then
+        Alcotest.failf "%s: %S does not name the limit" ctx m
+  in
+  expect_limit "one level deeper" (nested (Json.max_depth + 1));
+  let bomb = String.make (16 * 1024 * 1024) '[' in
+  let before = Gc.quick_stat () in
+  expect_limit "16 MiB of '['" bomb;
+  let after = Gc.quick_stat () in
+  let words =
+    after.Gc.minor_words -. before.Gc.minor_words
+    +. (after.Gc.major_words -. before.Gc.major_words)
+  in
+  if words > 1e5 then
+    Alcotest.failf "parser allocated %.0f words on a nesting bomb" words
+
 (* --- SARIF reporter ----------------------------------------------------- *)
 
 (* round-trip the SARIF report through the in-repo JSON parser: schema
@@ -606,6 +639,7 @@ let () =
           Alcotest.test_case "diagnostic round-trip" `Quick
             test_json_roundtrip_diag;
           Alcotest.test_case "report valid" `Quick test_json_report_valid;
+          Alcotest.test_case "nesting bound" `Quick test_json_depth_bound;
           Alcotest.test_case "sarif roundtrip" `Quick
             test_sarif_report_roundtrip;
         ] );

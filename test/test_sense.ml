@@ -217,14 +217,11 @@ let test_demo_oracle_and_mask () =
     (Sense.pair_unsensitizable t ~cell:"u4" ~a:0 ~b:9);
   (* the STA mask is the structural projection: <= 1 event-bearing input *)
   let mask = Sense.prune_mask t in
-  let cell name =
-    List.find
-      (fun (c : Design.cell) -> c.Design.name = name)
-      (Design.cells (demo_design ()))
-  in
+  let g = Design.graph (demo_design ()) in
+  let id name = Option.get (Graph.cell_id g name) in
   List.iter
     (fun (name, expect) ->
-      Alcotest.(check bool) (name ^ " prunable") expect (mask (cell name)))
+      Alcotest.(check bool) (name ^ " prunable") expect mask.(id name))
     [ ("u1", true); ("u2", true); ("u3", true); ("u5", true);
       ("u4", false); ("u6", false); ("u7", false) ]
 
@@ -501,7 +498,8 @@ let test_verify_refine () =
   let m = Verify.prune_mask v and m' = Verify.prune_mask v' in
   List.iter
     (fun (c : Design.cell) ->
-      Alcotest.(check bool) (c.Design.name ^ " mask unchanged") (m c) (m' c))
+      let id = Option.get (Graph.cell_id (Design.graph design) c.Design.name) in
+      Alcotest.(check bool) (c.Design.name ^ " mask unchanged") m.(id) m'.(id))
     (Design.cells design)
 
 let test_hazard_refine () =
@@ -542,8 +540,9 @@ let test_hazard_refine () =
     (Hazard.net_state h ~net:"y" = Hazard.net_state h' ~net:"y");
   List.iter
     (fun (c : Design.cell) ->
-      Alcotest.(check bool) "quiet mask unchanged" (Hazard.quiet_mask h c)
-        (Hazard.quiet_mask h' c))
+      let id = Option.get (Graph.cell_id (Design.graph design) c.Design.name) in
+      Alcotest.(check bool) "quiet mask unchanged" (Hazard.quiet_mask h).(id)
+        (Hazard.quiet_mask h').(id))
     (Design.cells design);
   (* a same-pin pulse pair is beyond the two-frame oracle: always kept *)
   let hp =
@@ -571,39 +570,100 @@ let reports_eq (r1 : Sta.report) (r2 : Sta.report) =
   && r1.Sta.predecessors = r2.Sta.predecessors
 
 let test_prune_engine_basics () =
+  (* three independent cells over the same two inputs *)
+  let design =
+    Design.create
+      ~cells:
+        (List.map
+           (fun (name, output_net) ->
+             { Design.name; gate = nand2; input_nets = [| "a"; "b" |];
+               output_net })
+           [ ("u1", "y1"); ("u2", "y2"); ("u3", "y3") ])
+      ~primary_inputs:[ "a"; "b" ] ~primary_outputs:[ "y1"; "y2"; "y3" ]
+  in
+  let g = Design.graph design in
+  let id name = Option.get (Graph.cell_id g name) in
+  let mask f =
+    Array.init (Graph.cell_count g) (fun c -> f (Graph.cell_name g c))
+  in
   let p =
     Prune.make
-      ~unsensitizable:(fun c -> c.Design.name = "u1")
-      ~quiet:(fun c -> c.Design.name <> "u3")
-      ~never_proximate:(fun _ -> true)
+      ~unsensitizable:(mask (fun n -> n = "u1"))
+      ~quiet:(mask (fun n -> n <> "u3"))
+      ~never_proximate:(mask (fun _ -> true))
       ()
-  in
-  let cell name =
-    { Design.name; gate = nand2; input_nets = [| "a"; "b" |];
-      output_net = "y" }
   in
   Alcotest.(check bool) "empty" true (Prune.is_empty Prune.none);
   Alcotest.(check bool) "not empty" false (Prune.is_empty p);
   Alcotest.(check bool) "member none" false
-    (Prune.member Prune.none (cell "u1"));
-  Alcotest.(check bool) "member fused" true (Prune.member p (cell "u3"));
-  Alcotest.(check int) "member counts nothing" 0 (Prune.total (Prune.counts p));
+    (Prune.member Prune.none (id "u1"));
+  Alcotest.(check bool) "member fused" true (Prune.member p (id "u3"));
   (* attribution follows the priority order: unsensitizable, quiet,
-     never-proximate -- cheapest analysis first *)
-  Alcotest.(check bool) "hit u1" true (Prune.hit p (cell "u1"));
-  Alcotest.(check bool) "hit u2" true (Prune.hit p (cell "u2"));
-  Alcotest.(check bool) "hit u3" true (Prune.hit p (cell "u3"));
-  let c = Prune.counts p in
+     never-proximate -- cheapest analysis first -- resolved by make *)
+  let claimed name =
+    Option.fold ~none:"-" ~some:Prune.source_name (Prune.source p (id name))
+  in
+  Alcotest.(check string) "u1 claimed" "unsensitizable" (claimed "u1");
+  Alcotest.(check string) "u2 claimed" "quiet" (claimed "u2");
+  Alcotest.(check string) "u3 claimed" "never_proximate" (claimed "u3");
+  (* the hits are counted per analysis state, by claiming source *)
+  let pi =
+    List.map
+      (fun net ->
+        (net, { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall }))
+      [ "a"; "b" ]
+  in
+  let pool = Pool.create ~domains:1 in
+  let build () =
+    Sta.build_ir ~mode:Sta.Proximity ~prune:p ~models:synthetic_models
+      ~thresholds design ~pi
+  in
+  let ir = build () in
+  Alcotest.(check int) "member counts nothing" 0 (Sta.pruned_evaluations ir);
+  ignore (Sta.reanalyze ~pool ir);
+  let c = Sta.pruned_counts ir in
   Alcotest.(check int) "unsensitizable count" 1 c.Prune.unsensitizable;
   Alcotest.(check int) "quiet count" 1 c.Prune.quiet;
   Alcotest.(check int) "never count" 1 c.Prune.never_proximate;
   Alcotest.(check int) "total" 3 (Prune.total c);
-  Prune.reset_counts p;
-  Alcotest.(check int) "reset" 0 (Prune.total (Prune.counts p));
+  Alcotest.(check int) "headline" (Prune.total c) (Sta.pruned_evaluations ir);
+  (* a second state over the same mask counts its own hits only *)
+  let ir2 = build () in
+  Alcotest.(check int) "reset" 0 (Sta.pruned_evaluations ir2);
+  ignore (Sta.reanalyze ~pool ir2);
+  Pool.shutdown pool;
+  Alcotest.(check int) "own hits" 3 (Sta.pruned_evaluations ir2);
+  Alcotest.(check int) "first state untouched" 3 (Sta.pruned_evaluations ir);
   Alcotest.(check string) "source names" "unsensitizable/quiet/never_proximate"
     (String.concat "/"
        (List.map Prune.source_name
           [ Prune.Unsensitizable; Prune.Quiet; Prune.Never_proximate ]))
+
+(* the table is indexed by cell id: a mask computed on a design of
+   another size must be refused, not silently prune the wrong cells *)
+let test_prune_length_mismatch () =
+  let design = demo_design () in
+  let n = Graph.cell_count (Design.graph design) in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "sources of different lengths" true
+    (raises (fun () ->
+         Prune.make ~quiet:(Array.make n true)
+           ~never_proximate:(Array.make (n + 1) true) ()));
+  Alcotest.(check int) "length" n
+    (Prune.length (Prune.make ~quiet:(Array.make n false) ()));
+  List.iter
+    (fun cells ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-cell mask on a %d-cell design" cells n)
+        true
+        (raises (fun () ->
+             Sta.build_ir ~prune:(Prune.make ~quiet:(Array.make cells true) ())
+               ~models:synthetic_models ~thresholds design ~pi:[])))
+    [ n - 1; n + 1 ];
+  Alcotest.(check bool) "empty mask fits any design" false
+    (raises (fun () ->
+         Sta.build_ir ~prune:Prune.none ~models:synthetic_models ~thresholds
+           design ~pi:[]))
 
 let test_mask_composition_random () =
   let rng = Prng.create 0xFACE5L in
@@ -648,13 +708,13 @@ let test_mask_composition_random () =
               ~thresholds design ~pi
           in
           ignore (Sta.reanalyze ~pool ir);
-          (Sta.report ir, Sta.pruned_evaluations ir)
+          (Sta.report ir, Sta.pruned_evaluations ir, Sta.pruned_counts ir)
         in
-        let r_full, _ = run None in
+        let r_full, _, _ = run None in
         let solo =
           List.map
             (fun (name, p) ->
-              let r, evals = run (Some p) in
+              let r, evals, _ = run (Some p) in
               if not (reports_eq r_full r) then
                 Alcotest.fail (name ^ " mask diverged from the full analysis");
               evals)
@@ -673,18 +733,35 @@ let test_mask_composition_random () =
             ~never_proximate:(Verify.prune_mask v)
             ()
         in
-        let r_fused, evals_fused = run (Some fused) in
+        let r_fused, evals_fused, counts = run (Some fused) in
         if not (reports_eq r_full r_fused) then
           Alcotest.fail "fused mask diverged from the full analysis";
         (* the fused engine is monotone: it prunes at least as much as
            any single source, and the attribution counters account for
-           every fast-pathed evaluation *)
+           every fast-pathed evaluation: each switching cell the table
+           gives to a source is one hit of that source *)
         List.iter
           (fun evals ->
             Alcotest.(check bool) "fused >= solo" true (evals_fused >= evals))
           solo;
         Alcotest.(check int) "attribution is complete" evals_fused
-          (Prune.total (Prune.counts fused))
+          (Prune.total counts);
+        let g = Design.graph design in
+        let claimed src =
+          List.length
+            (List.filter
+               (fun c ->
+                 Prune.source fused c = Some src
+                 && List.mem_assoc
+                      (Graph.net_name g (Graph.cell_output g c))
+                      r_full.Sta.arrivals)
+               (List.init (Graph.cell_count g) Fun.id))
+        in
+        Alcotest.(check (list int)) "attribution by source"
+          [ claimed Prune.Unsensitizable; claimed Prune.Quiet;
+            claimed Prune.Never_proximate ]
+          [ counts.Prune.unsensitizable; counts.Prune.quiet;
+            counts.Prune.never_proximate ]
       done)
 
 (* ------------------------------------------------------------------ *)
@@ -914,6 +991,8 @@ let () =
       ( "prune engine",
         [
           Alcotest.test_case "basics" `Quick test_prune_engine_basics;
+          Alcotest.test_case "length mismatch" `Quick
+            test_prune_length_mismatch;
           Alcotest.test_case "mask composition random" `Quick
             test_mask_composition_random;
         ] );

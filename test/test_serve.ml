@@ -416,6 +416,29 @@ let test_adversarial_frames () =
           | Error Frame.Closed -> ()
           | Ok _ -> Alcotest.fail "stream survived an oversized claim"
           | Error _ -> () (* reset also acceptable: the server hung up *));
+      (* a maximal frame of bare '[': typed bad_json without the parser
+         recursing once per byte, and the session survives *)
+      with_conn addr (fun fd ->
+          let bomb = String.make Frame.max_frame '[' in
+          let before = Gc.quick_stat () in
+          Frame.write fd bomb;
+          (match Frame.read fd with
+           | Ok s ->
+             let j = Result.get_ok (Json.of_string s) in
+             Alcotest.(check (option string)) "nesting bomb" (Some "bad_json")
+               (Serve.error_code j)
+           | Error e ->
+             Alcotest.failf "no bad_json reply: %s"
+               (Frame.read_error_to_string e));
+          let after = Gc.quick_stat () in
+          let words =
+            after.Gc.minor_words -. before.Gc.minor_words
+            +. (after.Gc.major_words -. before.Gc.major_words)
+          in
+          (* the frame buffers themselves are ~2M words a copy *)
+          if words > 1e7 then
+            Alcotest.failf "a nesting bomb cost %.0f words" words;
+          ignore (rpc_ok fd (Json.Obj [ ("op", str "ping") ])));
       (* truncated header: client vanishes two bytes into a frame *)
       with_conn addr (fun fd -> ignore (Unix.write fd (Bytes.of_string "\x00\x01") 0 2 : int));
       (* disconnect mid-session, with state attached *)

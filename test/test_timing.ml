@@ -95,7 +95,7 @@ let test_build_cycle_raises () =
 (* Toy propagation engine: delay per arc depends only on the pin, so
    expected arrivals are exact by hand                                 *)
 
-let toy_engine ~pin_delay () (inputs : Timing.input list) =
+let toy_engine ~pin_delay _id () (inputs : Timing.input list) =
   match inputs with
   | [] -> None
   | _ ->
