@@ -1,5 +1,6 @@
 module Gate = Proxim_gates.Gate
 module Graph = Proxim_timing.Graph
+module Trace = Proxim_obs.Trace
 
 type cell = {
   name : string;
@@ -9,76 +10,70 @@ type cell = {
 }
 
 type t = {
-  cell_list : cell list;
-  pis : string list;
-  pos : string list;
-  pos_tbl : (string, unit) Hashtbl.t;  (* membership index for fanout_load *)
   graph : cell Graph.t;
+  po_net : bool array;  (* net id -> is a primary output *)
 }
 
-let create ~cells:cell_list ~primary_inputs:pis ~primary_outputs:pos =
-  (* every membership test goes through a hash table: validation must
-     stay linear in the design size, or million-cell netlists spend
-     longer here than in the analysis proper *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      if Hashtbl.mem seen c.name then
-        invalid_arg ("Design.create: duplicate cell " ^ c.name);
-      Hashtbl.add seen c.name ();
-      if Array.length c.input_nets <> c.gate.Gate.fan_in then
-        invalid_arg ("Design.create: arity mismatch on " ^ c.name))
-    cell_list;
-  let pi_tbl = Hashtbl.create (List.length pis) in
-  List.iter (fun net -> Hashtbl.replace pi_tbl net ()) pis;
-  let driver_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      if Hashtbl.mem driver_tbl c.output_net then
-        invalid_arg ("Design.create: net driven twice: " ^ c.output_net);
-      if Hashtbl.mem pi_tbl c.output_net then
-        invalid_arg ("Design.create: primary input driven: " ^ c.output_net);
-      Hashtbl.add driver_tbl c.output_net c)
-    cell_list;
-  (* every read net must be driven or be a primary input *)
-  List.iter
-    (fun c ->
-      Array.iter
-        (fun net ->
-          if (not (Hashtbl.mem driver_tbl net)) && not (Hashtbl.mem pi_tbl net)
-          then invalid_arg ("Design.create: undriven net " ^ net))
-        c.input_nets)
-    cell_list;
-  List.iter
-    (fun net ->
-      if (not (Hashtbl.mem driver_tbl net)) && not (Hashtbl.mem pi_tbl net)
-      then invalid_arg ("Design.create: undriven primary output " ^ net))
-    pos;
-  let graph =
-    try
-      Graph.build
-        ~cells:
-          (List.map
-             (fun c ->
-               {
-                 Graph.spec_name = c.name;
-                 spec_payload = c;
-                 spec_inputs = c.input_nets;
-                 spec_output = c.output_net;
-               })
-             cell_list)
-        ~primary_inputs:pis ~primary_outputs:pos
-    with Graph.Cycle { through } ->
-      invalid_arg ("Design.create: combinational cycle through " ^ through)
-  in
-  let pos_tbl = Hashtbl.create (List.length pos) in
-  List.iter (fun net -> Hashtbl.replace pos_tbl net ()) pos;
-  { cell_list; pis; pos; pos_tbl; graph }
+type builder = {
+  g : cell Graph.builder;
+  mutable first_bad : string option;  (* the first per-cell defect *)
+}
 
-let cells t = t.cell_list
-let primary_inputs t = t.pis
-let primary_outputs t = t.pos
+let builder ~cells ~nets = { g = Graph.builder ~cells ~nets; first_bad = None }
+let net b name = Graph.intern b.g name
+let net_sub b s ~pos ~len = Graph.intern_sub b.g s ~pos ~len
+let add_primary_input b key = Graph.add_primary_input b.g key
+let add_primary_output b key = Graph.add_primary_output b.g key
+
+(* a repeated name or a wrong pin count, whichever cell comes first *)
+let add b c ~inputs ~output =
+  let fresh = Graph.add_cell b.g c.name c ~inputs ~output in
+  if b.first_bad = None then
+    if not fresh then b.first_bad <- Some ("duplicate cell " ^ c.name)
+    else if Array.length inputs <> c.gate.Gate.fan_in then
+      b.first_bad <- Some ("arity mismatch on " ^ c.name)
+
+let add_cell b name gate inputs output =
+  let input_nets = Array.make (Array.length inputs) "" in
+  for pin = 0 to Array.length inputs - 1 do
+    input_nets.(pin) <- Graph.interned b.g inputs.(pin)
+  done;
+  add b
+    { name; gate; input_nets; output_net = Graph.interned b.g output }
+    ~inputs ~output
+
+let build b =
+  let fail m = invalid_arg ("Design.create: " ^ m) in
+  Option.iter fail b.first_bad;
+  match Graph.finish b.g with
+  | Error d -> fail (Graph.defect_message d)
+  | Ok graph ->
+    let po_net = Array.make (Graph.net_count graph) false in
+    Array.iter (fun n -> po_net.(n) <- true) (Graph.primary_outputs graph);
+    { graph; po_net }
+
+let span f = Trace.with_span ~cat:"sta" "design.create" f
+let finish b = span (fun () -> build b)
+
+let create ~cells ~primary_inputs ~primary_outputs =
+  span @@ fun () ->
+  let n = List.length cells in
+  let b = builder ~cells:n ~nets:(n + List.length primary_inputs) in
+  List.iter (fun p -> add_primary_input b (net b p)) primary_inputs;
+  List.iter (fun p -> add_primary_output b (net b p)) primary_outputs;
+  List.iter
+    (fun c ->
+      add b c
+        ~inputs:(Array.map (net b) c.input_nets)
+        ~output:(net b c.output_net))
+    cells;
+  build b
+
 let graph t = t.graph
+let cells t = List.init (Graph.cell_count t.graph) (Graph.payload t.graph)
+let names t ids = Array.to_list (Array.map (Graph.net_name t.graph) ids)
+let primary_inputs t = names t (Graph.primary_inputs t.graph)
+let primary_outputs t = names t (Graph.primary_outputs t.graph)
 
 let topological t =
   Array.to_list (Array.map (Graph.payload t.graph) (Graph.topological t.graph))
@@ -102,10 +97,14 @@ let default_wire_cap = 20e-15
 let pad_cap = 50e-15
 
 let fanout_load ?(wire_cap = default_wire_cap) t ~net =
-  let pin_caps =
-    List.fold_left
-      (fun acc (c, _pin) -> acc +. Gate.input_capacitance c.gate)
-      0. (readers t ~net)
+  let pin_caps, pad =
+    match Graph.net_id t.graph net with
+    | None -> (0., 0.)
+    | Some id ->
+      ( Array.fold_left
+          (fun acc (c, _pin) ->
+            acc +. Gate.input_capacitance (Graph.payload t.graph c).gate)
+          0. (Graph.readers t.graph ~net:id),
+        if t.po_net.(id) then pad_cap else 0. )
   in
-  let pad = if Hashtbl.mem t.pos_tbl net then pad_cap else 0. in
   pin_caps +. wire_cap +. pad

@@ -1,5 +1,6 @@
 module Gate = Proxim_gates.Gate
 module Vtc = Proxim_vtc.Vtc
+module Trace = Proxim_obs.Trace
 
 let magic = "PXNB"
 let version = 1
@@ -22,33 +23,52 @@ let write_varint oc n =
   in
   go n
 
+(* The reader decodes from one string holding the whole file, through
+   a cursor; every primitive checks the bytes left before it reads. *)
+type src = { s : string; mutable at : int }
+
+let left r = String.length r.s - r.at
+
+let read_byte r ~eof =
+  if r.at >= String.length r.s then corrupt "%s" eof;
+  let b = Char.code (String.unsafe_get r.s r.at) in
+  r.at <- r.at + 1;
+  b
+
 (* An OCaml int has 63 bits, so a varint may carry at most 62 value bits
    (the sign bit must stay clear): 8 full continuation bytes (7 bits
    each) plus a final byte contributing bits 56..61.  A ninth byte with
    the continuation bit, or a bit-62 payload at shift 56, would wrap the
    accumulator negative — the overflow that once let attacker-controlled
    "lengths" slip past every [n > max] guard as negative ints. *)
-let read_varint ic =
-  let rec go shift acc =
-    let b = try input_byte ic with End_of_file -> corrupt "truncated varint" in
-    if shift = 56 && b land 0x40 <> 0 then
-      corrupt "varint overflows the 63-bit integer range";
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc
-    else if shift >= 56 then corrupt "varint too long"
-    else go (shift + 7) acc
-  in
-  go 0 0
+let rec varint_from r shift acc =
+  let b = read_byte r ~eof:"truncated varint" in
+  if shift = 56 && b land 0x40 <> 0 then
+    corrupt "varint overflows the 63-bit integer range";
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc
+  else if shift >= 56 then corrupt "varint too long"
+  else varint_from r (shift + 7) acc
+
+let read_varint r = varint_from r 0 0
 
 (* Every count and length decoded from the wire goes through this guard:
-   [read_varint] can no longer return a negative value, but the decoders
-   downstream ([really_input_string], [List.init], [Array.init]) must
-   never see one even if the invariant breaks — a negative length is
-   [Corrupt], not an untyped [Invalid_argument] escaping a daemon. *)
-let read_count ic ~what ~max =
-  let n = read_varint ic in
+   [read_varint] can no longer return a negative value, but nothing
+   downstream may ever see one even if the invariant breaks — a negative
+   length is [Corrupt], not an untyped [Invalid_argument] escaping a
+   daemon. *)
+let read_count r ~what ~max =
+  let n = read_varint r in
   if n < 0 then corrupt "negative %s %d" what n;
   if n > max then corrupt "%s %d out of range (max %d)" what n max;
+  n
+
+(* A count of records, each at least one byte long, is checked against
+   the bytes left before anything is sized by it: a 30-byte file cannot
+   claim 2^28 cells and have the reader allocate for them. *)
+let read_items r ~what ~max =
+  let n = read_count r ~what ~max in
+  if n > left r then corrupt "%s %d exceeds the %d bytes left" what n (left r);
   n
 
 let max_string_len = 0x0fff_ffff
@@ -57,38 +77,30 @@ let write_string oc s =
   write_varint oc (String.length s);
   output_string oc s
 
-(* The claimed length is attacker-controlled; the channel's remaining
-   bytes are not.  Reading in bounded chunks means a 4-byte corrupt
-   header claiming a 256 MB string over-allocates at most one chunk
-   before end-of-file turns it into [Corrupt]. *)
-let read_chunk_size = 65536
+(* A string in place: its start in the buffer, with the cursor moved past
+   it.  The claimed length is attacker-controlled; the bytes left are
+   not. *)
+let read_slice r =
+  let n = read_count r ~what:"string length" ~max:max_string_len in
+  if n > left r then corrupt "truncated string";
+  let at = r.at in
+  r.at <- at + n;
+  at
 
-let read_string ic =
-  let n = read_count ic ~what:"string length" ~max:max_string_len in
-  if n <= read_chunk_size then (
-    try really_input_string ic n with End_of_file -> corrupt "truncated string")
-  else begin
-    let buf = Buffer.create read_chunk_size in
-    let remaining = ref n in
-    while !remaining > 0 do
-      let k = min read_chunk_size !remaining in
-      (match really_input_string ic k with
-       | s -> Buffer.add_string buf s
-       | exception End_of_file -> corrupt "truncated string");
-      remaining := !remaining - k
-    done;
-    Buffer.contents buf
-  end
+let read_string r =
+  let at = read_slice r in
+  String.sub r.s at (r.at - at)
 
 let write_f64 oc x =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.bits_of_float x);
   output_bytes oc b
 
-let read_f64 ic =
-  let b = Bytes.create 8 in
-  (try really_input ic b 0 8 with End_of_file -> corrupt "truncated float");
-  Int64.float_of_bits (Bytes.get_int64_le b 0)
+let read_f64 r =
+  if left r < 8 then corrupt "truncated float";
+  let x = Int64.float_of_bits (String.get_int64_le r.s r.at) in
+  r.at <- r.at + 8;
+  x
 
 (* --- sniffing --------------------------------------------------------- *)
 
@@ -161,83 +173,87 @@ let write_file ?thresholds ~name design path =
 
 (* --- reader ----------------------------------------------------------- *)
 
-let read_channel tech ic =
-  try
-    let head =
-      try really_input_string ic (String.length magic)
-      with End_of_file -> corrupt "file too short for magic"
-    in
-    if head <> magic then corrupt "bad magic %S (want %S)" head magic;
-    let v =
-      try input_byte ic with End_of_file -> corrupt "truncated version"
-    in
-    if v <> version then corrupt "unsupported format version %d" v;
-    let name = read_string ic in
-    let thresholds =
-      match
-        try input_byte ic with End_of_file -> corrupt "truncated thresholds"
-      with
-      | 0 -> None
-      | 1 ->
-        let vil = read_f64 ic in
-        let vih = read_f64 ic in
-        let vdd = read_f64 ic in
-        Some { Vtc.vil; vih; vdd }
-      | b -> corrupt "bad thresholds flag %d" b
-    in
-    let n_gates = read_count ic ~what:"gate table size" ~max:0xffff in
-    let gates =
-      Array.init n_gates (fun _ ->
-        let gname = read_string ic in
-        match Gate.of_name tech gname with
-        | Ok g -> g
-        | Error msg -> corrupt "gate table: %s" msg)
-    in
-    let read_net_list () =
-      let n = read_count ic ~what:"net list length" ~max:max_string_len in
-      List.init n (fun _ -> read_string ic)
-    in
-    let pis = read_net_list () in
-    let pos = read_net_list () in
-    let n_cells = read_count ic ~what:"cell count" ~max:max_string_len in
-    (* streamed: one cell record decoded at a time, consed in reverse *)
-    let cells = ref [] in
-    for _ = 1 to n_cells do
-      let gi = read_varint ic in
-      if gi >= n_gates then corrupt "gate index %d out of table" gi;
-      let cname = read_string ic in
-      let output = read_string ic in
-      let n_in = read_count ic ~what:"input count" ~max:0xffff in
-      let inputs = Array.init n_in (fun _ -> read_string ic) in
-      cells :=
-        {
-          Design.name = cname;
-          gate = gates.(gi);
-          input_nets = inputs;
-          output_net = output;
-        }
-        :: !cells
+(* One pass over the bytes: names go straight from the buffer into the
+   design builder, which hashes each once.  Only format defects surface
+   here, as [Corrupt]; the structural ones wait for [Design.finish]. *)
+let decode tech s =
+  let r = { s; at = 0 } in
+  if String.length s < String.length magic then
+    corrupt "file too short for magic";
+  let head = String.sub s 0 (String.length magic) in
+  if head <> magic then corrupt "bad magic %S (want %S)" head magic;
+  r.at <- String.length magic;
+  let v = read_byte r ~eof:"truncated version" in
+  if v <> version then corrupt "unsupported format version %d" v;
+  let name = read_string r in
+  let thresholds =
+    match read_byte r ~eof:"truncated thresholds" with
+    | 0 -> None
+    | 1 ->
+      let vil = read_f64 r in
+      let vih = read_f64 r in
+      let vdd = read_f64 r in
+      Some { Vtc.vil; vih; vdd }
+    | b -> corrupt "bad thresholds flag %d" b
+  in
+  let n_gates = read_items r ~what:"gate table size" ~max:0xffff in
+  let gates =
+    Array.init n_gates (fun _ ->
+      match Gate.of_name tech (read_string r) with
+      | Ok g -> g
+      | Error msg -> corrupt "gate table: %s" msg)
+  in
+  (* the net lists precede the cell count the builder is sized by: keep
+     where each name lies until then *)
+  let read_net_list () =
+    let n = read_items r ~what:"net list length" ~max:max_string_len in
+    Array.init n (fun _ ->
+      let at = read_slice r in
+      (at, r.at - at))
+  in
+  let pis = read_net_list () in
+  let pos = read_net_list () in
+  let n_cells = read_items r ~what:"cell count" ~max:max_string_len in
+  let b = Design.builder ~cells:n_cells ~nets:(Array.length pis + n_cells) in
+  let add_nets add =
+    Array.iter (fun (pos, len) -> add b (Design.net_sub b s ~pos ~len))
+  in
+  add_nets Design.add_primary_input pis;
+  add_nets Design.add_primary_output pos;
+  let read_net () =
+    let at = read_slice r in
+    Design.net_sub b s ~pos:at ~len:(r.at - at)
+  in
+  for _ = 1 to n_cells do
+    let gi = read_varint r in
+    if gi >= n_gates then corrupt "gate index %d out of table" gi;
+    let cname = read_string r in
+    let output = read_net () in
+    let n_in = read_items r ~what:"input count" ~max:0xffff in
+    let inputs = Array.make n_in 0 in
+    for pin = 0 to n_in - 1 do
+      inputs.(pin) <- read_net ()
     done;
-    (match input_byte ic with
-     | exception End_of_file -> corrupt "missing end marker"
-     | b when b <> end_marker -> corrupt "bad end marker 0x%02x" b
-     | _ -> ());
-    let design =
-      Design.create ~cells:(List.rev !cells) ~primary_inputs:pis
-        ~primary_outputs:pos
-    in
-    Ok (name, design, thresholds)
-  with
-  | Corrupt msg -> Error ("binary netlist: " ^ msg)
-  | Invalid_argument msg -> Error msg
+    Design.add_cell b cname gates.(gi) inputs output
+  done;
+  (match read_byte r ~eof:"missing end marker" with
+   | b when b <> end_marker -> corrupt "bad end marker 0x%02x" b
+   | _ -> ());
+  (name, b, thresholds)
+
+let of_string tech s =
+  match decode tech s with
+  | exception Corrupt msg -> Error ("binary netlist: " ^ msg)
+  | name, b, thresholds -> (
+    match Design.finish b with
+    | design -> Ok (name, design, thresholds)
+    | exception Invalid_argument msg -> Error msg)
 
 let read_file tech path =
-  match open_in_bin path with
+  Trace.with_span ~cat:"sta" "netlist_bin.read" @@ fun () ->
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> read_channel tech ic)
+  | s -> of_string tech s
 
 let load_file tech path =
   if file_is_binary path then read_file tech path

@@ -1,9 +1,9 @@
-(** A length-prefixed binary netlist format with streaming I/O.
+(** A length-prefixed binary netlist format.
 
     The text format ({!Netlist_text}) is the human interface; this is the
     scale interface.  A million-cell design serializes to a few tens of
     megabytes and reads back in a single pass — no line scanner, no
-    tokenizing, no intermediate whole-file string.  Layout (all integers
+    tokenizing.  Layout (all integers
     are unsigned LEB128 varints, all strings are varint-length-prefixed
     bytes, floats are IEEE-754 binary64 little-endian):
 
@@ -25,9 +25,12 @@
 
     Gate names go through {!Proxim_gates.Gate.of_name} on read, exactly
     like the text parser, so the two formats accept the same gate
-    vocabulary.  The writer streams cells straight to the channel and the
-    reader streams them back, so peak memory is the design itself plus
-    O(1) scratch. *)
+    vocabulary.  The writer streams cells straight to the channel.  The
+    reader takes the whole file into one string the size of the file and
+    decodes it with a cursor: net names go from that buffer straight into
+    a {!Design.builder}, which hashes each once and copies a name only the
+    first time it is seen, so every pin of a net shares one string.  Peak
+    memory is the design plus the file's bytes. *)
 
 val magic : string
 (** ["PXNB"]. *)
@@ -60,29 +63,35 @@ val write_file :
   string ->
   unit
 
-val read_channel :
+val of_string :
   Proxim_gates.Tech.t ->
-  in_channel ->
+  string ->
   (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
-(** Parse one binary netlist from [ic].  Structural validation runs
-    through {!Design.create}, so cycles, double drivers and arity
-    mismatches are reported with the same messages as the text path.
-    Truncated input, a bad magic, an unsupported version or a corrupt
-    record all come back as [Error] — never an exception.
+(** Decode one binary netlist held in a string.  Structural validation
+    is {!Design.finish}'s, so cycles, double drivers and arity
+    mismatches are reported with the same messages, in the same order,
+    as the text path; it runs only once the whole file has decoded, so a
+    file with both a format defect and a structural one reports the
+    format defect.  Truncated input, a bad magic, an unsupported version
+    or a corrupt record all come back as [Error] — never an exception.
 
     The decoder treats the input as adversarial (the [proxim serve]
     daemon parses client-supplied bytes through it): varints are
     rejected before they can overflow OCaml's 63-bit [int] (9
     continuation bytes, or a final byte setting bit 62, are [Error],
-    never a negative length), every decoded count is bounds-checked
-    before any allocation sized by it, and long strings are read in
-    bounded chunks so a short file claiming a 256 MB payload fails at
-    end-of-file instead of forcing the allocation up front. *)
+    never a negative length), and every decoded count and length is
+    checked against its cap and then against the bytes left before
+    anything is sized by it — each record takes at least one byte, so a
+    30-byte file claiming 2^28 cells is an [Error] that allocated
+    nothing for them. *)
 
 val read_file :
   Proxim_gates.Tech.t ->
   string ->
   (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
+(** {!of_string} of the file's bytes; an unreadable file is an [Error]
+    carrying the system message.  Records a ["netlist_bin.read"] trace
+    span (category ["sta"]) that encloses the ["design.create"] one. *)
 
 val load_file :
   Proxim_gates.Tech.t ->

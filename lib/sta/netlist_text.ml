@@ -1,5 +1,6 @@
 module Gate = Proxim_gates.Gate
 module Vtc = Proxim_vtc.Vtc
+module Trace = Proxim_obs.Trace
 
 type raw_cell = {
   line : int;
@@ -177,6 +178,7 @@ let design_cell c =
   }
 
 let parse_with_thresholds tech text =
+  Trace.with_span ~cat:"sta" "netlist_text.parse" @@ fun () ->
   let raw = parse_raw tech text in
   let errors =
     List.sort

@@ -74,7 +74,9 @@ val parse_with_thresholds :
   Proxim_gates.Tech.t ->
   string ->
   (string * Design.t * Proxim_vtc.Vtc.thresholds option, string) result
-(** {!parse} plus the [thresholds] directive, from one scan of the text. *)
+(** {!parse} plus the [thresholds] directive, from one scan of the text.
+    Records a ["netlist_text.parse"] trace span (category ["sta"]) around
+    the scan and the {!Design.create} it makes. *)
 
 val to_string : name:string -> Design.t -> string
 (** Render a design back to the format; [parse] of the result round-trips

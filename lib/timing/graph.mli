@@ -29,14 +29,88 @@ val reachable : n:int -> succ:(int -> int list) -> roots:int list -> bool array
 
 (** {1 The arena} *)
 
+type 'cell t
+
+(** {2 Construction}
+
+    Every loader builds its arena through one {!builder}: the binary
+    reader, the text parser and the generator (through
+    [Proxim_sta.Design.create]) alike.  Each net name and each cell name
+    is hashed once, into tables sized from the caller's counts; {!finish}
+    then numbers, validates and links the whole arena with array passes
+    over ids.
+
+    {b Net numbering.}  Net ids are assigned where each net is first met
+    in this order: the primary inputs, then every cell's inputs in
+    declaration and pin order, then the outputs no cell reads (in
+    declaration order), then the remaining primary outputs.  The order
+    in which names were interned does not matter.
+
+    {b Validation order.}  {!finish} reports the first defect it meets,
+    checking in this order:
+    + a repeated cell name ({!Duplicate_cell}, the first repeat);
+    + per cell in declaration order, an output net already driven
+      ({!Driven_twice}) or that is a primary input ({!Input_driven});
+    + per cell and pin, an input net neither driven nor a primary input
+      ({!Undriven_input});
+    + per primary output in order, the same ({!Undriven_output});
+    + a combinational cycle ({!Cycle_through}, the first cell the
+      topological traversal re-enters). *)
+
+type defect =
+  | Duplicate_cell of string  (** cell name *)
+  | Driven_twice of string  (** net name *)
+  | Input_driven of string  (** a primary input some cell drives *)
+  | Undriven_input of string  (** net name *)
+  | Undriven_output of string  (** primary output name *)
+  | Cycle_through of string  (** cell name *)
+
+val defect_message : defect -> string
+(** ["duplicate cell u1"], ["net driven twice: x"], ["primary input
+    driven: a"], ["undriven net x"], ["undriven primary output y"],
+    ["combinational cycle through u1"]. *)
+
+type 'cell builder
+
+val builder : cells:int -> nets:int -> 'cell builder
+(** An empty arena under construction, its tables sized for [cells]
+    cells and [nets] nets (both may be exceeded; the tables then grow). *)
+
+val intern : 'cell builder -> string -> int
+(** The builder's key for a net name, interning it on first sight.  Keys
+    are not net ids: {!finish} numbers the nets. *)
+
+val intern_sub : 'cell builder -> string -> pos:int -> len:int -> int
+(** {!intern} of [String.sub s pos len], copying the name only the
+    first time it is seen.  Raises [Invalid_argument] on a slice outside
+    [s]. *)
+
+val interned : 'cell builder -> int -> string
+(** The name a key stands for: one shared string per net. *)
+
+val add_primary_input : 'cell builder -> int -> unit
+val add_primary_output : 'cell builder -> int -> unit
+
+val add_cell :
+  'cell builder -> string -> 'cell -> inputs:int array -> output:int -> bool
+(** Append a cell: its name, payload, input net keys in pin order (the
+    array is kept and renumbered in place) and output net key.  [false]
+    iff the name repeats an earlier cell's. *)
+
+val finish : 'cell builder -> ('cell t, defect) result
+(** Number the nets, validate in the order above, and build the
+    adjacency, topological order (DFS postorder over the cells in
+    declaration order, fanin first) and levels.  The builder must not be
+    used afterwards. *)
+
+(** {2 The string-level front end} *)
+
 type 'cell spec = {
   spec_name : string;
   spec_payload : 'cell;
   spec_inputs : string array;  (** input net names, pin order *)
   spec_output : string;
 }
-
-type 'cell t
 
 exception Cycle of { through : string }
 (** Raised by {!build} on a combinational cycle; [through] names a cell
@@ -47,12 +121,9 @@ val build :
   primary_inputs:string list ->
   primary_outputs:string list ->
   'cell t
-(** Intern the nets and cells and precompute adjacency, topological order
-    (drivers before readers; DFS postorder over the cells in declaration
-    order) and levels.  Raises {!Cycle} on a combinational cycle and
-    [Invalid_argument] on duplicate cell names or doubly-driven nets —
-    callers wanting richer validation (arity, undriven nets) check before
-    building. *)
+(** A {!builder} fed from names, for tests and small callers.  Raises
+    {!Cycle} on a combinational cycle and [Invalid_argument]
+    ["Graph.build: "] ^ {!defect_message} on any other defect. *)
 
 val net_count : 'cell t -> int
 val cell_count : 'cell t -> int

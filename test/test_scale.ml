@@ -1,5 +1,6 @@
 (* Tests for the million-cell scale path: the deterministic synthetic
-   design generator, the binary netlist round-trip, and randomized
+   design generator, the binary netlist round-trip and its allocation
+   per cell, and randomized
    bit-identity of the SoA propagation against the records-of-options
    reference oracle across full analyses and long ECO sequences. *)
 
@@ -148,6 +149,28 @@ let test_bin_errors () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "accepted truncated file")
 
+(* The load's allocation, per cell, read as perfbench reads it: on an
+   empty minor heap at both ends, where OCaml 5.1's [Gc.allocated_bytes]
+   repeats exactly.  The string-table loader this replaced allocated
+   ~1490 bytes per cell here (20k cells, depth 16, seed 1); the one-pass
+   reader allocates ~610 (the file's bytes, the design and its graph). *)
+let bytes_per_cell_bound = 1000.
+
+let test_bin_alloc_bound () =
+  let cells = 20_000 in
+  let name, design = Synthgen.generate ~seed:1 ~tech ~cells () in
+  temp_bin (fun path ->
+      Netlist_bin.write_file ~name design path;
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      let r = Netlist_bin.read_file tech path in
+      Gc.minor ();
+      let per_cell = (Gc.allocated_bytes () -. before) /. float_of_int cells in
+      (match r with Ok _ -> () | Error m -> Alcotest.fail m);
+      if per_cell > bytes_per_cell_bound then
+        Alcotest.failf "loading allocated %.0f bytes per cell (bound %.0f)"
+          per_cell bytes_per_cell_bound)
+
 (* ------------------------------------------------------------------ *)
 (* SoA vs reference-oracle bit-identity on generated designs           *)
 
@@ -228,6 +251,8 @@ let () =
             test_bin_no_thresholds;
           Alcotest.test_case "corrupt and truncated input" `Quick
             test_bin_errors;
+          Alcotest.test_case "load allocation per cell" `Quick
+            test_bin_alloc_bound;
         ] );
       ( "soa-vs-reference",
         [
