@@ -19,7 +19,7 @@
    GITHUB_STEP_SUMMARY environment variable is set, appends the same
    table as markdown to that file (the Actions job summary). *)
 
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 
 let die fmt =
   Printf.ksprintf

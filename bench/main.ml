@@ -1923,7 +1923,7 @@ let sense_bench () =
 
 module Serve = Proxim_serve.Serve
 module Frame = Proxim_serve.Frame
-module Sjson = Proxim_lint.Json
+module Sjson = Proxim_util.Json
 
 (* percentile over a metrics histogram (log10-seconds axis): walk the
    merged bins to the target rank and interpolate inside the bin *)

@@ -1047,7 +1047,7 @@ let sense_analysis ~budget ~max_support d =
 (* serve                                                               *)
 
 module Serve = Proxim_serve.Serve
-module Sjson = Proxim_lint.Json
+module Sjson = Proxim_util.Json
 
 (* unix:PATH | tcp:HOST:PORT | bare PATH (a unix socket) *)
 let parse_addr s =

@@ -1,3 +1,5 @@
+module Json = Proxim_util.Json
+
 type severity = Info | Warning | Error
 
 let severity_name = function

@@ -148,16 +148,16 @@ val report_text : t list -> string
 (** Sorted one-per-line rendering followed by an
     ["E errors, W warnings, I infos"] summary line. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Proxim_util.Json.t
+val of_json : Proxim_util.Json.t -> (t, string) result
 (** Field-level round-trip: [of_json (to_json d) = Ok d]. *)
 
-val report_json : t list -> Json.t
+val report_json : t list -> Proxim_util.Json.t
 (** [{"diagnostics": [...], "summary": {"errors": ..., ...}}]. *)
 
 val report_json_string : t list -> string
 
-val report_sarif : ?tool_version:string -> t list -> Json.t
+val report_sarif : ?tool_version:string -> t list -> Proxim_util.Json.t
 (** SARIF 2.1.0 report (the format GitHub code scanning ingests): one
     run by the "proxim" driver, a [rules] array holding every distinct
     code present (id, {!code_doc} short description, default level), and

@@ -117,7 +117,7 @@ val to_text : snapshot -> string
 val to_json : snapshot -> string
 (** The snapshot as a JSON object
     [{"counters":{..},"gauges":{..},"histograms":{..}}] — parseable by
-    [Proxim_lint.Json] and embeddable into the bench [BENCH_*.json]
+    [Proxim_util.Json] and embeddable into the bench [BENCH_*.json]
     reports. *)
 
 val json_escape : string -> string

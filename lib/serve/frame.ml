@@ -54,15 +54,45 @@ let really_write fd buf n =
   in
   go 0
 
-let write fd payload =
-  let n = String.length payload in
-  if n > max_frame then
-    invalid_arg
-      (Printf.sprintf "Frame.write: %d-byte payload exceeds max_frame" n);
-  let buf = Bytes.create (4 + n) in
+let set_header buf n =
   Bytes.set buf 0 (Char.chr ((n lsr 24) land 0xff));
   Bytes.set buf 1 (Char.chr ((n lsr 16) land 0xff));
   Bytes.set buf 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (n land 0xff));
+  Bytes.set buf 3 (Char.chr (n land 0xff))
+
+let check_size what n =
+  if n > max_frame then
+    invalid_arg
+      (Printf.sprintf "Frame.%s: %d-byte payload exceeds max_frame" what n)
+
+let write fd payload =
+  let n = String.length payload in
+  check_size "write" n;
+  let buf = Bytes.create (4 + n) in
+  set_header buf n;
   Bytes.blit_string payload 0 buf 4 n;
   really_write fd buf (4 + n)
+
+(* [Unix.write] copies at most this many bytes per system call anyway *)
+let chunk_size = 65536
+
+type out = { out_fd : Unix.file_descr; payload : Buffer.t; chunk : Bytes.t }
+
+let out fd =
+  { out_fd = fd; payload = Buffer.create 4096; chunk = Bytes.create chunk_size }
+
+let out_buffer o = o.payload
+
+let send o =
+  let n = Buffer.length o.payload in
+  check_size "send" n;
+  set_header o.chunk n;
+  (* the header rides in the first chunk: one write for a small frame *)
+  let rec go off fill =
+    let k = min (n - off) (chunk_size - fill) in
+    Buffer.blit o.payload off o.chunk fill k;
+    really_write o.out_fd o.chunk (fill + k);
+    if off + k < n then go (off + k) 0
+  in
+  go 0 4;
+  Buffer.clear o.payload

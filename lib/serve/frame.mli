@@ -34,3 +34,28 @@ val write : Unix.file_descr -> string -> unit
     [Invalid_argument] if the payload exceeds {!max_frame}, and
     [Unix.Unix_error (EPIPE, _, _)] when the peer is gone — callers
     treat that as a disconnect, not a crash. *)
+
+(** {1 Reusable replies}
+
+    A daemon session answers many frames; {!out} gives it one payload
+    buffer and one staging chunk for all of them, so a reply is written
+    straight into the buffer and sent without a per-frame copy. *)
+
+type out
+(** A connection's reply writer: a payload buffer plus a 64 KiB chunk
+    that carries the header and the payload to the socket.  It belongs
+    to one thread. *)
+
+val out : Unix.file_descr -> out
+
+val out_buffer : out -> Buffer.t
+(** The payload of the next frame: append to it, then {!send}.  It
+    keeps its capacity across frames; since {!send} refuses a payload
+    over {!max_frame}, it never holds more than one frame. *)
+
+val send : out -> unit
+(** Write the buffer as one frame (header + payload, through the
+    staging chunk; a frame that fits the chunk goes out in one write)
+    and clear it.  Raises like {!write}: [Invalid_argument] over
+    {!max_frame} (the buffer is left as it was), [Unix_error] when the
+    peer is gone. *)

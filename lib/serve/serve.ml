@@ -1,4 +1,4 @@
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 module Metrics = Proxim_obs.Metrics
 module Pool = Proxim_util.Pool
 module Tech = Proxim_gates.Tech
@@ -29,6 +29,10 @@ type mx = {
   h_request : Metrics.Histogram.t;
   h_eco : Metrics.Histogram.t;
   h_query : Metrics.Histogram.t;
+  h_decode : Metrics.Histogram.t;
+  h_lock_wait : Metrics.Histogram.t;
+  h_encode : Metrics.Histogram.t;
+  h_write : Metrics.Histogram.t;
 }
 
 let mx =
@@ -44,6 +48,10 @@ let mx =
        h_request = hist "serve.request_seconds";
        h_eco = hist "serve.eco_seconds";
        h_query = hist "serve.query_seconds";
+       h_decode = hist "serve.decode_seconds";
+       h_lock_wait = hist "serve.lock_wait_seconds";
+       h_encode = hist "serve.encode_seconds";
+       h_write = hist "serve.write_seconds";
      })
 
 (* --- typed per-session errors ---------------------------------------- *)
@@ -167,6 +175,44 @@ let report_to_json (r : Sta.report) =
              (fun (a, b) -> Json.List [ Json.String a; Json.String b ])
              r.Sta.predecessors) );
     ]
+
+(* The bytes of [Json.to_string (ok_json [("report", report_to_json r)])],
+   written from the record with no tree in between *)
+let add_report_reply buf (r : Sta.report) =
+  let arrival (a : Sta.arrival) =
+    Buffer.add_string buf "{\"time\":";
+    Json.add_number buf a.Sta.time;
+    Buffer.add_string buf ",\"slew\":";
+    Json.add_number buf a.Sta.slew;
+    Buffer.add_string buf ",\"edge\":";
+    Json.add_string buf (edge_to_string a.Sta.edge);
+    Buffer.add_char buf '}'
+  in
+  let pair name add x =
+    Buffer.add_char buf '[';
+    Json.add_string buf name;
+    Buffer.add_char buf ',';
+    add x;
+    Buffer.add_char buf ']'
+  in
+  let list add l =
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        add x)
+      l;
+    Buffer.add_char buf ']'
+  in
+  Buffer.add_string buf "{\"ok\":true,\"report\":{\"arrivals\":";
+  list (fun (net, a) -> pair net arrival a) r.Sta.arrivals;
+  Buffer.add_string buf ",\"critical_po\":";
+  (match r.Sta.critical_po with
+   | None -> Buffer.add_string buf "null"
+   | Some (net, a) -> pair net arrival a);
+  Buffer.add_string buf ",\"predecessors\":";
+  list (fun (a, b) -> pair a (Json.add_string buf) b) r.Sta.predecessors;
+  Buffer.add_string buf "}}"
 
 (* [f] over every element, or [Error] at the first it rejects *)
 let all_or_error what f l =
@@ -324,7 +370,12 @@ let oracle_factory store name design th =
    the session's own annotations and need no lock. *)
 let engine_m = Mutex.create ()
 
-let with_engine f = with_lock engine_m f
+let with_engine f =
+  let t0 = Unix.gettimeofday () in
+  Mutex.lock engine_m;
+  Metrics.Histogram.observe (Lazy.force mx).h_lock_wait
+    (Unix.gettimeofday () -. t0);
+  Fun.protect ~finally:(fun () -> Mutex.unlock engine_m) f
 
 (* --- sessions --------------------------------------------------------- *)
 
@@ -334,7 +385,20 @@ type attached = {
   thresholds : Vtc.thresholds;
 }
 
-type session = { sid : int; fd : Unix.file_descr; mutable att : attached option }
+type session = {
+  sid : int;
+  fd : Unix.file_descr;
+  out : Frame.out;  (** every reply of the session is written here *)
+  mutable att : attached option;
+}
+
+(* A reply is a tree, or the report, whose frame is written straight
+   from the record: the largest reply skips the tree altogether. *)
+type reply = Tree of Json.t | Report of Sta.report
+
+let encode buf = function
+  | Tree j -> Json.add_to buf j
+  | Report r -> add_report_reply buf r
 
 type t = {
   listen_fd : Unix.file_descr;
@@ -363,7 +427,7 @@ let design_summary_json name design =
     ("levels", Json.Number (float_of_int (Graph.level_count g)));
   ]
 
-let ok_json fields = Json.Obj (("ok", Json.Bool true) :: fields)
+let ok_json fields = Tree (Json.Obj (("ok", Json.Bool true) :: fields))
 
 let pi_of_json j =
   match Json.to_list j with
@@ -515,9 +579,7 @@ let handle srv sess req =
         with_engine (fun () -> Sta.swap_models att.ir factory.Sta.models)
       in
       ok_json [ ("stats", stats_to_json stats) ]
-    | "report" ->
-      let att = get_attached sess in
-      ok_json [ ("report", report_to_json (Sta.report att.ir)) ]
+    | "report" -> Report (Sta.report (get_attached sess).ir)
     | "paths" ->
       let att = get_attached sess in
       let po = require "paths needs a \"po\"" (str_field "po" req) in
@@ -533,9 +595,7 @@ let handle srv sess req =
         require "slacks needs a \"required\" time (seconds)"
           (num_field "required" req)
       in
-      let slacks =
-        Sta.po_slacks (Sta.design att.ir) (Sta.report att.ir) ~required
-      in
+      let slacks = Sta.slacks att.ir ~required in
       ok_json
         [
           ( "slacks",
@@ -566,15 +626,15 @@ let handle srv sess req =
   (op, reply)
 
 let handle_safely srv sess req =
+  let error e = ("", Tree (error_json e)) in
   try handle srv sess req with
-  | Err e -> ("", error_json e)
-  | Sta.Unknown_eco_target { kind; name } ->
-    ("", error_json (Unknown_target (kind, name)))
-  | Sta.Mixed_input_edges { cell } -> ("", error_json (Mixed_edges cell))
-  | Pool.Shut_down -> ("", error_json Pool_shutdown)
-  | Invalid_argument m | Failure m -> ("", error_json (Bad_request m))
-  | Stack_overflow -> ("", error_json (Internal "stack overflow"))
-  | e -> ("", error_json (Internal (Printexc.to_string e)))
+  | Err e -> error e
+  | Sta.Unknown_eco_target { kind; name } -> error (Unknown_target (kind, name))
+  | Sta.Mixed_input_edges { cell } -> error (Mixed_edges cell)
+  | Pool.Shut_down -> error Pool_shutdown
+  | Invalid_argument m | Failure m -> error (Bad_request m)
+  | Stack_overflow -> error (Internal "stack overflow")
+  | e -> error (Internal (Printexc.to_string e))
 
 (* --- server loops ----------------------------------------------------- *)
 
@@ -593,7 +653,11 @@ let stop srv =
 
 let session_loop srv sess =
   let m = Lazy.force mx in
-  let send j = Frame.write sess.fd (Json.to_string j) in
+  let send reply =
+    let buf = Frame.out_buffer sess.out in
+    Metrics.Histogram.time m.h_encode (fun () -> encode buf reply);
+    Metrics.Histogram.time m.h_write (fun () -> Frame.send sess.out)
+  in
   let rec loop () =
     match Frame.read sess.fd with
     | Error Frame.Closed -> ()
@@ -601,15 +665,17 @@ let session_loop srv sess =
       (* the byte stream can no longer be trusted to hold frame
          boundaries: answer with a typed error, then drop the session *)
       Metrics.Counter.incr m.m_errors;
-      (try send (error_json (Bad_frame (Frame.read_error_to_string e)))
+      (try send (Tree (error_json (Bad_frame (Frame.read_error_to_string e))))
        with Unix.Unix_error _ | Invalid_argument _ -> ())
     | Ok payload -> (
       Metrics.Counter.incr m.m_requests;
       let op, reply =
-        match Json.of_string payload with
+        match
+          Metrics.Histogram.time m.h_decode (fun () -> Json.of_string payload)
+        with
         | Error msg ->
           Metrics.Counter.incr m.m_errors;
-          ("", error_json (Bad_json msg))
+          ("", Tree (error_json (Bad_json msg)))
         | Ok req ->
           let t0 = Unix.gettimeofday () in
           let op, reply = handle_safely srv sess req in
@@ -641,7 +707,7 @@ let serve_conn srv fd =
   Atomic.incr active_sessions;
   let sid = Atomic.fetch_and_add sid_counter 1 in
   with_lock srv.conns_m (fun () -> srv.conns <- (sid, fd) :: srv.conns);
-  let sess = { sid; fd; att = None } in
+  let sess = { sid; fd; out = Frame.out fd; att = None } in
   Fun.protect
     ~finally:(fun () ->
       with_lock srv.conns_m (fun () ->

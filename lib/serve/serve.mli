@@ -52,9 +52,36 @@
     memo caches are domain-safe) and one work-stealing pool; engine
     calls are serialized on a process-wide mutex so the pool's
     domain-local re-entrancy flag is never interleaved by sibling
-    systhreads. *)
+    systhreads.
 
-module Json = Proxim_lint.Json
+    {2 Replies}
+
+    Each session writes every reply into one {!Frame.out} buffer of its
+    own, reused across frames and touched only by the session's thread.
+    {!Frame.send} refuses a payload over {!Frame.max_frame}, so the
+    buffer never holds more than one frame; a reply that large ends the
+    session, as before.  Replies are built as {!Json.t} trees, except
+    [report]'s: {!add_report_reply} writes its frame straight from the
+    {!Proxim_sta.Sta.report} record, byte for byte what the tree would
+    print.  [slacks] reads the primary-output arrivals from the
+    session's analysis state ({!Proxim_sta.Sta.slacks}) instead of
+    building a full report.
+
+    {2 Metrics}
+
+    Counters [serve.sessions], [serve.requests], [serve.errors], the
+    gauge [serve.active_sessions], and histograms in seconds:
+    - [serve.request_seconds], [serve.eco_seconds] and
+      [serve.query_seconds] time [handle] alone (the op's work, from the
+      decoded request to the reply value);
+    - [serve.decode_seconds] times parsing the request frame;
+    - [serve.lock_wait_seconds] times the wait for the engine mutex, once
+      per engine call (attach, eco, swap_models);
+    - [serve.encode_seconds] times writing the reply into the session
+      buffer, and [serve.write_seconds] sending it. *)
+
+module Json = Proxim_util.Json
+(** The codec, under the name clients of this library have always used. *)
 
 type listen =
   [ `Unix of string  (** Unix-domain socket at this path *)
@@ -117,6 +144,14 @@ val arrival_to_json : Proxim_sta.Sta.arrival -> Json.t
 val arrival_of_json : Json.t -> Proxim_sta.Sta.arrival option
 
 val report_to_json : Proxim_sta.Sta.report -> Json.t
+(** The report as a tree: what a client decodes a [report] reply into,
+    and the reference {!add_report_reply} is tested against. *)
+
+val add_report_reply : Buffer.t -> Proxim_sta.Sta.report -> unit
+(** Append the whole [report] reply, the bytes of
+    [Json.to_string (Obj [("ok", Bool true); ("report", report_to_json r)])],
+    straight from the record: the same {!Json.add_number} and
+    {!Json.add_string} the tree emitter uses, and no tree. *)
 
 val report_of_json : Json.t -> (Proxim_sta.Sta.report, string) result
 (** Exact inverse of {!report_to_json}: every float round-trips

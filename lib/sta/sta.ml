@@ -457,6 +457,15 @@ let worst_paths ir ~po ~k =
            path_nets = Paths.nets_of_path g p;
          })
 
+(* The one slack ranking: each output in the design's order with the
+   arrival it is listed at, worst slack first (stable, so ties keep the
+   design's order). *)
+let rank_slacks ~required outputs =
+  outputs
+  |> List.filter_map (fun (net, a) ->
+       Option.map (fun (a : arrival) -> (net, required -. a.time)) a)
+  |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+
 let po_slacks design report ~required =
   (* the first arrival listed for a net wins, as with [List.assoc] *)
   let first = Hashtbl.create (List.length report.arrivals) in
@@ -464,11 +473,15 @@ let po_slacks design report ~required =
     (fun (net, a) -> if not (Hashtbl.mem first net) then Hashtbl.add first net a)
     report.arrivals;
   Design.primary_outputs design
-  |> List.filter_map (fun net ->
-       Option.map
-         (fun (a : arrival) -> (net, required -. a.time))
-         (Hashtbl.find_opt first net))
-  |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
+  |> List.map (fun net -> (net, Hashtbl.find_opt first net))
+  |> rank_slacks ~required
+
+let slacks ir ~required =
+  let g = Design.graph ir.design in
+  Array.to_list (Graph.primary_outputs g)
+  |> List.map (fun net ->
+       (Graph.net_name g net, Timing.arrival ir.timing ~net))
+  |> rank_slacks ~required
 
 let with_pi_all design named = function
   | None -> named

@@ -215,6 +215,12 @@ val report : ir -> report
     with the switching primary inputs in declaration order, then every
     switching cell output in topological order. *)
 
+val slacks : ir -> required:float -> (string * float) list
+(** [po_slacks (design ir) (report ir) ~required], read straight from
+    the annotations: each primary output's arrival, ranked by the same
+    code, without building the report's arrival and predecessor
+    lists. *)
+
 (** {1 K-worst paths} *)
 
 type path = {

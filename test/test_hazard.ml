@@ -834,7 +834,7 @@ let test_cli_exit_codes () =
       let ic = Unix.open_process_in sarif in
       let out = In_channel.input_all ic in
       ignore (Unix.close_process_in ic);
-      (match Proxim_lint.Json.of_string out with
+      (match Proxim_util.Json.of_string out with
       | Error m -> Alcotest.fail ("sarif is not valid JSON: " ^ m)
       | Ok _ -> ());
       List.iter

@@ -10,7 +10,7 @@ module Dual = Proxim_macromodel.Dual
 module Store = Proxim_macromodel.Store
 module Netlist_text = Proxim_sta.Netlist_text
 module Diagnostic = Proxim_lint.Diagnostic
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 module Netlist_lint = Proxim_lint.Netlist_lint
 module Model_lint = Proxim_lint.Model_lint
 

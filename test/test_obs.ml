@@ -8,7 +8,7 @@ module Trace = Proxim_obs.Trace
 module Pool = Proxim_util.Pool
 module Memo_cache = Proxim_util.Memo_cache
 module Interp = Proxim_util.Interp
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
 module Sta = Proxim_sta.Sta
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text

@@ -893,7 +893,7 @@ let test_cli_sense () =
           (Printf.sprintf "%s sense %s %s --format sarif --fail-on error" cli
              file demo_stimulus)
       in
-      (match Proxim_lint.Json.of_string sarif with
+      (match Proxim_util.Json.of_string sarif with
       | Error m -> Alcotest.fail ("sarif is not valid JSON: " ^ m)
       | Ok _ -> ());
       List.iter

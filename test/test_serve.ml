@@ -11,7 +11,9 @@ module Sta = Proxim_sta.Sta
 module Netlist_text = Proxim_sta.Netlist_text
 module Serve = Proxim_serve.Serve
 module Frame = Proxim_serve.Frame
-module Json = Proxim_lint.Json
+module Json = Proxim_util.Json
+module Prng = Proxim_util.Prng
+module Synthgen = Proxim_sta.Synthgen
 
 let tech = Tech.generic_5v
 
@@ -491,6 +493,373 @@ let test_protocol_shutdown () =
        any use must then fail *)
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* --- golden served frames -------------------------------------------- *)
+
+(* A fixed script against an in-process daemon, sent verbatim: its raw
+   response frames are committed in golden/serve_frames.txt, one
+   "> request" / "< response" line pair per frame, and must come back
+   byte for byte.  With PROXIM_GOLDEN_UPDATE set to an absolute directory
+   the transcript is written there instead, as test_cli does. *)
+let golden_script =
+  let fall t s = Printf.sprintf {|{"time":%s,"slew":%s,"edge":"fall"}|} t s in
+  let attach mode =
+    Printf.sprintf
+      ({|{"op":"attach","design":"g","mode":"%s","models":"synthetic",|}
+    ^^ {|"pi":[["pi0",%s]],"pi_all":%s}|})
+      mode (fall "1.7e-11" "2.9e-10") (fall "5.3e-11" "3.07e-10")
+  in
+  [
+    {|{"op":"gen","cells":300,"seed":1,"name":"g"}|};
+    attach "proximity";
+    Printf.sprintf
+      {|{"op":"eco","ecos":[{"kind":"set_pi","net":"pi3","arrival":%s}]}|}
+      (fall "2.1e-11" "3.51e-10");
+    {|{"op":"paths","po":"n3_0","k":3}|};
+    {|{"op":"slacks","required":1.5e-9}|};
+    {|{"op":"report"}|};
+    attach "classic";
+    {|{"op":"slacks","required":1.5e-9}|};
+    {|{"op":"report"}|};
+    {|{"op":"eco","ecos":[{"kind":"touch_cell","cell":"no_such_cell"}]}|};
+  ]
+
+let test_golden_frames () =
+  let transcript =
+    with_server (fun addr ->
+        with_conn addr (fun fd ->
+            let buf = Buffer.create 65536 in
+            List.iter
+              (fun req ->
+                Frame.write fd req;
+                match Frame.read fd with
+                | Ok resp -> Printf.bprintf buf "> %s\n< %s\n" req resp
+                | Error e ->
+                  Alcotest.failf "no reply to %s: %s" req
+                    (Frame.read_error_to_string e))
+              golden_script;
+            Buffer.contents buf))
+  in
+  let file = "serve_frames.txt" in
+  match Sys.getenv_opt "PROXIM_GOLDEN_UPDATE" with
+  | Some dir ->
+    Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+        Out_channel.output_string oc transcript)
+  | None ->
+    let expected =
+      In_channel.with_open_bin (Filename.concat "golden" file)
+        In_channel.input_all
+    in
+    Alcotest.(check string) "served frames" expected transcript
+
+(* --- the tree-free report writer and the IR slacks ------------------- *)
+
+let synth_report ?(mode = Sta.Proximity) ~seed ~cells ~depth () =
+  let _, design = Synthgen.generate ~seed ~depth ~tech ~cells () in
+  let r = Prng.create (Int64.of_int seed) in
+  let pi =
+    List.map
+      (fun net ->
+        ( net,
+          {
+            Sta.time = Prng.float r ~lo:0. ~hi:200e-12;
+            slew = Prng.float r ~lo:100e-12 ~hi:600e-12;
+            edge = Measure.Fall;
+          } ))
+      (Design.primary_inputs design)
+  in
+  let factory = Sta.synthetic_factory ~seed:0 () in
+  let ir =
+    Sta.build_ir ~mode ~models:factory.Sta.models
+      ~thresholds:(Sta.default_thresholds design None) design ~pi
+  in
+  ignore (Sta.reanalyze ir);
+  Sta.report ir
+
+let check_report_writer msg (r : Sta.report) =
+  let want =
+    Json.to_string
+      (Json.Obj [ ("ok", Json.Bool true); ("report", Serve.report_to_json r) ])
+  in
+  let buf = Buffer.create 16 in
+  Serve.add_report_reply buf r;
+  Alcotest.(check string) msg want (Buffer.contents buf)
+
+(* net names the writer must escape exactly as the tree emitter does: a
+   quote, a backslash, a control character and multi-byte UTF-8 *)
+let test_report_writer_escapes () =
+  let gate name = Result.get_ok (Proxim_gates.Gate.of_name tech name) in
+  let a = "a\"q" and b = "b\\s" and n1 = "n\001c\n" in
+  let y = "y\xc3\xa9\xe2\x82\xac" in
+  let design =
+    Design.create
+      ~cells:
+        [
+          { Design.name = "u1"; gate = gate "nand2"; input_nets = [| a; b |];
+            output_net = n1 };
+          { Design.name = "u2"; gate = gate "inv"; input_nets = [| n1 |];
+            output_net = y };
+        ]
+      ~primary_inputs:[ a; b ] ~primary_outputs:[ y ]
+  in
+  let fall t = { Sta.time = t; slew = 3.07e-10; edge = Measure.Fall } in
+  let factory = Sta.synthetic_factory ~seed:0 () in
+  let report =
+    Sta.analyze ~models:factory.Sta.models
+      ~thresholds:(Sta.default_thresholds design None)
+      design ~pi:[ (a, fall 0.); (b, fall 5.3e-11) ]
+  in
+  check_report_writer "escaped names" report;
+  let buf = Buffer.create 16 in
+  Serve.add_report_reply buf report;
+  let reply = Result.get_ok (Json.of_string (Buffer.contents buf)) in
+  match Option.map Serve.report_of_json (Json.member "report" reply) with
+  | Some (Ok back) -> check_report_identical "escaped names reparse" back report
+  | Some (Error m) -> Alcotest.failf "escaped report: %s" m
+  | None -> Alcotest.fail "no report field"
+
+let test_report_writer_synthgen () =
+  check_report_writer "empty report"
+    { Sta.arrivals = []; critical_po = None; predecessors = [] };
+  List.iter
+    (fun (seed, cells, depth) ->
+      List.iter
+        (fun mode ->
+          check_report_writer
+            (Printf.sprintf "seed %d, %d cells" seed cells)
+            (synth_report ~mode ~seed ~cells ~depth ()))
+        [ Sta.Proximity; Sta.Classic ])
+    [ (1, 12, 3); (2, 300, 4); (3, 300, 4); (4, 1000, 8); (5, 3000, 4) ]
+
+(* the served slacks, read from the IR, against the offline ranking over
+   a full report, along seeded ECO sequences; identical pi arrivals in
+   classic mode make equal slacks, so the stable order is exercised *)
+let test_ir_slacks () =
+  let ties = ref 0 in
+  List.iter
+    (fun (seed, mode) ->
+      let _, design = Synthgen.generate ~seed ~depth:4 ~tech ~cells:300 () in
+      let pis = Array.of_list (Design.primary_inputs design) in
+      let r = Prng.create (Int64.of_int (1000 + seed)) in
+      let arrival () =
+        {
+          Sta.time = Prng.float r ~lo:0. ~hi:200e-12;
+          slew = Prng.float r ~lo:100e-12 ~hi:600e-12;
+          edge = Measure.Fall;
+        }
+      in
+      let common = arrival () in
+      let factory = Sta.synthetic_factory ~seed:0 () in
+      let ir =
+        Sta.build_ir ~mode ~models:factory.Sta.models
+          ~thresholds:(Sta.default_thresholds design None)
+          design
+          ~pi:(Sta.with_pi_all design [] (Some common))
+      in
+      ignore (Sta.reanalyze ir);
+      for step = 0 to 40 do
+        if step > 0 then begin
+          let net = pis.(Prng.int r ~lo:0 ~hi:(Array.length pis - 1)) in
+          let a =
+            match Prng.int r ~lo:0 ~hi:3 with
+            | 0 -> None
+            | 1 -> Some common
+            | _ -> Some (arrival ())
+          in
+          ignore (Sta.update ir [ Sta.Set_pi (net, a) ])
+        end;
+        let required = Prng.float r ~lo:0. ~hi:2e-9 in
+        let got = Sta.slacks ir ~required in
+        let want = Sta.po_slacks (Sta.design ir) (Sta.report ir) ~required in
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d step %d: outputs" seed step)
+          (List.map fst want) (List.map fst got);
+        List.iter2
+          (fun (n, s) (_, t) -> check_bits ("slack of " ^ n) s t)
+          want got;
+        let rec count = function
+          | (_, s) :: ((_, t) :: _ as tl) ->
+            (if same_float s t then incr ties);
+            count tl
+          | _ -> ()
+        in
+        count got
+      done)
+    [ (1, Sta.Classic); (2, Sta.Classic); (3, Sta.Proximity) ];
+  if !ties = 0 then
+    Alcotest.fail "no equal slacks: the stable order went untested"
+
+(* --- the decoder and the framing under seeded mutation --------------- *)
+
+let golden_lines () =
+  In_channel.with_open_bin (Filename.concat "golden" "serve_frames.txt")
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.length l > 2)
+  |> List.map (fun l -> String.sub l 2 (String.length l - 2))
+
+(* the report frame of a 3k-cell design, parsed under an allocation bound
+   per input byte: the bytes are read in place, so the tree is the cost *)
+let test_report_frame_alloc () =
+  let buf = Buffer.create 65536 in
+  Serve.add_report_reply buf (synth_report ~seed:1 ~cells:3000 ~depth:4 ());
+  let frame = Buffer.contents buf in
+  let before = Gc.minor_words () in
+  let parsed = Json.of_string frame in
+  let words = Gc.minor_words () -. before in
+  if Result.is_error parsed then Alcotest.fail "report frame does not parse";
+  let per_byte = words /. float_of_int (String.length frame) in
+  if per_byte > 3. then
+    Alcotest.failf "parsing a %d-byte report frame allocated %.2f words/byte"
+      (String.length frame) per_byte
+
+let json_alphabet = "{}[]\",:\\/0123456789.eE+-truefalsn \t\n\001\x80\xff"
+
+let runs =
+  [| "\\u00e9"; "\\\""; "\\\\"; "\\u12"; "\\"; "\\ud800"; "1234567890";
+     "-0.5e+3"; "1e400"; "[[[["; "]]"; "\"\"" |]
+
+let mutate r frames s =
+  let n = String.length s in
+  let at () = Prng.int r ~lo:0 ~hi:n in
+  let b = Bytes.of_string s in
+  match Prng.int r ~lo:0 ~hi:4 with
+  | 0 when n > 0 ->
+    for _ = 0 to Prng.int r ~lo:0 ~hi:3 do
+      let i = Prng.int r ~lo:0 ~hi:(n - 1) in
+      let bit = 1 lsl Prng.int r ~lo:0 ~hi:7 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
+    done;
+    Bytes.to_string b
+  | 1 when n > 0 ->
+    for _ = 0 to Prng.int r ~lo:0 ~hi:7 do
+      let c = Prng.int r ~lo:0 ~hi:(String.length json_alphabet - 1) in
+      Bytes.set b (Prng.int r ~lo:0 ~hi:(n - 1)) json_alphabet.[c]
+    done;
+    Bytes.to_string b
+  | 2 -> String.sub s 0 (at ())
+  | 3 ->
+    let o = frames.(Prng.int r ~lo:0 ~hi:(Array.length frames - 1)) in
+    let j = Prng.int r ~lo:0 ~hi:(String.length o) in
+    String.sub s 0 (at ()) ^ String.sub o j (String.length o - j)
+  | _ ->
+    let i = at () in
+    let run =
+      String.concat ""
+        (List.init (Prng.int r ~lo:1 ~hi:12) (fun _ ->
+             runs.(Prng.int r ~lo:0 ~hi:(Array.length runs - 1))))
+    in
+    String.sub s 0 i ^ run ^ String.sub s i (n - i)
+
+let test_json_fuzz () =
+  let frames = Array.of_list (golden_lines ()) in
+  let r = Prng.create 0x46555a5aL in
+  let parsed = ref 0 in
+  for _ = 1 to 4000 do
+    let doc =
+      mutate r frames frames.(Prng.int r ~lo:0 ~hi:(Array.length frames - 1))
+    in
+    let before = Gc.minor_words () in
+    (match Json.of_string doc with
+     | Ok _ -> incr parsed
+     | Error m ->
+       if not (String.starts_with ~prefix:"at offset " m) then
+         Alcotest.failf "untyped error %S" m);
+    let words = Gc.minor_words () -. before in
+    if words > (16. *. float_of_int (String.length doc)) +. 256. then
+      Alcotest.failf "a %d-byte mutant cost %.0f words" (String.length doc)
+        words
+  done;
+  (* the mutants must reach both outcomes to mean anything *)
+  if !parsed = 0 || !parsed = 4000 then
+    Alcotest.failf "%d of 4000 mutants parsed" !parsed
+
+(* cut headers, cut payloads and over-limit lengths over a real socket:
+   typed errors, never an exception *)
+let test_frame_read_errors () =
+  let r = Prng.create 0x4652414dL in
+  let with_pair f =
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close a with Unix.Unix_error _ -> ());
+        try Unix.close b with Unix.Unix_error _ -> ())
+      (fun () -> f a b)
+  in
+  let header n =
+    Bytes.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  let send fd bytes k = ignore (Unix.write fd bytes 0 k : int) in
+  let describe = function
+    | Ok s -> Printf.sprintf "Ok %d bytes" (String.length s)
+    | Error e -> Frame.read_error_to_string e
+  in
+  for _ = 1 to 60 do
+    let n = Prng.int r ~lo:1 ~hi:2000 in
+    let case = Prng.int r ~lo:0 ~hi:4 in
+    let got =
+      with_pair (fun a b ->
+          (match case with
+           | 0 -> ()
+           | 1 -> send a (header n) (Prng.int r ~lo:1 ~hi:3)
+           | 2 ->
+             send a (header n) 4;
+             send a (Bytes.make n 'x') (Prng.int r ~lo:0 ~hi:(n - 1))
+           | 3 ->
+             send a (header (Frame.max_frame + n)) 4
+           | _ ->
+             send a (header n) 4;
+             send a (Bytes.make n 'x') n);
+          Unix.shutdown a Unix.SHUTDOWN_SEND;
+          Frame.read b)
+    in
+    let ok =
+      match (case, got) with
+      | 0, Error Frame.Closed -> true
+      | 1, Error (Frame.Truncated "header") -> true
+      | 2, Error (Frame.Truncated "payload") -> true
+      | 3, Error (Frame.Oversized m) -> m = Frame.max_frame + n
+      | 4, Ok s -> String.length s = n
+      | _ -> false
+    in
+    if not ok then Alcotest.failf "case %d, n = %d: %s" case n (describe got)
+  done
+
+(* --- daemon stage histograms ----------------------------------------- *)
+
+let test_stage_histograms () =
+  with_server (fun addr ->
+      with_conn addr (fun fd ->
+          load_design fd;
+          ignore (rpc_ok fd attach_req);
+          (* the snapshot is taken inside [handle], after the request's
+             own decode and before its encode and write *)
+          let counts () =
+            let j =
+              rpc_ok fd
+                (Json.Obj [ ("op", str "metrics"); ("format", str "json") ])
+            in
+            let count stage =
+              List.fold_left
+                (fun acc k -> Option.bind acc (Json.member k))
+                (Some j)
+                [ "metrics"; "histograms"; "serve." ^ stage ^ "_seconds";
+                  "count" ]
+              |> Fun.flip Option.bind Json.to_number
+              |> Option.fold ~none:(-1) ~some:int_of_float
+            in
+            List.map count [ "decode"; "lock_wait"; "encode"; "write" ]
+          in
+          let c0 = counts () in
+          let c1 = counts () in
+          ignore (rpc_ok fd (Json.Obj [ ("op", str "report") ]));
+          let c2 = counts () in
+          List.iter (fun c -> if c < 1 then Alcotest.fail "stage missing") c0;
+          (* metrics -> metrics moves each stage but lock_wait by one; a
+             report in between adds one more to decode, encode and write *)
+          let d1 = List.map2 ( - ) c1 c0 and d2 = List.map2 ( - ) c2 c1 in
+          Alcotest.(check (list int)) "report's own samples" [ 1; 0; 1; 1 ]
+            (List.map2 ( - ) d2 d1)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -511,5 +880,19 @@ let () =
           Alcotest.test_case "metrics endpoint" `Quick test_metrics_endpoint;
           Alcotest.test_case "protocol shutdown" `Quick
             test_protocol_shutdown;
+          Alcotest.test_case "golden frames" `Quick test_golden_frames;
+          Alcotest.test_case "stage histograms" `Quick test_stage_histograms;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "report writer on synthgen designs" `Quick
+            test_report_writer_synthgen;
+          Alcotest.test_case "report writer escapes names" `Quick
+            test_report_writer_escapes;
+          Alcotest.test_case "ir slacks match po_slacks" `Quick test_ir_slacks;
+          Alcotest.test_case "report frame parse allocation" `Quick
+            test_report_frame_alloc;
+          Alcotest.test_case "seeded json fuzzer" `Quick test_json_fuzz;
+          Alcotest.test_case "frame read errors" `Quick test_frame_read_errors;
         ] );
     ]

@@ -7,6 +7,7 @@ module Interp = Proxim_util.Interp
 module Stats = Proxim_util.Stats
 module Histogram = Proxim_util.Histogram
 module Prng = Proxim_util.Prng
+module Json = Proxim_util.Json
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -265,6 +266,122 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 Fun.id) sorted
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+(* The wire contract for numbers: [%.0f] for integers below 1e15, [%.17g]
+   for every other finite value (the bytes Printf prints), [null] for the
+   rest, and every printed value reparses to the same bits. *)
+let test_json_number_wire_format () =
+  let rng = Prng.create 0x4a534f4eL in
+  let specials =
+    [
+      0.; -0.; Float.min_float; -.Float.min_float; Float.max_float;
+      -.Float.max_float; 4.9406564584124654e-324; 2.2250738585072009e-308;
+      -5e-324; 1.; -1.; 0.1; Float.nan; Float.infinity; Float.neg_infinity;
+      Int64.float_of_bits 0x7ff8000000000001L;
+    ]
+  in
+  (* integers on both sides of 1e15, and 2^53 - 1, 2^53, 2^53 + 1 *)
+  let integers =
+    List.concat_map
+      (fun k ->
+        let k = float_of_int k in
+        [ 1e15 +. k; 1e15 -. k; -.(1e15 +. k); -.(1e15 -. k);
+          Float.pow 2. 53. +. k; Float.pow 2. 53. -. k ])
+      [ 0; 1; 2; 3; 7; 100; 12345 ]
+  in
+  let random =
+    List.init 100_000 (fun _ -> Int64.float_of_bits (Prng.next_int64 rng))
+  in
+  let buf = Buffer.create 32 in
+  List.iter
+    (fun v ->
+      let text = Json.to_string (Json.Number v) in
+      Buffer.clear buf;
+      Json.add_number buf v;
+      if Buffer.contents buf <> text then
+        Alcotest.failf "%h: add_number %s, to_string %s" v
+          (Buffer.contents buf) text;
+      if not (Float.is_finite v) then
+        Alcotest.(check string) "non-finite" "null" text
+      else begin
+        let want =
+          if Float.is_integer v && Float.abs v < 1e15 then
+            Printf.sprintf "%.0f" v
+          else Printf.sprintf "%.17g" v
+        in
+        if text <> want then
+          Alcotest.failf "%h printed %s, want %s" v text want;
+        match Json.of_string text with
+        | Ok (Json.Number w)
+          when Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float v) ->
+          ()
+        | _ -> Alcotest.failf "%s does not reparse to %h" text v
+      end)
+    (specials @ integers @ random)
+
+let test_json_strings () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) (Printf.sprintf "%S" s) want
+        (Json.to_string (Json.String s));
+      if Json.of_string want <> Ok (Json.String s) then
+        Alcotest.failf "%s does not reparse to %S" want s)
+    [
+      ("plain", {|"plain"|});
+      ("", {|""|});
+      ("q\"b\\s/", {|"q\"b\\s/"|});
+      ("n\nr\rt\t", {|"n\nr\rt\t"|});
+      ("\001\031\127", "\"\\u0001\\u001f\127\"");
+      ("\xc3\xa9\xe2\x82\xac", "\"\xc3\xa9\xe2\x82\xac\"");
+    ]
+
+(* every error message and offset, as the parser gave them before it
+   was rewritten to read bytes in place *)
+let malformed_documents =
+  [
+    ("", "at offset 0: unexpected end of input");
+    ("   ", "at offset 3: unexpected end of input");
+    ("{", "at offset 1: expected '\"', got end of input");
+    ("[1,]", "at offset 3: bad number \"\"");
+    ("[1 2]", "at offset 3: expected ',' or ']'");
+    ("{\"a\" 1}", "at offset 5: expected ':', got '1'");
+    ("{\"a\":1,}", "at offset 7: expected '\"', got '}'");
+    ("\"abc", "at offset 4: unterminated string");
+    ("\"ab\\", "at offset 4: unterminated escape");
+    ("\"\\q\"", "at offset 3: bad escape \\q");
+    ("\"\\u12\"", "at offset 3: truncated \\u escape");
+    ("\"\\u12zz\"", "at offset 7: bad \\u escape");
+    ("tru", "at offset 0: expected true");
+    ("nul", "at offset 0: expected null");
+    ("falsy", "at offset 0: expected false");
+    ("1 2", "at offset 2: trailing content");
+    ("-", "at offset 1: bad number \"-\"");
+    ("1e", "at offset 2: bad number \"1e\"");
+    ("{\"a\":1 \"b\":2}", "at offset 7: expected ',' or '}'");
+    ( String.make (Json.max_depth + 1) '[',
+      "at offset 64: nesting deeper than 64 levels" );
+    ("[\"a\",\000]", "at offset 5: bad number \"\"");
+    ("@", "at offset 0: bad number \"\"");
+    ("{1:2}", "at offset 1: expected '\"', got '1'");
+    ("[1,2", "at offset 4: expected ',' or ']'");
+    ("1.5.3", "at offset 5: bad number \"1.5.3\"");
+    ("\"\\u00e9", "at offset 7: unterminated string");
+    ("{\"a\"\001", "at offset 4: expected ':', got '\\001'");
+    ("[nan]", "at offset 1: expected null");
+    ("{\"k\":[1,{\"x\":tru}]}", "at offset 13: expected true");
+    ("\"\\u-123\"", "at offset 7: bad \\u escape");
+  ]
+
+let test_json_malformed () =
+  List.iter
+    (fun (doc, want) ->
+      match Json.of_string doc with
+      | Ok _ -> Alcotest.failf "%S parsed" doc
+      | Error m -> Alcotest.(check string) (Printf.sprintf "%S" doc) want m)
+    malformed_documents
+
 let () =
   Alcotest.run "util"
     [
@@ -319,5 +436,12 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "ranges" `Quick test_prng_ranges;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "number wire format" `Quick
+            test_json_number_wire_format;
+          Alcotest.test_case "string escapes" `Quick test_json_strings;
+          Alcotest.test_case "malformed documents" `Quick test_json_malformed;
         ] );
     ]
