@@ -36,15 +36,38 @@ module Synthgen = Proxim_sta.Synthgen
 module Reference = Proxim_timing.Reference
 module Obs_metrics = Proxim_obs.Metrics
 module Obs_trace = Proxim_obs.Trace
+module Json = Proxim_util.Json
+module Harness = Proxim_harness.Harness
 
 let quick = ref false
 let domains = ref (Pool.recommended_domains ())
 let trace_file : string option ref = ref None
 let metrics_fmt : [ `Text | `Json ] option ref = ref None
 
-(* the BENCH_*.json writers embed the live metrics snapshot so a bench
-   artifact carries its own cache/pool/clamp observability *)
 let metrics_json () = Obs_metrics.to_json (Obs_metrics.snapshot ())
+
+(* The one BENCH_*.json writer: top-level fields one per line as
+   ["key": value] (CI greps lines such as ["sound": true]), values
+   through [Json], and the live metrics snapshot embedded last so a bench
+   artifact carries its own cache/pool/clamp observability. *)
+let write_bench file fields =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n";
+  List.iter
+    (fun (key, v) ->
+      Buffer.add_string buf "  ";
+      Json.add_string buf key;
+      Buffer.add_string buf ": ";
+      Json.add_to buf v;
+      Buffer.add_string buf ",\n")
+    fields;
+  Printf.bprintf buf "  \"metrics\": %s\n}\n" (metrics_json ());
+  Out_channel.with_open_text file (fun oc -> Buffer.output_buffer oc buf);
+  Printf.printf "  wrote %s\n" file
+
+let int n = Json.Number (float_of_int n)
+let num x = Json.Number x
+let ratio a b = if b > 0. then a /. b else 1.
 
 let ps s = s *. 1e12
 
@@ -634,47 +657,17 @@ let microbench () =
    dispatch (parallel_bench covers the pool).  Writes
    BENCH_incremental.json.                                             *)
 
-(* Strictly layered random designs: cells in layer L read only layer L-1
-   outputs, so all inputs of a cell share one edge parity (the gates
-   invert) and the fanout cone of a single edit stays a small fraction
-   of the design -- the regime where ECO re-analysis pays. *)
-let random_layered_design rng ~tech ~depth ~width =
-  let gate_pool =
-    [|
-      Gate.nand tech ~fan_in:2; Gate.nor tech ~fan_in:2;
-      Gate.nand tech ~fan_in:3;
-    |]
-  in
-  let pis = Array.init width (Printf.sprintf "pi%d") in
-  let prev = ref pis in
-  let cells = ref [] in
-  for layer = 0 to depth - 1 do
-    let layer_cells =
-      Array.init width (fun j ->
-          let gate =
-            gate_pool.(Prng.int rng ~lo:0 ~hi:(Array.length gate_pool - 1))
-          in
-          let rec pick chosen n =
-            if n = 0 then chosen
-            else
-              let i = Prng.int rng ~lo:0 ~hi:(width - 1) in
-              if List.mem i chosen then pick chosen n
-              else pick (i :: chosen) (n - 1)
-          in
-          let ins = pick [] gate.Gate.fan_in in
-          {
-            Design.name = Printf.sprintf "u%d_%d" layer j;
-            gate;
-            input_nets = Array.of_list (List.map (fun i -> (!prev).(i)) ins);
-            output_net = Printf.sprintf "n%d_%d" layer j;
-          })
-    in
-    cells := Array.to_list layer_cells @ !cells;
-    prev := Array.map (fun c -> c.Design.output_net) layer_cells
-  done;
-  Design.create ~cells:(List.rev !cells)
-    ~primary_inputs:(Array.to_list pis)
-    ~primary_outputs:(Array.to_list !prev)
+(* Strictly layered random designs ({!Harness.layered_design}) over
+   two- and three-input gates: all inputs of a cell share one edge parity
+   (the gates invert) and the fanout cone of a single edit stays a small
+   fraction of the design -- the regime where ECO re-analysis pays. *)
+let random_layered_design rng ~tech =
+  Harness.layered_design rng
+    ~gates:
+      [|
+        Gate.nand tech ~fan_in:2; Gate.nor tech ~fan_in:2;
+        Gate.nand tech ~fan_in:3;
+      |]
 
 (* A synthetic-model factory with per-cell seed overrides, so a
    Touch_cell ECO can stand in for re-characterizing one instance.
@@ -751,10 +744,12 @@ let pool_delta_since (pj, sj, tk, ch, st) =
   }
 
 let pool_delta_json d =
-  Printf.sprintf
-    "{ \"parallel_jobs\": %d, \"serial_jobs\": %d, \"tasks\": %d, \
-     \"chunks\": %d, \"steals\": %d }"
-    d.pd_parallel_jobs d.pd_serial_jobs d.pd_tasks d.pd_chunks d.pd_steals
+  Json.Obj
+    [
+      ("parallel_jobs", int d.pd_parallel_jobs);
+      ("serial_jobs", int d.pd_serial_jobs); ("tasks", int d.pd_tasks);
+      ("chunks", int d.pd_chunks); ("steals", int d.pd_steals);
+    ]
 
 let parallel_bench () =
   let c = Lazy.force ctx in
@@ -804,7 +799,7 @@ let parallel_bench () =
         Pool.shutdown pool;
         let delta = pool_delta_since before in
         let identical = String.equal tables_serial tables in
-        let speedup = if t > 0. then t_serial /. t else 1. in
+        let speedup = ratio t_serial t in
         Printf.printf
           "  %d domains: %6.2f s (%.2fx), %d parallel jobs, %d chunks, %d \
            steals, tables %s\n%!"
@@ -856,9 +851,7 @@ let parallel_bench () =
   Printf.printf "  STA serial (1 domain): median %.4f s\n%!" t_sta_serial;
   let t_sta_par, sta_delta, report_par = sta_run sta_domains in
   let sta_identical = Sta.report_equal report_serial report_par in
-  let sta_speedup =
-    if t_sta_par > 0. then t_sta_serial /. t_sta_par else 1.
-  in
+  let sta_speedup = ratio t_sta_serial t_sta_par in
   Printf.printf
     "  STA %d domains: median %.4f s (%.2fx), %d parallel jobs, %d steals, \
      reports %s\n%!"
@@ -878,38 +871,45 @@ let parallel_bench () =
     sta_speedup sta_domains sta_delta.pd_parallel_jobs host_cores;
   if not all_identical then
     Printf.printf "  ERROR: parallel results differ from serial!\n";
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"nand3 table build (%d transients) + proximity STA \
-     (%d cells, synthetic work %d)\",\n\
-    \  \"quick\": %b,\n\
-    \  \"host_cores\": %d,\n\
-    \  \"characterization\": {\n\
-    \    \"serial_s\": %.3f,\n\
-    \    \"rows\": [\n"
-    ((2 * Array.length taus) + grid_runs)
-    (depth * width) work !quick host_cores t_serial;
-  List.iteri
-    (fun i (d, t, speedup, identical, delta) ->
-      Printf.fprintf oc
-        "      { \"domains\": %d, \"parallel_s\": %.3f, \"speedup\": %.3f, \
-         \"bit_identical\": %b, \"pool\": %s }%s\n"
-        d t speedup identical (pool_delta_json delta)
-        (if i = List.length char_rows - 1 then "" else ","))
-    char_rows;
-  Printf.fprintf oc
-    "    ]\n\
-    \  },\n\
-    \  \"sta\": { \"cells\": %d, \"levels\": %d, \"trials\": %d, \
-     \"domains\": %d, \"serial_s\": %.4f, \"parallel_s\": %.4f, \
-     \"speedup\": %.3f, \"bit_identical\": %b, \"pool\": %s },\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    (depth * width) depth trials sta_domains t_sta_serial t_sta_par
-    sta_speedup sta_identical (pool_delta_json sta_delta) (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_parallel.json\n"
+  write_bench "BENCH_parallel.json"
+    [
+      ( "workload",
+        Json.String
+          (Printf.sprintf
+             "nand3 table build (%d transients) + proximity STA (%d cells, \
+              synthetic work %d)"
+             ((2 * Array.length taus) + grid_runs)
+             (depth * width) work) );
+      ("quick", Json.Bool !quick);
+      ("host_cores", int host_cores);
+      ( "characterization",
+        Json.Obj
+          [
+            ("serial_s", num t_serial);
+            ( "rows",
+              Json.List
+                (List.map
+                   (fun (d, t, speedup, identical, delta) ->
+                     Json.Obj
+                       [
+                         ("domains", int d); ("parallel_s", num t);
+                         ("speedup", num speedup);
+                         ("bit_identical", Json.Bool identical);
+                         ("pool", pool_delta_json delta);
+                       ])
+                   char_rows) );
+          ] );
+      ( "sta",
+        Json.Obj
+          [
+            ("cells", int (depth * width)); ("levels", int depth);
+            ("trials", int trials); ("domains", int sta_domains);
+            ("serial_s", num t_sta_serial); ("parallel_s", num t_sta_par);
+            ("speedup", num sta_speedup);
+            ("bit_identical", Json.Bool sta_identical);
+            ("pool", pool_delta_json sta_delta);
+          ] );
+    ]
 
 let incremental_design rng pool th ~tech ~depth ~width ~trials =
   let design = random_layered_design rng ~tech ~depth ~width in
@@ -971,7 +971,7 @@ let incremental_design rng pool th ~tech ~depth ~width ~trials =
     ir_trials = trials;
     ir_full_ms = full_ms;
     ir_incr_ms = incr_ms;
-    ir_speedup = (if incr_ms > 0. then full_ms /. incr_ms else 1.);
+    ir_speedup = ratio full_ms incr_ms;
     ir_evaluated = median evaluated;
     ir_identical = !identical;
     ir_stats = factory_stats ();
@@ -1107,78 +1107,108 @@ let incremental_bench () =
     speedup
     (if identical then "bit-identical" else "DIFFER")
     stats.Memo_cache.hits stats.Memo_cache.misses stats.Memo_cache.entries;
-  let oc = open_out "BENCH_incremental.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"single-edit ECO on random layered designs, proximity \
-     mode, synthetic models\",\n\
-    \  \"quick\": %b,\n\
-    \  \"trials_per_design\": %d,\n\
-    \  \"median_speedup\": %.2f,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"designs\": [\n"
-    !quick trials speedup identical;
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"cells\": %d, \"levels\": %d, \"full_median_ms\": %.4f, \
-         \"incremental_median_ms\": %.4f, \"median_speedup\": %.2f, \
-         \"median_evaluated\": %.0f, \"bit_identical\": %b }%s\n"
-        r.ir_cells r.ir_levels r.ir_full_ms r.ir_incr_ms r.ir_speedup
-        r.ir_evaluated r.ir_identical
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ],\n  \"scaling\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"cells\": %d, \"levels\": %d, \"nets\": %d, \"gen_ms\": \
-         %.1f, \"analyze_ms\": %.2f, \"update_ms\": %.4f, \
-         \"update_evaluated\": %d, \"incr_ratio\": %.3e, \"bit_identical\": \
-         %b, \"peak_rss_mb\": %.1f, \"arena_mb\": %.1f }%s\n"
-        r.sc_cells r.sc_levels r.sc_nets r.sc_gen_ms r.sc_analyze_ms
-        r.sc_update_ms r.sc_update_evaluated r.sc_incr_ratio
-        r.sc_bit_identical r.sc_peak_rss_mb r.sc_arena_mb
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"model_cache\": { \"hits\": %d, \"misses\": %d, \"entries\": %d },\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    stats.Memo_cache.hits stats.Memo_cache.misses stats.Memo_cache.entries
-    (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_incremental.json\n"
+  write_bench "BENCH_incremental.json"
+    [
+      ( "workload",
+        Json.String
+          "single-edit ECO on random layered designs, proximity mode, \
+           synthetic models" );
+      ("quick", Json.Bool !quick);
+      ("trials_per_design", int trials);
+      ("median_speedup", num speedup);
+      ("bit_identical", Json.Bool identical);
+      ( "designs",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("cells", int r.ir_cells); ("levels", int r.ir_levels);
+                   ("full_median_ms", num r.ir_full_ms);
+                   ("incremental_median_ms", num r.ir_incr_ms);
+                   ("median_speedup", num r.ir_speedup);
+                   ("median_evaluated", num r.ir_evaluated);
+                   ("bit_identical", Json.Bool r.ir_identical);
+                 ])
+             results) );
+      ( "scaling",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("cells", int r.sc_cells); ("levels", int r.sc_levels);
+                   ("nets", int r.sc_nets); ("gen_ms", num r.sc_gen_ms);
+                   ("analyze_ms", num r.sc_analyze_ms);
+                   ("update_ms", num r.sc_update_ms);
+                   ("update_evaluated", int r.sc_update_evaluated);
+                   ("incr_ratio", num r.sc_incr_ratio);
+                   ("bit_identical", Json.Bool r.sc_bit_identical);
+                   ("peak_rss_mb", num r.sc_peak_rss_mb);
+                   ("arena_mb", num r.sc_arena_mb);
+                 ])
+             scaling) );
+      ( "model_cache",
+        Json.Obj
+          [
+            ("hits", int stats.Memo_cache.hits);
+            ("misses", int stats.Memo_cache.misses);
+            ("entries", int stats.Memo_cache.entries);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Static verification: interval soundness on a randomized design, and
    the never-proximate pruning payoff.  Writes BENCH_verify.json.      *)
 
 module Verify = Proxim_verify.Verify
-module Interval = Proxim_verify.Interval
 
 (* The pruning payoff the verify, hazard and sense benches share: the
    median wall time of [prune_passes ()] full re-analyses of one
-   Proximity IR built with [prune], its report, and its fast-path
-   evaluations by source over all passes. *)
+   Proximity IR without and with [prune], then the harness's verdict on
+   one more pair of runs: the pruned run's fast-path evaluations by
+   source and whether its report is bit-identical (explaining the
+   divergence on stdout when it is not). *)
 let prune_passes () = if !quick then 5 else 20
 
-let prune_trials ~pool ~models ~thresholds design ~pi prune =
-  let times = Array.make (prune_passes ()) 0. in
-  let ir =
-    Sta.build_ir ~mode:Sta.Proximity ?prune ~models ~thresholds design ~pi
+let prune_payoff ~pool ~models ~thresholds design ~pi prune =
+  let median prune =
+    let ir =
+      Sta.build_ir ~mode:Sta.Proximity ~prune ~models ~thresholds design ~pi
+    in
+    let times =
+      Array.init (prune_passes ()) (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Sta.reanalyze ~pool ir : Timing.stats);
+          Unix.gettimeofday () -. t0)
+    in
+    Stats.percentile times 50.
   in
-  for t = 0 to Array.length times - 1 do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sta.reanalyze ~pool ir);
-    times.(t) <- Unix.gettimeofday () -. t0
-  done;
-  (Stats.percentile times 50., Sta.report ir, Sta.pruned_counts ir)
+  let t_full = median Prune.none in
+  let t_pruned = median prune in
+  let full, runs =
+    Harness.prune_divergence ~pool ~models ~thresholds design ~pi
+      [ ("pruned", prune) ]
+  in
+  let divergence = Harness.diverged design ~full runs in
+  Option.iter print_string divergence;
+  (t_full, t_pruned, (List.hd runs).Harness.pr_counts, divergence = None)
 
 (* the number of cells a per-cell-id mask covers *)
 let count_cells mask =
   Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask
+
+(* roughly half the primary inputs fall, spread over 800 ps, the others
+   stay quiet: the regime where many cells see a single switching input
+   and the static verdicts pay *)
+let half_falling rng design =
+  Harness.falling_events rng ~quiet_one_in:2 ~time_hi:800e-12
+    ~slew_hi:600e-12 (Design.primary_inputs design)
+
+(* the placement and slew windows of the verify and hazard soundness
+   draws *)
+let time_window = 40e-12
+let tau_window = 20e-12
 
 let verify_bench () =
   let c = Lazy.force ctx in
@@ -1188,29 +1218,9 @@ let verify_bench () =
   let rng = Prng.create 0x5AFEL in
   let design = random_layered_design rng ~tech:c.tech ~depth ~width in
   let n_cells = List.length (Design.cells design) in
-  let factory = Sta.synthetic_factory () in
-  let models = factory.Sta.models in
-  (* roughly half the primary inputs stay quiet, a wide time spread: the
-     regime where many cells see a single switching input and the
-     never-proximate verdict pays *)
-  let pi =
-    List.filter_map
-      (fun net ->
-        if Prng.int rng ~lo:0 ~hi:1 = 0 then None
-        else
-          Some
-            ( net,
-              {
-                Sta.time = Prng.float rng ~lo:0. ~hi:800e-12;
-                slew = Prng.float rng ~lo:150e-12 ~hi:600e-12;
-                edge = Measure.Fall;
-              } ))
-      (Design.primary_inputs design)
-  in
-  let time_window = 40e-12 and tau_window = 20e-12 in
-  let events =
-    List.map (Verify.of_sta_event ~time_window ~tau_window) pi
-  in
+  let models = (Sta.synthetic_factory ()).Sta.models in
+  let pi = half_falling rng design in
+  let events = List.map (Verify.of_sta_event ~time_window ~tau_window) pi in
   let verify_of mode =
     Verify.analyze ~mode ~models ~thresholds:c.th design ~pi:events
   in
@@ -1234,94 +1244,54 @@ let verify_bench () =
   let pool = Pool.create ~domains:1 in
   let trials = if !quick then 20 else 100 in
   let draw_rng = Prng.create 0xD12AL in
-  let check_mode mode v =
-    let violations = ref 0 in
-    for _ = 1 to trials do
-      let concrete_pi =
-        List.map
-          (fun (net, (a : Sta.arrival)) ->
-            ( net,
-              {
-                a with
-                Sta.time =
-                  Prng.float draw_rng ~lo:(a.Sta.time -. time_window)
-                    ~hi:(a.Sta.time +. time_window);
-                slew =
-                  Prng.float draw_rng ~lo:(a.Sta.slew -. tau_window)
-                    ~hi:(a.Sta.slew +. tau_window);
-              } ))
-          pi
-      in
-      let report =
-        Sta.analyze ~mode ~pool ~models ~thresholds:c.th design
-          ~pi:concrete_pi
-      in
-      List.iter
-        (fun (net, (a : Sta.arrival)) ->
-          match Verify.net_arrival v ~net with
-          | None -> incr violations
-          | Some (abs : Verify.aarrival) ->
-            if
-              not
-                (Interval.contains abs.Verify.a_time a.Sta.time
-                && Interval.contains abs.Verify.a_slew a.Sta.slew
-                && abs.Verify.a_edge = a.Sta.edge)
-            then incr violations)
-        report.Sta.arrivals
-    done;
-    !violations
+  let violations mode v =
+    List.length
+      (Harness.window_escapes ~pool draw_rng ~draws:trials ~mode ~models
+         ~thresholds:c.th ~time_window ~tau_window
+         ~window:(Harness.verify_windows v) design ~pi)
   in
-  let viol_prox = check_mode Sta.Proximity v_prox in
-  let viol_classic = check_mode Sta.Classic (verify_of Sta.Classic) in
+  let viol_prox = violations Sta.Proximity v_prox in
+  let viol_classic = violations Sta.Classic (verify_of Sta.Classic) in
   let sound = viol_prox = 0 && viol_classic = 0 in
   Printf.printf
     "  soundness: %d randomized concrete analyses per mode, violations: \
      proximity %d, classic %d\n"
     trials viol_prox viol_classic;
   (* pruning: bit-identity and wall-clock payoff on the nominal events *)
-  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
-  let t_full, r_full, _ = run_trials None in
-  let t_pruned, r_pruned, pruned =
-    run_trials
-      (Some (Prune.make ~never_proximate:(Verify.prune_mask v_prox) ()))
+  let t_full, t_pruned, pruned, identical =
+    prune_payoff ~pool ~models ~thresholds:c.th design ~pi
+      (Prune.make ~never_proximate:(Verify.prune_mask v_prox) ())
   in
-  let identical = Sta.report_equal r_full r_pruned in
-  let speedup = if t_pruned > 0. then t_full /. t_pruned else 1. in
+  let speedup = ratio t_full t_pruned in
   Pool.shutdown pool;
   Printf.printf
     "  VERIFY SUMMARY: prune rate %.1f%%, %d evaluations fast-pathed per \
      pass, full %.3f ms vs pruned %.3f ms (%.2fx), reports %s, intervals %s\n"
     (100. *. prune_rate)
-    (Prune.total pruned / prune_passes ())
+    (Prune.total pruned)
     (1e3 *. t_full) (1e3 *. t_pruned) speedup
     (if identical then "bit-identical" else "DIFFER")
     (if sound then "sound" else "VIOLATED");
-  let oc = open_out "BENCH_verify.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"interval verification of a random layered design, \
-     synthetic models\",\n\
-    \  \"quick\": %b,\n\
-    \  \"cells\": %d,\n\
-    \  \"switching_cells\": %d,\n\
-    \  \"never\": %d,\n\
-    \  \"always\": %d,\n\
-    \  \"may\": %d,\n\
-    \  \"prune_rate\": %.3f,\n\
-    \  \"soundness_trials_per_mode\": %d,\n\
-    \  \"soundness_violations\": { \"proximity\": %d, \"classic\": %d },\n\
-    \  \"sound\": %b,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"full_median_ms\": %.4f,\n\
-    \  \"pruned_median_ms\": %.4f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    !quick n_cells s.Verify.switching_cells s.Verify.never s.Verify.always
-    s.Verify.may prune_rate trials viol_prox viol_classic sound identical
-    (1e3 *. t_full) (1e3 *. t_pruned) speedup (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_verify.json\n"
+  write_bench "BENCH_verify.json"
+    [
+      ( "workload",
+        Json.String
+          "interval verification of a random layered design, synthetic \
+           models" );
+      ("quick", Json.Bool !quick);
+      ("cells", int n_cells);
+      ("switching_cells", int s.Verify.switching_cells);
+      ("never", int s.Verify.never); ("always", int s.Verify.always);
+      ("may", int s.Verify.may); ("prune_rate", num prune_rate);
+      ("soundness_trials_per_mode", int trials);
+      ( "soundness_violations",
+        Json.Obj [ ("proximity", int viol_prox); ("classic", int viol_classic) ]
+      );
+      ("sound", Json.Bool sound); ("bit_identical", Json.Bool identical);
+      ("full_median_ms", num (1e3 *. t_full));
+      ("pruned_median_ms", num (1e3 *. t_pruned));
+      ("speedup", num speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Static hazard analysis: §6 classification of a randomized design,
@@ -1337,22 +1307,8 @@ let hazard_bench () =
   let rng = Prng.create 0x6A2A12DL in
   let design = random_layered_design rng ~tech:c.tech ~depth ~width in
   let n_cells = List.length (Design.cells design) in
-  let factory = Sta.synthetic_factory () in
-  let models = factory.Sta.models in
-  let pi =
-    List.filter_map
-      (fun net ->
-        if Prng.int rng ~lo:0 ~hi:1 = 0 then None
-        else
-          Some
-            ( net,
-              {
-                Sta.time = Prng.float rng ~lo:0. ~hi:800e-12;
-                slew = Prng.float rng ~lo:150e-12 ~hi:600e-12;
-                edge = Measure.Fall;
-              } ))
-      (Design.primary_inputs design)
-  in
+  let models = (Sta.synthetic_factory ()).Sta.models in
+  let pi = half_falling rng design in
   (* the classification showcase flips a coin per input edge — the
      abstract analyzer orders glitches that a single concrete vector
      cannot, so only the hazard pass sees this stimulus *)
@@ -1368,17 +1324,16 @@ let hazard_bench () =
           } ))
       pi
   in
-  let time_window = 40e-12 and tau_window = 20e-12 in
-  let events = List.map (Verify.of_sta_event ~time_window ~tau_window) pi in
-  let events_mixed =
-    List.map (Verify.of_sta_event ~time_window ~tau_window) pi_mixed
-  in
+  let events_of = List.map (Verify.of_sta_event ~time_window ~tau_window) in
   let t0 = Unix.gettimeofday () in
-  let s = Hazard.summary (Hazard.analyze ~models ~thresholds:c.th design ~pi:events_mixed) in
+  let s =
+    Hazard.summary
+      (Hazard.analyze ~models ~thresholds:c.th design ~pi:(events_of pi_mixed))
+  in
   let analyze_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
   (* the soundness and pruning halves ride the all-fall stimulus, where
      the concrete single-vector STA is defined *)
-  let h = Hazard.analyze ~models ~thresholds:c.th design ~pi:events in
+  let h = Hazard.analyze ~models ~thresholds:c.th design ~pi:(events_of pi) in
   Printf.printf
     "  design: %d cells, %d window-bearing, %d constrained of %d primary \
      inputs (±%.0f ps time, ±%.0f ps tau windows), analysis %.3f ms\n"
@@ -1393,157 +1348,57 @@ let hazard_bench () =
      windows of every switching net *)
   let pool = Pool.create ~domains:1 in
   let trials = if !quick then 20 else 100 in
-  let draw_rng = Prng.create 0xD12BL in
-  let violations = ref 0 in
-  for _ = 1 to trials do
-    let concrete_pi =
-      List.map
-        (fun (net, (a : Sta.arrival)) ->
-          ( net,
-            {
-              a with
-              Sta.time =
-                Prng.float draw_rng ~lo:(a.Sta.time -. time_window)
-                  ~hi:(a.Sta.time +. time_window);
-              slew =
-                Prng.float draw_rng ~lo:(a.Sta.slew -. tau_window)
-                  ~hi:(a.Sta.slew +. tau_window);
-            } ))
-        pi
-    in
-    let report =
-      Sta.analyze ~mode:Sta.Proximity ~pool ~models ~thresholds:c.th design
-        ~pi:concrete_pi
-    in
-    List.iter
-      (fun (net, (a : Sta.arrival)) ->
-        match Hazard.net_state h ~net with
-        | None -> incr violations
-        | Some ns ->
-          let win =
-            match a.Sta.edge with
-            | Measure.Rise -> ns.Hazard.ns_rise
-            | Measure.Fall -> ns.Hazard.ns_fall
-          in
-          (match win with
-          | None -> incr violations
-          | Some w ->
-            if
-              not
-                (Interval.contains w.Hazard.w_time a.Sta.time
-                && Interval.contains w.Hazard.w_slew a.Sta.slew)
-            then incr violations))
-      report.Sta.arrivals
-  done;
-  let sound = !violations = 0 in
+  let violations =
+    List.length
+      (Harness.window_escapes ~pool (Prng.create 0xD12BL) ~draws:trials
+         ~mode:Sta.Proximity ~models ~thresholds:c.th ~time_window
+         ~tau_window ~window:(Harness.hazard_windows h) design ~pi)
+  in
+  let sound = violations = 0 in
   Printf.printf
     "  soundness: %d randomized concrete analyses, %d window violations\n"
-    trials !violations;
+    trials violations;
   (* quiet-cell pruning: bit-identity and wall-clock payoff *)
   let mask = Hazard.quiet_mask h in
   let quiet_cells = count_cells mask in
   let prune_rate =
     if n_cells = 0 then 0. else float_of_int quiet_cells /. float_of_int n_cells
   in
-  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
-  let t_full, r_full, _ = run_trials None in
-  let t_pruned, r_pruned, pruned =
-    run_trials (Some (Prune.make ~quiet:mask ()))
+  let t_full, t_pruned, pruned, identical =
+    prune_payoff ~pool ~models ~thresholds:c.th design ~pi
+      (Prune.make ~quiet:mask ())
   in
-  let identical = Sta.report_equal r_full r_pruned in
-  if not identical then begin
-    (* name the diverging nets and the quiet verdicts of their drivers *)
-    let g = Design.graph design in
-    let driver net =
-      Option.bind (Graph.net_id g net) (fun net -> Graph.driver g ~net)
-    in
-    List.iter2
-      (fun (n1, (a1 : Sta.arrival)) (_, (a2 : Sta.arrival)) ->
-        if not (Timing.arrival_eq a1 a2) then begin
-          let quiet =
-            match driver n1 with
-            | Some id -> if mask.(id) then " (driver marked quiet!)" else ""
-            | None -> " (primary input)"
-          in
-          Printf.printf
-            "  DIVERGES %s%s: full %.17g/%.17g pruned %.17g/%.17g\n" n1 quiet
-            a1.Sta.time a1.Sta.slew a2.Sta.time a2.Sta.slew;
-          (match driver n1 with
-          | Some id when mask.(id) ->
-            let cl : Design.cell = Graph.payload g id in
-            Printf.printf "    cell %s gate %s inputs:\n" cl.Design.name
-              cl.Design.gate.Gate.name;
-            Array.iter
-              (fun net ->
-                let conc =
-                  match List.assoc_opt net pi with
-                  | Some (a : Sta.arrival) ->
-                    Printf.sprintf "event %.1f ps / %.1f ps %s"
-                      (1e12 *. a.Sta.time) (1e12 *. a.Sta.slew)
-                      (match a.Sta.edge with
-                      | Measure.Rise -> "rise"
-                      | Measure.Fall -> "fall")
-                  | None -> "quiet"
-                in
-                let wins =
-                  match Hazard.net_state h ~net with
-                  | None -> "no state"
-                  | Some ns ->
-                    let w tag = function
-                      | None -> ""
-                      | Some (aw : Hazard.awin) ->
-                        Printf.sprintf " %s[%.1f,%.1f]ps" tag
-                          (1e12 *. Interval.lo aw.Hazard.w_time)
-                          (1e12 *. Interval.hi aw.Hazard.w_time)
-                    in
-                    (w "R" ns.Hazard.ns_rise ^ w "F" ns.Hazard.ns_fall)
-                in
-                Printf.printf "      %s: %s |%s\n" net conc wins)
-              cl.Design.input_nets
-          | _ -> ())
-        end)
-      r_full.Sta.arrivals r_pruned.Sta.arrivals
-  end;
-  let speedup = if t_pruned > 0. then t_full /. t_pruned else 1. in
+  let speedup = ratio t_full t_pruned in
   Pool.shutdown pool;
   Printf.printf
     "  HAZARD SUMMARY: quiet-mask rate %.1f%%, %d evaluations fast-pathed \
      per pass, full %.3f ms vs pruned %.3f ms (%.2fx), reports %s, windows %s\n"
     (100. *. prune_rate)
-    (Prune.total pruned / prune_passes ())
+    (Prune.total pruned)
     (1e3 *. t_full) (1e3 *. t_pruned) speedup
     (if identical then "bit-identical" else "DIFFER")
     (if sound then "sound" else "VIOLATED");
-  let oc = open_out "BENCH_hazard.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"section-6 hazard analysis of a random layered \
-     design, synthetic models\",\n\
-    \  \"quick\": %b,\n\
-    \  \"cells\": %d,\n\
-    \  \"classified\": %d,\n\
-    \  \"never\": %d,\n\
-    \  \"filtered\": %d,\n\
-    \  \"may_glitch\": %d,\n\
-    \  \"observable\": %d,\n\
-    \  \"analyze_ms\": %.4f,\n\
-    \  \"soundness_trials\": %d,\n\
-    \  \"soundness_violations\": %d,\n\
-    \  \"sound\": %b,\n\
-    \  \"quiet_cells\": %d,\n\
-    \  \"quiet_rate\": %.3f,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"full_median_ms\": %.4f,\n\
-    \  \"pruned_median_ms\": %.4f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    !quick n_cells s.Hazard.classified s.Hazard.never s.Hazard.filtered
-    s.Hazard.may_glitch s.Hazard.observable analyze_ms trials !violations
-    sound quiet_cells prune_rate identical (1e3 *. t_full) (1e3 *. t_pruned)
-    speedup (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_hazard.json\n"
+  write_bench "BENCH_hazard.json"
+    [
+      ( "workload",
+        Json.String
+          "section-6 hazard analysis of a random layered design, synthetic \
+           models" );
+      ("quick", Json.Bool !quick);
+      ("cells", int n_cells); ("classified", int s.Hazard.classified);
+      ("never", int s.Hazard.never); ("filtered", int s.Hazard.filtered);
+      ("may_glitch", int s.Hazard.may_glitch);
+      ("observable", int s.Hazard.observable);
+      ("analyze_ms", num analyze_ms);
+      ("soundness_trials", int trials);
+      ("soundness_violations", int violations);
+      ("sound", Json.Bool sound);
+      ("quiet_cells", int quiet_cells); ("quiet_rate", num prune_rate);
+      ("bit_identical", Json.Bool identical);
+      ("full_median_ms", num (1e3 *. t_full));
+      ("pruned_median_ms", num (1e3 *. t_pruned));
+      ("speedup", num speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Static sensitization: ternary classification of a randomized design,
@@ -1553,81 +1408,6 @@ let hazard_bench () =
 
 module Sense = Proxim_sense.Sense
 module Netlist_bin = Proxim_sta.Netlist_bin
-
-(* exact two-frame boolean simulation of a whole design — the golden
-   reference the Unsensitizable verdicts are drawn against *)
-let sense_sim_frames design stim =
-  let g = Design.graph design in
-  let n = Graph.net_count g in
-  let init = Array.make n false and final = Array.make n false in
-  List.iter
-    (fun (net, (i0, f0)) ->
-      match Graph.net_id g net with
-      | Some id ->
-        init.(id) <- i0;
-        final.(id) <- f0
-      | None -> ())
-    stim;
-  Array.iter
-    (fun cid ->
-      let cell : Design.cell = Graph.payload g cid in
-      let ins = Graph.cell_inputs g cid in
-      let o = Graph.cell_output g cid in
-      init.(o) <-
-        Sense.eval_gate_bool cell.Design.gate (fun p -> init.(ins.(p)));
-      final.(o) <-
-        Sense.eval_gate_bool cell.Design.gate (fun p -> final.(ins.(p))))
-    (Graph.topological g);
-  fun net ->
-    let id = Option.get (Graph.net_id g net) in
-    init.(id) <> final.(id)
-
-(* draw random concrete assignments of the free PIs for every pair the
-   engine proved Unsensitizable; returns (draws, violations) *)
-let sense_soundness rng design s ~stim ~draws_per_pair =
-  let pis = Design.primary_inputs design in
-  let free = List.filter (fun n -> not (List.mem_assoc n stim)) pis in
-  let pinned =
-    List.filter_map
-      (fun (net, st) ->
-        match st with
-        | Sense.Switch Measure.Rise -> Some (net, (false, true))
-        | Sense.Switch Measure.Fall -> Some (net, (true, false))
-        | Sense.Const b -> Some (net, (b, b))
-        | Sense.Pulse -> None)
-      stim
-  in
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (cl : Design.cell) -> Hashtbl.replace by_name cl.Design.name cl)
-    (Design.cells design);
-  let checked = ref 0 and violations = ref 0 in
-  List.iter
-    (fun ci ->
-      let cell = Hashtbl.find by_name ci.Sense.sc_name in
-      List.iter
-        (fun p ->
-          match p.Sense.sp_decision with
-          | Sense.Unsensitizable _ ->
-            let na = cell.Design.input_nets.(p.Sense.sp_a) in
-            let nb = cell.Design.input_nets.(p.Sense.sp_b) in
-            for _ = 1 to draws_per_pair do
-              incr checked;
-              let assignment =
-                pinned
-                @ List.map
-                    (fun net ->
-                      let b = Prng.int rng ~lo:0 ~hi:1 = 1 in
-                      (net, (b, b)))
-                    free
-              in
-              let changed = sense_sim_frames design assignment in
-              if changed na && changed nb then incr violations
-            done
-          | _ -> ())
-        ci.Sense.sc_pairs)
-    (Sense.cells s);
-  (!checked, !violations)
 
 let sense_bench () =
   let c = Lazy.force ctx in
@@ -1731,11 +1511,7 @@ let sense_bench () =
   (* the hazard pass gets placement/slew windows around the same events:
      sound for the point stimulus, but deliberately too coarse to
      re-prove gassist's dominance *)
-  let events_h =
-    List.map
-      (Verify.of_sta_event ~time_window:40e-12 ~tau_window:20e-12)
-      pi
-  in
+  let events_h = List.map (Verify.of_sta_event ~time_window ~tau_window) pi in
   let stim = stim_of pi in
   let t0 = Unix.gettimeofday () in
   let s = Sense.analyze design ~pi:stim in
@@ -1770,9 +1546,10 @@ let sense_bench () =
   let draw_rng = Prng.create 0xD4A15L in
   let n_unsens = sum.Sense.unsensitizable in
   let draws_per_pair = max 20 (200 / max 1 n_unsens) in
-  let draws, violations =
-    sense_soundness draw_rng design s ~stim ~draws_per_pair
+  let draws, joints =
+    Harness.unsensitizable_draws draw_rng design s ~stim ~draws_per_pair
   in
+  let violations = List.length joints in
   (* the prune masks, solo and fused *)
   let fused_of v h s =
     Prune.make
@@ -1798,10 +1575,10 @@ let sense_bench () =
     (if strictly_best then " — fused strictly widest" else " — NOT strict");
   (* bit-identity and wall-clock payoff on the main design *)
   let pool = Pool.create ~domains:1 in
-  let run_trials = prune_trials ~pool ~models ~thresholds:c.th design ~pi in
-  let t_full, r_full, _ = run_trials None in
-  let t_fused, r_fused, counts = run_trials (Some fused) in
-  let identical = ref (Sta.report_equal r_full r_fused) in
+  let t_full, t_fused, counts, identical =
+    prune_payoff ~pool ~models ~thresholds:c.th design ~pi fused
+  in
+  let identical = ref identical in
   let designs_checked = ref 1 in
   (* ... and across independent random designs and every example netlist *)
   let check_design design pi =
@@ -1809,18 +1586,16 @@ let sense_bench () =
     let v = Verify.analyze ~models ~thresholds:c.th design ~pi:events in
     let h = Hazard.analyze ~models ~thresholds:c.th design ~pi:events in
     let fused = fused_of v h (Sense.analyze design ~pi:(stim_of pi)) in
-    let run prune_opt =
-      let ir =
-        Sta.build_ir ~mode:Sta.Proximity ?prune:prune_opt ~models
-          ~thresholds:c.th design ~pi
-      in
-      ignore (Sta.reanalyze ~pool ir);
-      Sta.report ir
+    let full, runs =
+      Harness.prune_divergence ~pool ~models ~thresholds:c.th design ~pi
+        [ ("fused", fused) ]
     in
-    let full = run None in
-    let pruned = run (Some fused) in
     incr designs_checked;
-    if not (Sta.report_equal full pruned) then identical := false
+    Option.iter
+      (fun text ->
+        identical := false;
+        print_string text)
+      (Harness.diverged design ~full runs)
   in
   for _ = 1 to 10 do
     let d = random_layered_design rng ~tech:c.tech ~depth:3 ~width:20 in
@@ -1859,62 +1634,50 @@ let sense_bench () =
       "examples/verify_demo.ntl";
     ];
   Pool.shutdown pool;
-  let speedup = if t_fused > 0. then t_full /. t_fused else 1. in
+  let speedup = ratio t_full t_fused in
   let sound = violations = 0 in
   Printf.printf
     "  SENSE SUMMARY: %d soundness draws (%d violations), %d designs \
      bit-checked, %d evaluations fast-pathed per pass (%d/%d/%d by source), \
      full %.3f ms vs fused %.3f ms (%.2fx), reports %s\n"
     draws violations !designs_checked
-    (Prune.total counts / prune_passes ())
+    (Prune.total counts)
     counts.Prune.unsensitizable counts.Prune.quiet counts.Prune.never_proximate
     (1e3 *. t_full) (1e3 *. t_fused) speedup
     (if !identical then "bit-identical" else "DIFFER");
-  let oc = open_out "BENCH_sense.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"static sensitization of a random layered design \
-     with grafted witness structures, synthetic models\",\n\
-    \  \"quick\": %b,\n\
-    \  \"cells\": %d,\n\
-    \  \"classified_cells\": %d,\n\
-    \  \"pairs\": %d,\n\
-    \  \"sensitizable\": %d,\n\
-    \  \"unsensitizable\": %d,\n\
-    \  \"exhausted\": %d,\n\
-    \  \"constant_nets\": %d,\n\
-    \  \"false_path_cells\": %d,\n\
-    \  \"analyze_ms\": %.4f,\n\
-    \  \"refined_pairs\": %d,\n\
-    \  \"refined_cells\": %d,\n\
-    \  \"may_before\": %d,\n\
-    \  \"may_after\": %d,\n\
-    \  \"soundness_draws\": %d,\n\
-    \  \"soundness_violations\": %d,\n\
-    \  \"sound\": %b,\n\
-    \  \"sense_cells\": %d,\n\
-    \  \"quiet_cells\": %d,\n\
-    \  \"never_cells\": %d,\n\
-    \  \"fused_cells\": %d,\n\
-    \  \"fused_rate\": %.4f,\n\
-    \  \"fused_strictly_best\": %b,\n\
-    \  \"designs_checked\": %d,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"full_median_ms\": %.4f,\n\
-    \  \"fused_median_ms\": %.4f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    !quick n_cells sum.Sense.classified_cells sum.Sense.pairs
-    sum.Sense.sensitizable sum.Sense.unsensitizable sum.Sense.exhausted
-    sum.Sense.constant_nets sum.Sense.false_path_cells analyze_ms
-    refd.Verify.refined_pairs refd.Verify.refined_cells before.Verify.may
-    after.Verify.may draws violations sound n_sense n_quiet n_never n_fused
-    (float_of_int n_fused /. float_of_int n_cells)
-    strictly_best !designs_checked !identical (1e3 *. t_full)
-    (1e3 *. t_fused) speedup (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_sense.json\n"
+  write_bench "BENCH_sense.json"
+    [
+      ( "workload",
+        Json.String
+          "static sensitization of a random layered design with grafted \
+           witness structures, synthetic models" );
+      ("quick", Json.Bool !quick);
+      ("cells", int n_cells);
+      ("classified_cells", int sum.Sense.classified_cells);
+      ("pairs", int sum.Sense.pairs);
+      ("sensitizable", int sum.Sense.sensitizable);
+      ("unsensitizable", int sum.Sense.unsensitizable);
+      ("exhausted", int sum.Sense.exhausted);
+      ("constant_nets", int sum.Sense.constant_nets);
+      ("false_path_cells", int sum.Sense.false_path_cells);
+      ("analyze_ms", num analyze_ms);
+      ("refined_pairs", int refd.Verify.refined_pairs);
+      ("refined_cells", int refd.Verify.refined_cells);
+      ("may_before", int before.Verify.may);
+      ("may_after", int after.Verify.may);
+      ("soundness_draws", int draws);
+      ("soundness_violations", int violations);
+      ("sound", Json.Bool sound);
+      ("sense_cells", int n_sense); ("quiet_cells", int n_quiet);
+      ("never_cells", int n_never); ("fused_cells", int n_fused);
+      ("fused_rate", num (float_of_int n_fused /. float_of_int n_cells));
+      ("fused_strictly_best", Json.Bool strictly_best);
+      ("designs_checked", int !designs_checked);
+      ("bit_identical", Json.Bool !identical);
+      ("full_median_ms", num (1e3 *. t_full));
+      ("fused_median_ms", num (1e3 *. t_fused));
+      ("speedup", num speedup);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The serve daemon under concurrent sessions: ECO/query latency
@@ -1923,7 +1686,6 @@ let sense_bench () =
 
 module Serve = Proxim_serve.Serve
 module Frame = Proxim_serve.Frame
-module Sjson = Proxim_util.Json
 
 (* percentile over a metrics histogram (log10-seconds axis): walk the
    merged bins to the target rank and interpolate inside the bin *)
@@ -2004,22 +1766,22 @@ let serve_bench () =
   let srv = Serve.start (`Tcp ("127.0.0.1", 0)) in
   let addr = `Tcp ("127.0.0.1", Option.get (Serve.port srv)) in
   let gen_req =
-    Sjson.Obj
+    Json.Obj
       [
-        ("op", Sjson.String "gen");
-        ("cells", Sjson.Number (float_of_int cells));
-        ("depth", Sjson.Number (float_of_int depth));
-        ("seed", Sjson.Number (float_of_int seed));
-        ("name", Sjson.String "bench");
+        ("op", Json.String "gen");
+        ("cells", Json.Number (float_of_int cells));
+        ("depth", Json.Number (float_of_int depth));
+        ("seed", Json.Number (float_of_int seed));
+        ("name", Json.String "bench");
       ]
   in
   let attach_req =
-    Sjson.Obj
+    Json.Obj
       [
-        ("op", Sjson.String "attach");
-        ("design", Sjson.String "bench");
-        ("mode", Sjson.String "proximity");
-        ("models", Sjson.String "synthetic");
+        ("op", Json.String "attach");
+        ("design", Json.String "bench");
+        ("mode", Json.String "proximity");
+        ("models", Json.String "synthetic");
         ( "pi_all",
           Serve.arrival_to_json
             { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall } );
@@ -2027,7 +1789,7 @@ let serve_bench () =
   in
   (* one connection loads the shared design into the store *)
   let fd0 = Serve.connect addr in
-  ignore (serve_rpc fd0 gen_req : Sjson.t);
+  ignore (serve_rpc fd0 gen_req : Json.t);
   Unix.close fd0;
   let eco_ts = Array.make (sessions * rounds) 0. in
   let query_ts = Array.make (sessions * rounds) 0. in
@@ -2037,27 +1799,27 @@ let serve_bench () =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        ignore (serve_rpc fd attach_req : Sjson.t);
+        ignore (serve_rpc fd attach_req : Json.t);
         for r = 0 to rounds - 1 do
           let t0 = Unix.gettimeofday () in
           ignore
             (serve_rpc fd
-               (Sjson.Obj
+               (Json.Obj
                   [
-                    ("op", Sjson.String "eco");
-                    ("ecos", Sjson.List [ Serve.eco_to_json (eco_at r) ]);
+                    ("op", Json.String "eco");
+                    ("ecos", Json.List [ Serve.eco_to_json (eco_at r) ]);
                   ])
-              : Sjson.t);
+              : Json.t);
           eco_ts.((s * rounds) + r) <- Unix.gettimeofday () -. t0;
           let t0 = Unix.gettimeofday () in
           let resp =
-            serve_rpc fd (Sjson.Obj [ ("op", Sjson.String "report") ])
+            serve_rpc fd (Json.Obj [ ("op", Json.String "report") ])
           in
           query_ts.((s * rounds) + r) <- Unix.gettimeofday () -. t0;
           if r = rounds - 1 then
             finals.(s) <-
               (match
-                 Option.map Serve.report_of_json (Sjson.member "report" resp)
+                 Option.map Serve.report_of_json (Json.member "report" resp)
                with
                | Some (Ok rep) -> Some rep
                | _ -> None)
@@ -2088,19 +1850,19 @@ let serve_bench () =
       let bad_json_typed =
         match Frame.read fd with
         | Ok s -> (
-          match Sjson.of_string s with
+          match Json.of_string s with
           | Ok j -> Serve.error_code j = Some "bad_json"
           | Error _ -> false)
         | Error _ -> false
       in
-      ignore (serve_rpc fd (Sjson.Obj [ ("op", Sjson.String "ping") ]));
+      ignore (serve_rpc fd (Json.Obj [ ("op", Json.String "ping") ]));
       Unix.close fd;
       let fd = Serve.connect addr in
       ignore (Unix.write fd (Bytes.of_string "\x7f\xff\xff\xff") 0 4 : int);
       let oversized_typed =
         match Frame.read fd with
         | Ok s -> (
-          match Sjson.of_string s with
+          match Json.of_string s with
           | Ok j -> Serve.error_code j = Some "bad_frame"
           | Error _ -> false)
         | Error _ -> false
@@ -2110,7 +1872,7 @@ let serve_bench () =
       ignore (Unix.write fd (Bytes.of_string "\x00\x02") 0 2 : int);
       Unix.close fd;
       let fd = Serve.connect addr in
-      ignore (serve_rpc fd (Sjson.Obj [ ("op", Sjson.String "ping") ]));
+      ignore (serve_rpc fd (Json.Obj [ ("op", Json.String "ping") ]));
       Unix.close fd;
       bad_json_typed && oversized_typed
     with _ -> false
@@ -2140,38 +1902,26 @@ let serve_bench () =
   Serve.stop srv;
   Serve.wait srv;
 
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"generated design served to concurrent sessions, a \
-     scripted ECO+report round-trip per request pair, synthetic models\",\n\
-    \  \"quick\": %b,\n\
-    \  \"cells\": %d,\n\
-    \  \"sessions\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"adversarial_survived\": %b,\n\
-    \  \"eco_p50_ms\": %.4f,\n\
-    \  \"eco_p99_ms\": %.4f,\n\
-    \  \"query_p50_ms\": %.4f,\n\
-    \  \"query_p99_ms\": %.4f,\n\
-    \  \"server_eco_p50_ms\": %.4f,\n\
-    \  \"server_eco_p99_ms\": %.4f,\n\
-    \  \"server_query_p50_ms\": %.4f,\n\
-    \  \"server_query_p99_ms\": %.4f,\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    !quick cells sessions rounds total_requests bit_identical
-    adversarial_survived (p eco_ts 50.) (p eco_ts 99.) (p query_ts 50.)
-    (p query_ts 99.)
-    (1e3 *. hist_percentile h_eco 50.)
-    (1e3 *. hist_percentile h_eco 99.)
-    (1e3 *. hist_percentile h_query 50.)
-    (1e3 *. hist_percentile h_query 99.)
-    (metrics_json ());
-  close_out oc;
-  Printf.printf "  wrote BENCH_serve.json\n"
+  let server_ms h q = num (1e3 *. hist_percentile h q) in
+  write_bench "BENCH_serve.json"
+    [
+      ( "workload",
+        Json.String
+          "generated design served to concurrent sessions, a scripted \
+           ECO+report round-trip per request pair, synthetic models" );
+      ("quick", Json.Bool !quick);
+      ("cells", int cells); ("sessions", int sessions);
+      ("rounds", int rounds); ("requests", int total_requests);
+      ("bit_identical", Json.Bool bit_identical);
+      ("adversarial_survived", Json.Bool adversarial_survived);
+      ("eco_p50_ms", num (p eco_ts 50.)); ("eco_p99_ms", num (p eco_ts 99.));
+      ("query_p50_ms", num (p query_ts 50.));
+      ("query_p99_ms", num (p query_ts 99.));
+      ("server_eco_p50_ms", server_ms h_eco 50.);
+      ("server_eco_p99_ms", server_ms h_eco 99.);
+      ("server_query_p50_ms", server_ms h_query 50.);
+      ("server_query_p99_ms", server_ms h_query 99.);
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -548,20 +548,16 @@ let analyze ?(mode = Sta.Proximity) ?(filter_margin = 25e-12) ?required
   (* quiet primary inputs feeding a cone where an event could create an
      opposing pair the analysis has not seen (the PX304 pattern) *)
   let unconstrained =
+    Trace.with_span ~cat:"hazard" "hazard.unconstrained" @@ fun () ->
+    let sensitive =
+      Graph.reaches g ~cell:(fun c ->
+          fwds.(c) <> None && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
+    in
     Array.to_list (Graph.primary_inputs g)
     |> List.filter_map (fun net ->
-         if nets.(net) <> None then None
-         else begin
-           let cone = Graph.fanout_cone g ~nets:[ net ] ~cells:[] in
-           let sensitive =
-             Array.exists
-               (fun c ->
-                 cone.(c) && fwds.(c) <> None
-                 && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
-               (Array.init (Graph.cell_count g) Fun.id)
-           in
-           if sensitive then Some (Graph.net_name g net) else None
-         end)
+         if nets.(net) = None && sensitive.(net) then
+           Some (Graph.net_name g net)
+         else None)
   in
   let classified = Array.fold_left (fun n f -> if f <> None then n + 1 else n) 0 fwds in
   let may =

@@ -1,5 +1,6 @@
 module Uhist = Proxim_util.Histogram
 module Dcounter = Proxim_util.Dcounter
+module Json = Proxim_util.Json
 
 (* --- registry entries ---------------------------------------------- *)
 
@@ -326,22 +327,6 @@ let to_text s =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "0"
 
 let to_json s =
@@ -358,16 +343,23 @@ let to_json s =
   in
   Buffer.add_char buf '{';
   pf "\"counters\":";
-  obj (fun (name, v) -> pf "\"%s\":%d" (json_escape name) v) s.counters;
+  obj
+    (fun (name, v) ->
+      Json.add_string buf name;
+      pf ":%d" v)
+    s.counters;
   pf ",\"gauges\":";
   obj
-    (fun (name, v) -> pf "\"%s\":%s" (json_escape name) (json_float v))
+    (fun (name, v) ->
+      Json.add_string buf name;
+      pf ":%s" (json_float v))
     s.gauges;
   pf ",\"histograms\":";
   obj
     (fun (name, h) ->
-      pf "\"%s\":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s" (json_escape name)
-        h.count (json_float h.sum) (json_float h.min) (json_float h.max);
+      Json.add_string buf name;
+      pf ":{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s" h.count
+        (json_float h.sum) (json_float h.min) (json_float h.max);
       pf ",\"log10_lo\":%s,\"log10_hi\":%s" (json_float h.hist.Uhist.lo)
         (json_float h.hist.Uhist.hi);
       pf ",\"underflow\":%d,\"overflow\":%d,\"counts\":[" h.hist.Uhist.underflow

@@ -120,10 +120,6 @@ val to_json : snapshot -> string
     [Proxim_util.Json] and embeddable into the bench [BENCH_*.json]
     reports. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion inside a JSON string literal (used by
-    the reporters here and by the trace writer). *)
-
 val peak_rss_bytes : unit -> int
 (** Peak resident set size of this process, in bytes: [VmHWM] from
     [/proc/self/status] where available (Linux), otherwise the GC

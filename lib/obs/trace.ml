@@ -96,7 +96,7 @@ let disable () = Atomic.set enabled_flag false
 
 (* --- Chrome trace-event JSON ---------------------------------------- *)
 
-let json_escape = Metrics.json_escape
+module Json = Proxim_util.Json
 
 let to_chrome_json () =
   let evs = events () in
@@ -106,12 +106,19 @@ let to_chrome_json () =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
-      pf "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d"
-        (json_escape e.name) (json_escape e.cat) e.tid;
+      pf "\n{\"name\":";
+      Json.add_string buf e.name;
+      pf ",\"cat\":";
+      Json.add_string buf e.cat;
+      pf ",\"ph\":\"X\",\"pid\":1,\"tid\":%d" e.tid;
       pf ",\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"alloc_bytes\":%.0f" e.ts e.dur
         e.alloc;
       List.iter
-        (fun (k, v) -> pf ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
+        (fun (k, v) ->
+          Buffer.add_char buf ',';
+          Json.add_string buf k;
+          Buffer.add_char buf ':';
+          Json.add_string buf v)
         e.args;
       pf "}}")
     evs;

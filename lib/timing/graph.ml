@@ -476,3 +476,15 @@ let fanout_cone t ~nets ~cells =
   List.iter mark_net nets;
   List.iter mark_cell cells;
   dirty
+
+(* one reverse-topological pass: every reader of a cell's output comes
+   after it in [topo], so its output's verdict is final when it is
+   visited *)
+let reaches t ~cell =
+  let r = Array.make (net_count t) false in
+  for k = Array.length t.topo - 1 downto 0 do
+    let c = t.topo.(k) in
+    if cell c || r.(t.cell_outputs.(c)) then
+      Array.iter (fun net -> r.(net) <- true) t.cell_inputs.(c)
+  done;
+  r

@@ -173,3 +173,10 @@ val fanout_cone : 'cell t -> nets:int list -> cells:int list -> bool array
 (** Per-cell membership of the transitive fanout cone of the given nets
     and cells (the cells themselves included) — the set an edit to those
     nodes can possibly affect. *)
+
+val reaches : 'cell t -> cell:(int -> bool) -> bool array
+(** Per-net: whether the net's transitive fanout cone holds a cell
+    satisfying [cell] — a reader of the net does, or drives a net that
+    reaches one.  One reverse-topological pass, [cell] called once per
+    cell: the same answer as testing {!fanout_cone} of every net, in
+    O(cells + pins). *)

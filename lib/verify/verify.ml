@@ -552,23 +552,18 @@ let analyze ?(mode = Sta.Proximity) ~models ~thresholds design ~pi =
     Array.iter process (Graph.topological g));
   let unconstrained =
     Trace.with_span ~cat:"verify" "verify.unconstrained" @@ fun () ->
+    let sensitive =
+      Graph.reaches g ~cell:(fun c ->
+          (match infos.(c) with
+          | Some ci -> List.length ci.ci_switching >= 1
+          | None -> false)
+          && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
+    in
     Array.to_list (Graph.primary_inputs g)
     |> List.filter_map (fun net ->
-         if arrivals.(net) <> None then None
-         else begin
-           let cone = Graph.fanout_cone g ~nets:[ net ] ~cells:[] in
-           let sensitive =
-             Array.exists
-               (fun c ->
-                 cone.(c)
-                 && (match infos.(c) with
-                    | Some ci -> List.length ci.ci_switching >= 1
-                    | None -> false)
-                 && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
-               (Array.init (Graph.cell_count g) Fun.id)
-           in
-           if sensitive then Some (Graph.net_name g net) else None
-         end)
+         if arrivals.(net) = None && sensitive.(net) then
+           Some (Graph.net_name g net)
+         else None)
   in
   {
     v_design = design;

@@ -19,6 +19,7 @@ module Diagnostic = Proxim_lint.Diagnostic
 module Interval = Proxim_verify.Interval
 module Verify = Proxim_verify.Verify
 module Hazard = Proxim_hazard.Hazard
+module Harness = Proxim_harness.Harness
 
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
@@ -26,16 +27,7 @@ let nand3 = Gate.nand tech ~fan_in:3
 let nor2 = Gate.nor tech ~fan_in:2
 let inv = Gate.inverter tech
 
-let synthetic_models =
-  let tbl = Hashtbl.create 8 in
-  fun (cell : Design.cell) ->
-    let key = cell.Design.gate.Gate.name in
-    match Hashtbl.find_opt tbl key with
-    | Some m -> m
-    | None ->
-      let m = Models.synthetic cell.Design.gate in
-      Hashtbl.add tbl key m;
-      m
+let synthetic_models = (Sta.synthetic_factory ()).Sta.models
 
 let thresholds = { Vtc.vil = 1.25; vih = 3.75; vdd = 5.0 }
 
@@ -263,56 +255,13 @@ let test_soundness_random () =
                  (Verify.of_sta_event ~time_window:tw ~tau_window:sw)
                  pi)
         in
-        for _ = 1 to 7 do
-          let concrete =
-            List.map
-              (fun (net, (a : Sta.arrival)) ->
-                ( net,
-                  {
-                    a with
-                    Sta.time =
-                      Prng.float rng ~lo:(a.Sta.time -. tw)
-                        ~hi:(a.Sta.time +. tw);
-                    slew =
-                      Prng.float rng ~lo:(a.Sta.slew -. sw)
-                        ~hi:(a.Sta.slew +. sw);
-                  } ))
-              pi
-          in
-          let report =
-            Sta.analyze ~mode ~pool ~models:synthetic_models ~thresholds
-              design ~pi:concrete
-          in
-          List.iter
-            (fun (net, (a : Sta.arrival)) ->
-              match Hazard.net_state h ~net with
-              | None -> Alcotest.fail (net ^ " missing from hazard state")
-              | Some ns ->
-                let win =
-                  match a.Sta.edge with
-                  | Measure.Rise -> ns.Hazard.ns_rise
-                  | Measure.Fall -> ns.Hazard.ns_fall
-                in
-                (match win with
-                | None ->
-                  Alcotest.fail
-                    (net ^ " switches concretely but carries no window")
-                | Some w ->
-                  if
-                    not
-                      (Interval.contains w.Hazard.w_time a.Sta.time
-                      && Interval.contains w.Hazard.w_slew a.Sta.slew)
-                  then
-                    Alcotest.fail
-                      (Printf.sprintf
-                         "%s escapes its window: time %g not in %s or slew \
-                          %g not in %s"
-                         net a.Sta.time
-                         (Interval.to_string w.Hazard.w_time)
-                         a.Sta.slew
-                         (Interval.to_string w.Hazard.w_slew))))
-            report.Sta.arrivals
-        done
+        match
+          Harness.window_escapes ~pool rng ~draws:7 ~mode
+            ~models:synthetic_models ~thresholds ~time_window:tw
+            ~tau_window:sw ~window:(Harness.hazard_windows h) design ~pi
+        with
+        | [] -> ()
+        | e :: _ -> Alcotest.fail e
       done)
     [ Sta.Proximity; Sta.Classic ];
   Pool.shutdown pool;
@@ -453,16 +402,17 @@ let test_inertial_rule_conservative () =
 (* ------------------------------------------------------------------ *)
 (* quiet_mask: pruned STA is bit-identical                             *)
 
-let aeq (a : Sta.arrival) (b : Sta.arrival) =
-  feq a.Sta.time b.Sta.time && feq a.Sta.slew b.Sta.slew
-  && a.Sta.edge = b.Sta.edge
-
-let reports_eq (r1 : Sta.report) (r2 : Sta.report) =
-  List.length r1.Sta.arrivals = List.length r2.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2)
-       r1.Sta.arrivals r2.Sta.arrivals
-  && r1.Sta.predecessors = r2.Sta.predecessors
+(* the quiet-pruned analysis of [design] under [pi] must be bit-identical
+   to the full one; returns its fast-path evaluations *)
+let check_quiet_pruned design ~pi mask =
+  let pool = Pool.create ~domains:1 in
+  let full, runs =
+    Harness.prune_divergence ~pool ~models:synthetic_models ~thresholds design
+      ~pi [ ("quiet", Prune.make ~quiet:mask ()) ]
+  in
+  Pool.shutdown pool;
+  Option.iter Alcotest.fail (Harness.diverged design ~full runs);
+  (List.hd runs).Harness.pr_evaluations
 
 let test_quiet_mask_bit_identical () =
   let design = small_design () in
@@ -482,20 +432,8 @@ let test_quiet_mask_bit_identical () =
   let id name = Option.get (Graph.cell_id (Design.graph design) name) in
   Alcotest.(check bool) "u1 quiet (single window input)" true mask.(id "u1");
   Alcotest.(check bool) "u2 quiet (single input)" true mask.(id "u2");
-  let pool = Pool.create ~domains:1 in
-  let run ?prune () =
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-        ~thresholds design ~pi
-    in
-    ignore (Sta.reanalyze ~pool ir);
-    (Sta.report ir, Sta.pruned_evaluations ir)
-  in
-  let r_full, _ = run () in
-  let r_pruned, n_pruned = run ~prune:(Prune.make ~quiet:mask ()) () in
-  Pool.shutdown pool;
-  Alcotest.(check bool) "fast path taken" true (n_pruned > 0);
-  Alcotest.(check bool) "bit-identical" true (reports_eq r_full r_pruned)
+  Alcotest.(check bool) "fast path taken" true
+    (check_quiet_pruned design ~pi mask > 0)
 
 (* regression: the never-dominant collapse is an *earliest-wins* lemma.
    A gating group (NOR-falling here) folds to the latest input, so a far
@@ -536,179 +474,127 @@ let test_quiet_mask_gating_not_quiet () =
   let h =
     Hazard.analyze ~models:synthetic_models ~thresholds design ~pi:events
   in
-  let pool = Pool.create ~domains:1 in
-  let run ?prune () =
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-        ~thresholds design ~pi
-    in
-    ignore (Sta.reanalyze ~pool ir);
-    Sta.report ir
+  ignore (check_quiet_pruned design ~pi (Hazard.quiet_mask h) : int)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
   in
-  let r_full = run () in
-  let r_pruned = run ~prune:(Prune.make ~quiet:(Hazard.quiet_mask h) ()) () in
-  Pool.shutdown pool;
-  Alcotest.(check bool) "gating design bit-identical" true
-    (reports_eq r_full r_pruned)
+  go 0
+
+(* the harness must see a wrong mask: forcing the fast path on a cell
+   whose inputs fall 10 ps apart changes its output, and the
+   explanation names the net, its driver and the claiming source *)
+let test_wrong_mask_explained () =
+  let design = small_design () in
+  let pi =
+    [
+      ("a", { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall });
+      ("b", { Sta.time = 10e-12; slew = 300e-12; edge = Measure.Fall });
+    ]
+  in
+  let u1 = Option.get (Graph.cell_id (Design.graph design) "u1") in
+  let mask = Array.init 3 (fun c -> c = u1) in
+  let full, runs =
+    Harness.prune_divergence ~models:synthetic_models ~thresholds design ~pi
+      [ ("quiet", Prune.make ~quiet:mask ()) ]
+  in
+  match Harness.diverged design ~full runs with
+  | None -> Alcotest.fail "the wrong mask went unseen"
+  | Some text ->
+    List.iter
+      (fun frag ->
+        Alcotest.(check bool) (frag ^ " explained") true (contains text frag))
+      [ "quiet mask diverged"; "net n1: full rise";
+        "driver u1 (nand2), claimed by quiet"; "input b: full fall" ]
 
 let test_quiet_mask_bit_identical_random () =
   let rng = Prng.create 0xC0FFEEL in
-  let pool = Pool.create ~domains:1 in
-  let gate_pool = [| nand2; nor2; nand3; inv |] in
   for _ = 1 to 10 do
-    let width = 6 in
-    let pis = List.init width (Printf.sprintf "pi%d") in
-    let prev = ref (Array.of_list pis) in
-    let cells = ref [] in
-    for layer = 0 to 2 do
-      let layer_cells =
-        Array.init width (fun j ->
-            let gate =
-              gate_pool.(Prng.int rng ~lo:0 ~hi:(Array.length gate_pool - 1))
-            in
-            let rec pick chosen n =
-              if n = 0 then chosen
-              else
-                let i = Prng.int rng ~lo:0 ~hi:(width - 1) in
-                if List.mem i chosen then pick chosen n
-                else pick (i :: chosen) (n - 1)
-            in
-            let ins = pick [] gate.Gate.fan_in in
-            {
-              Design.name = Printf.sprintf "u%d_%d" layer j;
-              gate;
-              input_nets =
-                Array.of_list (List.map (fun i -> (!prev).(i)) ins);
-              output_net = Printf.sprintf "n%d_%d" layer j;
-            })
-      in
-      cells := Array.to_list layer_cells @ !cells;
-      prev := Array.map (fun c -> c.Design.output_net) layer_cells
-    done;
     let design =
-      Design.create ~cells:(List.rev !cells) ~primary_inputs:pis
-        ~primary_outputs:(Array.to_list !prev)
+      Harness.layered_design rng ~gates:[| nand2; nor2; nand3; inv |]
+        ~depth:3 ~width:6
     in
     let pi =
-      List.filter_map
-        (fun net ->
-          if Prng.int rng ~lo:0 ~hi:2 = 0 then None
-          else
-            Some
-              ( net,
-                {
-                  Sta.time = Prng.float rng ~lo:0. ~hi:600e-12;
-                  slew = Prng.float rng ~lo:150e-12 ~hi:500e-12;
-                  edge = Measure.Fall;
-                } ))
-        pis
+      Harness.falling_events rng ~quiet_one_in:3 ~time_hi:600e-12
+        ~slew_hi:500e-12 (Design.primary_inputs design)
     in
     let h =
       Hazard.analyze ~models:synthetic_models ~thresholds design
         ~pi:(List.map (Verify.of_sta_event ?time_window:None) pi)
     in
-    let run ?prune () =
-      let ir =
-        Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-          ~thresholds design ~pi
-      in
-      ignore (Sta.reanalyze ~pool ir);
-      Sta.report ir
-    in
-    let r1 = run ()
-    and r2 = run ~prune:(Prune.make ~quiet:(Hazard.quiet_mask h) ()) () in
-    if not (reports_eq r1 r2) then begin
-      let mask = Hazard.quiet_mask h in
-      let g = Design.graph design in
-      let pruned =
-        List.filter_map (fun (c : Design.cell) ->
-            if mask.(Option.get (Graph.cell_id g c.Design.name)) then
-              Some c.Design.name
-            else None)
-          (Design.cells design)
-      in
-      Printf.eprintf "pruned cells: %s\n" (String.concat " " pruned);
-      List.iter
-        (fun (c : Design.cell) ->
-          let l = function
-            | Hazard.L0 -> "0"
-            | Hazard.L1 -> "1"
-            | Hazard.LX -> "X"
-          in
-          let st =
-            match Hazard.net_state h ~net:c.Design.output_net with
-            | None -> "nostate"
-            | Some ns ->
-              Printf.sprintf "%s->%s rise:%b fall:%b" (l ns.Hazard.ns_init)
-                (l ns.Hazard.ns_final)
-                (ns.Hazard.ns_rise <> None)
-                (ns.Hazard.ns_fall <> None)
-          in
-          let v =
-            match Hazard.cell_report h ~cell:c.Design.name with
-            | None -> "unclassified"
-            | Some r -> Hazard.verdict_name r.Hazard.hc_verdict
-          in
-          let in_st net =
-            match Hazard.net_state h ~net with
-            | None -> net ^ ":quiet"
-            | Some ns ->
-              Printf.sprintf "%s:%s->%s%s%s" net (l ns.Hazard.ns_init)
-                (l ns.Hazard.ns_final)
-                (if ns.Hazard.ns_rise <> None then "R" else "")
-                (if ns.Hazard.ns_fall <> None then "F" else "")
-          in
-          Printf.eprintf "  CELL %s %s (%s) -> %s: %s [%s]\n" c.Design.name
-            c.Design.gate.Proxim_gates.Gate.name
-            (String.concat ","
-               (List.map in_st (Array.to_list c.Design.input_nets)))
-            c.Design.output_net st v)
-        (Design.cells design);
-      List.iter2
-        (fun (n1, (a1 : Sta.arrival)) (n2, (a2 : Sta.arrival)) ->
-          if n1 <> n2 || not (aeq a1 a2) then begin
-            Printf.eprintf
-              "  %s/%s: full time %.17g slew %.17g | pruned time %.17g slew \
-               %.17g\n"
-              n1 n2 a1.Sta.time a1.Sta.slew a2.Sta.time a2.Sta.slew;
-            List.iter
-              (fun (c : Design.cell) ->
-                if c.Design.output_net = n1 then begin
-                  Printf.eprintf "    cell %s gate %s inputs:\n" c.Design.name
-                    c.Design.gate.Proxim_gates.Gate.name;
-                  Array.iter
-                    (fun net ->
-                      let win = function
-                        | None -> "-"
-                        | Some (w : Hazard.awin) ->
-                          Printf.sprintf "t=%s tau=%s"
-                            (Interval.to_string w.Hazard.w_time)
-                            (Interval.to_string w.Hazard.w_slew)
-                      in
-                      let conc =
-                        match List.assoc_opt net r1.Sta.arrivals with
-                        | None -> "quiet"
-                        | Some (a : Sta.arrival) ->
-                          Printf.sprintf "%.17g/%.17g" a.Sta.time a.Sta.slew
-                      in
-                      match Hazard.net_state h ~net with
-                      | None ->
-                        Printf.eprintf "      %s: no state, concrete %s\n" net
-                          conc
-                      | Some ns ->
-                        Printf.eprintf
-                          "      %s: rise %s fall %s, concrete %s\n" net
-                          (win ns.Hazard.ns_rise) (win ns.Hazard.ns_fall) conc)
-                    c.Design.input_nets
-                end)
-              (Design.cells design)
-          end)
-        r1.Sta.arrivals r2.Sta.arrivals;
-      Alcotest.fail "quiet-pruned analysis diverged from the full one"
-    end
+    ignore (check_quiet_pruned design ~pi (Hazard.quiet_mask h) : int)
   done;
-  Pool.shutdown pool;
   Alcotest.(check pass) "10 random designs bit-identical" () ()
+
+(* ------------------------------------------------------------------ *)
+(* Unconstrained inputs (PX304 / PX404)                                *)
+
+(* the definition the one-pass scan replaced: a quiet primary input is
+   listed when its fanout cone holds a multi-input cell the analysis
+   classified *)
+let unconstrained_reference design ~quiet ~classified =
+  let g = Design.graph design in
+  List.filter
+    (fun net ->
+      quiet net
+      &&
+      let cone =
+        Graph.fanout_cone g ~nets:[ Option.get (Graph.net_id g net) ] ~cells:[]
+      in
+      List.exists
+        (fun (c : Design.cell) ->
+          cone.(Option.get (Graph.cell_id g c.Design.name))
+          && classified c.Design.name
+          && c.Design.gate.Gate.fan_in >= 2)
+        (Design.cells design))
+    (Design.primary_inputs design)
+
+let test_unconstrained_reference () =
+  let rng = Prng.create 0x0C0DEL in
+  let listed = ref 0 and unlisted = ref 0 in
+  for _ = 1 to 30 do
+    let design =
+      Harness.layered_design rng ~gates:[| nand2; nor2; nand3; inv |]
+        ~depth:(Prng.int rng ~lo:2 ~hi:4) ~width:(Prng.int rng ~lo:4 ~hi:9)
+    in
+    let pi =
+      List.filter_map
+        (fun net ->
+          if Prng.int rng ~lo:0 ~hi:3 > 0 then None
+          else
+            Some
+              (ev Measure.Fall net (Prng.float rng ~lo:0. ~hi:600e-12) 300e-12))
+        (Design.primary_inputs design)
+    in
+    let v = Verify.analyze ~models:synthetic_models ~thresholds design ~pi in
+    let h = Hazard.analyze ~models:synthetic_models ~thresholds design ~pi in
+    let expect_v =
+      unconstrained_reference design
+        ~quiet:(fun net -> Verify.net_arrival v ~net = None)
+        ~classified:(fun cell ->
+          match Verify.cell_info v ~cell with
+          | Some ci -> ci.Verify.ci_switching <> []
+          | None -> false)
+    in
+    let expect_h =
+      unconstrained_reference design
+        ~quiet:(fun net -> Hazard.net_state h ~net = None)
+        ~classified:(fun cell -> Hazard.cell_report h ~cell <> None)
+    in
+    Alcotest.(check (list string)) "verify" expect_v
+      (Verify.unconstrained_pis v);
+    Alcotest.(check (list string)) "hazard" expect_h
+      (Hazard.unconstrained_pis h);
+    listed := !listed + List.length expect_v;
+    unlisted :=
+      !unlisted + List.length (Design.primary_inputs design)
+      - List.length expect_v
+  done;
+  (* both outcomes occur *)
+  Alcotest.(check bool) "some inputs listed" true (!listed > 0);
+  Alcotest.(check bool) "some inputs not listed" true (!unlisted > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Input validation                                                    *)
@@ -787,13 +673,6 @@ let run fmt =
   Printf.ksprintf
     (fun args -> Sys.command (Printf.sprintf "%s >/dev/null 2>&1" args))
     fmt
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  go 0
 
 let test_cli_exit_codes () =
   with_demo_file (fun file ->
@@ -875,6 +754,13 @@ let () =
             test_quiet_mask_gating_not_quiet;
           Alcotest.test_case "bit-identical random" `Slow
             test_quiet_mask_bit_identical_random;
+          Alcotest.test_case "wrong mask explained" `Quick
+            test_wrong_mask_explained;
+        ] );
+      ( "unconstrained",
+        [
+          Alcotest.test_case "fanout-cone reference" `Quick
+            test_unconstrained_reference;
         ] );
       ( "validation",
         [ Alcotest.test_case "inputs" `Quick test_analyze_validation ] );

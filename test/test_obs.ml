@@ -146,6 +146,43 @@ let test_pool_spans () =
   Alcotest.(check bool) "pool.job span" true (List.mem "pool.job" names);
   Alcotest.(check bool) "pool.run span" true (List.mem "pool.run" names)
 
+(* Metric and span names go through [Json.add_string]: a quote, a
+   backslash, the two-character escapes, a lowercase [\u00XX] control
+   character and multi-byte UTF-8 keep the bytes the reporters wrote
+   with their own escaper *)
+let tricky = "q\"b\\s\nr\rt\tc\001u\xc3\xa9\xe2\x82\xac"
+let escaped = {|q\"b\\s\nr\rt\tc\u0001ué€|}
+
+let test_json_name_bytes () =
+  let registry = Metrics.create () in
+  Metrics.Counter.add (Metrics.Counter.v ~registry ("c." ^ tricky)) 3;
+  Metrics.Gauge.set (Metrics.Gauge.v ~registry ("g." ^ tricky)) 0.5;
+  Metrics.Histogram.observe
+    (Metrics.Histogram.v ~registry ~bins:2 ~lo:1e-3 ~hi:1. ("h." ^ tricky))
+    0.01;
+  Alcotest.(check string) "metrics bytes"
+    (Printf.sprintf
+       {|{"counters":{"c.%s":3},"gauges":{"g.%s":0.5},"histograms":{"h.%s":{"count":1,"sum":0.01,"min":0.01,"max":0.01,"log10_lo":-3,"log10_hi":0,"underflow":0,"overflow":0,"counts":[1,0]}}}|}
+       escaped escaped escaped)
+    (Metrics.to_json (Metrics.snapshot ~registry ()));
+  Trace.clear ();
+  Trace.enable ();
+  Trace.with_span ~cat:tricky ~args:[ (tricky, tricky) ] tricky ignore;
+  Trace.disable ();
+  let doc = Trace.to_chrome_json () in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length doc && (String.sub doc i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "span name and category bytes" true
+    (contains
+       (Printf.sprintf {|{"name":"%s","cat":"%s","ph":"X",|} escaped escaped));
+  Alcotest.(check bool) "span argument bytes" true
+    (contains (Printf.sprintf {|,"%s":"%s"}}|} escaped escaped))
+
 let test_chrome_json_wellformed () =
   Trace.clear ();
   Trace.enable ();
@@ -389,6 +426,7 @@ let () =
             test_histogram_merge_across_domains;
           Alcotest.test_case "json reporter parses" `Quick
             test_metrics_json_parses;
+          Alcotest.test_case "json name bytes" `Quick test_json_name_bytes;
         ] );
       ( "trace",
         [

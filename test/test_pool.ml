@@ -15,6 +15,7 @@ module Dual = Proxim_macromodel.Dual
 module Timing = Proxim_timing.Timing
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
+module Harness = Proxim_harness.Harness
 
 (* a shared wide pool keeps domain spawning out of the per-test cost *)
 let wide = lazy (Pool.create ~domains:4)
@@ -305,32 +306,7 @@ let test_vtc_family_parallel_matches_serial () =
 
 let nor2 = Gate.nor tech ~fan_in:2
 
-let mk_cell name gate inputs output =
-  { Design.name; gate; input_nets = inputs; output_net = output }
-
-let random_layered rng ~depth ~width =
-  let gates = [| nand2; nor2 |] in
-  let pis = Array.init width (Printf.sprintf "p%d") in
-  let prev = ref pis in
-  let cells = ref [] in
-  for layer = 0 to depth - 1 do
-    let layer_cells =
-      Array.init width (fun j ->
-          let gate = gates.(Prng.int rng ~lo:0 ~hi:1) in
-          let i0 = Prng.int rng ~lo:0 ~hi:(width - 1) in
-          let i1 = (i0 + Prng.int rng ~lo:1 ~hi:(width - 1)) mod width in
-          mk_cell
-            (Printf.sprintf "u%d_%d" layer j)
-            gate
-            [| (!prev).(i0); (!prev).(i1) |]
-            (Printf.sprintf "n%d_%d" layer j))
-    in
-    cells := Array.to_list layer_cells @ !cells;
-    prev := Array.map (fun c -> c.Design.output_net) layer_cells
-  done;
-  Design.create ~cells:(List.rev !cells)
-    ~primary_inputs:(Array.to_list pis)
-    ~primary_outputs:(Array.to_list !prev)
+let random_layered rng = Harness.layered_design rng ~gates:[| nand2; nor2 |]
 
 let random_event rng =
   {
@@ -338,24 +314,6 @@ let random_event rng =
     slew = Prng.float rng ~lo:100e-12 ~hi:600e-12;
     edge = Measure.Fall;
   }
-
-let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let arrival_bits_eq (a : Sta.arrival) (b : Sta.arrival) =
-  bits_eq a.Sta.time b.Sta.time
-  && bits_eq a.Sta.slew b.Sta.slew
-  && a.Sta.edge = b.Sta.edge
-
-let report_bits_eq (a : Sta.report) (b : Sta.report) =
-  List.length a.Sta.arrivals = List.length b.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> n1 = n2 && arrival_bits_eq a1 a2)
-       a.Sta.arrivals b.Sta.arrivals
-  && (match (a.Sta.critical_po, b.Sta.critical_po) with
-      | None, None -> true
-      | Some (n1, a1), Some (n2, a2) -> n1 = n2 && arrival_bits_eq a1 a2
-      | _ -> false)
-  && a.Sta.predecessors = b.Sta.predecessors
 
 let test_sta_update_equals_analyze_chunked () =
   let th = Lazy.force th in
@@ -386,7 +344,7 @@ let test_sta_update_equals_analyze_chunked () =
         ~pi:!current
     in
     ignore (Sta.reanalyze ~pool fresh);
-    if not (report_bits_eq (Sta.report ir) (Sta.report fresh)) then
+    if not (Sta.report_equal (Sta.report ir) (Sta.report fresh)) then
       Alcotest.failf "update <> analyze on chunked levels: step %d" step
   done
 

@@ -19,6 +19,8 @@ module Sta = Proxim_sta.Sta
 module Synthgen = Proxim_sta.Synthgen
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
+module Verify = Proxim_verify.Verify
+module Hazard = Proxim_hazard.Hazard
 
 let tech = Tech.generic_5v
 
@@ -171,6 +173,42 @@ let test_bin_alloc_bound () =
         Alcotest.failf "loading allocated %.0f bytes per cell (bound %.0f)"
           per_cell bytes_per_cell_bound)
 
+(* The static analyses' allocation per cell with one event, measured as
+   above: every other input is quiet, so both list the quiet inputs that
+   reach a multi-input switching cell.  Testing each input's fanout cone
+   over a fresh per-cell array allocated ~22 000 bytes per cell in each
+   analysis here (20k cells, seed 1); one reverse-topological pass
+   allocates ~450 (Hazard) to ~500 (Verify). *)
+let analysis_bytes_per_cell_bound = 2000.
+
+let test_static_alloc_bound analyze () =
+  let cells = 20_000 in
+  let _, design = Synthgen.generate ~seed:1 ~tech ~cells () in
+  let models = (Sta.synthetic_factory ()).Sta.models in
+  let thresholds = { Vtc.vil = 1.25; vih = 3.75; vdd = 5.0 } in
+  let pi =
+    [
+      Verify.of_sta_event
+        ("pi0", { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall });
+    ]
+  in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let unconstrained = analyze ~models ~thresholds design ~pi in
+  Gc.minor ();
+  let per_cell = (Gc.allocated_bytes () -. before) /. float_of_int cells in
+  Alcotest.(check bool) "some quiet input reaches a switching cell" true
+    (unconstrained <> []);
+  if per_cell > analysis_bytes_per_cell_bound then
+    Alcotest.failf "the analysis allocated %.0f bytes per cell (bound %.0f)"
+      per_cell analysis_bytes_per_cell_bound
+
+let verify_unconstrained ~models ~thresholds design ~pi =
+  Verify.unconstrained_pis (Verify.analyze ~models ~thresholds design ~pi)
+
+let hazard_unconstrained ~models ~thresholds design ~pi =
+  Hazard.unconstrained_pis (Hazard.analyze ~models ~thresholds design ~pi)
+
 (* ------------------------------------------------------------------ *)
 (* SoA vs reference-oracle bit-identity on generated designs           *)
 
@@ -253,6 +291,13 @@ let () =
             test_bin_errors;
           Alcotest.test_case "load allocation per cell" `Quick
             test_bin_alloc_bound;
+        ] );
+      ( "static analyses",
+        [
+          Alcotest.test_case "verify allocation per cell" `Quick
+            (test_static_alloc_bound verify_unconstrained);
+          Alcotest.test_case "hazard allocation per cell" `Quick
+            (test_static_alloc_bound hazard_unconstrained);
         ] );
       ( "soa-vs-reference",
         [

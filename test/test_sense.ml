@@ -19,6 +19,7 @@ module Diagnostic = Proxim_lint.Diagnostic
 module Verify = Proxim_verify.Verify
 module Hazard = Proxim_hazard.Hazard
 module Sense = Proxim_sense.Sense
+module Harness = Proxim_harness.Harness
 
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
@@ -29,19 +30,9 @@ let inv = Gate.inverter tech
 let gate_of name =
   match Gate.of_name tech name with Ok g -> g | Error m -> failwith m
 
-let synthetic_models =
-  let tbl = Hashtbl.create 8 in
-  fun (cell : Design.cell) ->
-    let key = cell.Design.gate.Gate.name in
-    match Hashtbl.find_opt tbl key with
-    | Some m -> m
-    | None ->
-      let m = Models.synthetic cell.Design.gate in
-      Hashtbl.add tbl key m;
-      m
+let synthetic_models = (Sta.synthetic_factory ()).Sta.models
 
 let thresholds = { Vtc.vil = 1.25; vih = 3.75; vdd = 5.0 }
-let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* ------------------------------------------------------------------ *)
 (* Ternary logic                                                       *)
@@ -291,34 +282,6 @@ let test_fanin_cone () =
 (* ------------------------------------------------------------------ *)
 (* Witness replay and randomized soundness                             *)
 
-(* exact two-frame boolean simulation of a whole design.
-   [stim]: per-PI (init, final) values; unlisted nets rest at false. *)
-let sim_frames design stim =
-  let g = Design.graph design in
-  let n = Graph.net_count g in
-  let init = Array.make n false and final = Array.make n false in
-  List.iter
-    (fun (net, (i0, f0)) ->
-      match Graph.net_id g net with
-      | Some id ->
-        init.(id) <- i0;
-        final.(id) <- f0
-      | None -> ())
-    stim;
-  Array.iter
-    (fun cid ->
-      let cell : Design.cell = Graph.payload g cid in
-      let ins = Graph.cell_inputs g cid in
-      let o = Graph.cell_output g cid in
-      init.(o) <-
-        Sense.eval_gate_bool cell.Design.gate (fun p -> init.(ins.(p)));
-      final.(o) <-
-        Sense.eval_gate_bool cell.Design.gate (fun p -> final.(ins.(p))))
-    (Graph.topological g);
-  fun net ->
-    let id = Option.get (Graph.net_id g net) in
-    init.(id) <> final.(id)
-
 let test_witness_replay () =
   let design = demo_design () in
   (* without the k=0 constant, u6's pair is sensitizable: k=1 frees c *)
@@ -334,103 +297,26 @@ let test_witness_replay () =
     let stim =
       ("a", (false, true)) :: List.map (fun (net, b) -> (net, (b, b))) cube
     in
-    let changed = sim_frames design stim in
+    let changed = Harness.two_frame design stim in
     Alcotest.(check bool) "c switches under the witness" true (changed "c");
     Alcotest.(check bool) "x1 switches under the witness" true (changed "x1")
 
 (* randomized soundness: no concrete draw of the free inputs ever
    switches both pins of a pair classified Unsensitizable *)
-let random_layered_design rng ~depth ~width =
-  let gate_pool = [| nand2; nor2; nand3; inv |] in
-  let pis = List.init width (Printf.sprintf "pi%d") in
-  let prev = ref (Array.of_list pis) in
-  let cells = ref [] in
-  for layer = 0 to depth - 1 do
-    let layer_cells =
-      Array.init width (fun j ->
-          let gate =
-            gate_pool.(Prng.int rng ~lo:0 ~hi:(Array.length gate_pool - 1))
-          in
-          let rec pick chosen n =
-            if n = 0 then chosen
-            else
-              let i = Prng.int rng ~lo:0 ~hi:(width - 1) in
-              if List.mem i chosen then pick chosen n
-              else pick (i :: chosen) (n - 1)
-          in
-          let ins = pick [] gate.Gate.fan_in in
-          {
-            Design.name = Printf.sprintf "u%d_%d" layer j;
-            gate;
-            input_nets = Array.of_list (List.map (fun i -> (!prev).(i)) ins);
-            output_net = Printf.sprintf "n%d_%d" layer j;
-          })
-    in
-    cells := Array.to_list layer_cells @ !cells;
-    prev := Array.map (fun c -> c.Design.output_net) layer_cells
-  done;
-  Design.create ~cells:(List.rev !cells) ~primary_inputs:pis
-    ~primary_outputs:(Array.to_list !prev)
+let random_layered_design rng =
+  Harness.layered_design rng ~gates:[| nand2; nor2; nand3; inv |]
 
 (* check every Unsensitizable pair of [design] under [stim] against
    [draws] random concrete assignments of the free PIs; returns how many
    draws ran *)
 let soundness_draws rng design stim ~draws =
-  let pis = Design.primary_inputs design in
   let t = Sense.analyze design ~pi:stim in
-  let free =
-    List.filter
-      (fun n ->
-        match List.assoc_opt n stim with
-        | None -> true
-        | Some (Sense.Const _) | Some _ -> false)
-      pis
-  in
-  let pinned =
-    List.filter_map
-      (fun (net, st) ->
-        match st with
-        | Sense.Switch Measure.Rise -> Some (net, (false, true))
-        | Sense.Switch Measure.Fall -> Some (net, (true, false))
-        | Sense.Const b -> Some (net, (b, b))
-        | Sense.Pulse -> None)
-      stim
-  in
-  let cells_by_name = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Design.cell) -> Hashtbl.replace cells_by_name c.Design.name c)
-    (Design.cells design);
-  let checked = ref 0 in
-  List.iter
-    (fun ci ->
-      let cell = Hashtbl.find cells_by_name ci.Sense.sc_name in
-      List.iter
-        (fun p ->
-          match p.Sense.sp_decision with
-          | Sense.Unsensitizable _ ->
-            let na = cell.Design.input_nets.(p.Sense.sp_a) in
-            let nb = cell.Design.input_nets.(p.Sense.sp_b) in
-            for _ = 1 to draws do
-              incr checked;
-              let assignment =
-                pinned
-                @ List.map
-                    (fun net ->
-                      let b = Prng.int rng ~lo:0 ~hi:1 = 1 in
-                      (net, (b, b)))
-                    free
-              in
-              let changed = sim_frames design assignment in
-              if changed na && changed nb then
-                Alcotest.fail
-                  (Printf.sprintf
-                     "unsensitizable pair (%s, %s) of %s switched jointly" na
-                     nb ci.Sense.sc_name)
-            done
-          | _ -> ())
-        ci.Sense.sc_pairs)
-    (Sense.cells t);
-  !checked
+  match Harness.unsensitizable_draws rng design t ~stim ~draws_per_pair:draws with
+  | n, [] -> n
+  | _, j :: _ ->
+    Alcotest.fail
+      (Printf.sprintf "unsensitizable pair (%s, %s) of %s switched jointly"
+         j.Harness.j_a j.Harness.j_b j.Harness.j_cell)
 
 let test_soundness_random () =
   let rng = Prng.create 0x5EB5EL in
@@ -557,18 +443,6 @@ let test_hazard_refine () =
 (* ------------------------------------------------------------------ *)
 (* The fused prune engine (satellite: mask composition)                *)
 
-let reports_eq (r1 : Sta.report) (r2 : Sta.report) =
-  let aeq (a : Sta.arrival) (b : Sta.arrival) =
-    feq a.Sta.time b.Sta.time
-    && feq a.Sta.slew b.Sta.slew
-    && a.Sta.edge = b.Sta.edge
-  in
-  List.length r1.Sta.arrivals = List.length r2.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2)
-       r1.Sta.arrivals r2.Sta.arrivals
-  && r1.Sta.predecessors = r2.Sta.predecessors
-
 let test_prune_engine_basics () =
   (* three independent cells over the same two inputs *)
   let design =
@@ -673,20 +547,9 @@ let test_mask_composition_random () =
     (fun () ->
       for _ = 1 to 10 do
         let design = random_layered_design rng ~depth:3 ~width:6 in
-        let pis = Design.primary_inputs design in
         let pi =
-          List.filter_map
-            (fun net ->
-              if Prng.int rng ~lo:0 ~hi:2 = 0 then None
-              else
-                Some
-                  ( net,
-                    {
-                      Sta.time = Prng.float rng ~lo:0. ~hi:600e-12;
-                      slew = Prng.float rng ~lo:150e-12 ~hi:500e-12;
-                      edge = Measure.Fall;
-                    } ))
-            pis
+          Harness.falling_events rng ~quiet_one_in:3 ~time_hi:600e-12
+            ~slew_hi:500e-12 (Design.primary_inputs design)
         in
         let events = List.map Verify.of_sta_event pi in
         let v =
@@ -702,30 +565,6 @@ let test_mask_composition_random () =
                  (fun (n, (a : Sta.arrival)) -> (n, Sense.Switch a.Sta.edge))
                  pi)
         in
-        let run prune =
-          let ir =
-            Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-              ~thresholds design ~pi
-          in
-          ignore (Sta.reanalyze ~pool ir);
-          (Sta.report ir, Sta.pruned_evaluations ir, Sta.pruned_counts ir)
-        in
-        let r_full, _, _ = run None in
-        let solo =
-          List.map
-            (fun (name, p) ->
-              let r, evals, _ = run (Some p) in
-              if not (reports_eq r_full r) then
-                Alcotest.fail (name ^ " mask diverged from the full analysis");
-              evals)
-            [
-              ( "never-proximate",
-                Prune.make ~never_proximate:(Verify.prune_mask v) () );
-              ("quiet", Prune.make ~quiet:(Hazard.quiet_mask h) ());
-              ( "unsensitizable",
-                Prune.make ~unsensitizable:(Sense.prune_mask s) () );
-            ]
-        in
         let fused =
           Prune.make
             ~unsensitizable:(Sense.prune_mask s)
@@ -733,19 +572,34 @@ let test_mask_composition_random () =
             ~never_proximate:(Verify.prune_mask v)
             ()
         in
-        let r_fused, evals_fused, counts = run (Some fused) in
-        if not (reports_eq r_full r_fused) then
-          Alcotest.fail "fused mask diverged from the full analysis";
+        let r_full, runs =
+          Harness.prune_divergence ~pool ~models:synthetic_models ~thresholds
+            design ~pi
+            [
+              ( "never-proximate",
+                Prune.make ~never_proximate:(Verify.prune_mask v) () );
+              ("quiet", Prune.make ~quiet:(Hazard.quiet_mask h) ());
+              ( "unsensitizable",
+                Prune.make ~unsensitizable:(Sense.prune_mask s) () );
+              ("fused", fused);
+            ]
+        in
+        Option.iter Alcotest.fail (Harness.diverged design ~full:r_full runs);
+        let fused_run =
+          List.find (fun r -> r.Harness.pr_name = "fused") runs
+        in
+        let counts = fused_run.Harness.pr_counts in
         (* the fused engine is monotone: it prunes at least as much as
            any single source, and the attribution counters account for
            every fast-pathed evaluation: each switching cell the table
            gives to a source is one hit of that source *)
         List.iter
-          (fun evals ->
-            Alcotest.(check bool) "fused >= solo" true (evals_fused >= evals))
-          solo;
-        Alcotest.(check int) "attribution is complete" evals_fused
-          (Prune.total counts);
+          (fun (r : Harness.prune_run) ->
+            Alcotest.(check bool) "fused >= solo" true
+              (fused_run.Harness.pr_evaluations >= r.Harness.pr_evaluations))
+          runs;
+        Alcotest.(check int) "attribution is complete"
+          fused_run.Harness.pr_evaluations (Prune.total counts);
         let g = Design.graph design in
         let claimed src =
           List.length

@@ -15,6 +15,7 @@ module Measure = Proxim_measure.Measure
 module Models = Proxim_macromodel.Models
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
+module Harness = Proxim_harness.Harness
 
 (* ------------------------------------------------------------------ *)
 (* Generic digraph algorithms                                          *)
@@ -277,23 +278,6 @@ let ev ?(slew = 2e-10) t = { Sta.time = t; slew; edge = Measure.Fall }
 
 let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let arrival_bits_eq (a : Sta.arrival) (b : Sta.arrival) =
-  bits_eq a.Sta.time b.Sta.time
-  && bits_eq a.Sta.slew b.Sta.slew
-  && a.Sta.edge = b.Sta.edge
-
-let report_bits_eq (a : Sta.report) (b : Sta.report) =
-  List.length a.Sta.arrivals = List.length b.Sta.arrivals
-  && List.for_all2
-       (fun (n1, a1) (n2, a2) -> String.equal n1 n2 && arrival_bits_eq a1 a2)
-       a.Sta.arrivals b.Sta.arrivals
-  && (match (a.Sta.critical_po, b.Sta.critical_po) with
-     | None, None -> true
-     | Some (n1, a1), Some (n2, a2) ->
-       String.equal n1 n2 && arrival_bits_eq a1 a2
-     | _ -> false)
-  && a.Sta.predecessors = b.Sta.predecessors
-
 let test_worst_paths_reconvergent () =
   let d = reconvergent () in
   let th = Lazy.force thresholds in
@@ -417,31 +401,7 @@ let test_factory_cache_stats () =
 (* Randomized equivalence: a sequence of ECO updates must leave the IR
    bit-identical to a fresh analysis of the edited configuration        *)
 
-let random_design rng ~depth ~width =
-  let gate_pool = [| nand2; nor2 |] in
-  let pis = Array.init width (Printf.sprintf "p%d") in
-  let prev = ref pis in
-  let cells = ref [] in
-  for layer = 0 to depth - 1 do
-    let layer_cells =
-      Array.init width (fun j ->
-          let gate = gate_pool.(Prng.int rng ~lo:0 ~hi:1) in
-          let i0 = Prng.int rng ~lo:0 ~hi:(width - 1) in
-          let i1 =
-            (i0 + Prng.int rng ~lo:1 ~hi:(width - 1)) mod width
-          in
-          cell
-            (Printf.sprintf "u%d_%d" layer j)
-            gate
-            [| (!prev).(i0); (!prev).(i1) |]
-            (Printf.sprintf "n%d_%d" layer j))
-    in
-    cells := Array.to_list layer_cells @ !cells;
-    prev := Array.map (fun c -> c.Design.output_net) layer_cells
-  done;
-  Design.create ~cells:(List.rev !cells)
-    ~primary_inputs:(Array.to_list pis)
-    ~primary_outputs:(Array.to_list !prev)
+let random_design rng = Harness.layered_design rng ~gates:[| nand2; nor2 |]
 
 let random_event rng =
   {
@@ -513,7 +473,7 @@ let run_equivalence_sequences mode ~sequences =
         Sta.build_ir ~mode ~models ~thresholds:th design ~pi:!current
       in
       ignore (Sta.reanalyze fresh);
-      if not (report_bits_eq (Sta.report ir) (Sta.report fresh)) then
+      if not (Sta.report_equal (Sta.report ir) (Sta.report fresh)) then
         Alcotest.failf "update <> analyze: mode %s, sequence %d, step %d"
           (mode_name mode) seq step
     done
@@ -612,7 +572,7 @@ let test_swap_models_equiv () =
   let fresh = Sta.build_ir ~models:f1.Sta.models ~thresholds:th d ~pi in
   ignore (Sta.reanalyze fresh);
   Alcotest.(check bool) "swap equals fresh" true
-    (report_bits_eq (Sta.report ir) (Sta.report fresh))
+    (Sta.report_equal (Sta.report ir) (Sta.report fresh))
 
 let () =
   Alcotest.run "timing"

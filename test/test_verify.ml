@@ -16,6 +16,7 @@ module Prune = Proxim_sta.Prune
 module Diagnostic = Proxim_lint.Diagnostic
 module Interval = Proxim_verify.Interval
 module Verify = Proxim_verify.Verify
+module Harness = Proxim_harness.Harness
 
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
@@ -23,16 +24,7 @@ let nand3 = Gate.nand tech ~fan_in:3
 let nor2 = Gate.nor tech ~fan_in:2
 let inv = Gate.inverter tech
 
-let synthetic_models =
-  let tbl = Hashtbl.create 8 in
-  fun (cell : Design.cell) ->
-    let key = cell.Design.gate.Gate.name in
-    match Hashtbl.find_opt tbl key with
-    | Some m -> m
-    | None ->
-      let m = Models.synthetic cell.Design.gate in
-      Hashtbl.add tbl key m;
-      m
+let synthetic_models = (Sta.synthetic_factory ()).Sta.models
 
 let thresholds = { Vtc.vil = 1.25; vih = 3.75; vdd = 5.0 }
 
@@ -257,46 +249,13 @@ let test_soundness_random () =
                  (Verify.of_sta_event ~time_window:tw ~tau_window:sw)
                  pi)
         in
-        for _ = 1 to 4 do
-          let concrete =
-            List.map
-              (fun (net, (a : Sta.arrival)) ->
-                ( net,
-                  {
-                    a with
-                    Sta.time =
-                      Prng.float rng ~lo:(a.Sta.time -. tw)
-                        ~hi:(a.Sta.time +. tw);
-                    slew =
-                      Prng.float rng ~lo:(a.Sta.slew -. sw)
-                        ~hi:(a.Sta.slew +. sw);
-                  } ))
-              pi
-          in
-          let report =
-            Sta.analyze ~mode ~pool ~models:synthetic_models ~thresholds
-              design ~pi:concrete
-          in
-          List.iter
-            (fun (net, (a : Sta.arrival)) ->
-              match Verify.net_arrival v ~net with
-              | None -> Alcotest.fail (net ^ " missing from verification")
-              | Some (abs : Verify.aarrival) ->
-                if
-                  not
-                    (Interval.contains abs.Verify.a_time a.Sta.time
-                    && Interval.contains abs.Verify.a_slew a.Sta.slew)
-                then
-                  Alcotest.fail
-                    (Printf.sprintf
-                       "%s escapes its interval: time %g not in %s or slew \
-                        %g not in %s"
-                       net a.Sta.time
-                       (Interval.to_string abs.Verify.a_time)
-                       a.Sta.slew
-                       (Interval.to_string abs.Verify.a_slew)))
-            report.Sta.arrivals
-        done
+        match
+          Harness.window_escapes ~pool rng ~draws:4 ~mode
+            ~models:synthetic_models ~thresholds ~time_window:tw
+            ~tau_window:sw ~window:(Harness.verify_windows v) design ~pi
+        with
+        | [] -> ()
+        | e :: _ -> Alcotest.fail e
       done)
     [ Sta.Proximity; Sta.Classic ];
   Pool.shutdown pool;
@@ -459,31 +418,21 @@ let test_prune_bit_identical () =
   Alcotest.(check bool) "u1 pruned" true prune.(id "u1");
   Alcotest.(check bool) "u3 not pruned" false prune.(id "u3");
   let pool = Pool.create ~domains:1 in
-  let run ?prune () =
-    let ir =
-      Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-        ~thresholds design ~pi
-    in
-    ignore (Sta.reanalyze ~pool ir);
-    (Sta.report ir, Sta.pruned_evaluations ir)
-  in
-  let r_full, n_full = run () in
-  let r_pruned, n_pruned =
-    run ~prune:(Prune.make ~never_proximate:prune ()) ()
+  let _, runs =
+    Harness.prune_divergence ~pool ~models:synthetic_models ~thresholds design
+      ~pi
+      [ ("none", Prune.none); ("never", Prune.make ~never_proximate:prune ()) ]
   in
   Pool.shutdown pool;
-  Alcotest.(check int) "no skips without a mask" 0 n_full;
-  Alcotest.(check bool) "fast path taken" true (n_pruned > 0);
-  let aeq (a : Sta.arrival) (b : Sta.arrival) =
-    feq a.Sta.time b.Sta.time && feq a.Sta.slew b.Sta.slew
-    && a.Sta.edge = b.Sta.edge
-  in
-  Alcotest.(check bool) "arrivals bit-identical" true
-    (List.for_all2
-       (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2)
-       r_full.Sta.arrivals r_pruned.Sta.arrivals);
-  Alcotest.(check bool) "predecessors identical" true
-    (r_full.Sta.predecessors = r_pruned.Sta.predecessors);
+  (match runs with
+  | [ none; never ] ->
+    Alcotest.(check int) "no skips without a mask" 0
+      none.Harness.pr_evaluations;
+    Alcotest.(check bool) "fast path taken" true
+      (never.Harness.pr_evaluations > 0);
+    Alcotest.(check bool) "reports bit-identical" true
+      never.Harness.pr_identical
+  | _ -> Alcotest.fail "one run per mask");
   (* a classic-mode verification must never authorize pruning *)
   let v_classic =
     Verify.analyze ~mode:Sta.Classic ~models:synthetic_models ~thresholds
@@ -497,83 +446,28 @@ let test_prune_bit_identical () =
 let test_prune_bit_identical_random () =
   let rng = Prng.create 0xF00DL in
   let pool = Pool.create ~domains:1 in
-  let gate_pool = [| nand2; nor2; nand3 |] in
   for _ = 1 to 10 do
-    let width = 6 in
-    let pis = List.init width (Printf.sprintf "pi%d") in
-    let prev = ref (Array.of_list pis) in
-    let cells = ref [] in
-    for layer = 0 to 2 do
-      let layer_cells =
-        Array.init width (fun j ->
-            let gate =
-              gate_pool.(Prng.int rng ~lo:0 ~hi:(Array.length gate_pool - 1))
-            in
-            let rec pick chosen n =
-              if n = 0 then chosen
-              else
-                let i = Prng.int rng ~lo:0 ~hi:(width - 1) in
-                if List.mem i chosen then pick chosen n
-                else pick (i :: chosen) (n - 1)
-            in
-            let ins = pick [] gate.Gate.fan_in in
-            {
-              Design.name = Printf.sprintf "u%d_%d" layer j;
-              gate;
-              input_nets =
-                Array.of_list (List.map (fun i -> (!prev).(i)) ins);
-              output_net = Printf.sprintf "n%d_%d" layer j;
-            })
-      in
-      cells := Array.to_list layer_cells @ !cells;
-      prev := Array.map (fun c -> c.Design.output_net) layer_cells
-    done;
     let design =
-      Design.create ~cells:(List.rev !cells) ~primary_inputs:pis
-        ~primary_outputs:(Array.to_list !prev)
+      Harness.layered_design rng ~gates:[| nand2; nor2; nand3 |] ~depth:3
+        ~width:6
     in
     let pi =
-      List.filter_map
-        (fun net ->
-          if Prng.int rng ~lo:0 ~hi:2 = 0 then None
-          else
-            Some
-              ( net,
-                {
-                  Sta.time = Prng.float rng ~lo:0. ~hi:600e-12;
-                  slew = Prng.float rng ~lo:150e-12 ~hi:500e-12;
-                  edge = Measure.Fall;
-                } ))
-        pis
+      Harness.falling_events rng ~quiet_one_in:3 ~time_hi:600e-12
+        ~slew_hi:500e-12 (Design.primary_inputs design)
     in
     let v =
       Verify.analyze ~models:synthetic_models ~thresholds design
         ~pi:(List.map (Verify.of_sta_event ?time_window:None) pi)
     in
-    let run ?prune () =
-      let ir =
-        Sta.build_ir ~mode:Sta.Proximity ?prune ~models:synthetic_models
-          ~thresholds design ~pi
-      in
-      ignore (Sta.reanalyze ~pool ir);
-      Sta.report ir
+    let full, runs =
+      Harness.prune_divergence ~pool ~models:synthetic_models ~thresholds
+        design ~pi
+        [
+          ( "never-proximate",
+            Prune.make ~never_proximate:(Verify.prune_mask v) () );
+        ]
     in
-    let r1 = run ()
-    and r2 =
-      run ~prune:(Prune.make ~never_proximate:(Verify.prune_mask v) ()) ()
-    in
-    let aeq (a : Sta.arrival) (b : Sta.arrival) =
-      feq a.Sta.time b.Sta.time && feq a.Sta.slew b.Sta.slew
-      && a.Sta.edge = b.Sta.edge
-    in
-    if
-      not
-        (List.length r1.Sta.arrivals = List.length r2.Sta.arrivals
-        && List.for_all2
-             (fun (n1, a1) (n2, a2) -> n1 = n2 && aeq a1 a2)
-             r1.Sta.arrivals r2.Sta.arrivals
-        && r1.Sta.predecessors = r2.Sta.predecessors)
-    then Alcotest.fail "pruned analysis diverged from the full one"
+    Option.iter Alcotest.fail (Harness.diverged design ~full runs)
   done;
   Pool.shutdown pool;
   Alcotest.(check pass) "10 random designs bit-identical" () ()
