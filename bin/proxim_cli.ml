@@ -588,20 +588,19 @@ let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
           })
         pi
     in
-    let v =
-      Verify.analyze ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
+    (* one forward pass, read by both views: the never-proximate cells
+       of the single-edge classification and the quiet cells of the
+       hazard dataflow are both sound for the fast path, so take the
+       union *)
+    let fl =
+      Verify.flow ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
     in
+    let v = Verify.of_flow fl in
     let s = Verify.summary v in
     Printf.printf
       "static verification: %d of %d switching cells never-proximate\n"
       s.Verify.never s.Verify.switching_cells;
-    (* the hazard analysis proves quiet for a complementary set of cells
-       (at most one window-bearing input, or a dominated same-edge
-       group); both masks are sound for the fast path, so take the
-       union *)
-    let h =
-      Hazard.analyze ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
-    in
+    let h = Hazard.of_flow fl in
     Printf.printf "hazard analysis: %d of %d classified cells proven quiet\n"
       (List.length (List.filter (fun c -> c.Hazard.hc_quiet) (Hazard.cells h)))
       (Hazard.summary h).Hazard.classified;

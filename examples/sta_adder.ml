@@ -49,7 +49,7 @@ let () =
   in
   (* characterize with the 3-input gate's conservative thresholds *)
   let th = Vtc.thresholds nand3 in
-  let models = Sta.oracle_model_factory design th in
+  let models = (Sta.oracle_factory design th).Sta.models in
   (* all three primary inputs rise within 30 ps of each other -- the
      "temporally close transitions" of the paper's Figure 1-1 *)
   let pi =

@@ -7,22 +7,20 @@
     gate's minimum separation.  This module lifts that rule to a
     dataflow analysis over the timing-graph IR:
 
-    {b Forward pass.}  Every net carries {e edge-pair windows} — an
-    optional rise window and an optional fall window, each an arrival /
-    slew interval box ({!Proxim_verify.Interval}) — plus a three-valued
-    initial/final logic value.  Same-edge input groups propagate through
-    {!Proxim_verify.Verify.abstract_response} (the PR-4 interval
-    transfer, exact on degenerate windows); opposing-edge pairs are
-    tested against a §6 minimum-separation {!rule}, classifying each
-    window-bearing cell {!Never} / {!Filtered} / {!May_glitch}.  A
-    filtered static hazard with definite boolean levels {e kills} the
-    output windows — the §6 filter proving quiet nets downstream.
+    {b Forward pass}, {!Proxim_verify.Verify.flow}, shared with the
+    never-proximate classification (this module re-exports its window
+    types): every net carries an optional rise and fall window
+    (arrival / slew interval boxes) and three-valued resting levels.
+    Same-edge input groups propagate through the interval transfer;
+    opposing-edge pairs are tested against a §6 {!rule}, classifying
+    each window-bearing cell {!Never} / {!Filtered} / {!May_glitch}.  A
+    filtered static hazard with definite levels {e kills} the output
+    windows — the §6 filter proving quiet nets downstream.
 
-    {b Backward pass.}  Required times propagate from the primary
-    outputs against lower-bound single-input delays, so each may-glitch
-    cell gets an interval slack: can the glitch reach an endpoint inside
-    its observability window ({!Graph.fanout_cone} reconstructs the
-    cone)?
+    {b Backward pass} ({!of_flow}).  Required times propagate from the
+    primary outputs against lower-bound single-input delays, so each
+    may-glitch cell gets an interval slack and the endpoints its glitch
+    can reach.
 
     {b Semantic model} (documented approximations): quiet inputs sit at
     the consuming gate's non-controlling level (the characterization
@@ -34,58 +32,40 @@
 
 module Interval = Proxim_verify.Interval
 
-type awin = {
-  w_time : Interval.t;  (** threshold-crossing window, s *)
-  w_slew : Interval.t;  (** full-swing transition-time window, s *)
+type awin = Proxim_verify.Verify.awin = {
+  w_time : Interval.t;
+  w_slew : Interval.t;
 }
-(** One edge's arrival window on a net. *)
 
 type logic = Proxim_gates.Ternary.logic = L0 | L1 | LX
 
-type net_state = {
+type net_state = Proxim_verify.Verify.net_state = {
   ns_rise : awin option;
   ns_fall : awin option;
-  ns_init : logic;  (** boolean level before any event *)
-  ns_final : logic;  (** boolean level after all events settle *)
+  ns_init : logic;
+  ns_final : logic;
 }
 
-type verdict = Never | Filtered | May_glitch
-(** The §6 lattice for a window-bearing cell:
-    - [Never]: no opposing-edge input pair can form, so no glitch
-      stimulus exists;
-    - [Filtered]: opposing pairs exist but every one provably misses the
-      minimum separation — the inertial filter absorbs the glitch;
-    - [May_glitch]: some pair may reach it. *)
+type verdict = Proxim_verify.Verify.verdict = Never | Filtered | May_glitch
 
 val verdict_name : verdict -> string
 (** ["never"] / ["filtered"] / ["may-glitch"]. *)
 
-type pair = {
+type pair = Proxim_verify.Verify.pair = {
   hp_fall_pin : int;
   hp_rise_pin : int;
   hp_starter_edge : Proxim_measure.Measure.edge;
-      (** edge of the input that starts the excursion in the governing
-          orientation (Rise for a rest-high output, Fall for rest-low) *)
   hp_sep : Interval.t;
-      (** oriented separation [t_ender - t_starter], s *)
-  hp_min_sep : Interval.t;  (** §6 minimum-separation bounds, s *)
-  hp_filtered : bool;  (** [hi hp_sep < lo hp_min_sep] *)
+  hp_min_sep : Interval.t;
+  hp_filtered : bool;
   hp_margin : float;
-      (** [lo hp_min_sep - hi hp_sep]: how far the worst case clears the
-          filter (positive iff filtered) — the PX403 band test *)
 }
-(** One opposing-edge input pair of a cell (the same pin appears on both
-    sides when a single input net carries a pulse).  When the output
-    resting level is unknown both orientations are evaluated and the
-    least-filtered one is kept. *)
 
 type cell_report = {
   hc_name : string;
   hc_gate : string;
   hc_verdict : verdict;
   hc_pairs : pair list;
-  hc_out_rise : awin option;  (** output windows after §6 refinement *)
-  hc_out_fall : awin option;
   hc_glitch : Interval.t option;
       (** excursion-time window of the possible glitch ([May_glitch]
           only) *)
@@ -109,27 +89,10 @@ type t
 
 (** {1 The §6 rule} *)
 
-type rule =
-  Proxim_sta.Design.cell ->
-  Proxim_macromodel.Models.t ->
-  starter_pin:int ->
-  starter_edge:Proxim_measure.Measure.edge ->
-  ender_pin:int ->
-  tau_starter:float * float ->
-  tau_ender:float * float ->
-  float * float
-(** Bounds on the minimum oriented separation [sigma_min]: the glitch
-    started by [starter_pin] and recovered by [ender_pin] completes a
-    transition exactly when [t_ender - t_starter >= sigma_min].  Both
-    tau axes are interval boxes; the result must be conservative over
-    them. *)
+type rule = Proxim_verify.Verify.rule
 
 val model_rule : rule
-(** The macromodel surrogate:
-    {!Proxim_macromodel.Models.min_separation_bounds} (single-input
-    delay/transition composition with spread widening).  The default —
-    microsecond-cheap, defined for every model kind, and exact in shape
-    for the synthetic models the randomized suites use. *)
+(** The default, {!Proxim_verify.Verify.model_rule}. *)
 
 val inertial_rule :
   ?opts:Proxim_spice.Options.t ->
@@ -160,7 +123,8 @@ val analyze :
   Proxim_sta.Design.t ->
   pi:Proxim_verify.Verify.pi_event list ->
   t
-(** Forward edge-pair-window pass + backward required-time pass.
+(** [of_flow ?filter_margin ?required (Verify.flow ?mode ?rule ...)]:
+    the forward edge-pair-window pass, then this module's view.
 
     [pi] events may mix edges freely (unlike [Sta]/[Verify]); two events
     on one net give it both windows (a pulse).  Events on unknown nets
@@ -172,6 +136,13 @@ val analyze :
     backward pass; it defaults to the latest upper arrival bound in the
     design (every reachable glitch observable).  [rule] defaults to
     {!model_rule}. *)
+
+val of_flow :
+  ?filter_margin:float -> ?required:float -> Proxim_verify.Verify.flow -> t
+(** The mixed-edge view of a pass: the backward required-time pass, the
+    endpoint reachability of the may-glitch cells and the reports.  The
+    PX404 inputs are the pass's [fl_unconstrained].  Several views may
+    read one pass. *)
 
 val design : t -> Proxim_sta.Design.t
 

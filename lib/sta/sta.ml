@@ -251,13 +251,7 @@ let hit_slot = function
 
 let make_engine ~prune ~hits ~mode ~models ~thresholds ~design :
     Design.cell Timing.engine =
-  (* macromodels consume full-swing ramp widths; measured output
-     transitions span Vil..Vih only, so scale them up when they become the
-     next stage's input slew *)
-  let slew_scale =
-    let th : Proxim_vtc.Vtc.thresholds = thresholds in
-    th.Proxim_vtc.Vtc.vdd /. (th.Proxim_vtc.Vtc.vih -. th.Proxim_vtc.Vtc.vil)
-  in
+  let slew_scale = Proxim_vtc.Vtc.slew_scale thresholds in
   fun id cell inputs ->
     match check_edges cell inputs with
     | None -> None (* fully quiet cell *)
@@ -569,12 +563,3 @@ let synthetic_factory ?seed ?spread ?work () =
     ~key_of:(fun (cell : Design.cell) -> cell.Design.gate.Gate.name)
     ~build:(fun (cell : Design.cell) ->
       Models.synthetic ?seed ?spread ?work cell.Design.gate)
-
-let oracle_model_factory ?opts ?wire_cap design th =
-  (oracle_factory ?opts ?wire_cap design th).models
-
-let table_model_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others
-    ?pool design th =
-  (table_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others ?pool
-     design th)
-    .models

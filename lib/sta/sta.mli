@@ -303,28 +303,3 @@ val synthetic_factory :
     {!Proxim_macromodel.Models.synthetic}.  The models keep no query
     cache, so [factory_stats] counts only the per-gate-type lookups and
     memory stays proportional to the gate library. *)
-
-val oracle_model_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  Design.cell ->
-  Proxim_macromodel.Models.t
-(** [(oracle_factory ...).models] — kept for callers that do not need the
-    statistics. *)
-
-val table_model_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  ?taus:float array ->
-  ?x_tau:float array ->
-  ?x_sep:float array ->
-  ?share_others:bool ->
-  ?pool:Proxim_util.Pool.t ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  Design.cell ->
-  Proxim_macromodel.Models.t
-(** [(table_factory ...).models] — kept for callers that do not need the
-    statistics. *)

@@ -36,3 +36,5 @@ let inv a =
 let to_string i =
   if degenerate i then Printf.sprintf "{%g}" i.lo
   else Printf.sprintf "[%g, %g]" i.lo i.hi
+
+let to_ps_string i = to_string (scale 1e12 i)

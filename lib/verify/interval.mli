@@ -55,3 +55,7 @@ val inv : t -> t
 
 val to_string : t -> string
 (** ["[lo, hi]"] with %g bounds, or ["{v}"] when degenerate. *)
+
+val to_ps_string : t -> string
+(** {!to_string} of a seconds interval, in picoseconds — the form the
+    PX3xx/PX4xx messages print. *)

@@ -1,6 +1,7 @@
 module Measure = Proxim_measure.Measure
 module Models = Proxim_macromodel.Models
 module Gate = Proxim_gates.Gate
+module Ternary = Proxim_gates.Ternary
 module Vtc = Proxim_vtc.Vtc
 module Proximity = Proxim_core.Proximity
 module Graph = Proxim_timing.Graph
@@ -92,7 +93,6 @@ type cell_info = {
   ci_assist : bool;
   ci_class : classification;
   ci_pairs : pair_info list;
-  ci_out : aarrival;
   ci_neg_delay : (int * Interval.t) list;
       (** switching pins whose single-input delay bound dips negative *)
   ci_tau_escape : (int * Interval.t * (float * float)) list;
@@ -100,24 +100,49 @@ type cell_info = {
           tau span of a table-backed model *)
 }
 
-type t = {
-  v_design : Design.t;
-  v_mode : Sta.mode;
-  v_arrivals : aarrival option array;
-  v_cells : cell_info option array;
-  v_timing_cells : cell_info option array;
-      (** the classifications as the interval pass computed them, before
-          any logic refinement — the ones {!prune_mask} may trust (the
-          STA fast path is only bit-identical for timing-proven
-          never-proximate cells) *)
-  v_unconstrained : string list;
-      (** quiet primary inputs whose fanout cone contains a switching
-          multi-input cell *)
+(* --- edge windows and the §6 rule -------------------------------------- *)
+
+type awin = { w_time : Interval.t; w_slew : Interval.t }
+
+type logic = Ternary.logic = L0 | L1 | LX
+
+type net_state = {
+  ns_rise : awin option;
+  ns_fall : awin option;
+  ns_init : logic;
+  ns_final : logic;
 }
 
-(* --- abstract transfer: shared ----------------------------------------- *)
+type verdict = Never | Filtered | May_glitch
 
-(* per switching input of a cell *)
+type pair = {
+  hp_fall_pin : int;
+  hp_rise_pin : int;
+  hp_starter_edge : Measure.edge;
+  hp_sep : Interval.t;
+  hp_min_sep : Interval.t;
+  hp_filtered : bool;
+  hp_margin : float;
+}
+
+type rule =
+  Design.cell ->
+  Models.t ->
+  starter_pin:int ->
+  starter_edge:Measure.edge ->
+  ender_pin:int ->
+  tau_starter:float * float ->
+  tau_ender:float * float ->
+  float * float
+
+let model_rule : rule =
+ fun _cell m ~starter_pin ~starter_edge ~ender_pin ~tau_starter ~tau_ender ->
+  Models.min_separation_bounds m ~starter_pin ~starter_edge ~ender_pin
+    ~tau_starter ~tau_ender
+
+(* --- abstract transfer -------------------------------------------------- *)
+
+(* per window-bearing input of a same-edge group *)
 type ainput = {
   i_pin : int;
   i_time : Interval.t;
@@ -138,24 +163,24 @@ let trans_of_rate r =
     Interval.make (1. /. Interval.hi r) slew_cap
   else Interval.make tiny_slew slew_cap
 
-let ainput_of (m : Models.t) ~edge (pin, (a : aarrival)) =
-  let tau = Interval.pair a.a_slew in
+let ainput_of (m : Models.t) ~edge (pin, w) =
+  let tau = Interval.pair w.w_slew in
   let d1 = Interval.of_pair (Models.delay1_bounds m ~pin ~edge ~tau) in
   let t1 = Interval.of_pair (Models.trans1_bounds m ~pin ~edge ~tau) in
   {
     i_pin = pin;
-    i_time = a.a_time;
-    i_tau = a.a_slew;
+    i_time = w.w_time;
+    i_tau = w.w_slew;
     i_d1 = d1;
     i_t1 = t1;
-    i_wb = Interval.add a.a_time d1;
+    i_wb = Interval.add w.w_time d1;
   }
 
 (* --- classic mode ------------------------------------------------------- *)
 
 (* latest single-input response wins; slew hull over every input whose
    would-be can reach the maximum *)
-let classic_out ~slew_scale ~edge inputs =
+let classic_out ~slew_scale inputs =
   let out_time =
     List.fold_left
       (fun acc i -> Interval.max2 acc i.i_wb)
@@ -172,11 +197,7 @@ let classic_out ~slew_scale ~edge inputs =
     | [] -> assert false
     | s :: tl -> List.fold_left Interval.hull s tl
   in
-  {
-    a_time = out_time;
-    a_slew = Interval.scale slew_scale out_slew;
-    a_edge = Measure.opposite edge;
-  }
+  { w_time = out_time; w_slew = Interval.scale slew_scale out_slew }
 
 (* --- proximity mode ----------------------------------------------------- *)
 
@@ -312,6 +333,59 @@ let proximity_dominants ~assist inputs =
     List.filter (fun i -> Interval.hi i.i_wb >= max_lo) inputs
   end
 
+let proximity_out (m : Models.t) ~slew_scale ~edge ~assist inputs =
+  match inputs with
+  | [ i ] -> { w_time = i.i_wb; w_slew = Interval.scale slew_scale i.i_t1 }
+  | _ ->
+    let all_degenerate =
+      List.for_all
+        (fun i -> Interval.degenerate i.i_time && Interval.degenerate i.i_tau)
+        inputs
+    in
+    if all_degenerate then begin
+      (* exact inputs: run the concrete algorithm itself, so ±0 windows
+         reproduce the concrete STA bit-for-bit *)
+      let events =
+        List.map
+          (fun i ->
+            {
+              Proximity.pin = i.i_pin;
+              edge;
+              tau = Interval.lo i.i_tau;
+              cross_time = Interval.lo i.i_time;
+            })
+          inputs
+      in
+      let r = Proximity.evaluate m events in
+      {
+        w_time = Interval.exact (r.Proximity.ref_cross +. r.Proximity.delay);
+        w_slew = Interval.exact (r.Proximity.out_transition *. slew_scale);
+      }
+    end
+    else begin
+      let per_dominant =
+        List.map
+          (fun yd ->
+            let others =
+              List.filter (fun j -> j.i_pin <> yd.i_pin) inputs
+            in
+            let delay, trans = fold_abstract m ~edge ~assist yd others in
+            (Interval.add yd.i_time delay, trans))
+          (proximity_dominants ~assist inputs)
+      in
+      match per_dominant with
+      | [] -> assert false
+      | (t0, s0) :: tl ->
+        let w_time, slew =
+          List.fold_left
+            (fun (ta, sa) (tb, sb) -> (Interval.hull ta tb, Interval.hull sa sb))
+            (t0, s0) tl
+        in
+        { w_time; w_slew = Interval.scale slew_scale slew }
+    end
+
+(* --- classification ------------------------------------------------------ *)
+
 let cell_classification ~assist inputs dominants =
   match inputs with
   | [ _ ] -> Never_proximate
@@ -378,96 +452,77 @@ let rec pairs_of = function
   | [] | [ _ ] -> []
   | a :: tl -> List.map (fun b -> (a, b)) tl @ pairs_of tl
 
-let proximity_out (m : Models.t) ~slew_scale ~edge inputs =
-  match inputs with
-  | [ i ] ->
-    {
-      a_time = i.i_wb;
-      a_slew = Interval.scale slew_scale i.i_t1;
-      a_edge = Measure.opposite edge;
-    }
-  | _ ->
-    let all_degenerate =
-      List.for_all
-        (fun i -> Interval.degenerate i.i_time && Interval.degenerate i.i_tau)
-        inputs
-    in
-    if all_degenerate then begin
-      (* exact inputs: run the concrete algorithm itself, so ±0 windows
-         reproduce the concrete STA bit-for-bit *)
-      let events =
-        List.map
-          (fun i ->
-            {
-              Proximity.pin = i.i_pin;
-              edge;
-              tau = Interval.lo i.i_tau;
-              cross_time = Interval.lo i.i_time;
-            })
-          inputs
-      in
-      let r = Proximity.evaluate m events in
-      {
-        a_time = Interval.exact (r.Proximity.ref_cross +. r.Proximity.delay);
-        a_slew = Interval.exact (r.Proximity.out_transition *. slew_scale);
-        a_edge = Measure.opposite edge;
-      }
-    end
-    else begin
-      let assist =
-        m.Models.assist ~edge ~pins:(List.map (fun i -> i.i_pin) inputs)
-      in
+(* a single-edge cell's classification, pairs and PX302/PX303 triggers *)
+let cell_info_of ~mode (cell : Design.cell) (m : Models.t) ~edge ~assist inputs =
+  let cls, pairs =
+    match mode with
+    | Sta.Classic -> (Never_proximate, [])
+    | Sta.Proximity | Sta.Collapsed _ ->
       let dominants = proximity_dominants ~assist inputs in
-      let per_dominant =
+      let n_switching = List.length inputs in
+      ( cell_classification ~assist inputs dominants,
         List.map
-          (fun yd ->
-            let others =
-              List.filter (fun j -> j.i_pin <> yd.i_pin) inputs
-            in
-            let delay, trans = fold_abstract m ~edge ~assist yd others in
-            (Interval.add yd.i_time delay, trans))
-          dominants
-      in
-      match per_dominant with
-      | [] -> assert false
-      | (t0, s0) :: tl ->
-        let a_time, slew =
-          List.fold_left
-            (fun (ta, sa) (tb, sb) -> (Interval.hull ta tb, Interval.hull sa sb))
-            (t0, s0) tl
-        in
-        {
-          a_time;
-          a_slew = Interval.scale slew_scale slew;
-          a_edge = Measure.opposite edge;
-        }
-    end
-
-(* Sound abstract image of one cell response to a same-edge input group,
-   shared with the hazard analyzer (Proxim_hazard), whose mixed-edge
-   dataflow decomposes each cell into same-edge groups plus the §6
-   opposing-pair rule.  Inputs are (pin, abstract arrival) pairs. *)
-let abstract_response ~mode (m : Models.t) ~slew_scale ~edge inputs =
-  if inputs = [] then invalid_arg "Verify.abstract_response: no inputs";
-  let inputs = List.map (ainput_of m ~edge) inputs in
-  match mode with
-  | Sta.Classic -> classic_out ~slew_scale ~edge inputs
-  | Sta.Proximity | Sta.Collapsed _ ->
-    proximity_out m ~slew_scale ~edge inputs
-
-(* --- the analysis ------------------------------------------------------- *)
-
-let analyze ?(mode = Sta.Proximity) ~models ~thresholds design ~pi =
-  (match mode with
-   | Sta.Collapsed _ ->
-     invalid_arg "Proxim_verify: Collapsed mode is not supported"
-   | Sta.Classic | Sta.Proximity -> ());
-  let g = Design.graph design in
-  let slew_scale =
-    let th : Vtc.thresholds = thresholds in
-    th.Vtc.vdd /. (th.Vtc.vih -. th.Vtc.vil)
+          (fun (a, b) -> pair_classification ~assist ~n_switching dominants a b)
+          (pairs_of inputs) )
   in
-  let arrivals : aarrival option array = Array.make (Graph.net_count g) None in
+  let neg_delay =
+    List.filter_map
+      (fun i -> if Interval.lo i.i_d1 < 0. then Some (i.i_pin, i.i_d1) else None)
+      inputs
+  in
+  let tau_escape =
+    match m.Models.tau_range with
+    | None -> []
+    | Some (lo, hi) ->
+      List.filter_map
+        (fun i ->
+          if Interval.lo i.i_tau < lo || Interval.hi i.i_tau > hi then
+            Some (i.i_pin, i.i_tau, (lo, hi))
+          else None)
+        inputs
+  in
+  {
+    ci_name = cell.Design.name;
+    ci_gate = cell.Design.gate.Gate.name;
+    ci_edge = edge;
+    ci_switching = List.map (fun i -> i.i_pin) inputs;
+    ci_assist = assist;
+    ci_class = cls;
+    ci_pairs = pairs;
+    ci_neg_delay = neg_delay;
+    ci_tau_escape = tau_escape;
+  }
+
+(* --- the forward pass ---------------------------------------------------- *)
+
+type fwd = {
+  f_cell : Design.cell;
+  f_info : cell_info option;
+  f_delays : (int * Interval.t) list;
+  f_pairs : pair list;
+  f_verdict : verdict;
+  f_glitch : Interval.t option;
+  f_quiet : bool;
+}
+
+type flow = {
+  fl_design : Design.t;
+  fl_mode : Sta.mode;
+  fl_nets : net_state option array;
+  fl_cells : fwd option array;
+  fl_unconstrained : string list;
+}
+
+let hull_win a b =
+  {
+    w_time = Interval.hull a.w_time b.w_time;
+    w_slew = Interval.hull a.w_slew b.w_slew;
+  }
+
+(* several events may target one net: one edge's windows are hulled,
+   both edges make a pulse of unknown order *)
+let seed_events g nets pi =
+  let no_event = { ns_rise = None; ns_fall = None; ns_init = LX; ns_final = LX } in
   List.iter
     (fun ev ->
       match Graph.net_id g ev.ev_net with
@@ -475,104 +530,281 @@ let analyze ?(mode = Sta.Proximity) ~models ~thresholds design ~pi =
       | Some id ->
         if Graph.driver g ~net:id <> None then
           invalid_arg
-            ("Proxim_verify.analyze: net " ^ ev.ev_net ^ " is driven by a cell")
-        else
-          arrivals.(id) <-
-            Some { a_time = ev.ev_time; a_slew = ev.ev_tau; a_edge = ev.ev_edge })
-    pi;
-  let infos : cell_info option array = Array.make (Graph.cell_count g) None in
-  let process c =
-    let cell = Graph.payload g c in
-    let switching =
-      Array.to_list (Graph.cell_inputs g c)
-      |> List.mapi (fun pin net ->
-           Option.map (fun a -> (pin, a)) arrivals.(net))
-      |> List.filter_map Fun.id
+            ("Proxim_verify.flow: net " ^ ev.ev_net ^ " is driven by a cell");
+        let w = { w_time = ev.ev_time; w_slew = ev.ev_tau } in
+        let prev = Option.value nets.(id) ~default:no_event in
+        let merge = function None -> Some w | Some w0 -> Some (hull_win w0 w) in
+        let ns =
+          match ev.ev_edge with
+          | Measure.Rise -> { prev with ns_rise = merge prev.ns_rise }
+          | Measure.Fall -> { prev with ns_fall = merge prev.ns_fall }
+        in
+        nets.(id) <-
+          Some
+            (match (ns.ns_rise, ns.ns_fall) with
+            | Some _, None -> { ns with ns_init = L0; ns_final = L1 }
+            | None, Some _ -> { ns with ns_init = L1; ns_final = L0 }
+            | _ -> { ns with ns_init = LX; ns_final = LX }))
+    pi
+
+(* one opposing-edge pair, oriented by the output resting level; an
+   unknown resting level evaluates both orientations and keeps the
+   least-filtered one *)
+let opposing_pair (rule : rule) cell m ~init_out f r =
+  let candidate (starter, ender, starter_edge) =
+    let ms =
+      rule cell m ~starter_pin:starter.i_pin ~starter_edge
+        ~ender_pin:ender.i_pin ~tau_starter:(Interval.pair starter.i_tau)
+        ~tau_ender:(Interval.pair ender.i_tau)
     in
-    match switching with
-    | [] -> ()
-    | (_, first) :: rest ->
-      if List.exists (fun (_, a) -> a.a_edge <> first.a_edge) rest then
-        raise (Sta.Mixed_input_edges { cell = cell.Design.name });
-      let edge = first.a_edge in
+    (starter_edge, Interval.sub ender.i_time starter.i_time, Interval.of_pair ms)
+  in
+  let orientations =
+    match init_out with
+    | L1 -> [ (r, f, Measure.Rise) ]
+    | L0 -> [ (f, r, Measure.Fall) ]
+    | LX -> [ (r, f, Measure.Rise); (f, r, Measure.Fall) ]
+  in
+  let margin (_, sep, ms) = Interval.lo ms -. Interval.hi sep in
+  let governing =
+    match List.map candidate orientations with
+    | [] -> assert false
+    | c0 :: tl ->
+      List.fold_left (fun acc c -> if margin c < margin acc then c else acc) c0 tl
+  in
+  let starter_edge, sep, ms = governing in
+  let mg = margin governing in
+  {
+    hp_fall_pin = f.i_pin;
+    hp_rise_pin = r.i_pin;
+    hp_starter_edge = starter_edge;
+    hp_sep = sep;
+    hp_min_sep = ms;
+    hp_filtered = mg > 0.;
+    hp_margin = mg;
+  }
+
+let flow ?(mode = Sta.Proximity) ?(rule = model_rule) ~models ~thresholds
+    design ~pi =
+  (match mode with
+   | Sta.Collapsed _ ->
+     invalid_arg "Proxim_verify: Collapsed mode is not supported"
+   | Sta.Classic | Sta.Proximity -> ());
+  let g = Design.graph design in
+  let half_vdd = thresholds.Vtc.vdd /. 2. in
+  let slew_scale = Vtc.slew_scale thresholds in
+  let nets : net_state option array = Array.make (Graph.net_count g) None in
+  seed_events g nets pi;
+  let cells : fwd option array = Array.make (Graph.cell_count g) None in
+  let process c =
+    let ins = Graph.cell_inputs g c in
+    (* the (pin, window) pairs of one edge, pin order; allocates nothing
+       on the many cells no window reaches *)
+    let windows edge_of =
+      let rec go p acc =
+        if p < 0 then acc
+        else
+          match Option.bind nets.(ins.(p)) edge_of with
+          | Some w -> go (p - 1) ((p, w) :: acc)
+          | None -> go (p - 1) acc
+      in
+      go (Array.length ins - 1) []
+    in
+    let rise_wins = windows (fun ns -> ns.ns_rise) in
+    let fall_wins = windows (fun ns -> ns.ns_fall) in
+    if rise_wins <> [] || fall_wins <> [] then begin
+      let cell = Graph.payload g c in
+      let gate = cell.Design.gate in
       let m = models cell in
-      let inputs = List.map (ainput_of m ~edge) switching in
-      let assist =
-        List.length inputs >= 2
-        && m.Models.assist ~edge ~pins:(List.map (fun i -> i.i_pin) inputs)
+      (* each same-edge group's abstract inputs, computed once: its
+         response, the never-proximate classification and the quiet
+         verdict all read them.  The falling inputs drive the output
+         rise, the rising ones its fall (inverting monotone gates). *)
+      let group edge = function
+        | [] -> (None, None)
+        | wins ->
+          let inputs = List.map (ainput_of m ~edge) wins in
+          let assist =
+            List.length inputs >= 2
+            && m.Models.assist ~edge ~pins:(List.map (fun i -> i.i_pin) inputs)
+          in
+          let resp =
+            match mode with
+            | Sta.Classic -> classic_out ~slew_scale inputs
+            | Sta.Proximity | Sta.Collapsed _ ->
+              proximity_out m ~slew_scale ~edge ~assist inputs
+          in
+          (Some (inputs, assist), Some resp)
       in
-      let out, cls, pairs =
-        match mode with
-        | Sta.Classic ->
-          (classic_out ~slew_scale ~edge inputs, Never_proximate, [])
-        | Sta.Proximity | Sta.Collapsed _ ->
-          let dominants = proximity_dominants ~assist inputs in
-          let n_switching = List.length inputs in
-          ( proximity_out m ~slew_scale ~edge inputs,
-            cell_classification ~assist inputs dominants,
-            List.map
-              (fun (a, b) ->
-                pair_classification ~assist ~n_switching dominants a b)
-              (pairs_of inputs) )
+      let rises, out_fall_c = group Measure.Rise rise_wins in
+      let falls, out_rise_c = group Measure.Fall fall_wins in
+      (* quiet inputs sit at the levels of a switching pin's sensitization
+         vector — the Sta/Gate.switching_assist convention.  The vector's
+         entry for the reference pin itself is always Vdd, so it must be a
+         window-bearing pin, never a quiet one. *)
+      let nc =
+        let first = function (p, _) :: _ -> p | [] -> max_int in
+        Gate.noncontrolling_sensitization gate
+          ~pin:(min (first rise_wins) (first fall_wins))
       in
-      let neg_delay =
-        List.filter_map
-          (fun i ->
-            if Interval.lo i.i_d1 < 0. then Some (i.i_pin, i.i_d1) else None)
-          inputs
+      let level which p =
+        match nets.(ins.(p)) with
+        | Some ns -> which ns
+        | None -> if nc.(p) > half_vdd then L1 else L0
       in
-      let tau_escape =
-        match m.Models.tau_range with
-        | None -> []
-        | Some (lo, hi) ->
-          List.filter_map
-            (fun i ->
-              if Interval.lo i.i_tau < lo || Interval.hi i.i_tau > hi then
-                Some (i.i_pin, i.i_tau, (lo, hi))
-              else None)
-            inputs
+      (* one Kleene evaluation per state gives the output's resting
+         levels; LX stands for "both states reachable" *)
+      let init_out = Ternary.eval_gate gate (level (fun ns -> ns.ns_init)) in
+      let final_out = Ternary.eval_gate gate (level (fun ns -> ns.ns_final)) in
+      let pairs =
+        match (rises, falls) with
+        | Some (r, _), Some (f, _) ->
+          List.concat_map
+            (fun fi -> List.map (opposing_pair rule cell m ~init_out fi) r)
+            f
+        | _ -> []
       in
-      arrivals.(Graph.cell_output g c) <- Some out;
-      infos.(c) <-
+      let verdict =
+        if pairs = [] then Never
+        else if List.for_all (fun p -> p.hp_filtered) pairs then Filtered
+        else May_glitch
+      in
+      (* §6 refinement: with every pair filtered and definite boolean
+         levels, only the net init->final transition can cross the
+         thresholds — a static output loses its windows entirely *)
+      let out_rise, out_fall =
+        match (verdict, init_out, final_out) with
+        | May_glitch, _, _ | _, LX, _ | _, _, LX -> (out_rise_c, out_fall_c)
+        | _, L0, L1 -> (out_rise_c, None)
+        | _, L1, L0 -> (None, out_fall_c)
+        | _ -> (None, None) (* static *)
+      in
+      (* the excursion leaves the resting level: downward from a
+         resting-high output (a fall window), upward from a resting-low
+         one.  A possible glitch has an opposing pair, so both groups
+         and both responses exist. *)
+      let glitch =
+        match (verdict, out_rise_c, out_fall_c) with
+        | May_glitch, Some rw, Some fw ->
+          Some
+            (match init_out with
+            | L1 -> fw.w_time
+            | L0 -> rw.w_time
+            | LX -> Interval.hull rw.w_time fw.w_time)
+        | _ -> None
+      in
+      let quiet =
+        match (rises, falls) with
+        | Some ([ _ ], _), None | None, Some ([ _ ], _) -> true
+        (* the collapse lemma needs earliest-wins dominance: a gating
+           group (NAND-rising / NOR-falling) folds to the *latest* input,
+           which the pruned fast path does not compute *)
+        | Some (inputs, assist), None | None, Some (inputs, assist) ->
+          assist && Option.is_some (never_dominant inputs)
+        (* a pulse on one pin is still one switching input *)
+        | Some ([ a ], _), Some ([ b ], _) -> a.i_pin = b.i_pin
+        | _ -> false
+      in
+      let info =
+        match (rises, falls) with
+        | Some (inputs, assist), None ->
+          Some (cell_info_of ~mode cell m ~edge:Measure.Rise ~assist inputs)
+        | None, Some (inputs, assist) ->
+          Some (cell_info_of ~mode cell m ~edge:Measure.Fall ~assist inputs)
+        | _ -> None
+      in
+      let inputs = function Some (l, _) -> l | None -> [] in
+      nets.(Graph.cell_output g c) <-
         Some
           {
-            ci_name = cell.Design.name;
-            ci_gate = cell.Design.gate.Gate.name;
-            ci_edge = edge;
-            ci_switching = List.map (fun i -> i.i_pin) inputs;
-            ci_assist = assist;
-            ci_class = cls;
-            ci_pairs = pairs;
-            ci_out = out;
-            ci_neg_delay = neg_delay;
-            ci_tau_escape = tau_escape;
+            ns_rise = out_rise;
+            ns_fall = out_fall;
+            ns_init = init_out;
+            ns_final = final_out;
+          };
+      cells.(c) <-
+        Some
+          {
+            f_cell = cell;
+            f_info = info;
+            f_delays =
+              List.map (fun i -> (i.i_pin, i.i_d1)) (inputs rises @ inputs falls);
+            f_pairs = pairs;
+            f_verdict = verdict;
+            f_glitch = glitch;
+            f_quiet = quiet;
           }
+    end
   in
   Trace.with_span ~cat:"verify" "verify.propagate" (fun () ->
     Array.iter process (Graph.topological g));
+  (* quiet primary inputs whose fanout cone holds a window-bearing
+     multi-input cell: an event there could change a proximity verdict
+     or form an opposing pair (PX304 / PX404) *)
   let unconstrained =
     Trace.with_span ~cat:"verify" "verify.unconstrained" @@ fun () ->
     let sensitive =
       Graph.reaches g ~cell:(fun c ->
-          (match infos.(c) with
-          | Some ci -> List.length ci.ci_switching >= 1
-          | None -> false)
-          && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
+          cells.(c) <> None && (Graph.payload g c).Design.gate.Gate.fan_in >= 2)
     in
     Array.to_list (Graph.primary_inputs g)
     |> List.filter_map (fun net ->
-         if arrivals.(net) = None && sensitive.(net) then
+         if nets.(net) = None && sensitive.(net) then
            Some (Graph.net_name g net)
          else None)
   in
   {
-    v_design = design;
-    v_mode = mode;
-    v_arrivals = arrivals;
+    fl_design = design;
+    fl_mode = mode;
+    fl_nets = nets;
+    fl_cells = cells;
+    fl_unconstrained = unconstrained;
+  }
+
+(* --- the single-edge view ---------------------------------------------- *)
+
+type t = {
+  v_design : Design.t;
+  v_mode : Sta.mode;
+  v_nets : net_state option array;
+  v_cells : cell_info option array;
+  v_timing_cells : cell_info option array;
+      (** the classifications as the interval pass computed them, before
+          any logic refinement — the ones {!prune_mask} may trust (the
+          STA fast path is only bit-identical for timing-proven
+          never-proximate cells) *)
+  v_unconstrained : string list;
+      (** quiet primary inputs whose fanout cone contains a switching
+          multi-input cell *)
+}
+
+let of_flow fl =
+  let g = Design.graph fl.fl_design in
+  let infos = Array.make (Graph.cell_count g) None in
+  (* topological order: a mixed-edge stimulus names its first mixed cell,
+     as the concrete engines do *)
+  Array.iter
+    (fun c ->
+      match fl.fl_cells.(c) with
+      | None -> ()
+      | Some { f_info = Some ci; _ } -> infos.(c) <- Some ci
+      | Some f -> raise (Sta.Mixed_input_edges { cell = f.f_cell.Design.name }))
+    (Graph.topological g);
+  {
+    v_design = fl.fl_design;
+    v_mode = fl.fl_mode;
+    v_nets = fl.fl_nets;
     v_cells = infos;
     v_timing_cells = infos;
-    v_unconstrained = unconstrained;
+    v_unconstrained = fl.fl_unconstrained;
   }
+
+let analyze ?mode ~models ~thresholds design ~pi =
+  (* the concrete STA's seeding: the last event naming a net wins *)
+  let last = Hashtbl.create 16 in
+  List.iter (fun ev -> Hashtbl.replace last ev.ev_net ev) pi;
+  let pi = List.filter (fun ev -> Hashtbl.find last ev.ev_net == ev) pi in
+  of_flow (flow ?mode ~models ~thresholds design ~pi)
 
 (* --- accessors ---------------------------------------------------------- *)
 
@@ -581,7 +813,12 @@ let mode t = t.v_mode
 
 let net_arrival t ~net =
   Option.bind (Graph.net_id (Design.graph t.v_design) net) (fun id ->
-    t.v_arrivals.(id))
+    match t.v_nets.(id) with
+    | Some { ns_rise = Some w; _ } ->
+      Some { a_time = w.w_time; a_slew = w.w_slew; a_edge = Measure.Rise }
+    | Some { ns_fall = Some w; _ } ->
+      Some { a_time = w.w_time; a_slew = w.w_slew; a_edge = Measure.Fall }
+    | _ -> None)
 
 let cell_info t ~cell =
   Option.bind (Graph.cell_id (Design.graph t.v_design) cell) (fun id ->
@@ -681,8 +918,6 @@ let refine t ~unsensitizable =
 
 (* --- diagnostics -------------------------------------------------------- *)
 
-let ps i = Interval.scale 1e12 i
-
 let check ?file t =
   Trace.with_span ~cat:"verify" "verify.check" @@ fun () ->
   let diags = ref [] in
@@ -699,7 +934,7 @@ let check ?file t =
                   negative lower bound — the measurement thresholds admit \
                   negative pin-to-output delays (§2)"
                  pin
-                 (Interval.to_string (ps d1))))
+                 (Interval.to_ps_string d1)))
           ci.ci_neg_delay;
         List.iter
           (fun (pin, tau, (lo, hi)) ->
@@ -709,7 +944,7 @@ let check ?file t =
                   characterized tau span [%g, %g] ps — table queries clamp \
                   (silent extrapolation)"
                  pin
-                 (Interval.to_string (ps tau))
+                 (Interval.to_ps_string tau)
                  (lo *. 1e12) (hi *. 1e12)))
           ci.ci_tau_escape;
         List.iter
@@ -722,8 +957,8 @@ let check ?file t =
                     the delay estimate is discontinuity-sensitive near the \
                     dominance flip"
                    p.pr_a p.pr_b
-                   (Interval.to_string (ps p.pr_separation))
-                   (Interval.to_string (ps p.pr_crossover))))
+                   (Interval.to_ps_string p.pr_separation)
+                   (Interval.to_ps_string p.pr_crossover)))
           ci.ci_pairs)
     t.v_cells;
   List.iter

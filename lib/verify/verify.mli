@@ -1,5 +1,6 @@
 (** Static verification of proximity-delay analyses by interval abstract
-    interpretation over the timing-graph IR.
+    interpretation over the timing-graph IR, and the one forward pass the
+    hazard analysis shares.
 
     Where {!Proxim_sta.Sta} propagates one concrete event per net, this
     module propagates {e intervals} of arrival times and transition
@@ -10,7 +11,14 @@
     images of the macromodels
     ({!Proxim_macromodel.Models.delay1_bounds} and friends).
 
-    Three products fall out of one topological pass:
+    {b One pass, two views.}  {!flow} is the one topological interval
+    pass.  Nets carry a rise and a fall window plus resting levels; each
+    cell's same-edge input groups get their abstract inputs computed
+    once, and from them the group's output window, the never-proximate
+    classification, the §6 opposing pairs and the quiet verdict.  This
+    module owns the pass and its single-edge view ({!of_flow});
+    [Proxim_hazard] owns the mixed-edge view and re-exports the window
+    types.  The single-edge view gives:
 
     - {b Reachability}: a sound arrival/slew interval per switching net
       ({!net_arrival}) — every concrete STA whose primary-input events
@@ -109,7 +117,6 @@ type cell_info = {
       (** the switching inputs assist (earliest-dominant direction) *)
   ci_class : classification;
   ci_pairs : pair_info list;  (** unordered switching input pairs *)
-  ci_out : aarrival;
   ci_neg_delay : (int * Interval.t) list;
       (** switching pins whose single-input delay interval dips below
           zero — the PX303 trigger *)
@@ -119,11 +126,113 @@ type cell_info = {
           trigger *)
 }
 
+(** {1 The forward pass} *)
+
+type awin = {
+  w_time : Interval.t;  (** threshold-crossing window, s *)
+  w_slew : Interval.t;  (** full-swing transition-time window, s *)
+}
+
+type logic = Proxim_gates.Ternary.logic = L0 | L1 | LX
+
+type net_state = {
+  ns_rise : awin option;
+  ns_fall : awin option;
+  ns_init : logic;  (** boolean level before any event *)
+  ns_final : logic;  (** boolean level after all events settle *)
+}
+
+type verdict = Never | Filtered | May_glitch
+(** The §6 lattice for a window-bearing cell: [Never], no opposing-edge
+    input pair can form; [Filtered], every pair provably misses the
+    minimum separation, so the inertial filter absorbs the glitch;
+    [May_glitch], some pair may reach it. *)
+
+type pair = {
+  hp_fall_pin : int;
+  hp_rise_pin : int;
+  hp_starter_edge : Proxim_measure.Measure.edge;
+      (** the edge that starts the excursion in the governing
+          orientation (Rise for a rest-high output, Fall for rest-low) *)
+  hp_sep : Interval.t;  (** oriented separation [t_ender - t_starter], s *)
+  hp_min_sep : Interval.t;  (** §6 minimum-separation bounds, s *)
+  hp_filtered : bool;  (** [hi hp_sep < lo hp_min_sep] *)
+  hp_margin : float;
+      (** [lo hp_min_sep - hi hp_sep], positive iff filtered — the PX403
+          band test *)
+}
+(** One opposing-edge input pair (one pin on both sides when its net
+    carries a pulse).  An unknown output resting level evaluates both
+    orientations and keeps the least-filtered one. *)
+
+type rule =
+  Proxim_sta.Design.cell ->
+  Proxim_macromodel.Models.t ->
+  starter_pin:int ->
+  starter_edge:Proxim_measure.Measure.edge ->
+  ender_pin:int ->
+  tau_starter:float * float ->
+  tau_ender:float * float ->
+  float * float
+(** Bounds on the minimum oriented separation [sigma_min], conservative
+    over both tau boxes: the glitch started by [starter_pin] and
+    recovered by [ender_pin] completes exactly when
+    [t_ender - t_starter >= sigma_min]. *)
+
+val model_rule : rule
+(** The macromodel surrogate,
+    {!Proxim_macromodel.Models.min_separation_bounds}: microsecond-cheap
+    and defined for every model kind. *)
+
+type fwd = {
+  f_cell : Proxim_sta.Design.cell;
+  f_info : cell_info option;
+      (** the single-edge classification with its PX302/PX303 triggers;
+          [None] when both edges reach the cell *)
+  f_delays : (int * Interval.t) list;
+      (** each window-bearing input's pin and single-input delay bounds *)
+  f_pairs : pair list;
+  f_verdict : verdict;
+  f_glitch : Interval.t option;  (** excursion window ([May_glitch]) *)
+  f_quiet : bool;
+      (** every admissible run gives the cell one switching input, or
+          one same-edge group with a provably dominant input *)
+}
+(** One window-bearing cell's forward result.  Each same-edge input
+    group's abstract inputs are computed once and give its output
+    window, the classification, the opposing pairs and the quiet
+    verdict. *)
+
+type flow = {
+  fl_design : Proxim_sta.Design.t;
+  fl_mode : Proxim_sta.Sta.mode;
+  fl_nets : net_state option array;  (** by net id, after §6 refinement *)
+  fl_cells : fwd option array;  (** by cell id, window-bearing only *)
+  fl_unconstrained : string list;
+      (** eventless primary inputs whose fanout cone holds a
+          window-bearing multi-input cell — the PX304/PX404 trigger *)
+}
+
+val flow :
+  ?mode:Proxim_sta.Sta.mode ->
+  ?rule:rule ->
+  models:(Proxim_sta.Design.cell -> Proxim_macromodel.Models.t) ->
+  thresholds:Proxim_vtc.Vtc.thresholds ->
+  Proxim_sta.Design.t ->
+  pi:pi_event list ->
+  flow
+(** The pass (default mode [Proximity], default [rule] {!model_rule}).
+    Edges may mix; several events on one net hull one edge's windows,
+    and two edges make a pulse.  A filtered static hazard with definite
+    levels kills the output windows.  Events on unknown nets are inert;
+    events on cell-driven nets raise [Invalid_argument], as does
+    [Collapsed] mode (no interval semantics). *)
+
+(** {1 Analysis} *)
+
 type t
 (** A completed verification: per-net abstract arrivals, per-cell
     classifications, and the quiet-PI sensitivity list. *)
-
-(** {1 Analysis} *)
 
 val analyze :
   ?mode:Proxim_sta.Sta.mode ->
@@ -132,16 +241,21 @@ val analyze :
   Proxim_sta.Design.t ->
   pi:pi_event list ->
   t
-(** One topological interval pass (default mode: [Proximity]).  Events
-    naming nets unknown to the design are ignored, mirroring
-    {!Proxim_sta.Sta.analyze}; events on cell-driven nets raise
-    [Invalid_argument], as does [Collapsed] mode (the golden-simulator
-    baseline has no interval semantics).  Raises
-    {!Proxim_sta.Sta.Mixed_input_edges} like the concrete engines.
+(** {!flow}, then its single-edge view {!of_flow}.  As in
+    {!Proxim_sta.Sta.analyze}, the last event naming a net wins and
+    events naming nets unknown to the design are ignored; events on
+    cell-driven nets raise [Invalid_argument], as does [Collapsed] mode.
 
     In [Classic] mode the pass bounds the latest single-input response;
     classifications are trivially [Never_proximate] (the mode never
     consults dual models) and {!prune_mask} is constant [false]. *)
+
+val of_flow : flow -> t
+(** The single-edge view of a pass: each window-bearing cell's
+    classification, each net's one window as its arrival.  Raises
+    {!Proxim_sta.Sta.Mixed_input_edges} naming the first cell, in
+    topological order, whose inputs carry both edges (the concrete
+    engines' error). *)
 
 val design : t -> Proxim_sta.Design.t
 val mode : t -> Proxim_sta.Sta.mode
@@ -201,22 +315,6 @@ val refine :
     weakens to {!May_be_proximate}.  Reporting ({!cells}, {!summary},
     {!check}) reflects the refined verdicts; {!prune_mask} deliberately
     does not (see there). *)
-
-val abstract_response :
-  mode:Proxim_sta.Sta.mode ->
-  Proxim_macromodel.Models.t ->
-  slew_scale:float ->
-  edge:Proxim_measure.Measure.edge ->
-  (int * aarrival) list ->
-  aarrival
-(** Sound abstract image of one cell's response to a same-edge group of
-    switching inputs ([(pin, arrival)] pairs): the latest single-input
-    response bound in [Classic] mode, the §3-§4 fold bound in
-    [Proximity] mode (exact — the concrete algorithm — on degenerate
-    inputs).  This is the transfer function {!analyze} applies per cell,
-    exported for the hazard analyzer ([Proxim_hazard]), whose mixed-edge
-    dataflow decomposes each cell into same-edge groups.  Raises
-    [Invalid_argument] on an empty group. *)
 
 val check : ?file:string -> t -> Proxim_lint.Diagnostic.t list
 (** Render the verification findings as sorted PX3xx diagnostics:

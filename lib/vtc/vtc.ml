@@ -151,6 +151,8 @@ let choose curves =
 let thresholds ?points ?opts ?pool gate =
   choose (family ?points ?opts ?pool gate)
 
+let slew_scale th = th.vdd /. (th.vih -. th.vil)
+
 let pp_thresholds ppf th =
   Format.fprintf ppf "Vil=%.3f Vih=%.3f Vdd=%.3f" th.vil th.vih th.vdd
 

@@ -84,7 +84,7 @@ let test_sta_matches_flat_simulation () =
      transistor-level simulation, measured with the same thresholds. *)
   let d = two_level () in
   let th = Vtc.thresholds ~points:201 nand2 in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   let slew_a = 250e-12 and slew_b = 150e-12 in
   let t_a = 1.0e-9 and t_b = 1.05e-9 in
   let pi =

@@ -597,6 +597,85 @@ let test_unconstrained_reference () =
   Alcotest.(check bool) "some inputs not listed" true (!unlisted > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Verify is the single-edge view of the hazard dataflow               *)
+
+let same_window a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a : Hazard.awin), Some (b : Hazard.awin) ->
+    let same i j =
+      feq (Interval.lo i) (Interval.lo j) && feq (Interval.hi i) (Interval.hi j)
+    in
+    same a.Hazard.w_time b.Hazard.w_time && same a.Hazard.w_slew b.Hazard.w_slew
+  | _ -> false
+
+(* Over layered designs every cell sees one edge, so both analyses see
+   the same stimulus: each net's Verify arrival is Hazard's window for
+   that edge to the bit (the other edge empty), the never-proximate
+   cells are the quiet ones, and PX304 lists what PX404 lists *)
+let test_verify_is_hazard_view () =
+  let rng = Prng.create 0xF10E5L in
+  let quiet_cells = ref 0 and windows = ref 0 in
+  for _ = 1 to 12 do
+    let design =
+      Harness.layered_design rng ~gates:[| nand2; nor2; nand3; inv |]
+        ~depth:3 ~width:6
+    in
+    let g = Design.graph design in
+    let falls =
+      Harness.falling_events rng ~quiet_one_in:3 ~time_hi:600e-12
+        ~slew_hi:500e-12 (Design.primary_inputs design)
+    in
+    let rises =
+      List.map (fun (n, a) -> (n, { a with Sta.edge = Measure.Rise })) falls
+    in
+    List.iter
+      (fun (mode, pi, w) ->
+        let pi =
+          List.map
+            (Verify.of_sta_event ~time_window:w ~tau_window:(w /. 2.))
+            pi
+        in
+        let v = Verify.analyze ~mode ~models:synthetic_models ~thresholds design ~pi in
+        let h = Hazard.analyze ~mode ~models:synthetic_models ~thresholds design ~pi in
+        for id = 0 to Graph.net_count g - 1 do
+          let net = Graph.net_name g id in
+          List.iter
+            (fun edge ->
+              let vw = Harness.verify_windows v net edge in
+              if vw <> None then incr windows;
+              Alcotest.(check bool) (net ^ " window") true
+                (same_window vw (Harness.hazard_windows h net edge)))
+            [ Measure.Rise; Measure.Fall ]
+        done;
+        let quiet = Hazard.quiet_mask h in
+        Array.iteri
+          (fun c never ->
+            Alcotest.(check bool) "never-proximate is quiet" true
+              ((not never) || quiet.(c)))
+          (Verify.prune_mask v);
+        if mode = Sta.Proximity then begin
+          let n_quiet =
+            List.length
+              (List.filter (fun r -> r.Hazard.hc_quiet) (Hazard.cells h))
+          in
+          quiet_cells := !quiet_cells + n_quiet;
+          Alcotest.(check int) "never count = quiet classified cells"
+            (Verify.summary v).Verify.never n_quiet
+        end;
+        Alcotest.(check (list string)) "PX304 = PX404"
+          (Verify.unconstrained_pis v) (Hazard.unconstrained_pis h))
+      [
+        (Sta.Proximity, falls, 0.); (Sta.Proximity, falls, 40e-12);
+        (Sta.Proximity, rises, 0.); (Sta.Proximity, rises, 40e-12);
+        (Sta.Classic, falls, 0.); (Sta.Classic, falls, 40e-12);
+        (Sta.Classic, rises, 0.); (Sta.Classic, rises, 40e-12);
+      ]
+  done;
+  Alcotest.(check bool) "windows compared" true (!windows > 0);
+  Alcotest.(check bool) "quiet cells compared" true (!quiet_cells > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Input validation                                                    *)
 
 let test_analyze_validation () =
@@ -761,6 +840,11 @@ let () =
         [
           Alcotest.test_case "fanout-cone reference" `Quick
             test_unconstrained_reference;
+        ] );
+      ( "one pass",
+        [
+          Alcotest.test_case "verify is the single-edge view" `Quick
+            test_verify_is_hazard_view;
         ] );
       ( "validation",
         [ Alcotest.test_case "inputs" `Quick test_analyze_validation ] );

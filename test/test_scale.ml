@@ -173,25 +173,45 @@ let test_bin_alloc_bound () =
         Alcotest.failf "loading allocated %.0f bytes per cell (bound %.0f)"
           per_cell bytes_per_cell_bound)
 
-(* The static analyses' allocation per cell with one event, measured as
-   above: every other input is quiet, so both list the quiet inputs that
-   reach a multi-input switching cell.  Testing each input's fanout cone
-   over a fresh per-cell array allocated ~22 000 bytes per cell in each
-   analysis here (20k cells, seed 1); one reverse-topological pass
-   allocates ~450 (Hazard) to ~500 (Verify). *)
+(* The static analyses' allocation per cell, measured as above.  With
+   one event every other input is quiet, so both list the quiet inputs
+   that reach a multi-input switching cell.  Testing each input's
+   fanout cone over a fresh per-cell array allocated ~22 000 bytes per
+   cell in each analysis here (20k cells, seed 1); one
+   reverse-topological pass allocates ~430 (Verify) to ~460 (Hazard). *)
 let analysis_bytes_per_cell_bound = 2000.
 
-let test_static_alloc_bound analyze () =
+let one_event _design =
+  [
+    Verify.of_sta_event
+      ("pi0", { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall });
+  ]
+
+(* every 4th input switching, edges alternating: opposing pairs form
+   and many cells may glitch, so the hazard reports list the endpoints
+   each glitch reaches.  A fresh per-cell cone array for each may-glitch
+   cell and a scan of every primary output allocated ~75 000 bytes per
+   cell here; one visited stamp shared by every cone walk allocates
+   ~9 700 *)
+let mixed_edges design =
+  List.filteri (fun i _ -> i mod 4 = 0) (Design.primary_inputs design)
+  |> List.mapi (fun k net ->
+         Verify.of_sta_event
+           ( net,
+             {
+               Sta.time = float_of_int (k mod 8) *. 50e-12;
+               slew = 300e-12;
+               edge = (if k mod 2 = 0 then Measure.Fall else Measure.Rise);
+             } ))
+
+let mixed_bytes_per_cell_bound = 20_000.
+
+let test_static_alloc_bound ~stimulus ~bound analyze () =
   let cells = 20_000 in
   let _, design = Synthgen.generate ~seed:1 ~tech ~cells () in
   let models = (Sta.synthetic_factory ()).Sta.models in
   let thresholds = { Vtc.vil = 1.25; vih = 3.75; vdd = 5.0 } in
-  let pi =
-    [
-      Verify.of_sta_event
-        ("pi0", { Sta.time = 0.; slew = 300e-12; edge = Measure.Fall });
-    ]
-  in
+  let pi = stimulus design in
   Gc.minor ();
   let before = Gc.allocated_bytes () in
   let unconstrained = analyze ~models ~thresholds design ~pi in
@@ -199,9 +219,9 @@ let test_static_alloc_bound analyze () =
   let per_cell = (Gc.allocated_bytes () -. before) /. float_of_int cells in
   Alcotest.(check bool) "some quiet input reaches a switching cell" true
     (unconstrained <> []);
-  if per_cell > analysis_bytes_per_cell_bound then
+  if per_cell > bound then
     Alcotest.failf "the analysis allocated %.0f bytes per cell (bound %.0f)"
-      per_cell analysis_bytes_per_cell_bound
+      per_cell bound
 
 let verify_unconstrained ~models ~thresholds design ~pi =
   Verify.unconstrained_pis (Verify.analyze ~models ~thresholds design ~pi)
@@ -295,9 +315,14 @@ let () =
       ( "static analyses",
         [
           Alcotest.test_case "verify allocation per cell" `Quick
-            (test_static_alloc_bound verify_unconstrained);
+            (test_static_alloc_bound ~stimulus:one_event
+               ~bound:analysis_bytes_per_cell_bound verify_unconstrained);
           Alcotest.test_case "hazard allocation per cell" `Quick
-            (test_static_alloc_bound hazard_unconstrained);
+            (test_static_alloc_bound ~stimulus:one_event
+               ~bound:analysis_bytes_per_cell_bound hazard_unconstrained);
+          Alcotest.test_case "hazard allocation per cell, mixed edges" `Quick
+            (test_static_alloc_bound ~stimulus:mixed_edges
+               ~bound:mixed_bytes_per_cell_bound hazard_unconstrained);
         ] );
       ( "soa-vs-reference",
         [

@@ -94,7 +94,7 @@ let thresholds = lazy (Vtc.thresholds ~points:201 nand2)
 let test_analyze_propagates () =
   let d = tree () in
   let th = Lazy.force thresholds in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   let arr t = { Sta.time = t; slew = 200e-12; edge = Measure.Rise } in
   let pi = [ ("a", arr 0.); ("b", arr 20e-12); ("c", arr 0.); ("d", arr 10e-12) ] in
   let report = Sta.analyze ~mode:Sta.Classic ~models ~thresholds:th d ~pi in
@@ -114,7 +114,7 @@ let test_analyze_propagates () =
 let test_proximity_differs_from_classic () =
   let d = tree () in
   let th = Lazy.force thresholds in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   (* near-simultaneous falling inputs at the NAND inputs: classic (max of
      single-input delays) must disagree with proximity-aware timing *)
   let arr t = { Sta.time = t; slew = 300e-12; edge = Measure.Fall } in
@@ -130,7 +130,7 @@ let test_proximity_differs_from_classic () =
 let test_quiet_inputs_stay_quiet () =
   let d = tree () in
   let th = Lazy.force thresholds in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   (* only the left NAND switches; n2 and u3 still see one event through n1 *)
   let arr t = { Sta.time = t; slew = 200e-12; edge = Measure.Fall } in
   let pi = [ ("a", arr 0.); ("b", arr 10e-12) ] in
@@ -143,7 +143,7 @@ let test_quiet_inputs_stay_quiet () =
 let test_critical_path_and_slack () =
   let d = tree () in
   let th = Lazy.force thresholds in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   let arr t = { Sta.time = t; slew = 250e-12; edge = Measure.Fall } in
   (* make d clearly the slowest input so the path is d -> n2 -> y *)
   let pi = [ ("a", arr 0.); ("b", arr 0.); ("c", arr 0.); ("d", arr 150e-12) ] in
@@ -191,7 +191,7 @@ let test_po_slacks_first_match () =
 let test_mixed_edges_rejected () =
   let d = tree () in
   let th = Lazy.force thresholds in
-  let models = Sta.oracle_model_factory d th in
+  let models = (Sta.oracle_factory d th).Sta.models in
   let pi =
     [
       ("a", { Sta.time = 0.; slew = 2e-10; edge = Measure.Rise });
