@@ -389,7 +389,6 @@ module Timing = Proxim_timing.Timing
 module Graph = Proxim_timing.Graph
 module Memo_cache = Proxim_util.Memo_cache
 module Verify = Proxim_verify.Verify
-module Interval = Proxim_verify.Interval
 module Hazard = Proxim_hazard.Hazard
 module Sense = Proxim_sense.Sense
 
@@ -542,91 +541,42 @@ let factory_of models_kind design th =
 (* ------------------------------------------------------------------ *)
 (* sta                                                                 *)
 
-let apply_eco_to_pi pi = function
-  | Sta.Touch_cell _ -> pi
-  | Sta.Set_pi (net, a) -> (
-    let rest = List.remove_assoc net pi in
-    match a with None -> rest | Some a -> rest @ [ (net, a) ])
-
-(* The prune mask must stay sound for the initial analysis AND every
-   post-ECO re-analysis, so verify over interval events hulling both
-   configurations.  Any structural change to the event set (a PI
-   silenced, added, or edge-flipped) falls back to no pruning. *)
-let sta_prune_mask ?(sense = false) ~models ~thresholds design ~pi ~ecos () =
-  let pi' = List.fold_left apply_eco_to_pi pi ecos in
-  (* each net's first post-ECO event, hashed once: under --pi-all the
-     list names every primary input *)
-  let after = Hashtbl.create (List.length pi') in
-  List.iter (fun (n, a) -> Hashtbl.replace after n a) (List.rev pi');
-  let nets l = List.sort compare (List.map fst l) in
-  let compatible =
-    nets pi = nets pi'
-    && List.for_all
-         (fun (n, (a : Sta.arrival)) ->
-           match Hashtbl.find_opt after n with
-           | Some (a' : Sta.arrival) -> a.Sta.edge = a'.Sta.edge
-           | None -> false)
-         pi
-  in
-  if not compatible then None
-  else begin
-    let events =
-      List.map
-        (fun (n, (a : Sta.arrival)) ->
-          let a' = Option.value (Hashtbl.find_opt after n) ~default:a in
-          {
-            Verify.ev_net = n;
-            ev_edge = a.Sta.edge;
-            ev_time =
-              Interval.make
-                (Float.min a.Sta.time a'.Sta.time)
-                (Float.max a.Sta.time a'.Sta.time);
-            ev_tau =
-              Interval.make
-                (Float.min a.Sta.slew a'.Sta.slew)
-                (Float.max a.Sta.slew a'.Sta.slew);
-          })
-        pi
-    in
-    (* one forward pass, read by both views: the never-proximate cells
-       of the single-edge classification and the quiet cells of the
-       hazard dataflow are both sound for the fast path, so take the
-       union *)
-    let fl =
-      Verify.flow ~mode:Sta.Proximity ~models ~thresholds design ~pi:events
-    in
-    let v = Verify.of_flow fl in
-    let s = Verify.summary v in
-    Printf.printf
-      "static verification: %d of %d switching cells never-proximate\n"
-      s.Verify.never s.Verify.switching_cells;
-    let h = Hazard.of_flow fl in
-    Printf.printf "hazard analysis: %d of %d classified cells proven quiet\n"
-      (List.length (List.filter (fun c -> c.Hazard.hc_quiet) (Hazard.cells h)))
-      (Hazard.summary h).Hazard.classified;
-    let vm = Verify.prune_mask v and hm = Hazard.quiet_mask h in
-    (* the sensitization mask covers cells where at most one event can
-       structurally arrive; its activity depends only on which nets
-       switch, so the edge-compatibility check above keeps it sound
-       across the ECOs too *)
-    let sm =
-      if not sense then None
-      else begin
-        let stim =
-          List.map
-            (fun (n, (a : Sta.arrival)) -> (n, Sense.Switch a.Sta.edge))
-            pi
-        in
-        let s = Sense.analyze design ~pi:stim in
-        let ss = Sense.summary s in
-        Printf.printf
-          "sensitization: %d of %d cells structurally quiet\n"
-          ss.Sense.prunable_cells ss.Sense.total_cells;
-        Some (Sense.prune_mask s)
-      end
-    in
-    Some (Prune.make ?unsensitizable:sm ~quiet:hm ~never_proximate:vm ())
-  end
+(* The mask must stay sound for the initial analysis AND the post-ECO
+   update, so it comes from one pass over events hulling both stimuli
+   (Verify.eco_pruning; none when the batch silences, adds or
+   edge-flips a net).  This half prints its summary lines. *)
+let sta_prune_mask ~sense ~models ~thresholds design ~pi ~ecos =
+  Verify.eco_pruning ~models ~thresholds design ~pi ~ecos
+  |> Option.map (fun (p : Verify.eco_pruning) ->
+         Printf.printf
+           "static verification: %d of %d switching cells never-proximate\n"
+           p.Verify.ep_summary.Verify.never
+           p.Verify.ep_summary.Verify.switching_cells;
+         Printf.printf
+           "hazard analysis: %d of %d classified cells proven quiet\n"
+           p.Verify.ep_quiet p.Verify.ep_classified;
+         (* the sensitization mask covers cells where at most one event
+            can structurally arrive; its activity depends only on which
+            nets switch, which a batch eco_pruning accepts leaves alone *)
+         let unsensitizable =
+           if not sense then None
+           else begin
+             let m =
+               Sense.prune_mask
+                 (Sense.analyze design
+                    ~pi:
+                      (List.map
+                         (fun (n, (a : Sta.arrival)) ->
+                           (n, Sense.Switch a.Sta.edge))
+                         pi))
+             in
+             Printf.printf "sensitization: %d of %d cells structurally quiet\n"
+               (Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
+               (Array.length m);
+             Some m
+           end
+         in
+         Prune.make ?unsensitizable ~quiet:p.Verify.ep_mask ())
 
 (* The arrivals, critical output and K worst paths of one report — the
    block `proxim sta` prints and `serve --smoke` reproduces byte for
@@ -680,7 +630,7 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
     if no_prune || mode <> Sta.Proximity then None
     else
       sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th design
-        ~pi ~ecos ()
+        ~pi ~ecos
   in
   let analyzed pi =
     let ir =
@@ -715,7 +665,7 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
          show_results ();
          (not verify_eco)
          || begin
-              let fresh = analyzed (List.fold_left apply_eco_to_pi pi ecos) in
+              let fresh = analyzed (Sta.apply_ecos pi ecos) in
               let same = Sta.report_equal (Sta.report ir) (Sta.report fresh) in
               Printf.printf "incremental vs full re-analysis: %s\n"
                 (if same then "bit-identical" else "MISMATCH");

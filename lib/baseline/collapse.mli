@@ -37,9 +37,6 @@ exception Prediction_failed of { gate : string; failure : failure }
     registered, so an uncaught exception still renders a readable
     message. *)
 
-val failure_message : gate:string -> failure -> string
-(** The human-readable rendering used by the registered printer. *)
-
 type prediction = {
   out_cross : float;
       (** absolute time at which the output crosses the delay threshold *)

@@ -88,12 +88,6 @@ let find_node t name =
 
 let node_name t n = t.node_names.(n)
 
-let vsources t =
-  Array.to_list t.devices
-  |> List.filter_map (function
-       | Vsource { name; pos; neg; _ } -> Some (name, pos, neg)
-       | Mosfet _ | Capacitor _ | Resistor _ -> None)
-
 let device_count t = Array.length t.devices
 
 let pp ppf t =

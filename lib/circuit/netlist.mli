@@ -66,12 +66,6 @@ val freeze : builder -> t
 val find_node : t -> string -> node
 (** Raises [Not_found] for unknown names. *)
 
-val node_name : t -> node -> string
-
-val vsources : t -> (string * node * node) list
-(** Voltage sources in declaration order (name, pos, neg) — the order
-    determines their branch indices in the MNA system. *)
-
 val device_count : t -> int
 
 val pp : Format.formatter -> t -> unit

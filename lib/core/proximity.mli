@@ -56,8 +56,6 @@ type correction = {
   trans_err : float;  (** same for the output transition time, s *)
 }
 
-val no_correction : correction
-
 val calibrate_correction :
   ?opts:Proxim_spice.Options.t ->
   ?tau_step:float ->
@@ -90,6 +88,6 @@ val evaluate :
   result
 (** Run the algorithm.  All events must share one edge direction; at
     least one event is required.  The correction term (default
-    {!no_correction}) is applied at full weight when the last in-window
+    zero) is applied at full weight when the last in-window
     input is not later than the dominant one, decaying linearly to zero
     as its separation approaches the cumulative delay (§4). *)

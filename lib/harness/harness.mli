@@ -1,13 +1,16 @@
-(** The soundness harness of the static analyses.
+(** The differential and soundness harness of the analyses.
 
     The never-proximate cells of {!Proxim_verify.Verify} and the quiet
     cells of {!Proxim_hazard.Hazard} rest on the §4 fold collapsing to
     the single-input response when inputs are far apart; the glitch
     verdicts of Hazard on the §6 separation rule; the unsensitizable
-    pairs of {!Proxim_sense.Sense} on exact two-frame logic.  Each
-    guarantee is checked here by one randomized loop that both the test
-    suites and [bench/main.exe] call, so the tests and the committed
-    [BENCH_*.json] files run the same code.
+    pairs of {!Proxim_sense.Sense} on exact two-frame logic.  The
+    incremental engine promises the same bits after an ECO update as
+    after a fresh sweep, and the SoA arena the same bits as the
+    {!Proxim_timing.Reference} records.  Each guarantee is checked here
+    by one randomized loop that the test suites call — and, for the
+    static analyses, [bench/main.exe] too, so the tests and the
+    committed [BENCH_*.json] files run the same code.
 
     Every function is deterministic in the {!Proxim_util.Prng.t} it is
     handed: the draw order stated for each one is part of its contract,
@@ -151,7 +154,72 @@ val prune_divergence :
 
 val diverged : Design.t -> full:Sta.report -> prune_run list -> string option
 (** [None] when every run is bit-identical to [full].  Otherwise the
-    first diverging run's name, then each net whose arrival differs with
-    both arrivals, its driving cell, the {!Prune.source} that claimed
-    the driver and the driver's input arrivals in both runs, then any
-    differing predecessor. *)
+    first diverging run's name, then its {!report_diff} against [full]
+    (labels ["full"] and ["pruned"]). *)
+
+(** {1 Reports} *)
+
+val report_diff :
+  ?design:Design.t ->
+  ?prune:Prune.t ->
+  string * Sta.report ->
+  string * Sta.report ->
+  string option
+(** The one report differ: [None] when {!Sta.report_equal} holds.
+    Otherwise each net whose arrival differs, with both arrivals under
+    their labels ([quiet] for none); given the [design], the net's
+    driving cell, the {!Prune.source} that claimed it (when [prune] is
+    not empty) and the driver's input arrivals in both reports; then
+    each net whose predecessor differs. *)
+
+(** {1 ECO batches} *)
+
+val reseedable_factory : unit -> Sta.factory * (string -> int -> unit)
+(** Synthetic models ({!Models.synthetic}) memoized per gate and seed,
+    with a re-seeding hook: every cell answers with seed 0 until
+    [reseed cell seed] re-characterizes it — what a {!Sta.Touch_cell}
+    ECO stands for.  [factory_stats] counts the memo.  Re-seed only
+    between analyses: the pool's domains read the seed table unlocked. *)
+
+type eco_run = {
+  er_batches : int;  (** batches checked *)
+  er_pruned : int;  (** of those, batches also checked pruned == full *)
+  er_fast_path : int;
+      (** fast-path evaluations the pruned states made: how much work
+          the pruned == full checks actually removed *)
+  er_divergence : string option;
+      (** the first failed check, explained; the run stops there *)
+}
+
+val eco_batches :
+  ?pool:Pool.t ->
+  Prng.t ->
+  design:(Prng.t -> Design.t) ->
+  mode:Sta.mode ->
+  thresholds:Vtc.thresholds ->
+  sequences:int ->
+  batches:int ->
+  eco_run
+(** The ECO-batch oracle.  [sequences] times: draw a design with
+    [design], take a fresh {!reseedable_factory}, give every primary
+    input a falling event (time uniform in [\[0, 1 ns\]], slew in
+    [\[150 ps, 600 ps\]]), analyze in [mode] on [pool] and check the
+    arena against {!Proxim_timing.Reference.agrees}.  Then [batches]
+    times draw a batch of one to three ECOs — each a new event on a
+    primary input (6 in 10), a silenced primary input (1 in 10) or a
+    re-seeded cell (3 in 10) — and check:
+    - {b update == fresh}: after {!Sta.update}, the report equals that of
+      a fresh analysis of {!Sta.apply_ecos};
+    - {b SoA == Reference}: {!Proxim_timing.Reference.agrees} on the
+      updated state;
+    - {b pruned == full}: for a [Proximity] batch that re-seeds no cell
+      and that {!Proxim_verify.Verify.eco_pruning} accepts, a state
+      built with that mask on the stimulus before the batch — exactly
+      what [proxim sta] runs — equals the full state before and after
+      both take the update.
+    A report that diverges is explained by {!report_diff}.
+
+    Draw order: per sequence, [design]'s draws, then per primary input
+    in design order its event (time, then slew); per batch, its size,
+    then per ECO its kind and the kind's draws (a primary input and its
+    event, a primary input, or a cell). *)

@@ -157,7 +157,9 @@ let inertial_rule ?opts ?load ~thresholds () : rule =
 
 (* --- the mixed-edge view ------------------------------------------------ *)
 
-let of_flow ?(filter_margin = 25e-12) ?required (fl : Verify.flow) =
+let analyze ?mode ?(filter_margin = 25e-12) ?required ?rule ~models
+    ~thresholds design ~pi =
+  let fl = Verify.flow ?mode ?rule ~models ~thresholds design ~pi in
   let g = Design.graph fl.Verify.fl_design in
   let nets = fl.Verify.fl_nets and fwds = fl.Verify.fl_cells in
   (* a cell's output windows, after the §6 refinement *)
@@ -279,14 +281,7 @@ let of_flow ?(filter_margin = 25e-12) ?required (fl : Verify.flow) =
     h_filter_margin = filter_margin;
   }
 
-let analyze ?mode ?filter_margin ?required ?rule ~models ~thresholds design ~pi
-    =
-  of_flow ?filter_margin ?required
-    (Verify.flow ?mode ?rule ~models ~thresholds design ~pi)
-
 (* --- accessors ---------------------------------------------------------- *)
-
-let design t = t.h_design
 
 let cell_report t ~cell =
   Option.bind (Graph.cell_id (Design.graph t.h_design) cell) (fun id ->
@@ -301,7 +296,6 @@ let net_state t ~net =
     t.h_nets.(id))
 
 let unconstrained_pis t = t.h_unconstrained
-let required t = t.h_required
 
 type summary = {
   total_cells : int;

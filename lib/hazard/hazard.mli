@@ -17,7 +17,7 @@
     filtered static hazard with definite levels {e kills} the output
     windows — the §6 filter proving quiet nets downstream.
 
-    {b Backward pass} ({!of_flow}).  Required times propagate from the
+    {b Backward pass}.  Required times propagate from the
     primary outputs against lower-bound single-input delays, so each
     may-glitch cell gets an interval slack and the endpoints its glitch
     can reach.
@@ -123,8 +123,9 @@ val analyze :
   Proxim_sta.Design.t ->
   pi:Proxim_verify.Verify.pi_event list ->
   t
-(** [of_flow ?filter_margin ?required (Verify.flow ?mode ?rule ...)]:
-    the forward edge-pair-window pass, then this module's view.
+(** The forward edge-pair-window pass ({!Proxim_verify.Verify.flow}),
+    then this module's view: the backward required-time pass, the
+    endpoint reachability of the may-glitch cells and the reports.
 
     [pi] events may mix edges freely (unlike [Sta]/[Verify]); two events
     on one net give it both windows (a pulse).  Events on unknown nets
@@ -136,15 +137,6 @@ val analyze :
     backward pass; it defaults to the latest upper arrival bound in the
     design (every reachable glitch observable).  [rule] defaults to
     {!model_rule}. *)
-
-val of_flow :
-  ?filter_margin:float -> ?required:float -> Proxim_verify.Verify.flow -> t
-(** The mixed-edge view of a pass: the backward required-time pass, the
-    endpoint reachability of the may-glitch cells and the reports.  The
-    PX404 inputs are the pass's [fl_unconstrained].  Several views may
-    read one pass. *)
-
-val design : t -> Proxim_sta.Design.t
 
 val cell_report : t -> cell:string -> cell_report option
 (** [None] for unknown or windowless cells. *)
@@ -158,9 +150,6 @@ val unconstrained_pis : t -> string list
 (** Primary inputs carrying no event whose fanout cone contains a
     window-bearing multi-input cell — the PX404 trigger (an event there
     could create an opposing pair this analysis has not seen). *)
-
-val required : t -> float
-(** The endpoint required time the backward pass used. *)
 
 type summary = {
   total_cells : int;

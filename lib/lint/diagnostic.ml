@@ -206,8 +206,6 @@ type location = {
   context : string option;
 }
 
-let no_loc = { file = None; line = None; col = None; context = None }
-
 type t = {
   code : code;
   severity : severity;

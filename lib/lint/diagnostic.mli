@@ -36,8 +36,6 @@ type severity = Info | Warning | Error
 val severity_name : severity -> string
 (** ["info"], ["warning"], ["error"]. *)
 
-val severity_of_name : string -> severity option
-
 type code =
   | PX001  (** negative-delay threshold hazard: Vm outside (Vil, Vih), §2 *)
   | PX002  (** threshold set violates the min-Vil / max-Vih family rule *)
@@ -99,8 +97,6 @@ type location = {
   col : int option;  (** 1-based column, when the source pass knows one *)
   context : string option;  (** cell / net / curve / table name *)
 }
-
-val no_loc : location
 
 type t = {
   code : code;

@@ -28,18 +28,11 @@ type options = {
 val default_options : options
 (** [{ fanout_limit = 8 }]. *)
 
-val check_raw :
-  ?options:options ->
-  ?file:string ->
-  Proxim_sta.Netlist_text.raw ->
-  Diagnostic.t list
-(** All diagnostics for one parsed file, in report order
-    ({!Diagnostic.sort}). *)
-
 val check_text :
   ?options:options ->
   ?file:string ->
   Proxim_gates.Tech.t ->
   string ->
   Diagnostic.t list
-(** [check_raw] of [Netlist_text.parse_raw]. *)
+(** All diagnostics for one netlist text, parsed by
+    [Netlist_text.parse_raw], in report order ({!Diagnostic.sort}). *)

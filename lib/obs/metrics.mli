@@ -79,11 +79,6 @@ module Histogram : sig
   val name : t -> string
 end
 
-val register_counter_source :
-  ?registry:registry -> string -> (unit -> int) -> unit
-(** Register a counter whose value is sampled from the callback at
-    snapshot time.  Replaces any same-named entry. *)
-
 val register_gauge_source :
   ?registry:registry -> string -> (unit -> float) -> unit
 

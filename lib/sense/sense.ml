@@ -99,7 +99,10 @@ type cell_info = {
 type t = {
   s_design : Design.t;
   s_acts : activity array;  (* per net id *)
-  s_cells : cell_info option array;  (* per cell id; >= 2 active inputs *)
+  s_cells : cell_info option array Lazy.t;
+      (* per cell id; >= 2 active inputs.  The pair implications are the
+         analysis' cost and the prune mask never reads them, so they run
+         on first use *)
   s_constants : (string * bool) list;
   s_prunable : bool array;  (* per cell id: <= 1 event-bearing input *)
 }
@@ -378,50 +381,18 @@ let decide_nets g ~stim ~acts ~budget ~max_support ~init_val ~final_val na nb =
 
 (* --- analysis ----------------------------------------------------------- *)
 
-let analyze ?(budget = default_budget) ?(max_support = default_max_support)
-    design ~pi =
-  Trace.with_span ~cat:"sense" "sense.analyze" @@ fun () ->
-  if budget <= 0 then invalid_arg "Sense.analyze: budget must be positive";
-  if max_support < 0 then
-    invalid_arg "Sense.analyze: max_support must be nonnegative";
-  let g = Design.graph design in
-  let n_nets = Graph.net_count g in
-  let n_cells = Graph.cell_count g in
-  (* stimuli, keyed by net id; unknown nets are inert like Sta.analyze *)
-  let stim = Hashtbl.create 16 in
-  List.iter
-    (fun (net, st) ->
-      match Graph.net_id g net with
-      | None -> ()
-      | Some id ->
-        if Graph.driver_id g ~net:id >= 0 then
-          invalid_arg
-            (Printf.sprintf "Sense.analyze: stimulus on cell-driven net %s"
-               net);
-        Hashtbl.replace stim id st)
-    pi;
-  (* forward ternary/activity pass *)
-  let acts = Array.make n_nets quiet_activity in
-  Array.iter
-    (fun net -> acts.(net) <- pi_activity (Hashtbl.find_opt stim net))
-    (Graph.primary_inputs g);
-  Array.iter
-    (fun c -> acts.(Graph.cell_output g c) <- cell_activity g c acts)
-    (Graph.topological g);
-  (* derived constants: cell-driven, event-bearing, pinned definite *)
-  let constants =
-    Array.to_list (Graph.topological g)
-    |> List.filter_map (fun c ->
-         let o = Graph.cell_output g c in
-         let a = acts.(o) in
-         if a.act_active && a.act_init = a.act_final && a.act_init <> LX
-         then Some (Graph.net_name g o, a.act_init = L1)
-         else None)
-  in
-  Metrics.Counter.add c_constants (List.length constants);
-  (* implication pass over cells with >= 2 event-bearing inputs *)
-  let init_val = Array.make n_nets false in
-  let final_val = Array.make n_nets false in
+(* a cell's event-bearing input pins, pin order *)
+let active_pins g acts c =
+  let inputs = Graph.cell_inputs g c in
+  List.filter
+    (fun pin -> acts.(inputs.(pin)).act_active)
+    (List.init (Array.length inputs) Fun.id)
+
+(* implication pass over cells with >= 2 event-bearing inputs *)
+let pair_pass g ~stim ~acts ~budget ~max_support =
+  Trace.with_span ~cat:"sense" "sense.pairs" @@ fun () ->
+  let init_val = Array.make (Graph.net_count g) false in
+  let final_val = Array.make (Graph.net_count g) false in
   let memo = Hashtbl.create 64 in
   let decide na nb =
     let key = (min na nb, max na nb) in
@@ -435,20 +406,13 @@ let analyze ?(budget = default_budget) ?(max_support = default_max_support)
       Hashtbl.replace memo key r;
       r
   in
-  let prunable = Array.make n_cells false in
-  let infos = Array.make n_cells None in
+  let infos = Array.make (Graph.cell_count g) None in
   Array.iter
     (fun c ->
       let cell : Design.cell = Graph.payload g c in
       let inputs = Graph.cell_inputs g c in
-      let active_pins = ref [] in
-      Array.iteri
-        (fun pin net ->
-          if acts.(net).act_active then active_pins := pin :: !active_pins)
-        inputs;
-      let active = List.rev !active_pins in
-      if List.length active <= 1 then prunable.(c) <- true
-      else begin
+      let active = active_pins g acts c in
+      if List.length active >= 2 then begin
         let pairs = ref [] in
         List.iteri
           (fun i a ->
@@ -496,6 +460,53 @@ let analyze ?(budget = default_budget) ?(max_support = default_max_support)
             }
       end)
     (Graph.topological g);
+  infos
+
+let analyze ?(budget = default_budget) ?(max_support = default_max_support)
+    design ~pi =
+  Trace.with_span ~cat:"sense" "sense.analyze" @@ fun () ->
+  if budget <= 0 then invalid_arg "Sense.analyze: budget must be positive";
+  if max_support < 0 then
+    invalid_arg "Sense.analyze: max_support must be nonnegative";
+  let g = Design.graph design in
+  let n_nets = Graph.net_count g in
+  let n_cells = Graph.cell_count g in
+  (* stimuli, keyed by net id; unknown nets are inert like Sta.analyze *)
+  let stim = Hashtbl.create 16 in
+  List.iter
+    (fun (net, st) ->
+      match Graph.net_id g net with
+      | None -> ()
+      | Some id ->
+        if Graph.driver_id g ~net:id >= 0 then
+          invalid_arg
+            (Printf.sprintf "Sense.analyze: stimulus on cell-driven net %s"
+               net);
+        Hashtbl.replace stim id st)
+    pi;
+  (* forward ternary/activity pass *)
+  let acts = Array.make n_nets quiet_activity in
+  Array.iter
+    (fun net -> acts.(net) <- pi_activity (Hashtbl.find_opt stim net))
+    (Graph.primary_inputs g);
+  Array.iter
+    (fun c -> acts.(Graph.cell_output g c) <- cell_activity g c acts)
+    (Graph.topological g);
+  (* derived constants: cell-driven, event-bearing, pinned definite *)
+  let constants =
+    Array.to_list (Graph.topological g)
+    |> List.filter_map (fun c ->
+         let o = Graph.cell_output g c in
+         let a = acts.(o) in
+         if a.act_active && a.act_init = a.act_final && a.act_init <> LX
+         then Some (Graph.net_name g o, a.act_init = L1)
+         else None)
+  in
+  Metrics.Counter.add c_constants (List.length constants);
+  let prunable =
+    Array.init n_cells (fun c -> List.length (active_pins g acts c) <= 1)
+  in
+  let infos = lazy (pair_pass g ~stim ~acts ~budget ~max_support) in
   {
     s_design = design;
     s_acts = acts;
@@ -506,8 +517,6 @@ let analyze ?(budget = default_budget) ?(max_support = default_max_support)
 
 (* --- accessors ---------------------------------------------------------- *)
 
-let design t = t.s_design
-
 let activity t ~net =
   Option.map
     (fun id -> t.s_acts.(id))
@@ -517,11 +526,12 @@ let constants t = t.s_constants
 
 let cell_info t ~cell =
   Option.bind (Graph.cell_id (Design.graph t.s_design) cell) (fun id ->
-    t.s_cells.(id))
+    (Lazy.force t.s_cells).(id))
 
 let cells t =
+  let infos = Lazy.force t.s_cells in
   Array.to_list (Graph.topological (Design.graph t.s_design))
-  |> List.filter_map (fun c -> t.s_cells.(c))
+  |> List.filter_map (fun c -> infos.(c))
 
 type summary = {
   total_cells : int;
@@ -539,7 +549,7 @@ let summary t =
   let acc =
     ref
       {
-        total_cells = Array.length t.s_cells;
+        total_cells = Array.length t.s_prunable;
         classified_cells = 0;
         pairs = 0;
         sensitizable = 0;
@@ -576,7 +586,7 @@ let summary t =
                 { a with unsensitizable = a.unsensitizable + 1 }
               | Exhausted _ -> { a with exhausted = a.exhausted + 1 })
             a ci.sc_pairs)
-    t.s_cells;
+    (Lazy.force t.s_cells);
   !acc
 
 (* --- consumers ---------------------------------------------------------- *)
@@ -600,7 +610,7 @@ let pair_unsensitizable t ~cell ~a ~b =
       in
       if inert a || inert b then true
       else
-        match t.s_cells.(id) with
+        match (Lazy.force t.s_cells).(id) with
         | None -> false
         | Some ci ->
           let lo = min a b and hi = max a b in
@@ -617,6 +627,7 @@ let pair_unsensitizable t ~cell ~a ~b =
 let check ?file t =
   Trace.with_span ~cat:"sense" "sense.check" @@ fun () ->
   let g = Design.graph t.s_design in
+  let infos = Lazy.force t.s_cells in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   List.iter
@@ -627,7 +638,7 @@ let check ?file t =
         | Some id ->
           Array.to_list (Graph.readers g ~net:id)
           |> List.filter_map (fun (c, _) ->
-               if t.s_cells.(c) <> None then Some (Graph.cell_name g c)
+               if infos.(c) <> None then Some (Graph.cell_name g c)
                else None)
           |> List.sort_uniq compare
       in
@@ -668,7 +679,7 @@ let check ?file t =
                    p.sp_a p.sp_b why)
             | Sensitizable _ -> ())
           ci.sc_pairs)
-    t.s_cells;
+    infos;
   Diagnostic.sort !diags
 
 let report_text t =

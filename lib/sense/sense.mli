@@ -138,14 +138,15 @@ val analyze :
   Proxim_sta.Design.t ->
   pi:(string * stimulus) list ->
   t
-(** One topological ternary pass plus a per-pair implication pass.
-    Primary inputs absent from [pi] are free (quiet at an unknown
+(** One topological ternary pass plus a per-pair implication pass.  The
+    implication pass, the analysis' cost, runs on first use: {!cell_info},
+    {!cells}, {!summary}, {!pair_unsensitizable}, {!check} and
+    {!report_text} force it, {!activity}, {!constants} and {!prune_mask}
+    do not.  Primary inputs absent from [pi] are free (quiet at an unknown
     level); stimuli naming nets unknown to the design are inert, like
     {!Proxim_sta.Sta.analyze}; stimuli on cell-driven nets raise
     [Invalid_argument].  No macromodels are consulted — this is pure
     logic.  Raises [Invalid_argument] on a non-positive budget. *)
-
-val design : t -> Proxim_sta.Design.t
 
 val activity : t -> net:string -> activity option
 (** [None] for nets unknown to the design. *)

@@ -166,5 +166,3 @@ val paths_of_json : Json.t -> (Proxim_sta.Sta.path list, string) result
 val eco_to_json : Proxim_sta.Sta.eco -> Json.t
 (** One entry of the [eco] op's ["ecos"] list, as the server decodes
     it. *)
-
-val stats_to_json : Proxim_timing.Timing.stats -> Json.t

@@ -104,10 +104,6 @@ let read_f64 r =
 
 (* --- sniffing --------------------------------------------------------- *)
 
-let string_is_binary s =
-  String.length s >= String.length magic
-  && String.sub s 0 (String.length magic) = magic
-
 let file_is_binary path =
   match open_in_bin path with
   | exception Sys_error _ -> false

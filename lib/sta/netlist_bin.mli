@@ -36,25 +36,12 @@ val magic : string
 (** ["PXNB"]. *)
 
 val version : int
-(** Format version written by {!write_channel} (currently 1). *)
+(** Format version written by {!write_file} (currently 1). *)
 
 val file_is_binary : string -> bool
 (** [true] iff the file exists, is readable, and starts with {!magic} —
     the sniff the CLI uses to route a netlist argument to the right
     parser.  Never raises. *)
-
-val string_is_binary : string -> bool
-(** [true] iff the in-memory content starts with {!magic}. *)
-
-val write_channel :
-  ?thresholds:Proxim_vtc.Vtc.thresholds ->
-  name:string ->
-  Design.t ->
-  out_channel ->
-  unit
-(** Serialize [design] (with its design [name], and the measurement
-    [thresholds] when the source carried them) to [oc].  The channel is
-    flushed but not closed. *)
 
 val write_file :
   ?thresholds:Proxim_vtc.Vtc.thresholds ->

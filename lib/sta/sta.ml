@@ -364,6 +364,17 @@ let update ?pool ir ecos =
       body
   else body ()
 
+let apply_ecos pi ecos =
+  List.fold_left
+    (fun pi -> function
+      | Touch_cell _ -> pi
+      | Set_pi (net, a) -> (
+        (* every entry: a net named twice keeps the last, and a stale one
+           would outlive the edit *)
+        let rest = List.filter (fun (n, _) -> not (String.equal n net)) pi in
+        match a with None -> rest | Some a -> rest @ [ (net, a) ]))
+    pi ecos
+
 let swap_models ?pool ir models =
   ir.models := models;
   Timing.update ?pool ir.timing ~dirty_nets:[]
@@ -537,25 +548,6 @@ let oracle_factory ?opts ?wire_cap design th =
         Design.fanout_load ?wire_cap design ~net:cell.Design.output_net
       in
       Models.of_oracle ?opts ~load cell.Design.gate th)
-
-let table_factory ?opts ?wire_cap ?taus ?x_tau ?x_sep ?share_others ?pool
-    design th =
-  let cache = Memo_cache.create ~shards:4 ~local:true () in
-  factory_of ~cache
-    ~key_of:(fun (cell : Design.cell) ->
-      let load =
-        Design.fanout_load ?wire_cap design ~net:cell.Design.output_net
-      in
-      (cell.Design.gate.Gate.name, load_bucket load))
-    ~build:(fun (cell : Design.cell) ->
-      let load =
-        Design.fanout_load ?wire_cap design ~net:cell.Design.output_net
-      in
-      (* rebuild the tables at the cell's actual fanout load: the
-         normalized single-input argument folds the load in, so the
-         bucketed load only sets the table's build point *)
-      let gate = { cell.Design.gate with Gate.load } in
-      Models.of_tables ?opts ?taus ?x_tau ?x_sep ?share_others ?pool gate th)
 
 let synthetic_factory ?seed ?spread ?work () =
   let cache = Memo_cache.create ~shards:4 ~local:true () in

@@ -200,6 +200,12 @@ val update :
     Raises {!Unknown_eco_target} on unknown net/cell names, and
     [Invalid_argument] for [Set_pi] on a cell-driven net. *)
 
+val apply_ecos : (string * arrival) list -> eco list -> (string * arrival) list
+(** The stimulus after a batch — what a fresh analysis must be given to
+    match an {!update}: each [Set_pi] drops every entry of its net and,
+    for a new event, appends it; [Touch_cell] leaves the stimulus as it
+    is. *)
+
 val swap_models :
   ?pool:Proxim_util.Pool.t ->
   ir ->
@@ -273,25 +279,6 @@ val oracle_factory :
 (** A [models] function backed by the golden simulator: each cell gets
     oracle models built at its actual fanout load (memoized domain-safely
     per gate type and 1 fF load bucket). *)
-
-val table_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  ?taus:float array ->
-  ?x_tau:float array ->
-  ?x_sep:float array ->
-  ?share_others:bool ->
-  ?pool:Proxim_util.Pool.t ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  factory
-(** A [models] function backed by tabulated macromodels: each distinct
-    (gate type, 1 fF load bucket) pair gets
-    {!Proxim_macromodel.Models.of_tables} models characterized at the
-    cell's fanout load, built lazily on first query and shared
-    domain-safely across cells.  [pool] parallelizes the table
-    construction sweeps; the remaining options are forwarded to the table
-    builders. *)
 
 val synthetic_factory :
   ?seed:int -> ?spread:float -> ?work:int -> unit -> factory

@@ -31,10 +31,6 @@ type path = {
   p_steps : step list;  (** endpoint first, back to the source net *)
 }
 
-val compare_paths : path -> path -> int
-(** Worst (latest-arriving) first; bit-equal arrivals tie-break on the
-    step lists, so sorting is deterministic. *)
-
 val k_worst : 'cell Timing.t -> po:int -> k:int -> path list
 (** The up-to-[k] worst paths ending at net [po]: the timing-setting
     chain first, then the alternatives worst-estimate first.  [[]] when

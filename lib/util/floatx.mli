@@ -5,14 +5,9 @@
     comparisons must be made with a relative tolerance; this module
     centralizes those conventions. *)
 
-val default_rtol : float
-(** Relative tolerance used by {!approx_eq} when none is given (1e-9). *)
-
-val default_atol : float
-(** Absolute tolerance used by {!approx_eq} when none is given (1e-15). *)
-
 val approx_eq : ?rtol:float -> ?atol:float -> float -> float -> bool
-(** [approx_eq a b] is [true] when [|a - b| <= atol + rtol * max |a| |b|]. *)
+(** [approx_eq a b] is [true] when [|a - b| <= atol + rtol * max |a| |b|]
+    ([rtol] defaults to 1e-9, [atol] to 1e-15). *)
 
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to the closed interval [\[lo, hi\]].

@@ -17,9 +17,6 @@ exception Singular
 val make_mat : int -> mat
 (** [make_mat n] is a fresh [n] x [n] zero matrix. *)
 
-val copy_mat : mat -> mat
-(** Deep copy. *)
-
 val mat_vec : mat -> vec -> vec
 (** [mat_vec a x] is the product [a * x]. *)
 

@@ -55,16 +55,14 @@ val shutdown : t -> unit
     instead complete normally on the submitting domain (the check is
     best-effort, the job's completion is not). *)
 
-val default_chunk : n:int -> domains:int -> int
-(** The default chunking policy: [max 1 (ceil (n / (4 * domains)))],
-    i.e. ~4 chunks per domain — coarse enough to amortize chunk claims,
-    with enough slack for the steal loop to rebalance skewed costs. *)
-
 val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], distributing
     contiguous chunks of indices across the pool's domains and stealing
     to rebalance.  Blocks until every index has completed.  [chunk] is
-    the number of indices per claim (default {!default_chunk}); pass
+    the number of indices per claim (default
+    [max 1 (ceil (n / (4 * domains)))], ~4 chunks per domain: coarse
+    enough to amortize chunk claims, with slack for the steal loop to
+    rebalance skewed costs); pass
     [~chunk:1] for fully dynamic per-index balancing of expensive,
     uneven tasks.  Raises [Invalid_argument] if [chunk < 1].  Jobs with
     [n <= chunk] run serially on the caller.  If any [f i] raises, the

@@ -34,7 +34,3 @@ let percentile xs p =
     let hi = Stdlib.min (lo + 1) (n - 1) in
     Floatx.lerp sorted.(lo) sorted.(hi) (rank -. float_of_int lo)
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g std=%.4g min=%.4g max=%.4g" s.n s.mean
-    s.std s.min s.max

@@ -17,6 +17,3 @@ val std : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation between
     order statistics.  Does not modify [xs]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Render as [mean/std/min/max] percentages-friendly text. *)

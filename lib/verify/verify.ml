@@ -808,9 +808,6 @@ let analyze ?mode ~models ~thresholds design ~pi =
 
 (* --- accessors ---------------------------------------------------------- *)
 
-let design t = t.v_design
-let mode t = t.v_mode
-
 let net_arrival t ~net =
   Option.bind (Graph.net_id (Design.graph t.v_design) net) (fun id ->
     match t.v_nets.(id) with
@@ -823,10 +820,6 @@ let net_arrival t ~net =
 let cell_info t ~cell =
   Option.bind (Graph.cell_id (Design.graph t.v_design) cell) (fun id ->
     t.v_cells.(id))
-
-let cells t =
-  Array.to_list (Graph.topological (Design.graph t.v_design))
-  |> List.filter_map (fun c -> t.v_cells.(c))
 
 let unconstrained_pis t = t.v_unconstrained
 
@@ -863,6 +856,54 @@ let prune_mask t =
       | Some ci -> proximity && ci.ci_class = Never_proximate
       | None -> false)
     t.v_timing_cells
+
+(* --- pruning across an ECO batch ----------------------------------------- *)
+
+type eco_pruning = {
+  ep_summary : summary;
+  ep_quiet : int;
+  ep_classified : int;
+  ep_mask : bool array;
+}
+
+let eco_pruning ~models ~thresholds design ~pi ~ecos =
+  let pi' = Sta.apply_ecos pi ecos in
+  (* each net's first post-batch event, hashed once: under --pi-all the
+     list names every primary input *)
+  let after = Hashtbl.create (List.length pi') in
+  List.iter (fun (n, a) -> Hashtbl.replace after n a) (List.rev pi');
+  let hull x y = Interval.make (Float.min x y) (Float.max x y) in
+  let event (n, (a : Sta.arrival)) =
+    match Hashtbl.find_opt after n with
+    | Some (b : Sta.arrival) when b.Sta.edge = a.Sta.edge ->
+      Some
+        {
+          ev_net = n;
+          ev_edge = a.Sta.edge;
+          ev_time = hull a.Sta.time b.Sta.time;
+          ev_tau = hull a.Sta.slew b.Sta.slew;
+        }
+    | _ -> None
+  in
+  let events = List.filter_map event pi in
+  let nets l = List.sort compare (List.map fst l) in
+  if List.compare_lengths events pi <> 0 || nets pi <> nets pi' then None
+  else begin
+    let fl = flow ~mode:Sta.Proximity ~models ~thresholds design ~pi:events in
+    let count p =
+      Array.fold_left (fun n f -> if p f then n + 1 else n) 0 fl.fl_cells
+    in
+    Some
+      {
+        ep_summary = summary (of_flow fl);
+        ep_quiet = count (function Some f -> f.f_quiet | None -> false);
+        ep_classified = count Option.is_some;
+        (* a cell no window reaches never switches in an admissible run,
+           so the fast path is never consulted *)
+        ep_mask =
+          Array.map (function Some f -> f.f_quiet | None -> true) fl.fl_cells;
+      }
+  end
 
 (* --- logic refinement --------------------------------------------------- *)
 

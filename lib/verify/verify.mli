@@ -16,7 +16,7 @@
     cell's same-edge input groups get their abstract inputs computed
     once, and from them the group's output window, the never-proximate
     classification, the §6 opposing pairs and the quiet verdict.  This
-    module owns the pass and its single-edge view ({!of_flow});
+    module owns the pass and its single-edge view ({!analyze});
     [Proxim_hazard] owns the mixed-edge view and re-exports the window
     types.  The single-edge view gives:
 
@@ -241,33 +241,24 @@ val analyze :
   Proxim_sta.Design.t ->
   pi:pi_event list ->
   t
-(** {!flow}, then its single-edge view {!of_flow}.  As in
+(** {!flow}, then its single-edge view: each window-bearing cell's
+    classification, each net's one window as its arrival.  As in
     {!Proxim_sta.Sta.analyze}, the last event naming a net wins and
     events naming nets unknown to the design are ignored; events on
-    cell-driven nets raise [Invalid_argument], as does [Collapsed] mode.
+    cell-driven nets raise [Invalid_argument], as does [Collapsed] mode,
+    and a cell whose inputs carry both edges raises
+    {!Proxim_sta.Sta.Mixed_input_edges} (the first in topological
+    order, as the concrete engines do).
 
     In [Classic] mode the pass bounds the latest single-input response;
     classifications are trivially [Never_proximate] (the mode never
     consults dual models) and {!prune_mask} is constant [false]. *)
-
-val of_flow : flow -> t
-(** The single-edge view of a pass: each window-bearing cell's
-    classification, each net's one window as its arrival.  Raises
-    {!Proxim_sta.Sta.Mixed_input_edges} naming the first cell, in
-    topological order, whose inputs carry both edges (the concrete
-    engines' error). *)
-
-val design : t -> Proxim_sta.Design.t
-val mode : t -> Proxim_sta.Sta.mode
 
 val net_arrival : t -> net:string -> aarrival option
 (** The abstract arrival of a net; [None] for unknown or quiet nets. *)
 
 val cell_info : t -> cell:string -> cell_info option
 (** Per-cell verdict; [None] for unknown or non-switching cells. *)
-
-val cells : t -> cell_info list
-(** Every switching cell's verdict, topological order. *)
 
 val unconstrained_pis : t -> string list
 (** Primary inputs that carry no event but feed a switching multi-input
@@ -299,6 +290,34 @@ val prune_mask : t -> bool array
     degenerates on timing grounds — a logic-refined Never is a false
     path, not a degenerate fold. *)
 
+type eco_pruning = {
+  ep_summary : summary;  (** the single-edge view's classification counts *)
+  ep_quiet : int;  (** window-bearing cells proven quiet *)
+  ep_classified : int;  (** window-bearing cells *)
+  ep_mask : bool array;
+      (** the quiet source for {!Proxim_sta.Prune.make}, by cell id: each
+          window-bearing cell's [f_quiet], [true] for a cell no window
+          reaches (as [Proxim_hazard.Hazard.quiet_mask]) *)
+}
+
+val eco_pruning :
+  models:(Proxim_sta.Design.cell -> Proxim_macromodel.Models.t) ->
+  thresholds:Proxim_vtc.Vtc.thresholds ->
+  Proxim_sta.Design.t ->
+  pi:(string * Proxim_sta.Sta.arrival) list ->
+  ecos:Proxim_sta.Sta.eco list ->
+  eco_pruning option
+(** The mask [proxim sta] prunes with across an ECO batch.  It must stay
+    sound for the analysis of [pi] {e and} for the update to
+    [Proxim_sta.Sta.apply_ecos pi ecos], so one [Proximity] {!flow} runs
+    over interval events hulling each net's event before and after the
+    batch.  [None] (prune nothing) when the batch silences, adds or
+    edge-flips a net.  Raises {!Proxim_sta.Sta.Mixed_input_edges} as
+    {!analyze} does.
+
+    On a single-edge cell the never-proximate and quiet verdicts are one
+    predicate, so the quiet mask alone carries both. *)
+
 type refinement = { refined_pairs : int; refined_cells : int }
 (** How many pair / cell verdicts a {!refine} pass converted to
     {!Never_proximate} — the May-to-Never conversion rate's numerator. *)
@@ -312,7 +331,7 @@ val refine :
     pins switching under any consistent logic assignment is converted to
     {!Never_proximate}; a cell all of whose pairs become never-proximate
     follows, and an [Always_proximate] verdict resting on a dead pair
-    weakens to {!May_be_proximate}.  Reporting ({!cells}, {!summary},
+    weakens to {!May_be_proximate}.  Reporting ({!cell_info}, {!summary},
     {!check}) reflects the refined verdicts; {!prune_mask} deliberately
     does not (see there). *)
 

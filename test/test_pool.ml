@@ -13,7 +13,6 @@ module Measure = Proxim_measure.Measure
 module Single = Proxim_macromodel.Single
 module Dual = Proxim_macromodel.Dual
 module Timing = Proxim_timing.Timing
-module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
 module Harness = Proxim_harness.Harness
 
@@ -301,52 +300,27 @@ let test_vtc_family_parallel_matches_serial () =
 (* ------------------------------------------------------------------ *)
 (* Randomized STA equivalence on chunked levels: with a level width
    above Timing.parallel_threshold every evaluation wave takes the
-   chunked parallel path, and incremental update must still match a
-   fresh full analysis bit-for-bit at 4 domains                        *)
+   chunked parallel path, and the harness's ECO-batch oracle must still
+   see update == fresh analysis, SoA == Reference and pruned == full
+   bit-for-bit at 4 domains                                             *)
 
 let nor2 = Gate.nor tech ~fan_in:2
 
-let random_layered rng = Harness.layered_design rng ~gates:[| nand2; nor2 |]
-
-let random_event rng =
-  {
-    Sta.time = Prng.float rng ~lo:0. ~hi:400e-12;
-    slew = Prng.float rng ~lo:100e-12 ~hi:600e-12;
-    edge = Measure.Fall;
-  }
-
 let test_sta_update_equals_analyze_chunked () =
-  let th = Lazy.force th in
-  let pool = Lazy.force wide in
-  let rng = Prng.create 0x9001L in
-  let width = Timing.parallel_threshold + 8 and depth = 3 in
-  let design = random_layered rng ~depth ~width in
-  let { Sta.models; _ } = Sta.synthetic_factory () in
-  let pis = Array.of_list (Design.primary_inputs design) in
-  let current =
-    ref (Array.to_list (Array.map (fun p -> (p, random_event rng)) pis))
-  in
   let jobs_before = Pool.parallel_jobs () in
-  let ir =
-    Sta.build_ir ~mode:Sta.Proximity ~models ~thresholds:th design
-      ~pi:!current
+  let r =
+    Harness.eco_batches ~pool:(Lazy.force wide) (Prng.create 0x9001L)
+      ~mode:Sta.Proximity ~thresholds:(Lazy.force th) ~sequences:1
+      ~batches:4 ~design:(fun rng ->
+        Harness.layered_design rng ~gates:[| nand2; nor2 |] ~depth:3
+          ~width:(Timing.parallel_threshold + 8))
   in
-  ignore (Sta.reanalyze ~pool ir);
   Alcotest.(check bool) "levels actually ran on the pool" true
     (Pool.parallel_jobs () > jobs_before);
-  for step = 1 to 4 do
-    let net = pis.(Prng.int rng ~lo:0 ~hi:(Array.length pis - 1)) in
-    let e = random_event rng in
-    current := (net, e) :: List.remove_assoc net !current;
-    ignore (Sta.update ~pool ir [ Sta.Set_pi (net, Some e) ]);
-    let fresh =
-      Sta.build_ir ~mode:Sta.Proximity ~models ~thresholds:th design
-        ~pi:!current
-    in
-    ignore (Sta.reanalyze ~pool fresh);
-    if not (Sta.report_equal (Sta.report ir) (Sta.report fresh)) then
-      Alcotest.failf "update <> analyze on chunked levels: step %d" step
-  done
+  Option.iter Alcotest.fail r.Harness.er_divergence;
+  Alcotest.(check int) "batches checked" 4 r.Harness.er_batches;
+  Alcotest.(check bool) "the pruned checks took the fast path" true
+    (r.Harness.er_fast_path > 0)
 
 (* ------------------------------------------------------------------ *)
 

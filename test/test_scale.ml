@@ -2,18 +2,14 @@
    design generator, the binary netlist round-trip and its allocation
    per cell, and randomized
    bit-identity of the SoA propagation against the records-of-options
-   reference oracle across full analyses and long ECO sequences. *)
+   reference oracle across full analyses and long ECO sequences (the
+   harness's ECO-batch oracle). *)
 
 module Prng = Proxim_util.Prng
-module Memo_cache = Proxim_util.Memo_cache
 module Graph = Proxim_timing.Graph
-module Timing = Proxim_timing.Timing
-module Reference = Proxim_timing.Reference
-module Gate = Proxim_gates.Gate
 module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
-module Models = Proxim_macromodel.Models
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
 module Synthgen = Proxim_sta.Synthgen
@@ -21,6 +17,7 @@ module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
 module Verify = Proxim_verify.Verify
 module Hazard = Proxim_hazard.Hazard
+module Harness = Proxim_harness.Harness
 
 let tech = Tech.generic_5v
 
@@ -230,62 +227,22 @@ let hazard_unconstrained ~models ~thresholds design ~pi =
   Hazard.unconstrained_pis (Hazard.analyze ~models ~thresholds design ~pi)
 
 (* ------------------------------------------------------------------ *)
-(* SoA vs reference-oracle bit-identity on generated designs           *)
-
-(* a synthetic-model factory with per-cell seed overrides so Touch_cell
-   ECOs re-characterize one instance (same shape as the bench's) *)
-let overriding_models () =
-  let overrides : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let cache = Memo_cache.create () in
-  let models (cell : Design.cell) =
-    let seed = Option.value (Hashtbl.find_opt overrides cell.Design.name) ~default:0 in
-    Memo_cache.find_or_compute cache (cell.Design.gate.Gate.name, seed)
-      (fun () -> Models.synthetic ~seed cell.Design.gate)
-  in
-  (overrides, models)
-
-let random_event rng =
-  {
-    Sta.time = Prng.float rng ~lo:0. ~hi:300e-12;
-    slew = Prng.float rng ~lo:150e-12 ~hi:600e-12;
-    edge = Measure.Fall;
-  }
+(* SoA vs reference-oracle bit-identity on a generated design: the
+   harness's ECO-batch oracle also checks update == fresh analysis and,
+   in Proximity mode, the pruned state proxim sta would run            *)
 
 let test_soa_matches_reference mode () =
-  let th = { Vtc.vil = 1.9; vih = 3.1; vdd = 5. } in
-  let rng = Prng.create 0x50AL in
   let _, design = Synthgen.generate ~seed:9 ~depth:8 ~tech ~cells:2000 () in
-  let overrides, models = overriding_models () in
-  let pi =
-    List.map
-      (fun net -> (net, random_event rng))
-      (Design.primary_inputs design)
+  let r =
+    Harness.eco_batches (Prng.create 0x50AL) ~mode
+      ~thresholds:{ Vtc.vil = 1.9; vih = 3.1; vdd = 5. }
+      ~sequences:1 ~batches:100 ~design:(fun _ -> design)
   in
-  let ir = Sta.build_ir ~mode ~models ~thresholds:th design ~pi in
-  ignore (Sta.reanalyze ir : Timing.stats);
-  Alcotest.(check bool) "fresh analyze agrees" true
-    (Reference.agrees (Sta.timing ir));
-  let pis = Array.of_list (Design.primary_inputs design) in
-  let cells = Array.of_list (Design.cells design) in
-  for t = 1 to 100 do
-    let eco =
-      match Prng.int rng ~lo:0 ~hi:9 with
-      | 0 | 1 | 2 | 3 | 4 | 5 ->
-        let net = pis.(Prng.int rng ~lo:0 ~hi:(Array.length pis - 1)) in
-        Sta.Set_pi (net, Some (random_event rng))
-      | 6 ->
-        (* silence one input entirely *)
-        let net = pis.(Prng.int rng ~lo:0 ~hi:(Array.length pis - 1)) in
-        Sta.Set_pi (net, None)
-      | _ ->
-        let c = cells.(Prng.int rng ~lo:0 ~hi:(Array.length cells - 1)) in
-        Hashtbl.replace overrides c.Design.name t;
-        Sta.Touch_cell c.Design.name
-    in
-    ignore (Sta.update ir [ eco ] : Timing.stats);
-    if not (Reference.agrees (Sta.timing ir)) then
-      Alcotest.failf "update #%d diverged from the reference oracle" t
-  done
+  Option.iter Alcotest.fail r.Harness.er_divergence;
+  Alcotest.(check int) "batches checked" 100 r.Harness.er_batches;
+  if mode = Sta.Proximity then
+    Alcotest.(check bool) "the pruned checks took the fast path" true
+      (r.Harness.er_fast_path > 0)
 
 (* ------------------------------------------------------------------ *)
 

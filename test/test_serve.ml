@@ -14,6 +14,7 @@ module Frame = Proxim_serve.Frame
 module Json = Proxim_util.Json
 module Prng = Proxim_util.Prng
 module Synthgen = Proxim_sta.Synthgen
+module Harness = Proxim_harness.Harness
 
 let tech = Tech.generic_5v
 
@@ -79,28 +80,12 @@ let offline_report =
      ignore (Sta.update ir ecos);
      Sta.report ir)
 
+(* bit-identical reports, or the harness's explanation of the first
+   difference *)
 let check_report_identical msg (got : Sta.report) (want : Sta.report) =
-  Alcotest.(check int)
-    (msg ^ ": arrival count")
-    (List.length want.Sta.arrivals)
-    (List.length got.Sta.arrivals);
-  List.iter2
-    (fun (gn, (ga : Sta.arrival)) (wn, (wa : Sta.arrival)) ->
-      Alcotest.(check string) (msg ^ ": net") wn gn;
-      check_bits (msg ^ ": time of " ^ wn) ga.Sta.time wa.Sta.time;
-      check_bits (msg ^ ": slew of " ^ wn) ga.Sta.slew wa.Sta.slew;
-      if ga.Sta.edge <> wa.Sta.edge then
-        Alcotest.failf "%s: edge of %s differs" msg wn)
-    got.Sta.arrivals want.Sta.arrivals;
-  (match (got.Sta.critical_po, want.Sta.critical_po) with
-   | None, None -> ()
-   | Some (gn, ga), Some (wn, wa) ->
-     Alcotest.(check string) (msg ^ ": critical po") wn gn;
-     check_bits (msg ^ ": critical time") ga.Sta.time wa.Sta.time
-   | _ -> Alcotest.failf "%s: critical_po presence differs" msg);
-  Alcotest.(check (list (pair string string)))
-    (msg ^ ": predecessors")
-    want.Sta.predecessors got.Sta.predecessors
+  Option.iter
+    (Alcotest.failf "%s:\n%s" msg)
+    (Harness.report_diff ("want", want) ("got", got))
 
 (* --- helpers over a live server --------------------------------------- *)
 

@@ -1,7 +1,8 @@
 (* Tests for the timing-graph IR: generic graph algorithms, the
    annotated propagation engine with its incremental (ECO) update, the
    K-worst path enumeration, and the randomized update-equals-analyze
-   equivalence property the Sta layer advertises. *)
+   equivalence property the Sta layer advertises, checked by the
+   harness's ECO-batch oracle. *)
 
 module Prng = Proxim_util.Prng
 module Memo_cache = Proxim_util.Memo_cache
@@ -12,7 +13,6 @@ module Gate = Proxim_gates.Gate
 module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
-module Models = Proxim_macromodel.Models
 module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
 module Harness = Proxim_harness.Harness
@@ -378,6 +378,17 @@ let test_update_rejects_unknown () =
   Alcotest.(check bool) "unknown cell" true
     (rejects_unknown (Sta.Touch_cell "ghost"))
 
+(* a net the stimulus names twice: the last entry is the event, so an
+   edit must replace both, or the fresh analysis --verify-eco compares
+   against (and the ECO hull rule) would keep the stale one *)
+let test_apply_ecos_duplicates () =
+  let pi = [ ("a", ev 0.); ("b", ev 10e-12); ("a", ev 50e-12) ] in
+  let moved = [ ("b", ev 10e-12); ("a", ev 500e-12) ] in
+  Alcotest.(check bool) "moved" true
+    (Sta.apply_ecos pi [ Sta.Set_pi ("a", Some (ev 500e-12)) ] = moved);
+  Alcotest.(check bool) "silenced" true
+    (Sta.apply_ecos pi [ Sta.Set_pi ("a", None) ] = [ ("b", ev 10e-12) ])
+
 let test_factory_cache_stats () =
   let d = reconvergent () in
   let th = Lazy.force thresholds in
@@ -398,8 +409,10 @@ let test_factory_cache_stats () =
     s2.Memo_cache.misses
 
 (* ------------------------------------------------------------------ *)
-(* Randomized equivalence: a sequence of ECO updates must leave the IR
-   bit-identical to a fresh analysis of the edited configuration        *)
+(* Randomized equivalence: the harness's ECO-batch oracle over random
+   layered designs checks, after every batch, update == fresh analysis,
+   the arena against Timing.Reference and, in Proximity mode, the pruned
+   state proxim sta would run against the full one                    *)
 
 let random_design rng = Harness.layered_design rng ~gates:[| nand2; nor2 |]
 
@@ -410,80 +423,20 @@ let random_event rng =
     edge = Measure.Fall;
   }
 
-let mode_name = function
-  | Sta.Classic -> "classic"
-  | Sta.Proximity -> "proximity"
-  | Sta.Collapsed _ -> "collapsed"
-
-let run_equivalence_sequences mode ~sequences =
-  let th = Lazy.force thresholds in
-  let rng =
-    Prng.create (match mode with Sta.Classic -> 0x5EED1L | _ -> 0x5EED2L)
+let test_equivalence mode seed () =
+  let r =
+    Harness.eco_batches (Prng.create seed) ~mode
+      ~thresholds:(Lazy.force thresholds) ~sequences:100 ~batches:3
+      ~design:(fun rng ->
+        random_design rng
+          ~depth:(Prng.int rng ~lo:2 ~hi:3)
+          ~width:(Prng.int rng ~lo:3 ~hi:5))
   in
-  for seq = 1 to sequences do
-    let design =
-      random_design rng
-        ~depth:(Prng.int rng ~lo:2 ~hi:3)
-        ~width:(Prng.int rng ~lo:3 ~hi:5)
-    in
-    (* per-cell seed overrides let Touch_cell stand in for a
-       re-characterized instance; shared by the incremental IR and the
-       fresh rebuilds *)
-    let overrides : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let cache = Memo_cache.create () in
-    let models (c : Design.cell) =
-      let seed =
-        match Hashtbl.find_opt overrides c.Design.name with
-        | Some s -> s
-        | None -> 0
-      in
-      Memo_cache.find_or_compute cache (c.Design.gate.Gate.name, seed)
-        (fun () -> Models.synthetic ~seed c.Design.gate)
-    in
-    let pis = Array.of_list (Design.primary_inputs design) in
-    let cell_names =
-      Array.of_list (List.map (fun c -> c.Design.name) (Design.cells design))
-    in
-    let current =
-      ref (Array.to_list (Array.map (fun p -> (p, random_event rng)) pis))
-    in
-    let ir = Sta.build_ir ~mode ~models ~thresholds:th design ~pi:!current in
-    ignore (Sta.reanalyze ir);
-    for step = 1 to 3 do
-      let eco =
-        match Prng.int rng ~lo:0 ~hi:3 with
-        | 0 | 1 ->
-          let net = pis.(Prng.int rng ~lo:0 ~hi:(Array.length pis - 1)) in
-          let e = random_event rng in
-          current := (net, e) :: List.remove_assoc net !current;
-          Sta.Set_pi (net, Some e)
-        | 2 ->
-          let net = pis.(Prng.int rng ~lo:0 ~hi:(Array.length pis - 1)) in
-          current := List.remove_assoc net !current;
-          Sta.Set_pi (net, None)
-        | _ ->
-          let name =
-            cell_names.(Prng.int rng ~lo:0 ~hi:(Array.length cell_names - 1))
-          in
-          Hashtbl.replace overrides name ((100 * seq) + step);
-          Sta.Touch_cell name
-      in
-      ignore (Sta.update ir [ eco ]);
-      let fresh =
-        Sta.build_ir ~mode ~models ~thresholds:th design ~pi:!current
-      in
-      ignore (Sta.reanalyze fresh);
-      if not (Sta.report_equal (Sta.report ir) (Sta.report fresh)) then
-        Alcotest.failf "update <> analyze: mode %s, sequence %d, step %d"
-          (mode_name mode) seq step
-    done
-  done
-
-let test_equivalence_classic () =
-  run_equivalence_sequences Sta.Classic ~sequences:100
-
-let test_equivalence_proximity () =
-  run_equivalence_sequences Sta.Proximity ~sequences:100
+  Option.iter Alcotest.fail r.Harness.er_divergence;
+  Alcotest.(check int) "batches checked" 300 r.Harness.er_batches;
+  if mode = Sta.Proximity then
+    Alcotest.(check bool) "the pruned checks took the fast path" true
+      (r.Harness.er_fast_path > 0)
 
 (* Paths.k_worst merges only the PO's fan-in cone: for every PO of random
    designs it must agree bit-for-bit with the enumeration over a design
@@ -600,15 +553,17 @@ let () =
           Alcotest.test_case "pi-po singleton" `Slow test_pi_po_singleton;
           Alcotest.test_case "update rejects unknown" `Slow
             test_update_rejects_unknown;
+          Alcotest.test_case "apply_ecos replaces every entry" `Quick
+            test_apply_ecos_duplicates;
           Alcotest.test_case "factory cache stats" `Slow
             test_factory_cache_stats;
         ] );
       ( "equivalence",
         [
           Alcotest.test_case "classic 100 sequences" `Slow
-            test_equivalence_classic;
+            (test_equivalence Sta.Classic 0x5EED1L);
           Alcotest.test_case "proximity 100 sequences" `Slow
-            test_equivalence_proximity;
+            (test_equivalence Sta.Proximity 0x5EED2L);
           Alcotest.test_case "swap models" `Slow test_swap_models_equiv;
           Alcotest.test_case "k-worst over the fan-in cone" `Slow
             test_k_worst_cone;
