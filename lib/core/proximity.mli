@@ -80,6 +80,50 @@ type trans_composition =
           rates — and measurably tighter on three-input workloads (see
           the ablation bench).  The two coincide for two inputs. *)
 
+(** {2 The array kernel}
+
+    {!dominance_order} and {!evaluate} are thin wrappers over one fold
+    that reads its inputs from arrays and writes into caller-owned
+    scratch, so a sweep that reuses one {!scratch} per worker times a
+    cell without allocating for the fold itself (the model queries
+    still box their floats). *)
+
+type scratch = {
+  key : float array;
+      (** [key.(k)] is input [k]'s would-be output crossing
+          [cross.(k) + Delta_k^(1)]: the dominance key, and the would-be
+          response a path report gives a losing input *)
+  d1 : float array;  (** [Delta_k^(1)], queried once per input *)
+  order : int array;
+      (** input indices, most dominant first (stable: ties keep the
+          given order) *)
+  result : float array;
+      (** [result.(0)] the delay with respect to the dominant input,
+          [result.(1)] the output transition time, s *)
+  mutable dominant : int;  (** index of the dominant input, [order.(0)] *)
+  mutable used : int;  (** inputs inside the proximity window *)
+}
+
+val scratch : int -> scratch
+(** Scratch for folds of up to that many inputs. *)
+
+val fold :
+  ?correction:correction ->
+  ?trans_composition:trans_composition ->
+  Proxim_macromodel.Models.t ->
+  scratch ->
+  edge:Proxim_measure.Measure.edge ->
+  n:int ->
+  pins:int array ->
+  cross:float array ->
+  taus:float array ->
+  unit
+(** Figure 4-1 over the first [n] entries (at least one) of [pins],
+    [cross] (threshold-crossing times) and [taus] (transition times),
+    every input switching with [edge]: fills every field of the scratch.
+    The same expressions as {!evaluate}, so the same bits: [evaluate]
+    is this fold over its events in list order. *)
+
 val evaluate :
   ?correction:correction ->
   ?trans_composition:trans_composition ->

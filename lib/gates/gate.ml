@@ -182,6 +182,52 @@ let switching_assist g ~pins ~output_rising =
   let on p = if List.mem p pins then p = first else stable_on p in
   network_conducts driving_network ~on
 
+(* [switching_assist] reads its pin list only through the head and
+   membership, so (direction, first pin, pin set) is its whole key: up
+   to [assist_tabulated] inputs the answers are filled in once, 2 x
+   fan_in x 2^fan_in bytes (4 KB at fan-in 8); wider gates evaluate the
+   networks per query. *)
+let assist_tabulated = 8
+
+let assist_table g =
+  let n = g.fan_in in
+  let direct ~output_rising ~first ~set =
+    let others =
+      List.filter
+        (fun p -> p <> first && (set lsr p) land 1 = 1)
+        (List.init (min n (Sys.int_size - 1)) Fun.id)
+    in
+    switching_assist g ~pins:(first :: others) ~output_rising
+  in
+  let check ~first ~set =
+    if first < 0 || first >= n || (n < Sys.int_size - 1 && set lsr n <> 0)
+    then
+      invalid_arg
+        (Printf.sprintf "Gate.assist_table: pins outside the %d inputs of %s"
+           n g.name)
+  in
+  if n > assist_tabulated then fun ~output_rising ~first ~set ->
+    check ~first ~set;
+    direct ~output_rising ~first ~set
+  else begin
+    let slot rising first set =
+      ((((if rising then 1 else 0) * n) + first) lsl n) lor set
+    in
+    let table = Bytes.make (2 * n lsl n) '\000' in
+    List.iter
+      (fun output_rising ->
+        for first = 0 to n - 1 do
+          for set = 0 to (1 lsl n) - 1 do
+            if direct ~output_rising ~first ~set then
+              Bytes.set table (slot output_rising first set) '\001'
+          done
+        done)
+      [ false; true ];
+    fun ~output_rising ~first ~set ->
+      check ~first ~set;
+      Bytes.unsafe_get table (slot output_rising first set) = '\001'
+  end
+
 
 type instance = {
   gate : t;

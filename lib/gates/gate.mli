@@ -87,6 +87,17 @@ val switching_assist : t -> pins:int list -> output_rising:bool -> bool
     rising; NOR: the mirror image.  Raises [Invalid_argument] on an empty
     pin list. *)
 
+val assist_table : t -> (output_rising:bool -> first:int -> set:int -> bool)
+(** [assist_table g] answers {!switching_assist} from a table filled
+    once: apply it to the gate once and keep the lookup.  The key is the
+    direction, the list's first pin and the set of its pins as a bitmask
+    ([set]'s bit [first] is implied), which is everything
+    {!switching_assist} reads of the list, so the answers are the same.
+    Gates of up to 8 inputs are tabulated (2 x fan-in x 2{^fan-in}
+    bytes); wider ones evaluate the networks per query.  The lookup
+    raises [Invalid_argument] when [first] or a pin of [set] is not an
+    input of [g]. *)
+
 val noncontrolling_sensitization : t -> pin:int -> float array
 (** Static levels (one per pin, V) that let the output depend on [pin]
     alone: the entry at [pin] itself is the non-controlling level too (the

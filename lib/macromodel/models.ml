@@ -7,7 +7,7 @@ type t = {
   name : string;
   tau_range : (float * float) option;
   cache_stats : unit -> Memo_cache.stats;
-  assist : edge:Measure.edge -> pins:int list -> bool;
+  assist : edge:Measure.edge -> first:int -> set:int -> bool;
   delay1 : pin:int -> edge:Measure.edge -> tau:float -> float;
   trans1 : pin:int -> edge:Measure.edge -> tau:float -> float;
   delay2 :
@@ -38,13 +38,19 @@ let merge_stats (a : Memo_cache.stats) (b : Memo_cache.stats) =
     local_hits = a.Memo_cache.local_hits + b.Memo_cache.local_hits;
   }
 
+(* the [assist] field of a model of [gate]: its table, built once *)
+let assist_of gate =
+  let table = Gate.assist_table gate in
+  fun ~edge ~first ~set ->
+    table ~output_rising:(edge = Measure.Fall) ~first ~set
+
 let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
   let jitter key =
     (* deterministic per-(gate, seed, key) value in [0, 1) *)
     let h = Hashtbl.hash (gate.Gate.name, seed, key) in
     float_of_int (h land 0xffff) /. 65536.
   in
-  let spin x =
+  let[@inline] spin x =
     (* optional artificial evaluation cost: a pure float loop folded into
        the result at zero weight so it cannot be dead-code eliminated *)
     if work = 0 then x
@@ -56,20 +62,30 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
       x +. (0. *. !acc)
     end
   in
-  let assist_of ~edge ~pins =
-    Gate.switching_assist gate ~pins ~output_rising:(edge = Measure.Fall)
-  in
-  let base ~pin ~edge =
-    let e = match edge with Measure.Rise -> 0 | Measure.Fall -> 1 in
+  let assist = assist_of gate in
+  let base_of ~pin ~e =
     80e-12
     *. (1. +. (0.09 *. float_of_int pin))
     *. (1. +. (0.12 *. float_of_int e))
     *. (1. +. (spread *. (jitter (pin, e) -. 0.5)))
   in
-  let d1 ~pin ~edge ~tau = base ~pin ~edge +. (0.30 *. tau) in
-  let t1 ~pin ~edge ~tau = (1.25 *. base ~pin ~edge) +. (0.55 *. tau) in
+  (* the per-(pin, edge) base delays, tabulated once: a query reads one
+     float instead of hashing a boxed key *)
+  let fan_in = gate.Gate.fan_in in
+  let bases =
+    Array.init (2 * fan_in) (fun i -> base_of ~pin:(i / 2) ~e:(i mod 2))
+  in
+  let[@inline] base ~pin ~edge =
+    let e = match edge with Measure.Rise -> 0 | Measure.Fall -> 1 in
+    if pin >= 0 && pin < fan_in then Array.unsafe_get bases ((2 * pin) + e)
+    else base_of ~pin ~e
+  in
+  let[@inline] d1 ~pin ~edge ~tau = base ~pin ~edge +. (0.30 *. tau) in
+  let[@inline] t1 ~pin ~edge ~tau =
+    (1.25 *. base ~pin ~edge) +. (0.55 *. tau)
+  in
   let window = 120e-12 in
-  let strength other tau_other =
+  let[@inline] strength other tau_other =
     0.35
     *. (1. +. (0.05 *. float_of_int other))
     *. (1. +. (0.1 *. (tau_other /. (tau_other +. window))))
@@ -78,14 +94,15 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
      [sep]: for assisting (parallel) inputs it saturates to 1 as the
      other input moves earlier and to 0 as it moves far later; for gating
      (series) inputs it peaks at simultaneity and decays either way *)
-  let influence ~assist ~sep =
+  let[@inline] influence ~assist ~sep =
     if assist then 0.5 *. (1. -. tanh (sep /. window))
     else 1. /. (1. +. ((sep /. window) ** 2.))
   in
   (* the dominant input's single-input response, sped up (assisting) or
      slowed down (gating) by the other input's weighted influence *)
-  let dual single ~weight ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
-    let assist = assist_of ~edge ~pins:[ dom; other ] in
+  let[@inline] dual single ~weight ~dom ~other ~edge ~tau_dom ~tau_other ~sep
+      =
+    let assist = assist ~edge ~first:dom ~set:(1 lsl other) in
     let infl = influence ~assist ~sep in
     let k = weight *. strength other tau_other in
     let v = single ~pin:dom ~edge ~tau:tau_dom in
@@ -97,12 +114,18 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
     name = Printf.sprintf "synthetic:%s#%d" gate.Gate.name seed;
     tau_range = None;
     cache_stats = (fun () -> Memo_cache.zero_stats);
-    assist = (fun ~edge ~pins -> assist_of ~edge ~pins);
+    assist;
     delay1 = (fun ~pin ~edge ~tau -> spin (d1 ~pin ~edge ~tau));
     trans1 = (fun ~pin ~edge ~tau -> spin (t1 ~pin ~edge ~tau));
-    (* [1. *. x] is exactly [x]: delay2 keeps its unweighted strength *)
-    delay2 = dual d1 ~weight:1.;
-    trans2 = dual t1 ~weight:0.6;
+    (* [1. *. x] is exactly [x]: delay2 keeps its unweighted strength.
+       Applied in full, so [dual] and its helpers inline into each query
+       and only the arguments and the answer are boxed *)
+    delay2 =
+      (fun ~dom ~other ~edge ~tau_dom ~tau_other ~sep ->
+        dual d1 ~weight:1. ~dom ~other ~edge ~tau_dom ~tau_other ~sep);
+    trans2 =
+      (fun ~dom ~other ~edge ~tau_dom ~tau_other ~sep ->
+        dual t1 ~weight:0.6 ~dom ~other ~edge ~tau_dom ~tau_other ~sep);
   }
 
 let of_oracle ?opts ?load gate th =
@@ -128,10 +151,7 @@ let of_oracle ?opts ?load gate th =
         merge_stats
           (Memo_cache.stats single_cache)
           (Memo_cache.stats dual_cache));
-    assist =
-      (fun ~edge ~pins ->
-        Gate.switching_assist gate ~pins
-          ~output_rising:(edge = Measure.Fall));
+    assist = assist_of gate;
     delay1 = (fun ~pin ~edge ~tau -> (single ~pin ~edge ~tau).Measure.delay);
     trans1 =
       (fun ~pin ~edge ~tau -> (single ~pin ~edge ~tau).Measure.out_transition);
@@ -175,10 +195,7 @@ let of_tables ?opts ?taus ?x_tau ?x_sep ?(share_others = false) ?pool gate th =
     cache_stats =
       (fun () ->
         merge_stats (Memo_cache.stats singles) (Memo_cache.stats duals));
-    assist =
-      (fun ~edge ~pins ->
-        Gate.switching_assist gate ~pins
-          ~output_rising:(edge = Measure.Fall));
+    assist = assist_of gate;
     delay1 =
       (fun ~pin ~edge ~tau -> Single.delay (single ~pin ~edge) ~tau);
     trans1 =

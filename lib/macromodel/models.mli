@@ -21,13 +21,18 @@ type t = {
           queries answered without a new golden-simulator run — including
           waits on a computation already in flight on another domain.
           All zero for models that keep no cache ({!synthetic}). *)
-  assist : edge:Proxim_measure.Measure.edge -> pins:int list -> bool;
-      (** do the switching transistors of [pins] assist each other in the
-          driving network for this input edge (see
-          {!Proxim_gates.Gate.switching_assist})?  Decides the dominance
-          direction: assisting inputs -> earliest would-be response wins;
-          gating inputs -> latest.  NAND-falling / NOR-rising assist;
-          NAND-rising / NOR-falling gate. *)
+  assist : edge:Proxim_measure.Measure.edge -> first:int -> set:int -> bool;
+      (** do the switching transistors of the pins in [set] (a bitmask,
+          [first]'s bit implied) assist each other in the driving
+          network for this input edge, taking [first] as the pin whose
+          sensitization holds the others (see
+          {!Proxim_gates.Gate.switching_assist}, whose pin list this
+          keys as its head and its members)?  Decides the dominance
+          direction: assisting inputs -> earliest would-be response
+          wins; gating inputs -> latest.  NAND-falling / NOR-rising
+          assist; NAND-rising / NOR-falling gate.  Every model here
+          answers from {!Proxim_gates.Gate.assist_table}, built with the
+          model. *)
   delay1 : pin:int -> edge:Proxim_measure.Measure.edge -> tau:float -> float;
       (** [Delta^(1)]: single-input delay, s *)
   trans1 : pin:int -> edge:Proxim_measure.Measure.edge -> tau:float -> float;
@@ -51,6 +56,16 @@ type t = {
     float;
       (** [tau_out^(2)] with respect to the dominant input, s *)
 }
+
+val assist_of :
+  Proxim_gates.Gate.t ->
+  edge:Proxim_measure.Measure.edge ->
+  first:int ->
+  set:int ->
+  bool
+(** [assist_of gate] is the [assist] field of a model of [gate]: its
+    {!Proxim_gates.Gate.assist_table}, built when [assist_of gate] is
+    applied — once per model. *)
 
 val merge_stats :
   Proxim_util.Memo_cache.stats ->

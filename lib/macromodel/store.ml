@@ -85,10 +85,7 @@ let to_models gate set =
        that produced them, so the characterized tau span is unknown *)
     tau_range = None;
     cache_stats = (fun () -> Proxim_util.Memo_cache.zero_stats);
-    assist =
-      (fun ~edge ~pins ->
-        Gate.switching_assist gate ~pins
-          ~output_rising:(edge = Measure.Fall));
+    assist = Models.assist_of gate;
     delay1 =
       (fun ~pin ~edge ~tau -> Single.delay (find_single ~pin ~edge) ~tau);
     trans1 =

@@ -24,8 +24,6 @@ type arrival = Timing.arrival = {
 
 exception Mixed_input_edges of { cell : string }
 
-exception No_switching_inputs of { cell : string }
-
 exception Unknown_eco_target of { kind : string; name : string }
 
 let () =
@@ -35,12 +33,6 @@ let () =
         (Printf.sprintf
            "Sta.analyze: mixed input edges at cell %s (a single-vector \
             analysis cannot order a glitch)"
-           cell)
-    | No_switching_inputs { cell } ->
-      Some
-        (Printf.sprintf
-           "Sta.analyze: internal invariant broken — cell %s was evaluated \
-            with no switching inputs"
            cell)
     | Unknown_eco_target { kind; name } ->
       Some (Printf.sprintf "Sta.update: unknown %s %s" kind name)
@@ -64,183 +56,94 @@ let report_equal r1 r2 =
 
 (* ---- propagation engines over the timing-graph IR ---- *)
 
-let check_edges cell (inputs : Timing.input list) =
-  match inputs with
-  | [] -> None
-  | { Timing.in_arrival = first; _ } :: rest ->
-    if
-      List.exists
-        (fun (i : Timing.input) -> i.Timing.in_arrival.edge <> first.edge)
-        rest
-    then raise (Mixed_input_edges { cell = cell.Design.name });
-    Some first.edge
+(* Every engine reads the cell's switching inputs from the cursor and
+   writes its answer back into it: the output arrival, its slew, the
+   winning pin, and per input the would-be response — the output arrival
+   had that pin set the timing alone (the classic single-input view),
+   the winner's entry the actual output arrival, so the K-worst
+   enumeration reproduces the reported arrival exactly on the top
+   path. *)
 
-let events_of_inputs inputs =
-  List.map
-    (fun (i : Timing.input) ->
-      {
-        Proximity.pin = i.Timing.in_pin;
-        edge = i.Timing.in_arrival.edge;
-        tau = i.Timing.in_arrival.slew;
-        cross_time = i.Timing.in_arrival.time;
-      })
-    inputs
+let[@inline] set_output (cur : Timing.cursor) ~edge ~time ~slew ~winner =
+  cur.Timing.result.(0) <- time;
+  cur.Timing.result.(1) <- slew;
+  cur.Timing.out_edge <- Measure.opposite edge;
+  cur.Timing.winner <- winner
 
-(* Per-pin would-be responses: the output arrival had this pin set the
-   timing alone (the classic single-input view).  The winner's entry is
-   overwritten with the actual output arrival, so the K-worst enumeration
-   reproduces the reported arrival exactly on the top path. *)
-let candidates_of (m : Models.t) ~edge ~out_time ~winner inputs =
-  (* filled straight from the input list — no intermediate list of boxed
-     records on what is the hottest allocation site of every engine *)
-  match inputs with
-  | [] -> [||]
-  | (first : Timing.input) :: _ ->
-    let n = List.length inputs in
-    let cand (i : Timing.input) =
-      let would_be =
-        if i.Timing.in_pin = winner then out_time
-        else
-          i.Timing.in_arrival.time
-          +. m.Models.delay1 ~pin:i.Timing.in_pin ~edge
-               ~tau:i.Timing.in_arrival.slew
-      in
-      { Timing.pin = i.Timing.in_pin; from_net = i.Timing.in_net; would_be }
-    in
-    let out = Array.make n (cand first) in
-    let rec fill k = function
-      | [] -> ()
-      | i :: rest ->
-        if k > 0 then out.(k) <- cand i;
-        fill (k + 1) rest
-    in
-    fill 0 inputs;
-    out
+(* The single-input rules.  Every input's would-be response
+   [t + Delta^(1)] goes into [would]; the first latest one ([latest],
+   Classic: what a pin-to-pin STA reports) or the first earliest one
+   wins, its single-input transition time becomes the output slew, and
+   its pin the path predecessor.
 
-(* latest single-input response wins; its transition time becomes the
-   output slew, and the winning pin becomes the path predecessor *)
-let classic_verdict (m : Models.t) ~cell ~edge ~slew_scale inputs =
-  let responses =
-    List.map
-      (fun (i : Timing.input) ->
-        let d =
-          m.Models.delay1 ~pin:i.Timing.in_pin ~edge
-            ~tau:i.Timing.in_arrival.slew
-        in
-        let t =
-          m.Models.trans1 ~pin:i.Timing.in_pin ~edge
-            ~tau:i.Timing.in_arrival.slew
-        in
-        (i.Timing.in_arrival.time +. d, t, i.Timing.in_pin))
-      inputs
-  in
-  let time, slew, winner =
-    match responses with
-    | [] -> raise (No_switching_inputs { cell })
-    | first :: rest ->
-      List.fold_left
-        (fun ((bt, _, _) as best) ((t, _, _) as r) ->
-          if t > bt then r else best)
-        first rest
-  in
-  let out = { time; slew = slew *. slew_scale; edge = Measure.opposite edge } in
-  {
-    Timing.out;
-    winner;
-    candidates = candidates_of m ~edge ~out_time:time ~winner inputs;
-  }
-
-(* Fast path for cells a static analysis proved never-proximate: the
-   dominant (earliest would-be) input alone decides the output, every
-   other input falls outside its transition window, and the correction
-   weight is zero.  Under those facts [Proximity.evaluate] computes
-   exactly [t_dom +. d1_dom] and [t1_dom] — the fold never fires a dual
-   query — so recomputing those two expressions here is bit-identical
+   The earliest rule is the fast path for cells a static analysis proved
+   never-proximate: the dominant (earliest would-be) input alone decides
+   the output, every other input falls outside its transition window,
+   and the correction weight is zero.  Under those facts [Proximity.fold]
+   computes exactly [t_dom +. d1_dom] and [t1_dom] — the fold never
+   fires a dual query — so these two expressions are bit-identical to it
    while skipping the assist lookup, the dominance sort and the fold.
-   The winner scan keeps the first strict minimum in pin order, which is
-   where the stable dominance sort puts it; never-proximate verdicts
-   guarantee the minimum is unique anyway. *)
-let pruned_proximity_verdict (m : Models.t) ~cell ~edge ~slew_scale inputs =
-  let keyed =
-    List.map
-      (fun (i : Timing.input) ->
-        let d1 =
-          m.Models.delay1 ~pin:i.Timing.in_pin ~edge
-            ~tau:i.Timing.in_arrival.slew
-        in
-        (i, i.Timing.in_arrival.time +. d1))
-      inputs
-  in
-  let win, time =
-    match keyed with
-    | [] -> raise (No_switching_inputs { cell })
-    | first :: rest ->
-      List.fold_left
-        (fun ((_, bt) as best) ((_, t) as k) -> if t < bt then k else best)
-        first rest
-  in
-  let t1 =
-    m.Models.trans1 ~pin:win.Timing.in_pin ~edge ~tau:win.Timing.in_arrival.slew
-  in
-  let out = { time; slew = t1 *. slew_scale; edge = Measure.opposite edge } in
-  let winner = win.Timing.in_pin in
-  {
-    Timing.out;
-    winner;
-    candidates = candidates_of m ~edge ~out_time:time ~winner inputs;
-  }
+   The scan keeps the first strict minimum in pin order, which is where
+   the stable dominance sort puts it; never-proximate verdicts guarantee
+   the minimum is unique anyway. *)
+let single_input ~latest (m : Models.t) (cur : Timing.cursor) ~edge
+    ~slew_scale =
+  let best = ref 0 in
+  for k = 0 to cur.Timing.count - 1 do
+    let w =
+      cur.Timing.times.(k)
+      +. m.Models.delay1 ~pin:cur.Timing.pins.(k) ~edge
+           ~tau:cur.Timing.slews.(k)
+    in
+    cur.Timing.would.(k) <- w;
+    let b = cur.Timing.would.(!best) in
+    if k > 0 && (if latest then w > b else w < b) then best := k
+  done;
+  let w = !best in
+  let pin = cur.Timing.pins.(w) in
+  set_output cur ~edge ~time:cur.Timing.would.(w)
+    ~slew:
+      (m.Models.trans1 ~pin ~edge ~tau:cur.Timing.slews.(w) *. slew_scale)
+    ~winner:pin
 
-let proximity_verdict (m : Models.t) ~edge ~slew_scale inputs =
-  let r = Proximity.evaluate m (events_of_inputs inputs) in
-  let time = r.Proximity.ref_cross +. r.Proximity.delay in
-  let out =
-    {
-      time;
-      slew = r.Proximity.out_transition *. slew_scale;
-      edge = Measure.opposite edge;
-    }
-  in
-  let winner = r.Proximity.ref_pin in
-  {
-    Timing.out;
-    winner;
-    candidates = candidates_of m ~edge ~out_time:time ~winner inputs;
-  }
+(* Fig 4-1 on the cursor's inputs, over the bound cursor's scratch *)
+let proximity (m : Models.t) fold (cur : Timing.cursor) ~edge ~slew_scale =
+  let n = cur.Timing.count in
+  Proximity.fold m fold ~edge ~n ~pins:cur.Timing.pins ~cross:cur.Timing.times
+    ~taus:cur.Timing.slews;
+  let dom = fold.Proximity.dominant in
+  let time = cur.Timing.times.(dom) +. fold.Proximity.result.(0) in
+  for k = 0 to n - 1 do
+    cur.Timing.would.(k) <- fold.Proximity.key.(k)
+  done;
+  cur.Timing.would.(dom) <- time;
+  set_output cur ~edge ~time
+    ~slew:(fold.Proximity.result.(1) *. slew_scale)
+    ~winner:cur.Timing.pins.(dom)
 
 (* The collapsed baseline has no per-pin macromodel to rank alternatives
-   with, so every candidate carries the predicted arrival (degenerate
-   would-be responses): the enumerated paths follow the ref pins but the
-   near-critical alternatives are not differentiated. *)
-let collapsed_verdict variant ~design ~thresholds ~slew_scale cell ~edge inputs
-    =
-  let load =
-    Design.fanout_load design ~net:cell.Design.output_net
+   with, so every input's would-be response is the predicted arrival:
+   the enumerated paths follow the ref pins but the near-critical
+   alternatives are not differentiated. *)
+let collapsed variant ~design ~thresholds ~slew_scale cell
+    (cur : Timing.cursor) ~edge =
+  let load = Design.fanout_load design ~net:cell.Design.output_net in
+  let events =
+    List.init cur.Timing.count (fun k ->
+        {
+          Proximity.pin = cur.Timing.pins.(k);
+          edge;
+          tau = cur.Timing.slews.(k);
+          cross_time = cur.Timing.times.(k);
+        })
   in
   let p =
-    Collapse.predict ~load variant cell.Design.gate thresholds
-      ~events:(events_of_inputs inputs)
+    Collapse.predict ~load variant cell.Design.gate thresholds ~events
   in
-  let out =
-    {
-      time = p.Collapse.out_cross;
-      slew = p.Collapse.out_transition *. slew_scale;
-      edge = Measure.opposite edge;
-    }
-  in
-  {
-    Timing.out;
-    winner = p.Collapse.ref_pin;
-    candidates =
-      Array.of_list
-        (List.map
-           (fun (i : Timing.input) ->
-             {
-               Timing.pin = i.Timing.in_pin;
-               from_net = i.Timing.in_net;
-               would_be = p.Collapse.out_cross;
-             })
-           inputs);
-  }
+  Array.fill cur.Timing.would 0 cur.Timing.count p.Collapse.out_cross;
+  set_output cur ~edge ~time:p.Collapse.out_cross
+    ~slew:(p.Collapse.out_transition *. slew_scale)
+    ~winner:p.Collapse.ref_pin
 
 (* an analysis state counts its fast-path evaluations in one atomic per
    claiming source, at this slot *)
@@ -252,26 +155,26 @@ let hit_slot = function
 let make_engine ~prune ~hits ~mode ~models ~thresholds ~design :
     Design.cell Timing.engine =
   let slew_scale = Proxim_vtc.Vtc.slew_scale thresholds in
-  fun id cell inputs ->
-    match check_edges cell inputs with
-    | None -> None (* fully quiet cell *)
-    | Some edge ->
-      Some
-        (match mode with
-        | Classic ->
-          classic_verdict (!models cell) ~cell:cell.Design.name ~edge
-            ~slew_scale inputs
-        | Proximity -> (
-          match Prune.source prune id with
-          | Some src ->
-            Atomic.incr hits.(hit_slot src);
-            Metrics.Counter.incr c_pruned;
-            pruned_proximity_verdict (!models cell) ~cell:cell.Design.name
-              ~edge ~slew_scale inputs
-          | None -> proximity_verdict (!models cell) ~edge ~slew_scale inputs)
-        | Collapsed variant ->
-          collapsed_verdict variant ~design ~thresholds ~slew_scale cell ~edge
-            inputs)
+  fun cur ->
+    (* this cursor's own fold scratch: engines bound to other cursors run
+       on other domains *)
+    let fold = Proximity.scratch (Array.length cur.Timing.pins) in
+    fun id cell ->
+      if cur.Timing.mixed then
+        raise (Mixed_input_edges { cell = cell.Design.name });
+      let edge = cur.Timing.edge in
+      match mode with
+      | Classic ->
+        single_input ~latest:true (!models cell) cur ~edge ~slew_scale
+      | Proximity -> (
+        match Prune.source prune id with
+        | Some src ->
+          Atomic.incr hits.(hit_slot src);
+          Metrics.Counter.incr c_pruned;
+          single_input ~latest:false (!models cell) cur ~edge ~slew_scale
+        | None -> proximity (!models cell) fold cur ~edge ~slew_scale)
+      | Collapsed variant ->
+        collapsed variant ~design ~thresholds ~slew_scale cell cur ~edge
 
 (* ---- the analysis state ---- *)
 
@@ -390,14 +293,23 @@ let source_arrivals ir =
          (fun a -> (Graph.net_name g net, a))
          (Timing.arrival ir.timing ~net))
 
-let derived_arrivals ir =
+(* [f] of every switching cell's output net, topological order: the
+   arrival (or predecessor) is read straight off the annotations, no
+   verdict decoded *)
+let per_output ir f =
   let g = Design.graph ir.design in
-  Array.to_list (Graph.topological g)
-  |> List.filter_map (fun c ->
-       Option.map
-         (fun (v : Timing.verdict) ->
-           (Graph.net_name g (Graph.cell_output g c), v.Timing.out))
-         (Timing.verdict ir.timing ~cell:c))
+  let topo = Graph.topological g in
+  let acc = ref [] in
+  for i = Array.length topo - 1 downto 0 do
+    let net = Graph.cell_output g topo.(i) in
+    match f net with
+    | Some x -> acc := (Graph.net_name g net, x) :: !acc
+    | None -> ()
+  done;
+  !acc
+
+let derived_arrivals ir =
+  per_output ir (fun net -> Timing.arrival ir.timing ~net)
 
 let report_with ir ~heads =
   let g = Design.graph ir.design in
@@ -418,13 +330,10 @@ let report_with ir ~heads =
       (Design.primary_outputs ir.design)
   in
   let predecessors =
-    Array.to_list (Graph.topological g)
-    |> List.filter_map (fun c ->
-         let out = Graph.cell_output g c in
-         Option.map
-           (fun (pred, _pin) ->
-             (Graph.net_name g out, Graph.net_name g pred))
-           (Timing.predecessor ir.timing ~net:out))
+    per_output ir (fun net ->
+        Option.map
+          (fun (pred, _pin) -> Graph.net_name g pred)
+          (Timing.predecessor ir.timing ~net))
   in
   { arrivals; critical_po; predecessors }
 

@@ -51,14 +51,6 @@ exception Mixed_input_edges of { cell : string }
     cell's name; a printer is registered so an uncaught exception still
     renders readably. *)
 
-exception No_switching_inputs of { cell : string }
-(** Internal-invariant error: a propagation engine was asked to rank the
-    responses of a cell that has no switching inputs.  The engines are
-    only entered for cells with at least one switching input, so seeing
-    this exception means the invariant broke upstream; it names the
-    offending cell instead of dying on a bare [assert false].  A printer
-    is registered. *)
-
 exception Unknown_eco_target of { kind : string; name : string }
 (** Raised by {!update} when an ECO names a net or cell the design does
     not contain ([kind] is ["net"] or ["cell"]).  The CLI catches this at

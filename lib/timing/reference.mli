@@ -9,7 +9,10 @@
 
     It reads the engine and the current source events out of a
     {!Timing.t} but never touches its committed state: calling
-    {!analyze} between two incremental updates is side-effect free. *)
+    {!analyze} between two incremental updates is side-effect free.  The
+    engine runs on a {!Timing.cursor} of the oracle's own, filled from
+    its option arrivals, and each answer is decoded into a
+    {!Timing.verdict} record here. *)
 
 val analyze : 'cell Timing.t -> Timing.verdict option array
 (** Evaluate every cell of [t]'s graph in topological order with [t]'s

@@ -17,45 +17,95 @@ type verdict = {
   candidates : candidate array;
 }
 
-type input = { in_pin : int; in_net : int; in_arrival : arrival }
+type cursor = {
+  mutable count : int;
+  pins : int array;
+  nets : int array;
+  times : float array;
+  slews : float array;
+  mutable edge : Measure.edge;
+  mutable mixed : bool;
+  result : float array;
+  mutable out_edge : Measure.edge;
+  mutable winner : int;
+  would : float array;
+}
 
-type 'cell engine = int -> 'cell -> input list -> verdict option
+type 'cell engine = cursor -> int -> 'cell -> unit
+
+let max_fan_in g =
+  let cap = ref 0 in
+  for c = 0 to Graph.cell_count g - 1 do
+    cap := max !cap (Array.length (Graph.cell_inputs g c))
+  done;
+  !cap
+
+let cursor cap =
+  {
+    count = 0;
+    pins = Array.make cap 0;
+    nets = Array.make cap 0;
+    times = Array.make cap 0.;
+    slews = Array.make cap 0.;
+    edge = Measure.Rise;
+    mixed = false;
+    result = [| 0.; 0. |];
+    out_edge = Measure.Rise;
+    winner = 0;
+    would = Array.make cap 0.;
+  }
+
+let new_cursor g = cursor (max_fan_in g)
 
 (* The committed annotation state is the flat SoA arena: arrival times,
    slews and would-be responses in float64 bigarrays, winner pins and
    candidate ids in unboxed int arrays, edges as one-byte tags.  The
-   record types above survive as a view decoded on demand ([arrival],
-   [verdict]) and as the engine interchange format — engines still
-   return a short-lived [verdict] record, which [commit] scatters into
-   the arena and the next minor collection reclaims.  The GC never
-   walks the per-cell state, and a million-cell design is a dozen
-   contiguous arrays instead of millions of boxed options. *)
+   record types above survive only as a view decoded on demand
+   ([arrival], [verdict]).  Engines read a cell's inputs from a cursor
+   filled straight off the planes and write their answer into it, which
+   [settle] compares and commits in place: a sweep allocates nothing per
+   cell here, the GC never walks the per-cell state, and a million-cell
+   design is a dozen contiguous arrays instead of millions of boxed
+   options. *)
 type 'cell t = {
   graph : 'cell Graph.t;
   engine : 'cell engine;
   soa : Soa.t;
+  fan_in : int;  (* the largest, every cursor's capacity *)
+  (* one cursor per pool chunk that may run at once, each with the
+     engine bound to it; grown on the caller before a fan-out *)
+  mutable slots : (cursor * (int -> 'cell -> unit)) array;
   (* scratch reused across [update] calls so the ECO hot path does not
-     allocate per call; all are restored to all-false / all-[] / all-None
+     allocate per call; all are restored to all-false / all-[] / all-0
      before [update] returns (each level resets its own entries as it
      drains) *)
   queued : bool array;
   buckets : int list array;
-  eval_scratch : verdict option array;  (* slot i = result for the i-th
-                                           cell of the level in flight *)
+  committed : Bytes.t;  (* byte i <> 0: the i-th cell of the level in
+                           flight committed a new verdict on a worker *)
 }
 
 type stats = { evaluated : int; changed : int; total_cells : int }
 
+let bind engine cursor = (cursor, engine cursor)
+
 let create graph ~engine =
+  let widest = ref 0 in
+  for l = 0 to Graph.level_count graph - 1 do
+    widest := max !widest (Array.length (Graph.level graph l))
+  done;
+  let fan_in = max_fan_in graph in
   {
     graph;
     engine;
     soa =
       Soa.create ~nets:(Graph.net_count graph) ~cells:(Graph.cell_count graph)
         ~fanin:(fun c -> Array.length (Graph.cell_inputs graph c));
+    fan_in;
+    slots = [| bind engine (cursor fan_in) |];
     queued = Array.make (Graph.cell_count graph) false;
     buckets = Array.make (max (Graph.level_count graph) 1) [];
-    eval_scratch = Array.make (Graph.cell_count graph) None;
+    committed = Bytes.make (max !widest 1) '\000';
   }
 
 let graph t = t.graph
@@ -147,98 +197,88 @@ let verdict_eq a b =
     && Array.for_all2 candidate_eq a.candidates b.candidates
   | None, Some _ | Some _, None -> false
 
-(* Does a freshly computed verdict differ (bitwise) from the committed
-   one?  Compares the record fields straight against the arena planes —
-   all loads are monomorphic int/float/byte reads, no decoded records,
-   no polymorphic compare, no allocation.  This is the incremental
-   engine's early-cutoff test, run once per evaluated cell. *)
-let differs s c v =
-  match v with
-  | None -> Bytes.get s.Soa.out_tag c <> Soa.tag_none
-  | Some v ->
-    Bytes.get s.Soa.out_tag c <> Soa.tag_of_edge v.out.edge
-    || (not (float_eq v.out.time s.Soa.out_time.{c}))
-    || (not (float_eq v.out.slew s.Soa.out_slew.{c}))
-    || s.Soa.winner.(c) <> v.winner
-    ||
-    let n = Array.length v.candidates in
-    s.Soa.cand_count.(c) <> n
+(* Fill [cur] with cell [c]'s switching inputs, pin order, read straight
+   off the arena planes: no records, no options, no list. *)
+let fill t cur c =
+  let g = t.graph and s = t.soa in
+  let nets = Graph.cell_inputs g c in
+  let n = ref 0 and first = ref Soa.tag_none and mixed = ref false in
+  for pin = 0 to Array.length nets - 1 do
+    let net = Array.unsafe_get nets pin in
+    let d = Graph.driver_id g ~net in
+    let tag =
+      if d < 0 then Bytes.unsafe_get s.Soa.src_tag net
+      else Bytes.unsafe_get s.Soa.out_tag d
+    in
+    if tag <> Soa.tag_none then begin
+      let k = !n in
+      cur.pins.(k) <- pin;
+      cur.nets.(k) <- net;
+      if d < 0 then begin
+        cur.times.(k) <- s.Soa.src_time.{net};
+        cur.slews.(k) <- s.Soa.src_slew.{net}
+      end
+      else begin
+        cur.times.(k) <- s.Soa.out_time.{d};
+        cur.slews.(k) <- s.Soa.out_slew.{d}
+      end;
+      if k = 0 then first := tag else if tag <> !first then mixed := true;
+      n := k + 1
+    end
+  done;
+  cur.count <- !n;
+  cur.mixed <- !mixed;
+  if !n > 0 then cur.edge <- Soa.edge_of_tag !first
+
+(* Does the answer in [cur] (no switching input: quiet) differ bitwise
+   from cell [c]'s committed verdict?  Monomorphic int/float/byte loads
+   against the planes, no allocation: the incremental engine's early
+   cutoff, run once per evaluated cell. *)
+let differs s c cur =
+  let n = cur.count in
+  if n = 0 then Bytes.get s.Soa.out_tag c <> Soa.tag_none
+  else
+    Bytes.get s.Soa.out_tag c <> Soa.tag_of_edge cur.out_edge
+    || (not (float_eq cur.result.(0) s.Soa.out_time.{c}))
+    || (not (float_eq cur.result.(1) s.Soa.out_slew.{c}))
+    || s.Soa.winner.(c) <> cur.winner
+    || s.Soa.cand_count.(c) <> n
     ||
     let base = s.Soa.cand_start.(c) in
-    let rec eq i =
-      i >= n
-      ||
-      let cd = Array.unsafe_get v.candidates i in
-      cd.pin = s.Soa.cand_pin.(base + i)
-      && cd.from_net = s.Soa.cand_net.(base + i)
-      && float_eq cd.would_be s.Soa.cand_would.{base + i}
-      && eq (i + 1)
+    let rec eq k =
+      k >= n
+      || cur.pins.(k) = s.Soa.cand_pin.(base + k)
+         && cur.nets.(k) = s.Soa.cand_net.(base + k)
+         && float_eq cur.would.(k) s.Soa.cand_would.{base + k}
+         && eq (k + 1)
     in
     not (eq 0)
 
-let commit s c v =
-  match v with
-  | None -> Bytes.set s.Soa.out_tag c Soa.tag_none
-  | Some v ->
-    s.Soa.out_time.{c} <- v.out.time;
-    s.Soa.out_slew.{c} <- v.out.slew;
-    Bytes.set s.Soa.out_tag c (Soa.tag_of_edge v.out.edge);
-    s.Soa.winner.(c) <- v.winner;
-    let n = Array.length v.candidates in
+let commit s c cur =
+  let n = cur.count in
+  if n = 0 then Bytes.set s.Soa.out_tag c Soa.tag_none
+  else begin
+    s.Soa.out_time.{c} <- cur.result.(0);
+    s.Soa.out_slew.{c} <- cur.result.(1);
+    Bytes.set s.Soa.out_tag c (Soa.tag_of_edge cur.out_edge);
+    s.Soa.winner.(c) <- cur.winner;
     s.Soa.cand_count.(c) <- n;
     let base = s.Soa.cand_start.(c) in
-    for i = 0 to n - 1 do
-      let cd = Array.unsafe_get v.candidates i in
-      s.Soa.cand_pin.(base + i) <- cd.pin;
-      s.Soa.cand_net.(base + i) <- cd.from_net;
-      s.Soa.cand_would.{base + i} <- cd.would_be
+    for k = 0 to n - 1 do
+      s.Soa.cand_pin.(base + k) <- cur.pins.(k);
+      s.Soa.cand_net.(base + k) <- cur.nets.(k);
+      s.Soa.cand_would.{base + k} <- cur.would.(k)
     done
+  end
 
-let compute t cell_id =
-  let g = t.graph in
-  let s = t.soa in
-  let nets = Graph.cell_inputs g cell_id in
-  (* built back-to-front so the list comes out in pin order; each input
-     annotation is read straight off the arena planes — no [arrival]
-     option round-trip per pin like the records-of-options engine paid *)
-  let inputs = ref [] in
-  for pin = Array.length nets - 1 downto 0 do
-    let net = Array.unsafe_get nets pin in
-    let d = Graph.driver_id g ~net in
-    if d < 0 then begin
-      let tag = Bytes.unsafe_get s.Soa.src_tag net in
-      if tag <> Soa.tag_none then
-        inputs :=
-          {
-            in_pin = pin;
-            in_net = net;
-            in_arrival =
-              {
-                time = s.Soa.src_time.{net};
-                slew = s.Soa.src_slew.{net};
-                edge = Soa.edge_of_tag tag;
-              };
-          }
-          :: !inputs
-    end
-    else begin
-      let tag = Bytes.unsafe_get s.Soa.out_tag d in
-      if tag <> Soa.tag_none then
-        inputs :=
-          {
-            in_pin = pin;
-            in_net = net;
-            in_arrival =
-              {
-                time = s.Soa.out_time.{d};
-                slew = s.Soa.out_slew.{d};
-                edge = Soa.edge_of_tag tag;
-              };
-          }
-          :: !inputs
-    end
-  done;
-  t.engine cell_id (Graph.payload g cell_id) !inputs
+(* Time cell [c] on [cur] and commit the answer in place if it changed;
+   [true] when it did.  Only [c]'s own slots are written: cells of one
+   level read strictly lower levels, so workers may settle a level's
+   cells concurrently. *)
+let settle t (cur, run) c =
+  fill t cur c;
+  if cur.count > 0 then run c (Graph.payload t.graph c);
+  differs t.soa c cur && (commit t.soa c cur; true)
 
 (* Levels narrower than this are timed serially: fanning out costs a
    submit/park handshake with the workers, which only pays for itself
@@ -246,32 +286,49 @@ let compute t cell_id =
 let parallel_threshold = 32
 
 (* Evaluate one level's cells — a dense-id index range swept in order —
-   and hand each result to [apply] in index order, so the outcome is
-   bit-identical whichever path (serial or chunked fan-out) computed
-   it.  Shared by the from-scratch sweep and the worklist walk. *)
-let eval_cells t pool ~level ~cells ~apply =
+   and hand each cell whose verdict changed to [changed] in index order,
+   so the outcome is bit-identical whichever path (serial or chunked
+   fan-out) computed it.  Shared by the from-scratch sweep and the
+   worklist walk. *)
+let eval_cells t pool ~level ~cells ~changed =
   let width = Array.length cells in
   let body () =
     let d = Pool.domains pool in
-    if width < parallel_threshold || d = 1 then
-      (* applying verdict i before computing i+1 is safe: cells of one
-         level only read strictly lower levels, and changes only
-         propagate to higher buckets *)
+    if width < parallel_threshold || d = 1 then begin
+      (* settling cell i before timing i+1 is safe: cells of one level
+         only read strictly lower levels, and changes only propagate to
+         higher buckets *)
+      let slot = t.slots.(0) in
       for i = 0 to width - 1 do
-        apply i (compute t cells.(i))
+        let c = cells.(i) in
+        if settle t slot c then changed c
       done
+    end
     else begin
       (* chunked fan-out: ~2 contiguous slices per domain over the
          dense-id array — coarse enough that a chunk claim is noise,
          with one spare slice per domain for the steal loop to
-         rebalance uneven engine costs *)
-      let scratch = t.eval_scratch in
+         rebalance uneven engine costs.  Each slice is one pool index
+         with a cursor of its own. *)
       let chunk = max 1 ((width + (2 * d) - 1) / (2 * d)) in
-      Pool.parallel_for ~chunk pool ~n:width (fun i ->
-          scratch.(i) <- compute t cells.(i));
+      let chunks = (width + chunk - 1) / chunk in
+      let have = Array.length t.slots in
+      if have < chunks then
+        t.slots <-
+          Array.init chunks (fun k ->
+              if k < have then t.slots.(k)
+              else bind t.engine (cursor t.fan_in));
+      let flags = t.committed in
+      Pool.parallel_for ~chunk:1 pool ~n:chunks (fun k ->
+          let slot = t.slots.(k) in
+          for i = k * chunk to min width ((k + 1) * chunk) - 1 do
+            if settle t slot cells.(i) then Bytes.unsafe_set flags i '\001'
+          done);
       for i = 0 to width - 1 do
-        apply i scratch.(i);
-        scratch.(i) <- None
+        if Bytes.unsafe_get flags i <> '\000' then begin
+          Bytes.unsafe_set flags i '\000';
+          changed cells.(i)
+        end
       done
     end
   in
@@ -302,6 +359,12 @@ let update ?pool t ~dirty_nets ~dirty_cells =
   let evaluated = ref 0 in
   let changed = ref 0 in
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  let on_change c =
+    incr changed;
+    Array.iter
+      (fun (r, _) -> enqueue r)
+      (Graph.readers g ~net:(Graph.cell_output g c))
+  in
   let run () =
     for l = 0 to n_levels - 1 do
       match buckets.(l) with
@@ -314,17 +377,7 @@ let update ?pool t ~dirty_nets ~dirty_cells =
         List.iter (fun c -> queued.(c) <- false) dirty;
         let cells = Array.of_list (List.sort Int.compare dirty) in
         evaluated := !evaluated + Array.length cells;
-        let apply i v =
-          let c = cells.(i) in
-          if differs t.soa c v then begin
-            commit t.soa c v;
-            incr changed;
-            Array.iter
-              (fun (r, _) -> enqueue r)
-              (Graph.readers g ~net:(Graph.cell_output g c))
-          end
-        in
-        eval_cells t pool ~level:l ~cells ~apply
+        eval_cells t pool ~level:l ~cells ~changed:on_change
     done
   in
   (try run ()
@@ -334,7 +387,7 @@ let update ?pool t ~dirty_nets ~dirty_cells =
      let bt = Printexc.get_raw_backtrace () in
      Array.fill queued 0 (Array.length queued) false;
      Array.fill buckets 0 (Array.length buckets) [];
-     Array.fill t.eval_scratch 0 (Array.length t.eval_scratch) None;
+     Bytes.fill t.committed 0 (Bytes.length t.committed) '\000';
      Printexc.raise_with_backtrace e bt);
   Metrics.Counter.add c_evaluated !evaluated;
   Metrics.Counter.add c_changed !changed;
@@ -349,23 +402,18 @@ let analyze ?pool t =
   let evaluated = ref 0 in
   let changed = ref 0 in
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  (* the arena was just cleared, so "changed" means the engine produced a
+     verdict — same count the worklist walk reports *)
+  let on_change _ = incr changed in
   (try
      for l = 0 to Graph.level_count g - 1 do
        let cells = Graph.level g l in
        evaluated := !evaluated + Array.length cells;
-       let apply i v =
-         (* the arena was just cleared, so "differs" means the engine
-            produced a verdict — same count the worklist walk reports *)
-         if differs t.soa cells.(i) v then begin
-           commit t.soa cells.(i) v;
-           incr changed
-         end
-       in
-       eval_cells t pool ~level:l ~cells ~apply
+       eval_cells t pool ~level:l ~cells ~changed:on_change
      done
    with e ->
      let bt = Printexc.get_raw_backtrace () in
-     Array.fill t.eval_scratch 0 (Array.length t.eval_scratch) None;
+     Bytes.fill t.committed 0 (Bytes.length t.committed) '\000';
      Printexc.raise_with_backtrace e bt);
   Metrics.Counter.add c_evaluated !evaluated;
   Metrics.Counter.add c_changed !changed;

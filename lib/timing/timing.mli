@@ -10,10 +10,15 @@
     Annotations are {e stored} in a flat structure-of-arrays arena
     ({!Soa}): parallel [Bigarray.float64] / int / byte planes indexed
     by dense net and cell ids, swept level by level as index ranges.
-    The record types below are a view layer decoded on demand, so
-    consumers ({!Paths}, the verify/hazard layers, reports) read the
-    same shapes they always did; {!Reference} keeps the historical
-    records-of-options evaluator alive as a bit-identity oracle.
+    Engines never see a record: {!t} fills a reusable {!cursor} with a
+    cell's switching inputs straight from the planes, the engine writes
+    its answer back into the same cursor, and {!t} compares that answer
+    with the planes bit for bit and commits it in place.  A sweep
+    allocates nothing per cell on {!t}'s side.  The record types below
+    are a view layer decoded on demand, so consumers ({!Paths}, the
+    verify/hazard layers, reports) read the shapes they always did;
+    {!Reference} keeps a records-of-options evaluator alive as a
+    bit-identity oracle.
 
     {!analyze} is a full from-scratch propagation; {!update} is the
     incremental (ECO) variant: after a source-arrival change or a cell
@@ -46,16 +51,67 @@ type verdict = {
   candidates : candidate array;  (** one per switching input, pin order *)
 }
 
-type input = { in_pin : int; in_net : int; in_arrival : arrival }
+(** {1 The engine contract} *)
 
-type 'cell engine = int -> 'cell -> input list -> verdict option
-(** [engine id payload inputs] times one cell from its switching inputs
-    ([None] = the cell stays quiet).  [id] is the cell's dense
-    {!Graph} id, so per-cell side tables (a prune mask, say) are one
-    array read away; [payload] is {!Graph.payload} of that id.  Must be
-    deterministic and pure with respect to the annotations — it may be
-    called from several pool domains at once, and the incremental
-    engine's cutoff assumes equal inputs give bit-equal verdicts. *)
+type cursor = {
+  mutable count : int;
+      (** switching inputs of the cell in flight: entries [0 .. count-1]
+          of the four input arrays, in ascending pin order *)
+  pins : int array;  (** pin index of input [k] *)
+  nets : int array;  (** dense net id of input [k] *)
+  times : float array;  (** arrival time of input [k], s *)
+  slews : float array;  (** slew of input [k], s *)
+  mutable edge : Proxim_measure.Measure.edge;
+      (** the edge every input shares; meaningless when [mixed] *)
+  mutable mixed : bool;  (** the inputs arrive with both edges *)
+  result : float array;
+      (** written by the engine: [result.(0)] the output arrival time,
+          [result.(1)] its slew (a float array, so writing allocates
+          nothing) *)
+  mutable out_edge : Proxim_measure.Measure.edge;
+      (** written by the engine: the output edge *)
+  mutable winner : int;
+      (** written by the engine: the pin (not the input index) that set
+          the timing *)
+  would : float array;
+      (** written by the engine: [would.(k)] is input [k]'s would-be
+          output arrival — the winner's entry the actual output arrival
+          (see {!candidate}) *)
+}
+(** One cell's inputs and, after the engine ran, its answer.  Capacity
+    (the arrays' length) is the graph's largest fan-in; only the first
+    [count] entries are meaningful. *)
+
+type 'cell engine = cursor -> int -> 'cell -> unit
+(** [engine cursor] binds the engine to one cursor; [(engine cursor) id
+    payload] then times cell [id] ([payload] is {!Graph.payload} of that
+    id, and [id] the dense {!Graph} id, so per-cell side tables such as a
+    prune mask are one array read away).
+
+    {b Ownership.}  Cursors belong to {!t}: it allocates one per pool
+    chunk it may run at once (and {!Reference} one of its own), binds the
+    engine to each exactly once, and reuses both for every cell that
+    chunk evaluates.  The binding step is where an engine allocates its
+    per-cursor scratch; the per-cell call should allocate nothing it
+    does not have to.
+
+    {b What the engine must write.}  It is only called for a cell with
+    at least one switching input ([count >= 1]); cells without one are
+    quiet and get no verdict.  It reads the input fields and must write
+    [result.(0)], [result.(1)], [out_edge], [winner] and
+    [would.(0 .. count-1)] — or raise (a [mixed] cell, say).  A cell
+    that switches cannot be declared quiet.
+
+    {b Purity across domains.}  The answer must be a deterministic
+    function of the input fields and the engine's own configuration:
+    bound instances run on several pool domains at once, each on its own
+    cursor, and the incremental engine's cutoff assumes equal inputs give
+    bit-equal answers.  State shared between instances (model caches,
+    hit counters) must be domain-safe. *)
+
+val new_cursor : 'cell Graph.t -> cursor
+(** A cursor sized for the graph's largest fan-in, before any engine is
+    bound to it — what {!Reference} evaluates through. *)
 
 type 'cell t
 
@@ -94,7 +150,9 @@ val predecessor : 'cell t -> net:int -> (int * int) option
     that set its driver's timing. *)
 
 type stats = {
-  evaluated : int;  (** cells whose engine ran *)
+  evaluated : int;
+      (** cells re-timed: the engine ran, or the cell had no switching
+          input and is quiet *)
   changed : int;  (** evaluated cells whose verdict actually changed *)
   total_cells : int;
 }
@@ -104,8 +162,9 @@ val parallel_threshold : int
     caller; at or above it, the level's sorted dense-id array is split
     into ~2 contiguous chunks per pool domain and fanned out through
     {!Pool.parallel_for} (the steal loop rebalances uneven engine
-    costs).  Verdicts are always applied on the caller in index order,
-    so results are bit-identical either way. *)
+    costs), each chunk on its own cursor.  A worker commits its own
+    cells' slots; the caller then counts the changes and enqueues their
+    readers in index order, so results are bit-identical either way. *)
 
 val analyze : ?pool:Pool.t -> 'cell t -> stats
 (** Full propagation from scratch: clears every verdict, then evaluates
@@ -119,4 +178,8 @@ val update :
     [dirty_nets] (sources whose arrival was edited) and with
     [dirty_cells] (cells whose model/parameters changed), then walks the
     fanout cone level-by-level, stopping at cells whose recomputed
-    verdict is bit-equal to the stored one. *)
+    verdict is bit-equal to the stored one.  An engine exception leaves
+    the worklist empty for the next call and propagates; the cells
+    committed before it keep their new verdicts, and every one of them
+    lies in the edit's fanout cone, so an update that reverts the edit
+    restores the from-scratch result. *)

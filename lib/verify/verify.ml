@@ -625,8 +625,12 @@ let flow ?(mode = Sta.Proximity) ?(rule = model_rule) ~models ~thresholds
         | wins ->
           let inputs = List.map (ainput_of m ~edge) wins in
           let assist =
-            List.length inputs >= 2
-            && m.Models.assist ~edge ~pins:(List.map (fun i -> i.i_pin) inputs)
+            match inputs with
+            | first :: _ :: _ ->
+              m.Models.assist ~edge ~first:first.i_pin
+                ~set:
+                  (List.fold_left (fun s i -> s lor (1 lsl i.i_pin)) 0 inputs)
+            | [] | [ _ ] -> false
           in
           let resp =
             match mode with

@@ -132,6 +132,47 @@ let test_switching_assist () =
   Alcotest.(check bool) "aoi a,c rise assists" true
     (Gate.switching_assist aoi ~pins:[ 0; 2 ] ~output_rising:false)
 
+(* the tabulated lookup answers every key exactly as the list form does:
+   the table of each gate up to fan-in 8, and the per-query path of a
+   wider one; a pin outside the gate is rejected *)
+let test_assist_table () =
+  List.iter
+    (fun (g : Gate.t) ->
+      let lookup = Gate.assist_table g in
+      let n = g.Gate.fan_in in
+      for set = 1 to (1 lsl n) - 1 do
+        let pins =
+          List.filter (fun p -> (set lsr p) land 1 = 1) (List.init n Fun.id)
+        in
+        List.iter
+          (fun first ->
+            List.iter
+              (fun output_rising ->
+                let want =
+                  Gate.switching_assist g
+                    ~pins:(first :: List.filter (( <> ) first) pins)
+                    ~output_rising
+                in
+                if lookup ~output_rising ~first ~set <> want then
+                  Alcotest.failf "%s: first %d, set %x, rising %b" g.Gate.name
+                    first set output_rising)
+              [ false; true ])
+          pins
+      done)
+    [
+      Gate.inverter tech; Gate.nand tech ~fan_in:3; Gate.nor tech ~fan_in:3;
+      Gate.aoi21 tech; Gate.oai21 tech; Gate.nand tech ~fan_in:9;
+    ];
+  let lookup = Gate.assist_table (Gate.nand tech ~fan_in:2) in
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "first pin outside" (fun () ->
+      lookup ~output_rising:true ~first:2 ~set:3);
+  rejects "set pin outside" (fun () ->
+      lookup ~output_rising:true ~first:0 ~set:5)
+
 let test_input_capacitance () =
   let g = Gate.nand ~wn:4e-6 ~wp:8e-6 tech ~fan_in:2 in
   Alcotest.(check (float 1e-20)) "cg*(wn+wp)"
@@ -264,6 +305,7 @@ let () =
           Alcotest.test_case "output parasitic" `Quick test_output_parasitic;
           Alcotest.test_case "input capacitance" `Quick test_input_capacitance;
           Alcotest.test_case "arity check" `Quick test_instantiate_arity;
+          Alcotest.test_case "assist table" `Quick test_assist_table;
         ] );
       ( "logic",
         [

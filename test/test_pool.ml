@@ -13,6 +13,8 @@ module Measure = Proxim_measure.Measure
 module Single = Proxim_macromodel.Single
 module Dual = Proxim_macromodel.Dual
 module Timing = Proxim_timing.Timing
+module Reference = Proxim_timing.Reference
+module Design = Proxim_sta.Design
 module Sta = Proxim_sta.Sta
 module Harness = Proxim_harness.Harness
 
@@ -300,17 +302,18 @@ let test_vtc_family_parallel_matches_serial () =
 (* ------------------------------------------------------------------ *)
 (* Randomized STA equivalence on chunked levels: with a level width
    above Timing.parallel_threshold every evaluation wave takes the
-   chunked parallel path, and the harness's ECO-batch oracle must still
-   see update == fresh analysis, SoA == Reference and pruned == full
-   bit-for-bit at 4 domains                                             *)
+   chunked parallel path, each chunk on its own cursor, and the
+   harness's ECO-batch oracle must still see update == fresh analysis,
+   SoA == Reference and (Proximity) pruned == full bit-for-bit at 4
+   domains, in both modes                                              *)
 
 let nor2 = Gate.nor tech ~fan_in:2
 
-let test_sta_update_equals_analyze_chunked () =
+let test_sta_update_equals_analyze_chunked mode () =
   let jobs_before = Pool.parallel_jobs () in
   let r =
     Harness.eco_batches ~pool:(Lazy.force wide) (Prng.create 0x9001L)
-      ~mode:Sta.Proximity ~thresholds:(Lazy.force th) ~sequences:1
+      ~mode ~thresholds:(Lazy.force th) ~sequences:1
       ~batches:4 ~design:(fun rng ->
         Harness.layered_design rng ~gates:[| nand2; nor2 |] ~depth:3
           ~width:(Timing.parallel_threshold + 8))
@@ -319,8 +322,62 @@ let test_sta_update_equals_analyze_chunked () =
     (Pool.parallel_jobs () > jobs_before);
   Option.iter Alcotest.fail r.Harness.er_divergence;
   Alcotest.(check int) "batches checked" 4 r.Harness.er_batches;
-  Alcotest.(check bool) "the pruned checks took the fast path" true
-    (r.Harness.er_fast_path > 0)
+  if mode = Sta.Proximity then
+    Alcotest.(check bool) "the pruned checks took the fast path" true
+      (r.Harness.er_fast_path > 0)
+
+(* Update's chunked path: the oracle's batches touch a few inputs, so
+   their dirty levels stay under Timing.parallel_threshold.  Moving
+   about half the inputs of a 96-wide design dirties ~70 cells per
+   level: the workers commit, and the caller must count every change
+   and enqueue its readers, or a reader whose other inputs kept their
+   arrivals is left stale *)
+let test_sta_wide_update mode () =
+  let pool = Lazy.force wide in
+  let rng = Prng.create 0x1DE5L in
+  let design =
+    Harness.layered_design rng ~gates:[| nand2; nor2 |] ~depth:4 ~width:96
+  in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let thresholds = Lazy.force th in
+  let event () =
+    let time = Prng.float rng ~lo:0. ~hi:400e-12 in
+    let slew = Prng.float rng ~lo:100e-12 ~hi:600e-12 in
+    { Sta.time; slew; edge = Measure.Fall }
+  in
+  let analyzed pi =
+    let ir = Sta.build_ir ~mode ~models ~thresholds design ~pi in
+    ignore (Sta.reanalyze ~pool ir : Timing.stats);
+    ir
+  in
+  let pi =
+    ref (List.map (fun p -> (p, event ())) (Design.primary_inputs design))
+  in
+  let ir = analyzed !pi in
+  let chunked = ref 0 in
+  for round = 1 to 8 do
+    let ecos =
+      List.filter_map
+        (fun (p, _) ->
+          if Prng.int rng ~lo:0 ~hi:1 = 0 then
+            Some (Sta.Set_pi (p, Some (event ())))
+          else None)
+        !pi
+    in
+    let jobs = Pool.parallel_jobs () in
+    ignore (Sta.update ~pool ir ecos : Timing.stats);
+    chunked := !chunked + Pool.parallel_jobs () - jobs;
+    pi := Sta.apply_ecos !pi ecos;
+    Option.iter
+      (fun d -> Alcotest.failf "round %d: %s" round d)
+      (Harness.report_diff ~design
+         ("update", Sta.report ir)
+         ("fresh", Sta.report (analyzed !pi)));
+    if not (Reference.agrees (Sta.timing ir)) then
+      Alcotest.failf "round %d: the arena disagrees with Timing.Reference"
+        round
+  done;
+  Alcotest.(check bool) "the updates ran chunked" true (!chunked > 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -368,6 +425,13 @@ let () =
           Alcotest.test_case "VTC family: parallel == serial" `Quick
             test_vtc_family_parallel_matches_serial;
           Alcotest.test_case "STA update == analyze on chunked levels" `Quick
-            test_sta_update_equals_analyze_chunked;
+            (test_sta_update_equals_analyze_chunked Sta.Proximity);
+          Alcotest.test_case
+            "STA update == analyze on chunked levels, classic" `Quick
+            (test_sta_update_equals_analyze_chunked Sta.Classic);
+          Alcotest.test_case "STA update moving half the inputs" `Quick
+            (test_sta_wide_update Sta.Proximity);
+          Alcotest.test_case "STA update moving half the inputs, classic"
+            `Quick (test_sta_wide_update Sta.Classic);
         ] );
     ]

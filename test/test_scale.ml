@@ -6,7 +6,9 @@
    harness's ECO-batch oracle). *)
 
 module Prng = Proxim_util.Prng
+module Pool = Proxim_util.Pool
 module Graph = Proxim_timing.Graph
+module Timing = Proxim_timing.Timing
 module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 module Measure = Proxim_measure.Measure
@@ -226,6 +228,45 @@ let verify_unconstrained ~models ~thresholds design ~pi =
 let hazard_unconstrained ~models ~thresholds design ~pi =
   Hazard.unconstrained_pis (Hazard.analyze ~models ~thresholds design ~pi)
 
+(* The sweep's allocation per cell, measured as above: a second full
+   analysis of the 2000-cell design, serial, with synthetic models and
+   every input falling inside 200 ps (so most cells fold several
+   inputs).  Engines that took an input list and returned a fresh
+   verdict record with a candidates array allocated ~1 570 (Classic)
+   and ~5 890 (Proximity) bytes per cell here; on the cursor only the
+   model queries' boxed floats are left, ~180 and ~350. *)
+let sweep_bytes_per_cell_bound = 600.
+
+let test_sweep_alloc_bound mode () =
+  let cells = 2000 in
+  let _, design = Synthgen.generate ~seed:9 ~depth:8 ~tech ~cells () in
+  let models = (Sta.synthetic_factory ()).Sta.models in
+  let rng = Prng.create 0x5EEDL in
+  let pi =
+    List.map
+      (fun net ->
+        let time = Prng.float rng ~lo:0. ~hi:200e-12 in
+        let slew = Prng.float rng ~lo:100e-12 ~hi:600e-12 in
+        (net, { Sta.time; slew; edge = Measure.Fall }))
+      (Design.primary_inputs design)
+  in
+  let ir =
+    Sta.build_ir ~mode ~models
+      ~thresholds:{ Vtc.vil = 1.9; vih = 3.1; vdd = 5. }
+      design ~pi
+  in
+  let pool = Pool.create ~domains:1 in
+  ignore (Sta.reanalyze ~pool ir : Timing.stats);
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let st = Sta.reanalyze ~pool ir in
+  Gc.minor ();
+  let per_cell = (Gc.allocated_bytes () -. before) /. float_of_int cells in
+  Alcotest.(check int) "every cell switched" cells st.Timing.changed;
+  if per_cell > sweep_bytes_per_cell_bound then
+    Alcotest.failf "the sweep allocated %.0f bytes per cell (bound %.0f)"
+      per_cell sweep_bytes_per_cell_bound
+
 (* ------------------------------------------------------------------ *)
 (* SoA vs reference-oracle bit-identity on a generated design: the
    harness's ECO-batch oracle also checks update == fresh analysis and,
@@ -280,6 +321,13 @@ let () =
           Alcotest.test_case "hazard allocation per cell, mixed edges" `Quick
             (test_static_alloc_bound ~stimulus:mixed_edges
                ~bound:mixed_bytes_per_cell_bound hazard_unconstrained);
+        ] );
+      ( "sweep",
+        [
+          Alcotest.test_case "sweep allocation per cell, classic" `Quick
+            (test_sweep_alloc_bound Sta.Classic);
+          Alcotest.test_case "sweep allocation per cell, proximity" `Quick
+            (test_sweep_alloc_bound Sta.Proximity);
         ] );
       ( "soa-vs-reference",
         [

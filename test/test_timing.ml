@@ -5,9 +5,11 @@
    harness's ECO-batch oracle. *)
 
 module Prng = Proxim_util.Prng
+module Pool = Proxim_util.Pool
 module Memo_cache = Proxim_util.Memo_cache
 module Graph = Proxim_timing.Graph
 module Timing = Proxim_timing.Timing
+module Reference = Proxim_timing.Reference
 module Paths = Proxim_timing.Paths
 module Gate = Proxim_gates.Gate
 module Tech = Proxim_gates.Tech
@@ -96,36 +98,17 @@ let test_build_cycle_raises () =
 (* Toy propagation engine: delay per arc depends only on the pin, so
    expected arrivals are exact by hand                                 *)
 
-let toy_engine ~pin_delay _id () (inputs : Timing.input list) =
-  match inputs with
-  | [] -> None
-  | _ ->
-    let resp (i : Timing.input) =
-      i.Timing.in_arrival.Timing.time +. pin_delay i.Timing.in_pin
-    in
-    let winner =
-      List.fold_left
-        (fun acc i ->
-          match acc with Some b when resp b >= resp i -> Some b | _ -> Some i)
-        None inputs
-    in
-    let w = Option.get winner in
-    let out_t = resp w in
-    Some
-      {
-        Timing.out = { Timing.time = out_t; slew = 1e-10; edge = Measure.Rise };
-        winner = w.Timing.in_pin;
-        candidates =
-          Array.of_list
-            (List.map
-               (fun (i : Timing.input) ->
-                 {
-                   Timing.pin = i.Timing.in_pin;
-                   from_net = i.Timing.in_net;
-                   would_be = resp i;
-                 })
-               inputs);
-      }
+let toy_engine ~pin_delay (cur : Timing.cursor) _id () =
+  let resp k = cur.Timing.times.(k) +. pin_delay cur.Timing.pins.(k) in
+  let w = ref 0 in
+  for k = 0 to cur.Timing.count - 1 do
+    cur.Timing.would.(k) <- resp k;
+    if resp k > resp !w then w := k
+  done;
+  cur.Timing.result.(0) <- resp !w;
+  cur.Timing.result.(1) <- 1e-10;
+  cur.Timing.out_edge <- Measure.Rise;
+  cur.Timing.winner <- cur.Timing.pins.(!w)
 
 let chain_graph () =
   Graph.build
@@ -438,6 +421,103 @@ let test_equivalence mode seed () =
     Alcotest.(check bool) "the pruned checks took the fast path" true
       (r.Harness.er_fast_path > 0)
 
+(* The collapse-to-inverter engines under the same oracle: each
+   evaluation is a golden transient, so two small designs of three
+   batches each *)
+let test_collapsed_equivalence variant () =
+  let r =
+    Harness.eco_batches (Prng.create 0xC011A5EL)
+      ~mode:(Sta.Collapsed variant) ~thresholds:(Lazy.force thresholds)
+      ~sequences:2 ~batches:3 ~design:(fun rng ->
+        random_design rng ~depth:2 ~width:3)
+  in
+  Option.iter Alcotest.fail r.Harness.er_divergence;
+  Alcotest.(check int) "batches checked" 6 r.Harness.er_batches
+
+(* An engine exception in the middle of an update: a batch that moves
+   every primary input and flips one to rising gives its readers mixed
+   input edges, so [Sta.update] raises after the cells timed before
+   them committed; the update that reverts the batch must restore the
+   from-scratch state.  At 4 domains the first level (40 cells) runs
+   chunked, and the raising chunk's siblings commit on the workers. *)
+let test_update_failure domains () =
+  let pool = Pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let rng = Prng.create 0xFA11L in
+  let design =
+    random_design rng ~depth:3 ~width:(Timing.parallel_threshold + 8)
+  in
+  let th = Lazy.force thresholds in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let pi =
+    List.map (fun p -> (p, random_event rng)) (Design.primary_inputs design)
+  in
+  let analyzed () =
+    let ir = Sta.build_ir ~models ~thresholds:th design ~pi in
+    ignore (Sta.reanalyze ~pool ir : Timing.stats);
+    ir
+  in
+  let ir = analyzed () in
+  let before = Sta.report ir in
+  (* flip the input whose first reader comes last, so the cells before
+     that reader are timed, and commit, before the failure *)
+  let g = Design.graph design in
+  let first_reader (net, _) =
+    Array.fold_left
+      (fun m (c, _) -> min m c)
+      max_int
+      (Graph.readers g ~net:(Option.get (Graph.net_id g net)))
+  in
+  let flipped, _ =
+    List.fold_left
+      (fun best e ->
+        let r = first_reader e in
+        if r < max_int && r > first_reader best then e else best)
+      (List.find (fun e -> first_reader e < max_int) pi)
+      pi
+  in
+  let ecos =
+    List.map
+      (fun (net, (a : Sta.arrival)) ->
+        Sta.Set_pi
+          ( net,
+            Some
+              (if net = flipped then { a with Sta.edge = Measure.Rise }
+               else { a with Sta.time = a.Sta.time +. 50e-12 }) ))
+      pi
+  in
+  (match Sta.update ~pool ir ecos with
+  | _ -> Alcotest.fail "a batch giving cells mixed edges was accepted"
+  | exception Sta.Mixed_input_edges _ -> ());
+  if domains = 1 then
+    Alcotest.(check bool) "cells committed before the failure" false
+      (Sta.report_equal before (Sta.report ir));
+  ignore
+    (Sta.update ~pool ir (List.map (fun (n, a) -> Sta.Set_pi (n, Some a)) pi)
+      : Timing.stats);
+  Option.iter Alcotest.fail
+    (Harness.report_diff ~design
+       ("reverted", Sta.report ir)
+       ("fresh", Sta.report (analyzed ())));
+  Alcotest.(check bool) "the arena agrees with Timing.Reference" true
+    (Reference.agrees (Sta.timing ir));
+  (* and the worklist came out clean: the moves alone, applied now,
+     reach every cell they reach from scratch *)
+  let moves =
+    List.filter
+      (function Sta.Set_pi (n, _) -> n <> flipped | Sta.Touch_cell _ -> true)
+      ecos
+  in
+  ignore (Sta.update ~pool ir moves : Timing.stats);
+  let moved =
+    Sta.build_ir ~models ~thresholds:th design ~pi:(Sta.apply_ecos pi moves)
+  in
+  ignore (Sta.reanalyze ~pool moved : Timing.stats);
+  Option.iter Alcotest.fail
+    (Harness.report_diff ~design
+       ("updated", Sta.report ir)
+       ("fresh", Sta.report moved))
+
 (* Paths.k_worst merges only the PO's fan-in cone: for every PO of random
    designs it must agree bit-for-bit with the enumeration over a design
    that holds nothing but that cone *)
@@ -567,5 +647,13 @@ let () =
           Alcotest.test_case "swap models" `Slow test_swap_models_equiv;
           Alcotest.test_case "k-worst over the fan-in cone" `Slow
             test_k_worst_cone;
+          Alcotest.test_case "collapsed jun 2 sequences" `Slow
+            (test_collapsed_equivalence Proxim_baseline.Collapse.Jun);
+          Alcotest.test_case "collapsed nabavi-lishi 2 sequences" `Slow
+            (test_collapsed_equivalence Proxim_baseline.Collapse.Nabavi_lishi);
+          Alcotest.test_case "engine failure mid-update, 1 domain" `Slow
+            (test_update_failure 1);
+          Alcotest.test_case "engine failure mid-update, 4 domains" `Slow
+            (test_update_failure 4);
         ] );
     ]
