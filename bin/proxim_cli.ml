@@ -380,7 +380,6 @@ let run_lint files format fail_on fanout_limit codes =
 (* the analysis front end                                              *)
 
 module Sta = Proxim_sta.Sta
-module Prune = Proxim_sta.Prune
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
@@ -501,10 +500,11 @@ exception Usage of string
 (* The boundary of every analysis subcommand: the one netlist loader
    (exit 1 when the file is unreadable), then the user errors the
    analyses find — a stimulus on a net that is not a primary input, an
-   ECO naming an unknown net or cell, edges a single-vector analysis
-   cannot order — each printed as "proxim CMD: error: ..." with exit 2,
-   never escaping as an uncaught exception.  [around_load] wraps the
-   load (profile times it as a phase). *)
+   ECO naming an unknown net or cell or re-timing a cell-driven net,
+   edges a single-vector analysis cannot order — each printed as
+   "proxim CMD: error: ..." with exit 2, never escaping as an uncaught
+   exception.  [around_load] wraps the load (profile times it as a
+   phase). *)
 let with_design ?(around_load = fun f -> f ()) cmd file k =
   let error fmt =
     Printf.ksprintf
@@ -541,43 +541,6 @@ let factory_of models_kind design th =
 (* ------------------------------------------------------------------ *)
 (* sta                                                                 *)
 
-(* The mask must stay sound for the initial analysis AND the post-ECO
-   update, so it comes from one pass over events hulling both stimuli
-   (Verify.eco_pruning; none when the batch silences, adds or
-   edge-flips a net).  This half prints its summary lines. *)
-let sta_prune_mask ~sense ~models ~thresholds design ~pi ~ecos =
-  Verify.eco_pruning ~models ~thresholds design ~pi ~ecos
-  |> Option.map (fun (p : Verify.eco_pruning) ->
-         Printf.printf
-           "static verification: %d of %d switching cells never-proximate\n"
-           p.Verify.ep_summary.Verify.never
-           p.Verify.ep_summary.Verify.switching_cells;
-         Printf.printf
-           "hazard analysis: %d of %d classified cells proven quiet\n"
-           p.Verify.ep_quiet p.Verify.ep_classified;
-         (* the sensitization mask covers cells where at most one event
-            can structurally arrive; its activity depends only on which
-            nets switch, which a batch eco_pruning accepts leaves alone *)
-         let unsensitizable =
-           if not sense then None
-           else begin
-             let m =
-               Sense.prune_mask
-                 (Sense.analyze design
-                    ~pi:
-                      (List.map
-                         (fun (n, (a : Sta.arrival)) ->
-                           (n, Sense.Switch a.Sta.edge))
-                         pi))
-             in
-             Printf.printf "sensitization: %d of %d cells structurally quiet\n"
-               (Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
-               (Array.length m);
-             Some m
-           end
-         in
-         Prune.make ?unsensitizable ~quiet:p.Verify.ep_mask ())
-
 (* The arrivals, critical output and K worst paths of one report — the
    block `proxim sta` prints and `serve --smoke` reproduces byte for
    byte from a served report.  [paths po] gives the paths to the
@@ -606,7 +569,7 @@ let print_sta_report ?(summary = false) (report : Sta.report) ~paths =
       (paths po)
 
 let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
-    eco_specs verify_eco no_prune sense summary =
+    eco_specs verify_eco summary =
   with_design "sta" file @@ fun name design file_th ->
   let* named_pi = parse_all parse_pi_spec pi_specs in
   let* ecos = parse_all parse_eco_spec eco_specs in
@@ -626,16 +589,9 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
   let g = Design.graph design in
   Printf.printf "design %s: %d cells, %d nets, %d levels\n" name
     (Graph.cell_count g) (Graph.net_count g) (Graph.level_count g);
-  let prune =
-    if no_prune || mode <> Sta.Proximity then None
-    else
-      sta_prune_mask ~sense ~models:factory.Sta.models ~thresholds:th design
-        ~pi ~ecos
-  in
   let analyzed pi =
     let ir =
-      Sta.build_ir ~mode ?prune ~models:factory.Sta.models ~thresholds:th
-        design ~pi
+      Sta.build_ir ~mode ~models:factory.Sta.models ~thresholds:th design ~pi
     in
     ignore (Sta.reanalyze ir : Timing.stats);
     ir
@@ -673,14 +629,6 @@ let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
             end
        end
   in
-  if Option.is_some prune then begin
-    let c = Sta.pruned_counts ir in
-    Printf.printf
-      "proximity pruning: %d cell evaluations took the fast path (%d \
-       unsensitizable, %d quiet, %d never-proximate)\n"
-      (Prune.total c) c.Prune.unsensitizable c.Prune.quiet
-      c.Prune.never_proximate
-  end;
   let cs = factory.Sta.factory_stats () in
   Printf.printf "model cache: %d hits, %d misses, %d waits, %d entries\n"
     cs.Memo_cache.hits cs.Memo_cache.misses cs.Memo_cache.waits
@@ -1474,26 +1422,11 @@ let sta_cmd =
             "After the incremental update, rerun a full analysis of the \
              edited design and fail unless the two agree bit-for-bit.")
   in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:
-            "Disable the static never-proximate pruning that proximity-mode \
-             analyses apply by default (the pruned analysis is bit-identical \
-             by construction; this flag exists to measure it).")
-  in
   let pi_all =
     pi_all_arg
       "Apply one event as edge:tau_ps:cross_ps to every primary input not \
        already named by a --pi option — the practical way to drive \
        generated designs with thousands of inputs."
-  in
-  let sense =
-    sense_arg
-      "Add the static-sensitization mask (cells where at most one event can \
-       structurally arrive) to the fused prune engine alongside the \
-       never-proximate and quiet masks."
   in
   let summary =
     Arg.(
@@ -1509,10 +1442,10 @@ let sta_cmd =
          "Static timing analysis of a netlist (text or binary): arrivals, \
           K-worst paths, slacks, incremental (ECO) re-analysis")
     Term.(
-      const (fun () obs f p pa m k pk r e v np sn s ->
-          finish_obs obs (run_sta f p pa m k pk r e v np sn s))
+      const (fun () obs f p pa m k pk r e v s ->
+          finish_obs obs (run_sta f p pa m k pk r e v s))
       $ domains_setup $ obs_setup $ file $ pi_arg () $ pi_all $ mode $ models
-      $ paths $ required $ eco $ verify_eco $ no_prune $ sense $ summary)
+      $ paths $ required $ eco $ verify_eco $ summary)
 
 let verify_cmd =
   let run file pi_specs window_specs tau_window_ps mode models_kind format

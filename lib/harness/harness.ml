@@ -336,16 +336,11 @@ let reseedable_factory () =
   ( { Sta.models; factory_stats = (fun () -> Memo_cache.stats cache) },
     fun cell seed -> Hashtbl.replace seeds cell seed )
 
-type eco_run = {
-  er_batches : int;
-  er_pruned : int;
-  er_fast_path : int;
-  er_divergence : string option;
-}
+type eco_run = { er_batches : int; er_divergence : string option }
 
 (* spread wide enough that some cells' inputs fall outside each other's
-   proximity window (the pruned checks need quiet cells to take the fast
-   path), close enough that most cells still fold *)
+   proximity window (so the §4 fold's early stop is exercised), close
+   enough that most cells still fold *)
 let random_arrival rng =
   let time = Prng.float rng ~lo:0. ~hi:1e-9 in
   let slew = Prng.float rng ~lo:150e-12 ~hi:600e-12 in
@@ -358,13 +353,13 @@ let eco_name = function
 
 let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
   let exception Diverged of string in
-  let checked = ref 0 and pruned = ref 0 and fast_path = ref 0 in
+  let checked = ref 0 in
   let sequence seq =
     let design = design rng in
     let factory, reseed = reseedable_factory () in
     let models = factory.Sta.models in
-    let analyzed ?prune pi =
-      let ir = Sta.build_ir ~mode ?prune ~models ~thresholds design ~pi in
+    let analyzed pi =
+      let ir = Sta.build_ir ~mode ~models ~thresholds design ~pi in
       ignore (Sta.reanalyze ?pool ir : Timing.stats);
       ir
     in
@@ -375,9 +370,7 @@ let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
       if not (Reference.agrees (Sta.timing ir)) then
         fail where "the arena disagrees with Timing.Reference"
     in
-    let same where ?prune a b =
-      Option.iter (fail where) (report_diff ~design ?prune a b)
-    in
+    let same where a b = Option.iter (fail where) (report_diff ~design a b) in
     let pis = Array.of_list (Design.primary_inputs design) in
     let cells = Array.of_list (Design.cells design) in
     let pick a = a.(Prng.int rng ~lo:0 ~hi:(Array.length a - 1)) in
@@ -388,7 +381,6 @@ let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
     agrees "the first analysis" ir;
     let seed = ref 0 in
     for batch = 1 to batches do
-      let reseeded = ref false in
       let eco _ =
         match Prng.int rng ~lo:0 ~hi:9 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
@@ -399,7 +391,6 @@ let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
           let cell = (pick cells).Design.name in
           incr seed;
           reseed cell !seed;
-          reseeded := true;
           Sta.Touch_cell cell
       in
       (* List.init applies [eco] left to right: the draw order *)
@@ -408,33 +399,11 @@ let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
         Printf.sprintf "batch %d (%s)" batch
           (String.concat "; " (List.map eco_name ecos))
       in
-      let full_before = Sta.report ir in
-      (* pruned the way [proxim sta] prunes: a mask sound for the
-         stimulus before and after the batch, or none *)
-      let pruned_ir =
-        if mode <> Sta.Proximity || !reseeded then None
-        else
-          Verify.eco_pruning ~models ~thresholds design ~pi:!pi ~ecos
-          |> Option.map (fun (p : Verify.eco_pruning) ->
-                 let prune = Prune.make ~quiet:p.Verify.ep_mask () in
-                 let pir = analyzed ~prune !pi in
-                 same (where ^ ", pruned before it") ~prune
-                   ("full", full_before) ("pruned", Sta.report pir);
-                 (prune, pir))
-      in
       ignore (Sta.update ?pool ir ecos : Timing.stats);
       let pi' = Sta.apply_ecos !pi ecos in
       let full = Sta.report ir in
       same where ("update", full) ("fresh", Sta.report (analyzed pi'));
       agrees where ir;
-      Option.iter
-        (fun (prune, pir) ->
-          ignore (Sta.update ?pool pir ecos : Timing.stats);
-          same (where ^ ", pruned after it") ~prune ("full", full)
-            ("pruned", Sta.report pir);
-          incr pruned;
-          fast_path := !fast_path + Sta.pruned_evaluations pir)
-        pruned_ir;
       incr checked;
       pi := pi'
     done
@@ -448,9 +417,4 @@ let eco_batches ?pool rng ~design ~mode ~thresholds ~sequences ~batches =
     | () -> None
     | exception Diverged m -> Some m
   in
-  {
-    er_batches = !checked;
-    er_pruned = !pruned;
-    er_fast_path = !fast_path;
-    er_divergence = divergence;
-  }
+  { er_batches = !checked; er_divergence = divergence }

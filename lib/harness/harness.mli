@@ -183,10 +183,6 @@ val reseedable_factory : unit -> Sta.factory * (string -> int -> unit)
 
 type eco_run = {
   er_batches : int;  (** batches checked *)
-  er_pruned : int;  (** of those, batches also checked pruned == full *)
-  er_fast_path : int;
-      (** fast-path evaluations the pruned states made: how much work
-          the pruned == full checks actually removed *)
   er_divergence : string option;
       (** the first failed check, explained; the run stops there *)
 }
@@ -211,12 +207,7 @@ val eco_batches :
     - {b update == fresh}: after {!Sta.update}, the report equals that of
       a fresh analysis of {!Sta.apply_ecos};
     - {b SoA == Reference}: {!Proxim_timing.Reference.agrees} on the
-      updated state;
-    - {b pruned == full}: for a [Proximity] batch that re-seeds no cell
-      and that {!Proxim_verify.Verify.eco_pruning} accepts, a state
-      built with that mask on the stimulus before the batch — exactly
-      what [proxim sta] runs — equals the full state before and after
-      both take the update.
+      updated state.
     A report that diverges is explained by {!report_diff}.
 
     Draw order: per sequence, [design]'s draws, then per primary input

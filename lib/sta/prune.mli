@@ -1,8 +1,13 @@
 (** The unified STA prune mask.
 
     Three static analyses can each prove that a cell's §3 proximity fold
-    provably degenerates to the single-input fast path, so the expensive
-    dual-macromodel evaluation can be skipped bit-identically:
+    degenerates to its dominant input's single-input response, so the
+    single-input fast path answers it bit-identically.  The fold itself
+    makes no dual-macromodel query on such a cell either: it stops at the
+    first input outside the dominant's transition window.  What the fast
+    path saves is one assist-table lookup and the dominance sort.  No
+    [proxim] command builds a mask; the bench's prune-payoff sections and
+    the benchmark's oracle layer do.  The sources:
 
     - {e never-proximate} — the interval verification
       ([Proxim_verify.prune_mask]) separated every input pair's windows

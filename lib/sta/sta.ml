@@ -241,20 +241,29 @@ let update ?pool ir ecos =
   let body () =
     Metrics.Histogram.time h_update @@ fun () ->
     let g = Design.graph ir.design in
+    let source net =
+      match Graph.net_id g net with
+      | None -> raise (Unknown_eco_target { kind = "net"; name = net })
+      | Some id when Graph.driver_id g ~net:id >= 0 ->
+        raise (Unknown_eco_target { kind = "primary input"; name = net })
+      | Some id -> id
+    in
+    (* every target is resolved before any source moves: a batch naming
+       one bad target raises with the analysis as it was *)
     let dirty_nets = ref [] in
     let dirty_cells = ref [] in
     List.iter
       (function
-        | Set_pi (net, a) -> (
-          match Graph.net_id g net with
-          | None -> raise (Unknown_eco_target { kind = "net"; name = net })
-          | Some id ->
-            Timing.set_source ir.timing ~net:id a;
-            dirty_nets := id :: !dirty_nets)
+        | Set_pi (net, _) -> dirty_nets := source net :: !dirty_nets
         | Touch_cell name -> (
           match Graph.cell_id g name with
           | None -> raise (Unknown_eco_target { kind = "cell"; name })
           | Some c -> dirty_cells := c :: !dirty_cells))
+      ecos;
+    List.iter
+      (function
+        | Set_pi (net, a) -> Timing.set_source ir.timing ~net:(source net) a
+        | Touch_cell _ -> ())
       ecos;
     Timing.update ?pool ir.timing ~dirty_nets:!dirty_nets
       ~dirty_cells:!dirty_cells

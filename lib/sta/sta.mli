@@ -53,9 +53,11 @@ exception Mixed_input_edges of { cell : string }
 
 exception Unknown_eco_target of { kind : string; name : string }
 (** Raised by {!update} when an ECO names a net or cell the design does
-    not contain ([kind] is ["net"] or ["cell"]).  The CLI catches this at
-    the boundary and turns it into a diagnostic with exit code 2 rather
-    than a backtrace.  A printer is registered. *)
+    not contain ([kind] is ["net"] or ["cell"]), or re-times a net a cell
+    drives ([kind] is ["primary input"]: the design has no primary input
+    of that name).  The CLI catches this at the boundary and turns it
+    into a diagnostic with exit code 2 rather than a backtrace.  A
+    printer is registered. *)
 
 type report = {
   arrivals : (string * arrival) list;  (** every switching net, topo order *)
@@ -144,12 +146,14 @@ val build_ir :
     non-empty mask whose {!Prune.length} differs from the design's cell
     count raises [Invalid_argument].  In [Proximity] mode those cells
     take a single-input fast path — dominant would-be arrival and
-    single-input slew, no dominance sort, no dual-macromodel queries —
-    which is bit-identical to the full evaluation {e by construction of
-    each source's verdict} (the fold provably reduces to those
-    expressions).  The mask is only consulted in [Proximity] mode, and
-    each source is only valid while
-    every primary-input event stays inside the uncertainty windows (and
+    single-input slew — which is bit-identical to the full evaluation
+    {e by construction of each source's verdict} (the fold provably
+    reduces to those expressions).  It skips one assist-table lookup and
+    the dominance sort, no more: on such a cell the fold makes no
+    dual-macromodel query either.  No [proxim] command builds a mask
+    ([proxim sta] always runs the fold).  The mask is only consulted in
+    [Proximity] mode, and each source is only valid while every
+    primary-input event stays inside the uncertainty windows (and
     logic assumptions) its analysis was run with: re-run the analyses
     (or drop the mask) before applying ECOs that move events outside
     them.  The fast-path hits are counted per state, by claiming source
@@ -189,8 +193,9 @@ val update :
 (** Apply the edits and incrementally re-propagate their fanout cone.
     The returned {!Proxim_timing.Timing.stats} report how many cells were
     actually re-evaluated — the incremental win over {!reanalyze}.
-    Raises {!Unknown_eco_target} on unknown net/cell names, and
-    [Invalid_argument] for [Set_pi] on a cell-driven net. *)
+    Every target is resolved before any edit applies: a batch naming an
+    unknown net or cell, or a [Set_pi] on a cell-driven net, raises
+    {!Unknown_eco_target} and leaves the analysis unchanged. *)
 
 val apply_ecos : (string * arrival) list -> eco list -> (string * arrival) list
 (** The stimulus after a batch — what a fresh analysis must be given to

@@ -290,34 +290,6 @@ val prune_mask : t -> bool array
     degenerates on timing grounds — a logic-refined Never is a false
     path, not a degenerate fold. *)
 
-type eco_pruning = {
-  ep_summary : summary;  (** the single-edge view's classification counts *)
-  ep_quiet : int;  (** window-bearing cells proven quiet *)
-  ep_classified : int;  (** window-bearing cells *)
-  ep_mask : bool array;
-      (** the quiet source for {!Proxim_sta.Prune.make}, by cell id: each
-          window-bearing cell's [f_quiet], [true] for a cell no window
-          reaches (as [Proxim_hazard.Hazard.quiet_mask]) *)
-}
-
-val eco_pruning :
-  models:(Proxim_sta.Design.cell -> Proxim_macromodel.Models.t) ->
-  thresholds:Proxim_vtc.Vtc.thresholds ->
-  Proxim_sta.Design.t ->
-  pi:(string * Proxim_sta.Sta.arrival) list ->
-  ecos:Proxim_sta.Sta.eco list ->
-  eco_pruning option
-(** The mask [proxim sta] prunes with across an ECO batch.  It must stay
-    sound for the analysis of [pi] {e and} for the update to
-    [Proxim_sta.Sta.apply_ecos pi ecos], so one [Proximity] {!flow} runs
-    over interval events hulling each net's event before and after the
-    batch.  [None] (prune nothing) when the batch silences, adds or
-    edge-flips a net.  Raises {!Proxim_sta.Sta.Mixed_input_edges} as
-    {!analyze} does.
-
-    On a single-edge cell the never-proximate and quiet verdicts are one
-    predicate, so the quiet mask alone carries both. *)
-
 type refinement = { refined_pairs : int; refined_cells : int }
 (** How many pair / cell verdicts a {!refine} pass converted to
     {!Never_proximate} — the May-to-Never conversion rate's numerator. *)

@@ -217,7 +217,6 @@ let test_cell_driven_pi_net () =
   check_rejected ~ctx:"cell-driven --pi net"
     [
       ("sta", pi);
-      ("sta", pi ^ " --no-prune");
       ("verify", pi);
       ("hazards", pi);
       ("profile", pi);
@@ -243,7 +242,6 @@ let test_mixed_edges () =
   check_rejected ~ctx:"mixed edges"
     [
       ("sta", mixed);
-      ("sta", mixed ^ " --no-prune");
       ("sta", flip);
       ("verify", mixed);
       ("profile", mixed);
@@ -303,15 +301,18 @@ let golden_cases =
         "sta %s --domains 1 --models synthetic %s --paths 3 --required 900 \
          --eco pi:a:fall:200:10 --eco cell:u2 --verify-eco"
         carry carry_pi );
-    ( "sta_sense",
-      sf "sta %s --domains 1 --models synthetic %s --sense" carry sep_pi );
     ( "sta_classic",
-      sf "sta %s --domains 1 --models synthetic %s --mode classic --no-prune"
-        carry sep_pi );
+      sf "sta %s --domains 1 --models synthetic %s --mode classic" carry
+        sep_pi );
     ( "sta_pi_all",
       sf "sta %s --domains 1 --models synthetic --summary --pi-all fall:300:0"
         carry );
     ("sta_oracle", sf "sta %s --domains 1 %s" carry carry_pi);
+    ( "sta_oracle_eco",
+      sf
+        "sta %s --domains 1 %s --paths 3 --eco pi:a:fall:200:10 --eco cell:u2 \
+         --verify-eco"
+        carry carry_pi );
     ( "verify_text",
       sf "verify %s --domains 1 %s --pi-window 30" verify_demo verify_pi );
     ( "verify_json",
@@ -357,6 +358,9 @@ let golden_cases =
     ( "eco_unknown_net",
       sf "sta %s --domains 1 --models synthetic %s --eco pi:zz:fall:200:0"
         carry carry_pi );
+    ( "eco_driven_net",
+      sf "sta %s --domains 1 --models synthetic %s --eco pi:n1:fall:200:0"
+        carry carry_pi );
     ( "window_unknown_verify",
       sf "verify %s --domains 1 %s --pi-window zz=10" verify_demo verify_pi );
     ( "window_unknown_hazards",
@@ -384,32 +388,6 @@ let golden_case (name, args) =
             In_channel.input_all
         in
         Alcotest.(check string) name expected actual)
-
-(* the per-source breakdown on the pruning line sums to its headline,
-   also when --verify-eco times a second, fresh analysis over the same
-   mask *)
-let test_prune_attribution_sums () =
-  let code, out, _ =
-    run_full
-      (sf
-         "%s sta %s --domains 1 --models synthetic %s --eco pi:a:fall:520:10 \
-          --verify-eco"
-         cli carry sep_pi)
-  in
-  Alcotest.(check int) "exit 0" 0 code;
-  match
-    List.find_opt
-      (String.starts_with ~prefix:"proximity pruning:")
-      (String.split_on_char '\n' out)
-  with
-  | None -> Alcotest.fail "no proximity pruning line"
-  | Some line ->
-    Scanf.sscanf line
-      "proximity pruning: %d cell evaluations took the fast path (%d \
-       unsensitizable, %d quiet, %d never-proximate)"
-      (fun total u q n ->
-        Alcotest.(check bool) "fast path taken" true (total > 0);
-        Alcotest.(check int) line total (u + q + n))
 
 (* cmdliner rejects a duplicate option name only when that subcommand is
    evaluated, so every subcommand's help must render *)
@@ -453,11 +431,6 @@ let () =
           Alcotest.test_case "mixed edges exit 2" `Quick test_mixed_edges;
           Alcotest.test_case "serve --smoke checks before connecting" `Quick
             test_smoke_checks_first;
-        ] );
-      ( "prune",
-        [
-          Alcotest.test_case "attribution sums to the headline" `Quick
-            test_prune_attribution_sums;
         ] );
       ("golden", List.map golden_case golden_cases);
       ( "help",

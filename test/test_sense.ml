@@ -758,9 +758,7 @@ let test_cli_sense () =
       Alcotest.(check int) "verify --sense" 0
         (run "%s verify %s --pi a:rise:300:0 --sense --fail-on error" cli file);
       Alcotest.(check int) "hazards --sense" 0
-        (run "%s hazards %s --pi a:rise:300:0 --sense --fail-on error" cli file);
-      Alcotest.(check int) "sta --sense" 0
-        (run "%s sta %s --pi a:rise:300:0 --models synthetic --sense" cli file))
+        (run "%s hazards %s --pi a:rise:300:0 --sense --fail-on error" cli file))
 
 let test_cli_binary_sniffing () =
   with_demo_files (fun file bin ->

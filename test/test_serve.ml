@@ -68,15 +68,19 @@ let parse_offline text =
 
 (* what the daemon must reproduce, computed through the very same
    engine entry points the server calls *)
+let offline_ir pi =
+  let design, thresholds = parse_offline netlist_text in
+  let factory = Sta.synthetic_factory ~seed:0 () in
+  let ir =
+    Sta.build_ir ~mode:Sta.Proximity ~models:factory.Sta.models ~thresholds
+      design ~pi
+  in
+  ignore (Sta.reanalyze ir);
+  ir
+
 let offline_report =
   lazy
-    (let design, thresholds = parse_offline netlist_text in
-     let factory = Sta.synthetic_factory ~seed:0 () in
-     let ir =
-       Sta.build_ir ~mode:Sta.Proximity ~models:factory.Sta.models
-         ~thresholds design ~pi:pi_events
-     in
-     ignore (Sta.reanalyze ir);
+    (let ir = offline_ir pi_events in
      ignore (Sta.update ir ecos);
      Sta.report ir)
 
@@ -145,30 +149,23 @@ let attach_req =
              pi_events) );
     ]
 
-let eco_req =
+let set_pi_json net a =
   Json.Obj
     [
-      ("op", str "eco");
-      ( "ecos",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("kind", str "set_pi");
-                ("net", str "a");
-                ("arrival", Serve.arrival_to_json eco_arrival);
-              ];
-          ] );
+      ("kind", str "set_pi");
+      ("net", str net);
+      ("arrival", Serve.arrival_to_json a);
     ]
+
+let eco_json ecos = Json.Obj [ ("op", str "eco"); ("ecos", Json.List ecos) ]
+let eco_req = eco_json [ set_pi_json "a" eco_arrival ]
 
 let load_design fd =
   ignore
     (rpc_ok fd
        (Json.Obj [ ("op", str "load_text"); ("text", str netlist_text) ]))
 
-let session_report fd =
-  ignore (rpc_ok fd attach_req);
-  ignore (rpc_ok fd eco_req);
+let served_report fd =
   let resp = rpc_ok fd (Json.Obj [ ("op", str "report") ]) in
   match
     match Json.member "report" resp with
@@ -177,6 +174,11 @@ let session_report fd =
   with
   | Ok r -> r
   | Error m -> Alcotest.failf "report decode: %s" m
+
+let session_report fd =
+  ignore (rpc_ok fd attach_req);
+  ignore (rpc_ok fd eco_req);
+  served_report fd
 
 (* --- tests ------------------------------------------------------------- *)
 
@@ -356,20 +358,7 @@ let test_typed_errors () =
           ignore (rpc_ok fd attach_req);
           (* analysis-layer exceptions surface as typed codes *)
           expect_code fd
-            (Json.Obj
-               [
-                 ("op", str "eco");
-                 ( "ecos",
-                   Json.List
-                     [
-                       Json.Obj
-                         [
-                           ("kind", str "set_pi");
-                           ("net", str "no_such_net");
-                           ("arrival", Serve.arrival_to_json eco_arrival);
-                         ];
-                     ] );
-               ])
+            (eco_json [ set_pi_json "no_such_net" eco_arrival ])
             "unknown_target";
           (* an unknown po is an empty answer, not an error... *)
           let j =
@@ -383,6 +372,31 @@ let test_typed_errors () =
           expect_code fd
             (Json.Obj [ ("op", str "slacks"); ("required", str "soon") ])
             "bad_request"))
+
+(* an eco batch with one bad target is answered with a typed error and
+   leaves the session as it was: a later batch on [c], whose cone misses
+   [a]'s reader, must land on the pre-batch state *)
+let test_rejected_eco () =
+  let c_arrival = { eco_arrival with Sta.time = 9.7e-11 } in
+  with_server (fun addr ->
+      with_conn addr (fun fd ->
+          load_design fd;
+          ignore (rpc_ok fd attach_req);
+          let before = served_report fd in
+          List.iter
+            (fun bad ->
+              expect_code fd
+                (eco_json [ set_pi_json "a" eco_arrival; bad ])
+                "unknown_target";
+              check_report_identical "after a rejected eco" (served_report fd)
+                before)
+            [ set_pi_json "zz" eco_arrival; set_pi_json "n1" eco_arrival ];
+          ignore (rpc_ok fd (eco_json [ set_pi_json "c" c_arrival ]));
+          let pi =
+            Sta.apply_ecos pi_events [ Sta.Set_pi ("c", Some c_arrival) ]
+          in
+          check_report_identical "a later eco vs offline" (served_report fd)
+            (Sta.report (offline_ir pi))))
 
 let test_adversarial_frames () =
   with_server (fun addr ->
@@ -858,6 +872,8 @@ let () =
             test_concurrent_sessions;
           Alcotest.test_case "oracle attach after a same-name reload"
             `Quick test_oracle_reload;
+          Alcotest.test_case "rejected eco changes nothing" `Quick
+            test_rejected_eco;
           Alcotest.test_case "typed per-session errors" `Quick
             test_typed_errors;
           Alcotest.test_case "adversarial frames never kill the server"

@@ -339,27 +339,63 @@ let test_update_rejects_unknown () =
   let { Sta.models; _ } = Sta.synthetic_factory () in
   let ir = Sta.build_ir ~models ~thresholds:th d ~pi:[ ("a", ev 0.) ] in
   ignore (Sta.reanalyze ir);
-  (* unknown targets are the typed CLI-reportable error; a known but
-     cell-driven net stays an Invalid_argument (it's a misuse of the
-     API, not a name typo) *)
+  (* every bad target is the typed CLI-reportable error, a cell-driven
+     net included: the design has no primary input of that name *)
   let rejects_unknown eco =
     try
       ignore (Sta.update ir [ eco ]);
       false
     with Sta.Unknown_eco_target _ -> true
   in
-  let rejects_invalid eco =
-    try
-      ignore (Sta.update ir [ eco ]);
-      false
-    with Invalid_argument _ -> true
-  in
   Alcotest.(check bool) "unknown net" true
     (rejects_unknown (Sta.Set_pi ("ghost", Some (ev 0.))));
   Alcotest.(check bool) "driven net" true
-    (rejects_invalid (Sta.Set_pi ("n1", Some (ev 0.))));
+    (rejects_unknown (Sta.Set_pi ("n1", Some (ev 0.))));
   Alcotest.(check bool) "unknown cell" true
     (rejects_unknown (Sta.Touch_cell "ghost"))
+
+(* A batch with one bad target raises before any edit applies.  Two
+   disjoint cones, so a later batch on [b] never revisits [a]'s reader:
+   an edit to [a] left behind would show as a stale [y1] *)
+let test_rejected_batch_changes_nothing () =
+  let d =
+    Design.create
+      ~cells:[ cell "u1" inv [| "a" |] "y1"; cell "u2" inv [| "b" |] "y2" ]
+      ~primary_inputs:[ "a"; "b" ] ~primary_outputs:[ "y1"; "y2" ]
+  in
+  let th = Lazy.force thresholds in
+  let { Sta.models; _ } = Sta.synthetic_factory () in
+  let analyzed pi =
+    let ir = Sta.build_ir ~models ~thresholds:th d ~pi in
+    ignore (Sta.reanalyze ir);
+    ir
+  in
+  let pi = [ ("a", ev 0.); ("b", ev 30e-12) ] in
+  let ir = analyzed pi in
+  let before = Sta.report ir in
+  let agrees what =
+    Alcotest.(check bool) (what ^ ": the arena agrees with Reference") true
+      (Reference.agrees (Sta.timing ir))
+  in
+  List.iter
+    (fun (what, bad) ->
+      (match Sta.update ir [ Sta.Set_pi ("a", Some (ev 200e-12)); bad ] with
+      | _ -> Alcotest.failf "%s: the batch was accepted" what
+      | exception Sta.Unknown_eco_target _ -> ());
+      Alcotest.(check bool) (what ^ ": the report is the pre-batch one") true
+        (Sta.report_equal before (Sta.report ir));
+      agrees what)
+    [
+      ("unknown net", Sta.Set_pi ("zz", Some (ev 0.)));
+      ("driven net", Sta.Set_pi ("y2", None));
+      ("unknown cell", Sta.Touch_cell "zz");
+    ];
+  let valid = [ Sta.Set_pi ("b", Some (ev 90e-12)) ] in
+  ignore (Sta.update ir valid);
+  Alcotest.(check bool) "a later batch equals a fresh analysis" true
+    (Sta.report_equal (Sta.report ir)
+       (Sta.report (analyzed (Sta.apply_ecos pi valid))));
+  agrees "a later batch"
 
 (* a net the stimulus names twice: the last entry is the event, so an
    edit must replace both, or the fresh analysis --verify-eco compares
@@ -393,9 +429,8 @@ let test_factory_cache_stats () =
 
 (* ------------------------------------------------------------------ *)
 (* Randomized equivalence: the harness's ECO-batch oracle over random
-   layered designs checks, after every batch, update == fresh analysis,
-   the arena against Timing.Reference and, in Proximity mode, the pruned
-   state proxim sta would run against the full one                    *)
+   layered designs checks, after every batch, update == fresh analysis
+   and the arena against Timing.Reference                             *)
 
 let random_design rng = Harness.layered_design rng ~gates:[| nand2; nor2 |]
 
@@ -416,10 +451,7 @@ let test_equivalence mode seed () =
           ~width:(Prng.int rng ~lo:3 ~hi:5))
   in
   Option.iter Alcotest.fail r.Harness.er_divergence;
-  Alcotest.(check int) "batches checked" 300 r.Harness.er_batches;
-  if mode = Sta.Proximity then
-    Alcotest.(check bool) "the pruned checks took the fast path" true
-      (r.Harness.er_fast_path > 0)
+  Alcotest.(check int) "batches checked" 300 r.Harness.er_batches
 
 (* The collapse-to-inverter engines under the same oracle: each
    evaluation is a golden transient, so two small designs of three
@@ -633,6 +665,8 @@ let () =
           Alcotest.test_case "pi-po singleton" `Slow test_pi_po_singleton;
           Alcotest.test_case "update rejects unknown" `Slow
             test_update_rejects_unknown;
+          Alcotest.test_case "rejected batch changes nothing" `Quick
+            test_rejected_batch_changes_nothing;
           Alcotest.test_case "apply_ecos replaces every entry" `Quick
             test_apply_ecos_duplicates;
           Alcotest.test_case "factory cache stats" `Slow
