@@ -1028,9 +1028,11 @@ let run_serve_send addr payloads =
   in
   go payloads
 
-(* smoke client for CI: drive load -> attach -> eco -> report -> paths
-   through a live daemon and print the result with the `proxim sta`
-   printer, so the bytes can be diffed against offline analysis *)
+(* smoke client for CI: drive load -> attach -> report -> eco -> report
+   -> paths through a live daemon and print the last report with the
+   `proxim sta` printer, so the bytes can be diffed against offline
+   analysis.  The first report is discarded: it warms the session's
+   number memo, which writes the printed one. *)
 let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
   let* named_pi = parse_all parse_pi_spec pi_specs in
   let* ecos = parse_all parse_eco_spec eco_specs in
@@ -1078,6 +1080,7 @@ let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
             ~some:(fun a -> [ ("pi_all", Serve.arrival_to_json a) ])
             pi_all)
     in
+    let* _ = req "report" [] in
     let* _ =
       if ecos = [] then Ok Sjson.Null
       else req "eco" [ ("ecos", Sjson.List (List.map Serve.eco_to_json ecos)) ]

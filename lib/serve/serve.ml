@@ -33,6 +33,8 @@ type mx = {
   h_lock_wait : Metrics.Histogram.t;
   h_encode : Metrics.Histogram.t;
   h_write : Metrics.Histogram.t;
+  m_numbers_reused : Metrics.Counter.t;
+  m_numbers_formatted : Metrics.Counter.t;
 }
 
 let mx =
@@ -52,6 +54,9 @@ let mx =
        h_lock_wait = hist "serve.lock_wait_seconds";
        h_encode = hist "serve.encode_seconds";
        h_write = hist "serve.write_seconds";
+       m_numbers_reused = Metrics.Counter.v "serve.report_numbers_reused";
+       m_numbers_formatted =
+         Metrics.Counter.v "serve.report_numbers_formatted";
      })
 
 (* --- typed per-session errors ---------------------------------------- *)
@@ -177,13 +182,21 @@ let report_to_json (r : Sta.report) =
     ]
 
 (* The bytes of [Json.to_string (ok_json [("report", report_to_json r)])],
-   written from the record with no tree in between *)
-let add_report_reply buf (r : Sta.report) =
-  let arrival (a : Sta.arrival) =
+   written from the record with no tree in between.  Arrival [i]'s time
+   and slew take memo slots [2i] and [2i + 1], the critical output's the
+   two after the last arrival's. *)
+let add_report_reply memo buf (r : Sta.report) =
+  let n = List.length r.Sta.arrivals in
+  Json.Memo.reserve memo (2 * (n + 1));
+  let reused = ref 0 and formatted = ref 0 in
+  let number i v =
+    if Json.Memo.add_number memo buf i v then incr reused else incr formatted
+  in
+  let arrival i (a : Sta.arrival) =
     Buffer.add_string buf "{\"time\":";
-    Json.add_number buf a.Sta.time;
+    number (2 * i) a.Sta.time;
     Buffer.add_string buf ",\"slew\":";
-    Json.add_number buf a.Sta.slew;
+    number ((2 * i) + 1) a.Sta.slew;
     Buffer.add_string buf ",\"edge\":";
     Json.add_string buf (edge_to_string a.Sta.edge);
     Buffer.add_char buf '}'
@@ -200,19 +213,22 @@ let add_report_reply buf (r : Sta.report) =
     List.iteri
       (fun i x ->
         if i > 0 then Buffer.add_char buf ',';
-        add x)
+        add i x)
       l;
     Buffer.add_char buf ']'
   in
   Buffer.add_string buf "{\"ok\":true,\"report\":{\"arrivals\":";
-  list (fun (net, a) -> pair net arrival a) r.Sta.arrivals;
+  list (fun i (net, a) -> pair net (arrival i) a) r.Sta.arrivals;
   Buffer.add_string buf ",\"critical_po\":";
   (match r.Sta.critical_po with
    | None -> Buffer.add_string buf "null"
-   | Some (net, a) -> pair net arrival a);
+   | Some (net, a) -> pair net (arrival n) a);
   Buffer.add_string buf ",\"predecessors\":";
-  list (fun (a, b) -> pair a (Json.add_string buf) b) r.Sta.predecessors;
-  Buffer.add_string buf "}}"
+  list (fun _ (a, b) -> pair a (Json.add_string buf) b) r.Sta.predecessors;
+  Buffer.add_string buf "}}";
+  let m = Lazy.force mx in
+  Metrics.Counter.add m.m_numbers_reused !reused;
+  Metrics.Counter.add m.m_numbers_formatted !formatted
 
 (* [f] over every element, or [Error] at the first it rejects *)
 let all_or_error what f l =
@@ -389,6 +405,7 @@ type session = {
   sid : int;
   fd : Unix.file_descr;
   out : Frame.out;  (** every reply of the session is written here *)
+  memo : Json.Memo.t;  (** the texts of the session's last report numbers *)
   mutable att : attached option;
 }
 
@@ -396,9 +413,9 @@ type session = {
    from the record: the largest reply skips the tree altogether. *)
 type reply = Tree of Json.t | Report of Sta.report
 
-let encode buf = function
+let encode memo buf = function
   | Tree j -> Json.add_to buf j
-  | Report r -> add_report_reply buf r
+  | Report r -> add_report_reply memo buf r
 
 type t = {
   listen_fd : Unix.file_descr;
@@ -655,7 +672,7 @@ let session_loop srv sess =
   let m = Lazy.force mx in
   let send reply =
     let buf = Frame.out_buffer sess.out in
-    Metrics.Histogram.time m.h_encode (fun () -> encode buf reply);
+    Metrics.Histogram.time m.h_encode (fun () -> encode sess.memo buf reply);
     Metrics.Histogram.time m.h_write (fun () -> Frame.send sess.out)
   in
   let rec loop () =
@@ -707,7 +724,9 @@ let serve_conn srv fd =
   Atomic.incr active_sessions;
   let sid = Atomic.fetch_and_add sid_counter 1 in
   with_lock srv.conns_m (fun () -> srv.conns <- (sid, fd) :: srv.conns);
-  let sess = { sid; fd; out = Frame.out fd; att = None } in
+  let sess =
+    { sid; fd; out = Frame.out fd; memo = Json.Memo.create (); att = None }
+  in
   Fun.protect
     ~finally:(fun () ->
       with_lock srv.conns_m (fun () ->

@@ -67,6 +67,12 @@
     session's analysis state ({!Proxim_sta.Sta.slacks}) instead of
     building a full report.
 
+    Each session also owns a {!Json.Memo.t} holding the text of its
+    last report's numbers.  An ECO moves only the arrivals in its fanout
+    cone, so the next report copies most of its numbers from the memo
+    instead of formatting them again; the bytes are the same either
+    way.
+
     {2 Metrics}
 
     Counters [serve.sessions], [serve.requests], [serve.errors], the
@@ -78,7 +84,12 @@
     - [serve.lock_wait_seconds] times the wait for the engine mutex, once
       per engine call (attach, eco, swap_models);
     - [serve.encode_seconds] times writing the reply into the session
-      buffer, and [serve.write_seconds] sending it. *)
+      buffer, and [serve.write_seconds] sending it.
+
+    Counters [serve.report_numbers_reused] and
+    [serve.report_numbers_formatted] count the report numbers copied
+    from a session's memo and those formatted afresh, added to once
+    per report frame. *)
 
 module Json = Proxim_util.Json
 (** The codec, under the name clients of this library have always used. *)
@@ -147,11 +158,25 @@ val report_to_json : Proxim_sta.Sta.report -> Json.t
 (** The report as a tree: what a client decodes a [report] reply into,
     and the reference {!add_report_reply} is tested against. *)
 
-val add_report_reply : Buffer.t -> Proxim_sta.Sta.report -> unit
+val add_report_reply :
+  Json.Memo.t -> Buffer.t -> Proxim_sta.Sta.report -> unit
 (** Append the whole [report] reply, the bytes of
     [Json.to_string (Obj [("ok", Bool true); ("report", report_to_json r)])],
-    straight from the record: the same {!Json.add_number} and
-    {!Json.add_string} the tree emitter uses, and no tree. *)
+    straight from the record: the same {!Json.number_text} and
+    {!Json.add_string} the tree emitter uses, and no tree.
+
+    Every number goes through the memo.  Slot [2i] holds the text of the
+    report's [i]-th arrival time and slot [2i + 1] that of its slew; the
+    critical output's two numbers take the two slots after the last
+    arrival's.  A number whose slot holds its bits is copied, any other
+    is formatted and stored, so a memo left by another report (a
+    cleared input shifts every later arrival; a re-attach or another
+    mode changes most of them) costs formats, never a wrong byte, and a
+    fresh {!Json.Memo.create} writes every number afresh.  The memo is
+    sized by the first report through it (~66 bytes an arrival) and
+    grows only for a larger one.  The daemon gives each session one
+    memo, used by the session's thread alone for as long as the session
+    lasts. *)
 
 val report_of_json : Json.t -> (Proxim_sta.Sta.report, string) result
 (** Exact inverse of {!report_to_json}: every float round-trips

@@ -126,13 +126,6 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
         max_dv <= opts.Options.dv_step_target || h_try <= opts.Options.h_min *. 1.01
       | Newton.Diverged _ -> false
     in
-    (if Sys.getenv_opt "PROXIM_TRANDEBUG" <> None then
-       let oc = match outcome with
-         | Newton.Converged k -> Printf.sprintf "conv %d" k
-         | Newton.Diverged m -> "div " ^ m
-       in
-       Printf.eprintf "t=%.5e h=%.3e be=%b dv=%.3e %s\n%!" !t h_try !force_be
-         max_dv oc);
     if step_ok then begin
       (match outcome with
        | Newton.Converged k -> newton_total := !newton_total + k

@@ -260,13 +260,26 @@ let update ?pool ir ecos =
           | None -> raise (Unknown_eco_target { kind = "cell"; name })
           | Some c -> dirty_cells := c :: !dirty_cells))
       ecos;
+    let dirty_nets = !dirty_nets and dirty_cells = !dirty_cells in
+    let before =
+      List.map (fun net -> (net, Timing.arrival ir.timing ~net)) dirty_nets
+    in
     List.iter
       (function
         | Set_pi (net, a) -> Timing.set_source ir.timing ~net:(source net) a
         | Touch_cell _ -> ())
       ecos;
-    Timing.update ?pool ir.timing ~dirty_nets:!dirty_nets
-      ~dirty_cells:!dirty_cells
+    try Timing.update ?pool ir.timing ~dirty_nets ~dirty_cells
+    with e ->
+      (* an engine failure mid-walk (a cell given mixed input edges) has
+         moved the sources and committed part of the cone: put the
+         sources back and walk the same cone again, which re-times every
+         committed cell from its pre-batch inputs *)
+      let bt = Printexc.get_raw_backtrace () in
+      List.iter (fun (net, a) -> Timing.set_source ir.timing ~net a) before;
+      (try ignore (Timing.update ?pool ir.timing ~dirty_nets ~dirty_cells)
+       with _ -> () (* a shut-down pool: nothing more can be done *));
+      Printexc.raise_with_backtrace e bt
   in
   (* ECO updates are the latency-critical entry point: skip even the
      span-argument allocation unless a trace is being recorded *)

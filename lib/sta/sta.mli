@@ -195,7 +195,10 @@ val update :
     actually re-evaluated — the incremental win over {!reanalyze}.
     Every target is resolved before any edit applies: a batch naming an
     unknown net or cell, or a [Set_pi] on a cell-driven net, raises
-    {!Unknown_eco_target} and leaves the analysis unchanged. *)
+    {!Unknown_eco_target} and leaves the analysis unchanged.  A batch
+    the engine fails on (e.g. {!Mixed_input_edges}) is rolled back: the
+    sources are restored and their cone re-timed before the exception
+    propagates, so the analysis is again the pre-batch one. *)
 
 val apply_ecos : (string * arrival) list -> eco list -> (string * arrival) list
 (** The stimulus after a batch — what a fresh analysis must be given to

@@ -13,11 +13,56 @@ type t =
    format at every call. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let add_number buf v =
-  if not (Float.is_finite v) then Buffer.add_string buf "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string buf (format_float "%.0f" v)
-  else Buffer.add_string buf (format_float "%.17g" v)
+let number_text v =
+  if not (Float.is_finite v) then "null"
+  else if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
+  else format_float "%.17g" v
+
+let add_number buf v = Buffer.add_string buf (number_text v)
+
+(* Slot [i] holds [len.[i]] bytes at [i * slot_bytes] of [text], printed
+   from a float with the bits of [bits.(i)]; a length of 0 marks a slot
+   never written. *)
+module Memo = struct
+  type t = {
+    mutable text : Bytes.t;
+    mutable bits : float array;
+    mutable len : Bytes.t;
+  }
+
+  (* the longest [number_text], [-2.2250738585072014e-308] *)
+  let slot_bytes = 24
+
+  let create () = { text = Bytes.empty; bits = [||]; len = Bytes.empty }
+
+  let reserve m n =
+    if Array.length m.bits < n then begin
+      m.text <- Bytes.create (n * slot_bytes);
+      m.bits <- Array.make n 0.;
+      m.len <- Bytes.make n '\000'
+    end
+
+  let same_bits a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let add_number m buf i v =
+    let n = Char.code (Bytes.get m.len i) in
+    if n > 0 && same_bits m.bits.(i) v then begin
+      Buffer.add_subbytes buf m.text (i * slot_bytes) n;
+      true
+    end
+    else begin
+      let s = number_text v in
+      let n = String.length s in
+      if n <= slot_bytes then begin
+        Bytes.blit_string s 0 m.text (i * slot_bytes) n;
+        Bytes.set m.len i (Char.chr n);
+        m.bits.(i) <- v
+      end;
+      Buffer.add_string buf s;
+      false
+    end
+end
 
 let hex_digits = "0123456789abcdef"
 

@@ -37,8 +37,39 @@ type t =
     knows its document's shape (the served report) calls them directly
     and builds no tree.  Output is compact, single-line JSON. *)
 
+val number_text : float -> string
+(** One number's text by the rule above: a pure function of the float's
+    bits, at most 24 bytes long ([-2.2250738585072014e-308]). *)
+
 val add_number : Buffer.t -> float -> unit
-(** Append one number by the rule above. *)
+(** Append {!number_text}. *)
+
+(** The texts of numbers a writer prints again and again, in numbered
+    slots.  The served report re-prints every arrival after each ECO,
+    which moves only those in its fanout cone; through a memo it formats
+    only the numbers that changed.  A slot is keyed on the bits of the
+    float it was printed from, and {!number_text} is a function of the
+    bits alone, so a slot that held another value costs a fresh format,
+    never a wrong byte. *)
+module Memo : sig
+  type t
+  (** Each slot is 24 bytes of text (the longest {!number_text}), the
+      float it was printed from and a length byte: 33 bytes a slot. *)
+
+  val create : unit -> t
+  (** A memo with no slots. *)
+
+  val reserve : t -> int -> unit
+  (** [reserve m n] gives [m] at least [n] slots.  A memo that grows
+      starts over, every slot empty; one that is large enough is left
+      as it is. *)
+
+  val add_number : t -> Buffer.t -> int -> float -> bool
+  (** [add_number m buf i v] appends {!number_text}[ v]: copied from
+      slot [i] when the slot holds [v]'s bits ([true]), otherwise
+      formatted and stored in slot [i] ([false]).  Raises
+      [Invalid_argument] when [i] is not a reserved slot. *)
+end
 
 val add_string : Buffer.t -> string -> unit
 (** Append a quoted string with RFC 8259 escaping: the double quote,

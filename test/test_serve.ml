@@ -15,6 +15,8 @@ module Json = Proxim_util.Json
 module Prng = Proxim_util.Prng
 module Synthgen = Proxim_sta.Synthgen
 module Harness = Proxim_harness.Harness
+module Graph = Proxim_timing.Graph
+module Timing = Proxim_timing.Timing
 
 let tech = Tech.generic_5v
 
@@ -373,9 +375,11 @@ let test_typed_errors () =
             (Json.Obj [ ("op", str "slacks"); ("required", str "soon") ])
             "bad_request"))
 
-(* an eco batch with one bad target is answered with a typed error and
-   leaves the session as it was: a later batch on [c], whose cone misses
-   [a]'s reader, must land on the pre-batch state *)
+(* an eco batch with one bad target, or one that gives a cell mixed
+   input edges, is answered with a typed error and leaves the session as
+   it was.  In the mixed batch [u1] commits [a]'s move before [u2] meets
+   a rising [c] beside a falling [d].  A later batch on [c], whose cone
+   misses [a]'s reader, must land on the pre-batch state. *)
 let test_rejected_eco () =
   let c_arrival = { eco_arrival with Sta.time = 9.7e-11 } in
   with_server (fun addr ->
@@ -384,13 +388,18 @@ let test_rejected_eco () =
           ignore (rpc_ok fd attach_req);
           let before = served_report fd in
           List.iter
-            (fun bad ->
+            (fun (bad, code) ->
               expect_code fd
                 (eco_json [ set_pi_json "a" eco_arrival; bad ])
-                "unknown_target";
+                code;
               check_report_identical "after a rejected eco" (served_report fd)
                 before)
-            [ set_pi_json "zz" eco_arrival; set_pi_json "n1" eco_arrival ];
+            [
+              (set_pi_json "zz" eco_arrival, "unknown_target");
+              (set_pi_json "n1" eco_arrival, "unknown_target");
+              ( set_pi_json "c" { c_arrival with Sta.edge = Measure.Rise },
+                "mixed_edges" );
+            ];
           ignore (rpc_ok fd (eco_json [ set_pi_json "c" c_arrival ]));
           let pi =
             Sta.apply_ecos pi_events [ Sta.Set_pi ("c", Some c_arrival) ]
@@ -552,7 +561,7 @@ let test_golden_frames () =
 
 (* --- the tree-free report writer and the IR slacks ------------------- *)
 
-let synth_report ?(mode = Sta.Proximity) ~seed ~cells ~depth () =
+let synth_ir ?(mode = Sta.Proximity) ~seed ~cells ~depth () =
   let _, design = Synthgen.generate ~seed ~depth ~tech ~cells () in
   let r = Prng.create (Int64.of_int seed) in
   let pi =
@@ -572,16 +581,18 @@ let synth_report ?(mode = Sta.Proximity) ~seed ~cells ~depth () =
       ~thresholds:(Sta.default_thresholds design None) design ~pi
   in
   ignore (Sta.reanalyze ir);
-  Sta.report ir
+  ir
 
-let check_report_writer msg (r : Sta.report) =
-  let want =
-    Json.to_string
-      (Json.Obj [ ("ok", Json.Bool true); ("report", Serve.report_to_json r) ])
-  in
+(* the tree emitter's bytes for a report reply: what every frame the
+   report writer prints must equal *)
+let tree_frame r =
+  Json.to_string
+    (Json.Obj [ ("ok", Json.Bool true); ("report", Serve.report_to_json r) ])
+
+let check_report_writer ?(memo = Json.Memo.create ()) msg (r : Sta.report) =
   let buf = Buffer.create 16 in
-  Serve.add_report_reply buf r;
-  Alcotest.(check string) msg want (Buffer.contents buf)
+  Serve.add_report_reply memo buf r;
+  Alcotest.(check string) msg (tree_frame r) (Buffer.contents buf)
 
 (* net names the writer must escape exactly as the tree emitter does: a
    quote, a backslash, a control character and multi-byte UTF-8 *)
@@ -609,13 +620,15 @@ let test_report_writer_escapes () =
   in
   check_report_writer "escaped names" report;
   let buf = Buffer.create 16 in
-  Serve.add_report_reply buf report;
+  Serve.add_report_reply (Json.Memo.create ()) buf report;
   let reply = Result.get_ok (Json.of_string (Buffer.contents buf)) in
   match Option.map Serve.report_of_json (Json.member "report" reply) with
   | Some (Ok back) -> check_report_identical "escaped names reparse" back report
   | Some (Error m) -> Alcotest.failf "escaped report: %s" m
   | None -> Alcotest.fail "no report field"
 
+(* each report through one memo cold, warm, and after an ECO moved one
+   input *)
 let test_report_writer_synthgen () =
   check_report_writer "empty report"
     { Sta.arrivals = []; critical_po = None; predecessors = [] };
@@ -623,11 +636,105 @@ let test_report_writer_synthgen () =
     (fun (seed, cells, depth) ->
       List.iter
         (fun mode ->
-          check_report_writer
-            (Printf.sprintf "seed %d, %d cells" seed cells)
-            (synth_report ~mode ~seed ~cells ~depth ()))
+          let ir = synth_ir ~mode ~seed ~cells ~depth () in
+          let memo = Json.Memo.create () in
+          let check what =
+            check_report_writer ~memo
+              (Printf.sprintf "seed %d, %d cells, %s" seed cells what)
+              (Sta.report ir)
+          in
+          check "cold";
+          check "warm";
+          let g = Design.graph (Sta.design ir) in
+          let pi = (Graph.primary_inputs g).(0) in
+          let a = Option.get (Timing.arrival (Sta.timing ir) ~net:pi) in
+          ignore
+            (Sta.update ir
+               [
+                 Sta.Set_pi
+                   ( Graph.net_name g pi,
+                     Some { a with Sta.time = a.Sta.time +. 13e-12 } );
+               ]);
+          check "after an eco")
         [ Sta.Proximity; Sta.Classic ])
     [ (1, 12, 3); (2, 300, 4); (3, 300, 4); (4, 1000, 8); (5, 3000, 4) ]
+
+(* A session's raw report frames, each written through the session's
+   memo, against the tree emitter's frame of an offline replay: 20
+   seeded one-input ECO rounds on a 1k-cell design, a cleared input
+   (every later arrival shifts one slot), and a classic re-attach. *)
+let test_served_report_frames () =
+  let seed = 7 and cells = 1000 and depth = 6 in
+  let _, design = Synthgen.generate ~seed ~depth ~tech ~cells () in
+  let pis = Array.of_list (Design.primary_inputs design) in
+  let r = Prng.create 0x4d454d4fL in
+  let arrival () =
+    {
+      Sta.time = Prng.float r ~lo:0. ~hi:200e-12;
+      slew = Prng.float r ~lo:100e-12 ~hi:600e-12;
+      edge = Measure.Fall;
+    }
+  in
+  let common = arrival () in
+  let offline mode =
+    let factory = Sta.synthetic_factory ~seed:0 () in
+    let ir =
+      Sta.build_ir ~mode ~models:factory.Sta.models
+        ~thresholds:(Sta.default_thresholds design None)
+        design
+        ~pi:(Sta.with_pi_all design [] (Some common))
+    in
+    ignore (Sta.reanalyze ir);
+    ir
+  in
+  with_server (fun addr ->
+      with_conn addr (fun fd ->
+          let attach mode =
+            ignore
+              (rpc_ok fd
+                 (Json.Obj
+                    [
+                      ("op", str "attach");
+                      ("design", str "m");
+                      ("mode", str mode);
+                      ("pi_all", Serve.arrival_to_json common);
+                    ]))
+          in
+          let check what ir =
+            Frame.write fd {|{"op":"report"}|};
+            match Frame.read fd with
+            | Ok frame ->
+              Alcotest.(check string) what (tree_frame (Sta.report ir)) frame
+            | Error e ->
+              Alcotest.failf "%s: no report: %s" what
+                (Frame.read_error_to_string e)
+          in
+          let eco ir e =
+            ignore (rpc_ok fd (eco_json [ Serve.eco_to_json e ]));
+            ignore (Sta.update ir [ e ])
+          in
+          ignore
+            (rpc_ok fd
+               (Json.Obj
+                  [
+                    ("op", str "gen");
+                    ("cells", num (float_of_int cells));
+                    ("depth", num (float_of_int depth));
+                    ("seed", num (float_of_int seed));
+                    ("name", str "m");
+                  ]));
+          attach "proximity";
+          let ir = offline Sta.Proximity in
+          check "attach" ir;
+          for round = 1 to 20 do
+            let net = pis.(Prng.int r ~lo:0 ~hi:(Array.length pis - 1)) in
+            eco ir (Sta.Set_pi (net, Some (arrival ())));
+            check (Printf.sprintf "round %d" round) ir
+          done;
+          eco ir (Sta.Set_pi (pis.(0), None));
+          check "a cleared input" ir;
+          attach "classic";
+          check "a classic re-attach" (offline Sta.Classic)))
 
 (* the served slacks, read from the IR, against the offline ranking over
    a full report, along seeded ECO sequences; identical pi arrivals in
@@ -700,7 +807,8 @@ let golden_lines () =
    per input byte: the bytes are read in place, so the tree is the cost *)
 let test_report_frame_alloc () =
   let buf = Buffer.create 65536 in
-  Serve.add_report_reply buf (synth_report ~seed:1 ~cells:3000 ~depth:4 ());
+  Serve.add_report_reply (Json.Memo.create ()) buf
+    (Sta.report (synth_ir ~seed:1 ~cells:3000 ~depth:4 ()));
   let frame = Buffer.contents buf in
   let before = Gc.minor_words () in
   let parsed = Json.of_string frame in
@@ -831,22 +939,32 @@ let test_stage_histograms () =
           load_design fd;
           ignore (rpc_ok fd attach_req);
           (* the snapshot is taken inside [handle], after the request's
-             own decode and before its encode and write *)
-          let counts () =
+             own decode and before its encode and write; a value is -1
+             when the snapshot lacks it *)
+          let snapshot () =
             let j =
               rpc_ok fd
                 (Json.Obj [ ("op", str "metrics"); ("format", str "json") ])
             in
-            let count stage =
+            fun path ->
               List.fold_left
                 (fun acc k -> Option.bind acc (Json.member k))
-                (Some j)
-                [ "metrics"; "histograms"; "serve." ^ stage ^ "_seconds";
-                  "count" ]
+                (Some j) ("metrics" :: path)
               |> Fun.flip Option.bind Json.to_number
               |> Option.fold ~none:(-1) ~some:int_of_float
-            in
-            List.map count [ "decode"; "lock_wait"; "encode"; "write" ]
+          in
+          let counts () =
+            let get = snapshot () in
+            List.map
+              (fun stage ->
+                get [ "histograms"; "serve." ^ stage ^ "_seconds"; "count" ])
+              [ "decode"; "lock_wait"; "encode"; "write" ]
+          in
+          let numbers () =
+            let get = snapshot () in
+            List.map
+              (fun what -> get [ "counters"; "serve.report_numbers_" ^ what ])
+              [ "reused"; "formatted" ]
           in
           let c0 = counts () in
           let c1 = counts () in
@@ -857,7 +975,22 @@ let test_stage_histograms () =
              report in between adds one more to decode, encode and write *)
           let d1 = List.map2 ( - ) c1 c0 and d2 = List.map2 ( - ) c2 c1 in
           Alcotest.(check (list int)) "report's own samples" [ 1; 0; 1; 1 ]
-            (List.map2 ( - ) d2 d1)))
+            (List.map2 ( - ) d2 d1);
+          (* the report after an eco copies the numbers the eco left and
+             formats those it moved *)
+          let n0 = numbers () in
+          ignore (rpc_ok fd eco_req);
+          ignore (rpc_ok fd (Json.Obj [ ("op", str "report") ]));
+          let n1 = numbers () in
+          List.iter
+            (fun n -> if n < 0 then Alcotest.fail "report counter missing")
+            n0;
+          List.iter2
+            (fun what (a, b) ->
+              if b <= a then
+                Alcotest.failf "the report after an eco %s no number" what)
+            [ "reused"; "formatted" ]
+            (List.combine n0 n1)))
 
 let () =
   Alcotest.run "serve"
@@ -883,6 +1016,8 @@ let () =
             test_protocol_shutdown;
           Alcotest.test_case "golden frames" `Quick test_golden_frames;
           Alcotest.test_case "stage histograms" `Quick test_stage_histograms;
+          Alcotest.test_case "report frames across eco rounds" `Quick
+            test_served_report_frames;
         ] );
       ( "codec",
         [

@@ -271,7 +271,8 @@ let test_prng_shuffle_permutes () =
 
 (* The wire contract for numbers: [%.0f] for integers below 1e15, [%.17g]
    for every other finite value (the bytes Printf prints), [null] for the
-   rest, and every printed value reparses to the same bits. *)
+   rest, and every printed value reparses to the same bits.  A memo slot
+   prints the same text cold, warm, and after it held another value. *)
 let test_json_number_wire_format () =
   let rng = Prng.create 0x4a534f4eL in
   let specials =
@@ -294,7 +295,37 @@ let test_json_number_wire_format () =
   let random =
     List.init 100_000 (fun _ -> Int64.float_of_bits (Prng.next_int64 rng))
   in
+  let values = specials @ integers @ random in
   let buf = Buffer.create 32 in
+  (* one slot per value, and one slot every value passes through *)
+  let memo = Json.Memo.create () and shared = Json.Memo.create () in
+  Json.Memo.reserve memo (List.length values);
+  Json.Memo.reserve shared 1;
+  let same_bits a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  let through what m i v ~reused =
+    Buffer.clear buf;
+    let got = Json.Memo.add_number m buf i v in
+    let text = Buffer.contents buf in
+    Buffer.clear buf;
+    Json.add_number buf v;
+    if text <> Buffer.contents buf then
+      Alcotest.failf "%h: %s memo slot %s, add_number %s" v what text
+        (Buffer.contents buf);
+    if got <> reused then
+      Alcotest.failf "%h: %s memo slot reused %b, want %b" v what got reused
+  in
+  ignore
+    (List.fold_left
+       (fun (i, prev) v ->
+         through "cold" memo i v ~reused:false;
+         through "warm" memo i v ~reused:true;
+         through "another value's" shared 0 v
+           ~reused:(Option.fold ~none:false ~some:(same_bits v) prev);
+         (i + 1, Some v))
+       (0, None) values
+      : int * float option);
   List.iter
     (fun v ->
       let text = Json.to_string (Json.Number v) in
@@ -319,7 +350,7 @@ let test_json_number_wire_format () =
           ()
         | _ -> Alcotest.failf "%s does not reparse to %h" text v
       end)
-    (specials @ integers @ random)
+    values
 
 let test_json_strings () =
   List.iter
