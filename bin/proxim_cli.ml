@@ -711,10 +711,12 @@ let run_convert input output fmt =
 (* profile                                                             *)
 
 (* One STA run with every pipeline stage wrapped in a "phase" span:
-   parse -> thresholds -> characterize (the paper's section-3 macromodel
-   build, forced up front so its cost lands in one bucket) -> build_ir ->
-   analyze (the section-4 fold) -> report.  Prints the per-phase
-   time/alloc breakdown from the trace aggregation. *)
+   parse -> thresholds -> characterize (one model-factory call per cell)
+   -> build_ir -> analyze (the section-4 fold) -> report.  Oracle models
+   simulate lazily, on their first query, so the golden transients that
+   stand in for the section-3 macromodels land in analyze, not in
+   characterize.  Prints the per-phase time/alloc breakdown from the
+   trace aggregation. *)
 let run_profile file pi_specs mode models_kind =
   Obs_metrics.install_util_sources ();
   Obs_trace.clear ();

@@ -122,7 +122,7 @@ let equivalent_event variant gate ~switching ~edge
     in
     (tau_eq, twsum /. wsum, critical.Proximity.pin)
 
-let predict ?opts ?load variant gate th ~events =
+let predict ?load variant gate th ~events =
   let edge =
     match events with
     | [] -> invalid_arg "Collapse.predict: no events"
@@ -144,7 +144,7 @@ let predict ?opts ?load variant gate th ~events =
   let shift = Float.max 0. (tau_eq +. 0.2e-9 -. cross_eq) in
   let stim = { stim with Measure.cross_time = cross_eq +. shift } in
   let wave = Measure.ramp_of_stimulus th stim in
-  let run = Measure.simulate ?opts inv ~inputs:[| wave |] in
+  let run = Measure.simulate inv ~inputs:[| wave |] in
   let out = run.Measure.out_wave in
   let out_cross =
     match

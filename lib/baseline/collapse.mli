@@ -63,7 +63,6 @@ val equivalent_widths :
     their sensitizing level. *)
 
 val predict :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   variant ->
   Proxim_gates.Gate.t ->

@@ -22,7 +22,7 @@ let rests_high gate th ~fall_pin ~rise_pin =
   in
   not (Gate.network_conducts gate.Gate.pulldown ~on:level)
 
-let glitch ?opts ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
+let glitch ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
   if fall_pin = rise_pin then invalid_arg "Inertial.glitch: same pin";
   let margin = 0.3e-9 in
   let t_fall =
@@ -38,7 +38,7 @@ let glitch ?opts ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
       else if p = rise_pin then Measure.ramp_of_stimulus th rise_stim
       else Pwl.constant base.(p))
   in
-  let run = Measure.simulate ?opts ?load gate ~inputs in
+  let run = Measure.simulate ?load gate ~inputs in
   let out = run.Measure.out_wave in
   let lo = Pwl.start_time out and hi = Pwl.end_time out in
   if rests_high gate th ~fall_pin ~rise_pin then begin
@@ -50,21 +50,16 @@ let glitch ?opts ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
     { v_extreme; t_extreme; full_swing = v_extreme >= th.Vtc.vih }
   end
 
-let minimum_valid_separation ?opts ?load ?search gate th
-    ~fall_pin ~rise_pin ~tau_fall ~tau_rise =
+let minimum_valid_separation ?load gate th ~fall_pin ~rise_pin ~tau_fall
+    ~tau_rise =
   let high = rests_high gate th ~fall_pin ~rise_pin in
-  let search =
-    match search with
-    | Some s -> s
-    | None -> if high then (-3e-9, 1e-9) else (-1e-9, 3e-9)
-  in
   let f sep =
-    let g = glitch ?opts ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep in
+    let g = glitch ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep in
     (* signed glitch-magnitude shortfall: negative once the extreme has
        passed the measurement threshold (the transition completed) *)
     if high then g.v_extreme -. th.Vtc.vil else th.Vtc.vih -. g.v_extreme
   in
-  let lo, hi = search in
+  let lo, hi = if high then (-3e-9, 1e-9) else (-1e-9, 3e-9) in
   match Rootfind.bisect ~tol:1e-13 ~f lo hi with
   | root -> root
   | exception Rootfind.No_bracket ->

@@ -35,7 +35,6 @@ val rests_high :
     family) means it pokes upward from ground. *)
 
 val glitch :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
@@ -53,9 +52,7 @@ val glitch :
     the maximum, tested against [Vih]. *)
 
 val minimum_valid_separation :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
-  ?search:float * float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
   fall_pin:int ->
@@ -64,9 +61,9 @@ val minimum_valid_separation :
   tau_rise:float ->
   float
 (** The inertial delay: the separation at which the glitch magnitude
-    exactly reaches the measurement threshold, found by bisection over
-    [search].  For a gate resting high the glitch completes at or below
-    the root (the rising input acting first kills the resting level;
-    default search [-3 ns, +1 ns]); for a gate resting low it completes
-    at or above it (default search [-1 ns, +3 ns]).  Raises [Failure]
-    when the glitch never/always completes inside the search window. *)
+    exactly reaches the measurement threshold, found by bisection over a
+    search window.  For a gate resting high the glitch completes at or
+    below the root (the rising input acting first kills the resting
+    level; the window is [-3 ns, +1 ns]); for a gate resting low it
+    completes at or above it (window [-1 ns, +3 ns]).  Raises [Failure]
+    when the glitch never/always completes inside the window. *)

@@ -202,7 +202,8 @@ let evaluate ?correction ?trans_composition (models : Models.t) events =
     used_inputs = s.used;
   }
 
-let calibrate_correction ?opts ?(tau_step = 20e-12) gate th models ~edge =
+let calibrate_correction gate th models ~edge =
+  let tau_step = 20e-12 in
   let fan_in = gate.Gate.fan_in in
   let cross_time = tau_step +. 0.3e-9 in
   let events =
@@ -215,7 +216,7 @@ let calibrate_correction ?opts ?(tau_step = 20e-12) gate th models ~edge =
   in
   let predicted = evaluate models events in
   let golden =
-    Measure.multi_input ?opts gate th ~stimuli ~ref_pin:predicted.ref_pin
+    Measure.multi_input gate th ~stimuli ~ref_pin:predicted.ref_pin
   in
   {
     delay_err = golden.Measure.delay -. predicted.delay;

@@ -57,17 +57,15 @@ type correction = {
 }
 
 val calibrate_correction :
-  ?opts:Proxim_spice.Options.t ->
-  ?tau_step:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
   Proxim_macromodel.Models.t ->
   edge:Proxim_measure.Measure.edge ->
   correction
 (** Measure the worst case the algorithm gets wrong — a near-step
-    transition ([tau_step], default 20 ps) applied to all inputs at the
-    same time — on the golden simulator, run the (uncorrected) algorithm
-    on the same stimulus, and record the signed differences. *)
+    transition (20 ps) applied to all inputs at the same time — on the
+    golden simulator, run the (uncorrected) algorithm on the same
+    stimulus, and record the signed differences. *)
 
 type trans_composition =
   | Additive

@@ -88,7 +88,7 @@ let corner_bounds (lo_a, hi_a) (lo_b, hi_b) f =
   let m = if hi > lo then widen_frac *. (hi -. lo) else 0. in
   (lo -. m, hi +. m)
 
-let inertial_rule ?opts ?load ~thresholds () : rule =
+let inertial_rule ?load ~thresholds () : rule =
   let memo : (string * int * int * float * float, float) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -127,7 +127,7 @@ let inertial_rule ?opts ?load ~thresholds () : rule =
           | None ->
             let v =
               match
-                Inertial.minimum_valid_separation ?opts ?load gate thresholds
+                Inertial.minimum_valid_separation ?load gate thresholds
                   ~fall_pin ~rise_pin ~tau_fall ~tau_rise
               with
               | root -> sigma_of_sep root
@@ -137,7 +137,7 @@ let inertial_rule ?opts ?load ~thresholds () : rule =
                    completion-favorable end decides which *)
                 let probe = if rests_high then -3e-9 else 3e-9 in
                 let g =
-                  Inertial.glitch ?opts ?load gate thresholds ~fall_pin
+                  Inertial.glitch ?load gate thresholds ~fall_pin
                     ~rise_pin ~tau_fall ~tau_rise ~sep:probe
                 in
                 if g.Inertial.full_swing then neg_infinity else infinity

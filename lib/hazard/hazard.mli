@@ -95,7 +95,6 @@ val model_rule : rule
 (** The default, {!Proxim_verify.Verify.model_rule}. *)
 
 val inertial_rule :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   thresholds:Proxim_vtc.Vtc.thresholds ->
   unit ->

@@ -394,7 +394,7 @@ let sarif_level = function
 let sarif_version = "2.1.0"
 let sarif_schema = "https://json.schemastore.org/sarif-2.1.0.json"
 
-let report_sarif ?(tool_version = "1.0.0") diags =
+let report_sarif diags =
   let diags = sort diags in
   let rule_codes =
     List.filter (fun c -> List.exists (fun d -> d.code = c) diags) all_codes
@@ -475,7 +475,7 @@ let report_sarif ?(tool_version = "1.0.0") diags =
                         Json.Obj
                           [
                             ("name", Json.String "proxim");
-                            ("version", Json.String tool_version);
+                            ("version", Json.String "1.0.0");
                             ("rules", Json.List rules);
                           ] );
                     ] );
@@ -484,5 +484,4 @@ let report_sarif ?(tool_version = "1.0.0") diags =
           ] );
     ]
 
-let report_sarif_string ?tool_version diags =
-  Json.to_string (report_sarif ?tool_version diags)
+let report_sarif_string diags = Json.to_string (report_sarif diags)

@@ -153,13 +153,13 @@ val report_json : t list -> Proxim_util.Json.t
 
 val report_json_string : t list -> string
 
-val report_sarif : ?tool_version:string -> t list -> Proxim_util.Json.t
+val report_sarif : t list -> Proxim_util.Json.t
 (** SARIF 2.1.0 report (the format GitHub code scanning ingests): one
     run by the "proxim" driver, a [rules] array holding every distinct
     code present (id, {!code_doc} short description, default level), and
     one [result] per diagnostic ([ruleId]/[ruleIndex]/[level]/[message],
     plus a [physicalLocation] when the diagnostic carries a file;
     contexts are folded into the message text).  Severities map to SARIF
-    levels error/warning/note.  [tool_version] defaults to ["1.0.0"]. *)
+    levels error/warning/note.  The driver's version is ["1.0.0"]. *)
 
-val report_sarif_string : ?tool_version:string -> t list -> string
+val report_sarif_string : t list -> string

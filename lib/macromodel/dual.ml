@@ -4,7 +4,7 @@ module Measure = Proxim_measure.Measure
 module Interp = Proxim_util.Interp
 module Floatx = Proxim_util.Floatx
 
-let oracle ?opts ?load gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
+let oracle ?load gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
   (* place the dominant crossing late enough that both ramps start at
      positive times, whatever the separation sign *)
   let margin = 0.2e-9 in
@@ -17,7 +17,7 @@ let oracle ?opts ?load gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
       (other, { Measure.edge; tau = tau_other; cross_time = t_dom +. sep });
     ]
   in
-  Measure.multi_input ?opts ?load gate th ~stimuli ~ref_pin:dom
+  Measure.multi_input ?load gate th ~stimuli ~ref_pin:dom
 
 type t = {
   dom : int;
@@ -65,7 +65,7 @@ let clamp_to_dominance ~assist ~single_other ~tau_other sep =
     let boundary = d1 -. d_other in
     if assist then Float.max sep boundary else Float.min sep boundary
 
-let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?opts ?pool gate th
+let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?pool gate th
     ~single_dom ~single_other ~other =
   Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"dual.build"
     ~args:
@@ -106,7 +106,7 @@ let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?opts ?pool gate th
     let sep =
       clamp_to_dominance ~assist ~single_other ~tau_other (x3 *. d1) d1
     in
-    let obs = oracle ?opts gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep in
+    let obs = oracle gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep in
     obs.Measure.delay /. d1
   in
   let trans_f lx1 lx2 x3 =
@@ -124,7 +124,7 @@ let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?opts ?pool gate th
     let sep =
       clamp_to_dominance ~assist ~single_other ~tau_other (x3 *. t1) d1
     in
-    let obs = oracle ?opts gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep in
+    let obs = oracle gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep in
     obs.Measure.out_transition /. t1
   in
   (* both grids share one batched pool job, so every domain stays fed

@@ -21,7 +21,6 @@
       dominant; see {!delay}. *)
 
 val oracle :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
@@ -65,7 +64,6 @@ val find :
 val build :
   ?x_tau:float array ->
   ?x_sep:float array ->
-  ?opts:Proxim_spice.Options.t ->
   ?pool:Proxim_util.Pool.t ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->

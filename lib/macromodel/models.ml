@@ -35,7 +35,6 @@ let merge_stats (a : Memo_cache.stats) (b : Memo_cache.stats) =
     waits = a.Memo_cache.waits + b.Memo_cache.waits;
     evictions = a.Memo_cache.evictions + b.Memo_cache.evictions;
     entries = a.Memo_cache.entries + b.Memo_cache.entries;
-    local_hits = a.Memo_cache.local_hits + b.Memo_cache.local_hits;
   }
 
 (* the [assist] field of a model of [gate]: its table, built once *)
@@ -44,7 +43,7 @@ let assist_of gate =
   fun ~edge ~first ~set ->
     table ~output_rising:(edge = Measure.Fall) ~first ~set
 
-let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
+let synthetic ?(seed = 0) ?(work = 0) gate =
   let jitter key =
     (* deterministic per-(gate, seed, key) value in [0, 1) *)
     let h = Hashtbl.hash (gate.Gate.name, seed, key) in
@@ -67,7 +66,7 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
     80e-12
     *. (1. +. (0.09 *. float_of_int pin))
     *. (1. +. (0.12 *. float_of_int e))
-    *. (1. +. (spread *. (jitter (pin, e) -. 0.5)))
+    *. (1. +. (0.1 *. (jitter (pin, e) -. 0.5)))
   in
   (* the per-(pin, edge) base delays, tabulated once: a query reads one
      float instead of hashing a boxed key *)
@@ -128,19 +127,18 @@ let synthetic ?(seed = 0) ?(spread = 0.1) ?(work = 0) gate =
         dual t1 ~weight:0.6 ~dom ~other ~edge ~tau_dom ~tau_other ~sep);
   }
 
-let of_oracle ?opts ?load gate th =
-  let single_cache = Memo_cache.create ~local:true () in
-  let dual_cache = Memo_cache.create ~local:true () in
+let of_oracle ?load gate th =
+  let single_cache = Memo_cache.create () in
+  let dual_cache = Memo_cache.create () in
   let single ~pin ~edge ~tau =
     Memo_cache.find_or_compute single_cache (pin, edge, tau) (fun () ->
-      Measure.single_input ?opts ?load gate th ~pin ~edge ~tau)
+      Measure.single_input ?load gate th ~pin ~edge ~tau)
   in
   let dual ~dom ~other ~edge ~tau_dom ~tau_other ~sep =
     Memo_cache.find_or_compute dual_cache
       (dom, other, edge, tau_dom, tau_other, sep)
       (fun () ->
-        Dual.oracle ?opts ?load gate th ~dom ~other ~edge ~tau_dom ~tau_other
-          ~sep)
+        Dual.oracle ?load gate th ~dom ~other ~edge ~tau_dom ~tau_other ~sep)
   in
   {
     fan_in = gate.Gate.fan_in;
@@ -164,12 +162,12 @@ let of_oracle ?opts ?load gate th =
           .Measure.out_transition);
   }
 
-let of_tables ?opts ?taus ?x_tau ?x_sep ?(share_others = false) ?pool gate th =
-  let singles = Memo_cache.create ~shards:4 ~local:true () in
-  let duals = Memo_cache.create ~shards:4 ~local:true () in
+let of_tables ?taus ?x_tau ?x_sep ?(share_others = false) ?pool gate th =
+  let singles = Memo_cache.create () in
+  let duals = Memo_cache.create () in
   let single ~pin ~edge =
     Memo_cache.find_or_compute singles (pin, edge) (fun () ->
-      Single.build ?taus ?opts ?pool gate th ~pin ~edge)
+      Single.build ?taus ?pool gate th ~pin ~edge)
   in
   let dual ~dom ~other ~edge =
     (* with sharing, one representative other pin per dominant pin *)
@@ -177,8 +175,7 @@ let of_tables ?opts ?taus ?x_tau ?x_sep ?(share_others = false) ?pool gate th =
     Memo_cache.find_or_compute duals (dom, other, edge) (fun () ->
       let single_dom = single ~pin:dom ~edge in
       let single_other = single ~pin:other ~edge in
-      Dual.build ?x_tau ?x_sep ?opts ?pool gate th ~single_dom ~single_other
-        ~other)
+      Dual.build ?x_tau ?x_sep ?pool gate th ~single_dom ~single_other ~other)
   in
   let tau_axis = Option.value taus ~default:Single.default_taus in
   let tau_range =

@@ -75,8 +75,7 @@ val merge_stats :
     [cache_stats] closure here, exported so model factories (and the CLI)
     can aggregate statistics across many models. *)
 
-val synthetic :
-  ?seed:int -> ?spread:float -> ?work:int -> Proxim_gates.Gate.t -> t
+val synthetic : ?seed:int -> ?work:int -> Proxim_gates.Gate.t -> t
 (** Purely analytic models: smooth closed-form single- and dual-input
     responses with the right qualitative shape (positive delays, slew
     dependence, assisting inputs speeding the response up and gating
@@ -87,11 +86,11 @@ val synthetic :
     with none of the simulator's cost.  Not calibrated to any technology;
     never use them for accuracy experiments.
 
-    [seed] perturbs the per-pin base delays (so swapping
+    [seed] perturbs the per-pin base delays by up to ±5 % (so swapping
     [synthetic ~seed:1] for [synthetic ~seed:2] models a
-    re-characterized library), [spread] scales that perturbation, and
-    [work] adds an artificial per-query evaluation cost (a pure float
-    loop) for benchmarks that want model evaluation to dominate.
+    re-characterized library), and [work] adds an artificial per-query
+    evaluation cost (a pure float loop) for benchmarks that want model
+    evaluation to dominate.
 
     Every query evaluates its closed form directly, and [cache_stats] is
     always {!Proxim_util.Memo_cache.zero_stats}.  No cache is needed: a
@@ -102,7 +101,6 @@ val synthetic :
     share no mutable state. *)
 
 val of_oracle :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
@@ -114,7 +112,6 @@ val of_oracle :
     same query run a single transient (the second waits). *)
 
 val of_tables :
-  ?opts:Proxim_spice.Options.t ->
   ?taus:float array ->
   ?x_tau:float array ->
   ?x_sep:float array ->

@@ -36,7 +36,7 @@ let default_taus = Floatx.logspace 20e-12 5e-9 16
    the domains stay fed across the whole sweep instead of draining
    between per-table jobs.  Per-table assembly (sort + pchip fit) is
    unchanged, so the batch is bit-identical to one [build] per spec. *)
-let build_batch ~taus ?opts ~pool gate th specs =
+let build_batch ~taus ~pool gate th specs =
   let vdd = gate.Gate.tech.Tech.vdd in
   let c_build = gate.Gate.load in
   let c_parasitic = Gate.output_parasitic gate in
@@ -46,7 +46,7 @@ let build_batch ~taus ?opts ~pool gate th specs =
     let s = idx / nt in
     let pin, edge = specs.(s) in
     let tau = taus.(idx mod nt) in
-    let obs = Measure.single_input ?opts gate th ~pin ~edge ~tau in
+    let obs = Measure.single_input gate th ~pin ~edge ~tau in
     let u = (c_build +. c_parasitic) /. (ks.(s) *. vdd *. tau) in
     (log u, obs.Measure.delay /. tau, obs.Measure.out_transition /. tau)
   in
@@ -75,7 +75,7 @@ let build_batch ~taus ?opts ~pool gate th specs =
       })
     specs
 
-let build_many ?(taus = default_taus) ?opts ?pool gate th specs =
+let build_many ?(taus = default_taus) ?pool gate th specs =
   Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"single.build_many"
     ~args:
       [
@@ -86,9 +86,9 @@ let build_many ?(taus = default_taus) ?opts ?pool gate th specs =
   let pool =
     match pool with Some p -> p | None -> Proxim_util.Pool.default ()
   in
-  build_batch ~taus ?opts ~pool gate th specs
+  build_batch ~taus ~pool gate th specs
 
-let build ?(taus = default_taus) ?opts ?pool gate th ~pin ~edge =
+let build ?(taus = default_taus) ?pool gate th ~pin ~edge =
   Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"single.build"
     ~args:
       [
@@ -100,7 +100,7 @@ let build ?(taus = default_taus) ?opts ?pool gate th ~pin ~edge =
   let pool =
     match pool with Some p -> p | None -> Proxim_util.Pool.default ()
   in
-  (build_batch ~taus ?opts ~pool gate th [| (pin, edge) |]).(0)
+  (build_batch ~taus ~pool gate th [| (pin, edge) |]).(0)
 
 let argument ?c_load t ~tau =
   let c = Option.value ~default:t.c_build c_load in

@@ -30,7 +30,6 @@ val default_taus : float array
 
 val build :
   ?taus:float array ->
-  ?opts:Proxim_spice.Options.t ->
   ?pool:Proxim_util.Pool.t ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
@@ -45,7 +44,6 @@ val build :
 
 val build_many :
   ?taus:float array ->
-  ?opts:Proxim_spice.Options.t ->
   ?pool:Proxim_util.Pool.t ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->

@@ -11,9 +11,8 @@ type set = {
   duals : Dual.t list;
 }
 
-let characterize ?opts ?taus ?x_tau ?x_sep
-    ?(edges = [ Measure.Rise; Measure.Fall ]) ?(with_duals = true) ?pool gate
-    th =
+let characterize ?taus ?x_tau ?x_sep ?(edges = [ Measure.Rise; Measure.Fall ])
+    ?(with_duals = true) ?pool gate th =
   Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"store.characterize"
     ~args:[ ("gate", gate.Gate.name) ]
   @@ fun () ->
@@ -27,7 +26,7 @@ let characterize ?opts ?taus ?x_tau ?x_sep
      draining between per-table builds *)
   let singles =
     Array.to_list
-      (Single.build_many ?taus ?opts ~pool gate th
+      (Single.build_many ?taus ~pool gate th
          (Array.of_list
             (List.concat_map
                (fun edge -> List.map (fun pin -> (pin, edge)) pins)
@@ -46,7 +45,7 @@ let characterize ?opts ?taus ?x_tau ?x_sep
          order of the archive *)
       List.map
         (fun (dom, other, edge) ->
-          Dual.build ?x_tau ?x_sep ?opts ~pool gate th
+          Dual.build ?x_tau ?x_sep ~pool gate th
             ~single_dom:(find_single dom edge)
             ~single_other:(find_single other edge) ~other)
         (List.concat_map

@@ -20,7 +20,6 @@ type set = {
 }
 
 val characterize :
-  ?opts:Proxim_spice.Options.t ->
   ?taus:float array ->
   ?x_tau:float array ->
   ?x_sep:float array ->

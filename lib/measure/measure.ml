@@ -57,7 +57,7 @@ type run = {
 
 let settle_margin = 3e-9
 
-let simulate ?opts ?load ?t_stop gate ~inputs =
+let simulate ?load ?t_stop gate ~inputs =
   let t_stop =
     match t_stop with
     | Some t -> t
@@ -70,7 +70,7 @@ let simulate ?opts ?load ?t_stop gate ~inputs =
       latest +. settle_margin
   in
   let instance = Gate.instantiate ?load gate ~inputs in
-  let result = Transient.run ?opts instance.Gate.net ~t_stop in
+  let result = Transient.run instance.Gate.net ~t_stop in
   let out_wave = Transient.probe result instance.Gate.out in
   let in_waves =
     Array.map (fun node -> Transient.probe result node) instance.Gate.input_nodes
@@ -110,7 +110,7 @@ let stimuli_waves gate th ~stimuli =
     | Some stim -> ramp_of_stimulus th stim
     | None -> Pwl.constant base.(p))
 
-let multi_input ?opts ?load gate th ~stimuli ~ref_pin =
+let multi_input ?load gate th ~stimuli ~ref_pin =
   let ref_stim =
     match List.assoc_opt ref_pin stimuli with
     | Some s -> s
@@ -122,11 +122,11 @@ let multi_input ?opts ?load gate th ~stimuli ~ref_pin =
      if List.exists (fun (_, s) -> s.edge <> first.edge) rest then
        invalid_arg "Measure.multi_input: mixed edge directions");
   let inputs = stimuli_waves gate th ~stimuli in
-  let run = simulate ?opts ?load gate ~inputs in
+  let run = simulate ?load gate ~inputs in
   observe th ~run ~ref_edge:ref_stim.edge ~ref_cross:ref_stim.cross_time
 
-let single_input ?opts ?load gate th ~pin ~edge ~tau =
+let single_input ?load gate th ~pin ~edge ~tau =
   let cross_time = tau +. 0.2e-9 in
-  multi_input ?opts ?load gate th
+  multi_input ?load gate th
     ~stimuli:[ (pin, { edge; tau; cross_time }) ]
     ~ref_pin:pin

@@ -74,7 +74,6 @@ type run = {
 }
 
 val simulate :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   ?t_stop:float ->
   Proxim_gates.Gate.t ->
@@ -90,7 +89,6 @@ type observation = {
 }
 
 val single_input :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->
@@ -105,7 +103,6 @@ val single_input :
     transition (which indicates a broken setup, not a physical outcome). *)
 
 val multi_input :
-  ?opts:Proxim_spice.Options.t ->
   ?load:float ->
   Proxim_gates.Gate.t ->
   Proxim_vtc.Vtc.thresholds ->

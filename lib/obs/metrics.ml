@@ -434,7 +434,6 @@ let install_util_sources ?(registry = default) () =
   register_counter_source ~registry "cache.misses" M.Global.misses;
   register_counter_source ~registry "cache.waits" M.Global.waits;
   register_counter_source ~registry "cache.evictions" M.Global.evictions;
-  register_counter_source ~registry "cache.local_hits" M.Global.local_hits;
   register_counter_source ~registry "pool.parallel_jobs" P.parallel_jobs;
   register_counter_source ~registry "pool.serial_jobs" P.serial_jobs;
   register_counter_source ~registry "pool.tasks" P.tasks_dispatched;

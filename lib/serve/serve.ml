@@ -763,7 +763,7 @@ let accept_loop srv =
   in
   go ()
 
-let start ?(backlog = 16) (addr : listen) =
+let start (addr : listen) =
   ignore (Lazy.force mx);
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
    | _ -> ()
@@ -797,7 +797,7 @@ let start ?(backlog = 16) (addr : listen) =
       in
       (fd, actual)
   in
-  Unix.listen listen_fd backlog;
+  Unix.listen listen_fd 16;
   let srv =
     {
       listen_fd;

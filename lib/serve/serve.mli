@@ -102,10 +102,11 @@ type listen =
 type t
 (** A running server. *)
 
-val start : ?backlog:int -> listen -> t
-(** Bind, listen and spawn the accept thread.  Raises [Unix_error] if
-    the address cannot be bound.  Installs a [SIGPIPE] ignore handler
-    (a daemon must survive writes to vanished clients). *)
+val start : listen -> t
+(** Bind, listen (with a backlog of 16 pending connections) and spawn
+    the accept thread.  Raises [Unix_error] if the address cannot be
+    bound.  Installs a [SIGPIPE] ignore handler (a daemon must survive
+    writes to vanished clients). *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix-domain sockets) — the way

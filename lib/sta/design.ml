@@ -93,10 +93,10 @@ let driver t ~net =
   | Some id ->
     Option.map (Graph.payload t.graph) (Graph.driver t.graph ~net:id)
 
-let default_wire_cap = 20e-15
+let wire_cap = 20e-15
 let pad_cap = 50e-15
 
-let fanout_load ?(wire_cap = default_wire_cap) t ~net =
+let fanout_load t ~net =
   let pin_caps, pad =
     match Graph.net_id t.graph net with
     | None -> (0., 0.)

@@ -72,11 +72,11 @@ val primary_outputs : t -> string list
 val topological : t -> cell list
 (** Cells in dependency order (drivers before readers). *)
 
-val fanout_load : ?wire_cap:float -> t -> net:string -> float
+val fanout_load : t -> net:string -> float
 (** Capacitive load seen by the driver of [net]: the sum of the input
     capacitances of all cell pins reading it (in {!readers} order), plus
-    [wire_cap] (default 20 fF) for the interconnect, plus 50 fF if the
-    net is a primary output (pad/probe load). *)
+    20 fF for the interconnect, plus 50 fF if the net is a primary output
+    (pad/probe load). *)
 
 val driver : t -> net:string -> cell option
 (** The cell driving [net]; [None] for primary inputs. *)

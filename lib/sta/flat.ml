@@ -35,7 +35,7 @@ let shared_tech design =
       rest;
     tech
 
-let flatten ?wire_cap design ~pi_waves =
+let flatten design ~pi_waves =
   let tech = shared_tech design in
   List.iter
     (fun net ->
@@ -66,7 +66,7 @@ let flatten ?wire_cap design ~pi_waves =
           0.
           (Design.readers design ~net:net_name)
       in
-      let wire = Design.fanout_load ?wire_cap design ~net:net_name -. pin_caps in
+      let wire = Design.fanout_load design ~net:net_name -. pin_caps in
       let total = pin_caps +. wire in
       if total > 0. then
         Netlist.add_capacitor b
@@ -84,7 +84,7 @@ let flatten ?wire_cap design ~pi_waves =
     (Design.primary_inputs design);
   { design; net = Netlist.freeze b; node_of_net; vdd_node }
 
-let simulate ?opts t ~t_stop = Transient.run ?opts t.net ~t_stop
+let simulate t ~t_stop = Transient.run t.net ~t_stop
 
 let probe t result ~net =
   match List.assoc_opt net t.node_of_net with

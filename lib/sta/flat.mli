@@ -24,19 +24,12 @@ type t = {
 }
 
 val flatten :
-  ?wire_cap:float ->
-  Design.t ->
-  pi_waves:(string * Proxim_waveform.Pwl.t) list ->
-  t
+  Design.t -> pi_waves:(string * Proxim_waveform.Pwl.t) list -> t
 (** Build the flat netlist.  Every primary input must be given a waveform;
     raises [Invalid_argument] otherwise.  All cells must share one
     technology card (checked). *)
 
-val simulate :
-  ?opts:Proxim_spice.Options.t ->
-  t ->
-  t_stop:float ->
-  Proxim_spice.Transient.result
+val simulate : t -> t_stop:float -> Proxim_spice.Transient.result
 
 val probe :
   t -> Proxim_spice.Transient.result -> net:string -> Proxim_waveform.Pwl.t

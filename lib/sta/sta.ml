@@ -152,7 +152,7 @@ let hit_slot = function
   | Prune.Quiet -> 1
   | Prune.Never_proximate -> 2
 
-let make_engine ~prune ~hits ~mode ~models ~thresholds ~design :
+let make_engine ~prune ~hits ~mode ~cell_models ~thresholds ~design :
     Design.cell Timing.engine =
   let slew_scale = Proxim_vtc.Vtc.slew_scale thresholds in
   fun cur ->
@@ -165,26 +165,33 @@ let make_engine ~prune ~hits ~mode ~models ~thresholds ~design :
       let edge = cur.Timing.edge in
       match mode with
       | Classic ->
-        single_input ~latest:true (!models cell) cur ~edge ~slew_scale
+        single_input ~latest:true cell_models.(id) cur ~edge ~slew_scale
       | Proximity -> (
         match Prune.source prune id with
         | Some src ->
           Atomic.incr hits.(hit_slot src);
           Metrics.Counter.incr c_pruned;
-          single_input ~latest:false (!models cell) cur ~edge ~slew_scale
-        | None -> proximity (!models cell) fold cur ~edge ~slew_scale)
+          single_input ~latest:false cell_models.(id) cur ~edge ~slew_scale
+        | None -> proximity cell_models.(id) fold cur ~edge ~slew_scale)
       | Collapsed variant ->
         collapsed variant ~design ~thresholds ~slew_scale cell cur ~edge
 
 (* ---- the analysis state ---- *)
 
+(* [cell_models.(id)] is what [factory] answered for cell [id], asked on
+   the calling domain: the sweep reads the array and never calls the
+   factory *)
 type ir = {
   design : Design.t;
   timing : Design.cell Timing.t;
   ir_mode : mode;
-  models : (Design.cell -> Models.t) ref;
+  mutable factory : Design.cell -> Models.t;
+  cell_models : Models.t array;
   hits : int Atomic.t array;
 }
+
+let resolve ir id =
+  ir.cell_models.(id) <- ir.factory (Graph.payload (Design.graph ir.design) id)
 
 let set_pi ir (net, a) =
   match Graph.net_id (Design.graph ir.design) net with
@@ -193,22 +200,26 @@ let set_pi ir (net, a) =
 
 let build_ir ?(mode = Proximity) ?(prune = Prune.none) ~models ~thresholds
     design ~pi =
-  let cells = Graph.cell_count (Design.graph design) in
+  let g = Design.graph design in
+  let cells = Graph.cell_count g in
   let masked = Prune.length prune in
   (* an id-indexed mask from another design would prune the wrong cells *)
   if masked <> 0 && masked <> cells then
     invalid_arg
       (Printf.sprintf "Sta.build_ir: prune mask covers %d cells, design has %d"
          masked cells);
-  let models = ref models in
+  let cell_models = Array.init cells (fun id -> models (Graph.payload g id)) in
   let hits = Array.init 3 (fun _ -> Atomic.make 0) in
-  let engine = make_engine ~prune ~hits ~mode ~models ~thresholds ~design in
+  let engine =
+    make_engine ~prune ~hits ~mode ~cell_models ~thresholds ~design
+  in
   let ir =
     {
       design;
-      timing = Timing.create (Design.graph design) ~engine;
+      timing = Timing.create g ~engine;
       ir_mode = mode;
-      models;
+      factory = models;
+      cell_models;
       hits;
     }
   in
@@ -264,6 +275,7 @@ let update ?pool ir ecos =
     let before =
       List.map (fun net -> (net, Timing.arrival ir.timing ~net)) dirty_nets
     in
+    List.iter (resolve ir) dirty_cells;
     List.iter
       (function
         | Set_pi (net, a) -> Timing.set_source ir.timing ~net:(source net) a
@@ -301,9 +313,10 @@ let apply_ecos pi ecos =
     pi ecos
 
 let swap_models ?pool ir models =
-  ir.models := models;
-  Timing.update ?pool ir.timing ~dirty_nets:[]
-    ~dirty_cells:(List.init (Graph.cell_count (Design.graph ir.design)) Fun.id)
+  ir.factory <- models;
+  let cells = List.init (Array.length ir.cell_models) Fun.id in
+  List.iter (resolve ir) cells;
+  Timing.update ?pool ir.timing ~dirty_nets:[] ~dirty_cells:cells
 
 (* ---- reports ---- *)
 
@@ -333,9 +346,9 @@ let per_output ir f =
 let derived_arrivals ir =
   per_output ir (fun net -> Timing.arrival ir.timing ~net)
 
-let report_with ir ~heads =
+let report ir =
   let g = Design.graph ir.design in
-  let arrivals = heads @ derived_arrivals ir in
+  let arrivals = source_arrivals ir @ derived_arrivals ir in
   let critical_po =
     List.fold_left
       (fun best net ->
@@ -359,14 +372,10 @@ let report_with ir ~heads =
   in
   { arrivals; critical_po; predecessors }
 
-let report ir = report_with ir ~heads:(source_arrivals ir)
-
-let analyze ?(mode = Proximity) ?prune ?pool ~models ~thresholds design ~pi =
-  let ir = build_ir ~mode ?prune ~models ~thresholds design ~pi in
+let analyze ?mode ?pool ~models ~thresholds design ~pi =
+  let ir = build_ir ?mode ~models ~thresholds design ~pi in
   ignore (reanalyze ?pool ir : Timing.stats);
-  (* arrivals lead with the caller's pi list verbatim, like the historical
-     hashtable-based analyzer did *)
-  report_with ir ~heads:pi
+  report ir
 
 let critical_path report ~po =
   if not (List.mem_assoc po report.arrivals) then []
@@ -466,23 +475,19 @@ let factory_of ~cache ~key_of ~build =
 (* bucket the load at 1 fF so structurally identical cells share models *)
 let load_bucket load = int_of_float ((load *. 1e15) +. 0.5)
 
-let oracle_factory ?opts ?wire_cap design th =
-  let cache = Memo_cache.create ~shards:4 ~local:true () in
+let oracle_factory design th =
+  let cache = Memo_cache.create () in
   factory_of ~cache
     ~key_of:(fun (cell : Design.cell) ->
-      let load =
-        Design.fanout_load ?wire_cap design ~net:cell.Design.output_net
-      in
+      let load = Design.fanout_load design ~net:cell.Design.output_net in
       (cell.Design.gate.Gate.name, load_bucket load))
     ~build:(fun (cell : Design.cell) ->
-      let load =
-        Design.fanout_load ?wire_cap design ~net:cell.Design.output_net
-      in
-      Models.of_oracle ?opts ~load cell.Design.gate th)
+      let load = Design.fanout_load design ~net:cell.Design.output_net in
+      Models.of_oracle ~load cell.Design.gate th)
 
-let synthetic_factory ?seed ?spread ?work () =
-  let cache = Memo_cache.create ~shards:4 ~local:true () in
+let synthetic_factory ?seed ?work () =
+  let cache = Memo_cache.create () in
   factory_of ~cache
     ~key_of:(fun (cell : Design.cell) -> cell.Design.gate.Gate.name)
     ~build:(fun (cell : Design.cell) ->
-      Models.synthetic ?seed ?spread ?work cell.Design.gate)
+      Models.synthetic ?seed ?work cell.Design.gate)

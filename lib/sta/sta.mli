@@ -93,7 +93,6 @@ val po_slacks :
 
 val analyze :
   ?mode:mode ->
-  ?prune:Prune.t ->
   ?pool:Proxim_util.Pool.t ->
   models:(Design.cell -> Proxim_macromodel.Models.t) ->
   thresholds:Proxim_vtc.Vtc.thresholds ->
@@ -106,21 +105,22 @@ val analyze :
     cell arrive with inconsistent edges (a single-vector analysis cannot
     order a glitch).
 
-    A thin wrapper: builds a fresh {!ir} and runs {!reanalyze}.  Cells on
-    the same topological level are timed concurrently on [pool] (default:
-    {!Proxim_util.Pool.default}); the report is bit-identical to a serial
-    analysis whatever the pool width.  [models] must then be safe to call
-    from several domains at once — the factories below are; a hand-rolled
-    factory memoizing through a plain [Hashtbl] is not. *)
+    A thin wrapper: {!build_ir}, {!reanalyze}, then {!report} of that
+    state — so a net [pi] names twice carries its last event, and a net
+    the design lacks is ignored.  Cells on the same topological level are
+    timed concurrently on [pool] (default: {!Proxim_util.Pool.default});
+    the report is bit-identical to a serial analysis whatever the pool
+    width. *)
 
 (** {1 Incremental (ECO) analysis}
 
-    {!build_ir} captures the design, mode and model factory into a
-    reusable analysis state; {!update} re-propagates only the fanout cone
-    of an edit, with an early cutoff at cells whose recomputed verdict is
-    bit-equal to the stored one.  Because the engines are pure functions
-    of the input annotations, an updated state is bit-identical to a
-    fresh {!reanalyze} of the same configuration (property-tested). *)
+    {!build_ir} captures the design, mode, model factory and each cell's
+    models into a reusable analysis state; {!update} re-propagates only
+    the fanout cone of an edit, with an early cutoff at cells whose
+    recomputed verdict is bit-equal to the stored one.  Because the
+    engines are pure functions of the input annotations, an updated state
+    is bit-identical to a fresh {!reanalyze} of the same configuration
+    (property-tested). *)
 
 type ir
 (** An analysis state: the design's timing graph annotated with arrivals
@@ -135,8 +135,16 @@ val build_ir :
   pi:(string * arrival) list ->
   ir
 (** Create an un-propagated state with the given primary-input events
-    applied ([pi] nets unknown to the design are ignored, like the
-    historical analyzer did).  Call {!reanalyze} to populate it.
+    applied ([pi] nets unknown to the design are ignored, and a net named
+    twice keeps its last event).  Call {!reanalyze} to populate it.
+
+    [models] is called once per cell, here, on the calling domain; the
+    state keeps each cell's answer, and the sweep reads those instead of
+    calling [models] again.  The returned {!Proxim_macromodel.Models.t}
+    values are queried from every domain of the pool, so they must be
+    safe to share — every model kind here is ({!Proxim_macromodel.Models}
+    memoizes through {!Proxim_util.Memo_cache}); a hand-rolled model
+    memoizing through a plain [Hashtbl] is not.
 
     [prune] (default: {!Prune.none}) fuses the masks the static analyses
     produced — never-proximate cells from [Proxim_verify.prune_mask],
@@ -176,17 +184,19 @@ val pruned_evaluations : ir -> int
 (** [Prune.total (pruned_counts ir)]. *)
 
 val reanalyze : ?pool:Proxim_util.Pool.t -> ir -> Proxim_timing.Timing.stats
-(** Full from-scratch propagation of the current sources and models. *)
+(** Full from-scratch propagation of the current sources and the models
+    the state holds. *)
 
 type eco =
   | Set_pi of string * arrival option
       (** change (or clear) a primary input's event *)
   | Touch_cell of string
-      (** mark one cell re-characterized: its verdict is recomputed by
-          querying [models] afresh, and the change propagates through its
-          fanout cone.  Pair with a model factory whose answer for the
-          cell actually changed (e.g. {!swap_models}, or a closure over
-          mutable characterization data). *)
+      (** mark one cell re-characterized: {!update} asks the model
+          factory for the cell's models afresh, recomputes its verdict
+          with them, and propagates the change through its fanout cone.
+          Pair with a factory whose answer for the cell actually changed
+          (e.g. {!swap_models}, or a closure over mutable
+          characterization data). *)
 
 val update :
   ?pool:Proxim_util.Pool.t -> ir -> eco list -> Proxim_timing.Timing.stats
@@ -211,10 +221,11 @@ val swap_models :
   ir ->
   (Design.cell -> Proxim_macromodel.Models.t) ->
   Proxim_timing.Timing.stats
-(** Replace the model factory wholesale (a re-characterized library) and
-    re-propagate with every cell dirty.  Structurally a full pass, but
-    the bit-equality cutoff still prunes the fanout of cells whose new
-    models answer identically. *)
+(** Replace the model factory wholesale (a re-characterized library):
+    call it once per cell, as {!build_ir} does, and re-propagate with
+    every cell dirty.  Structurally a full pass, but the bit-equality
+    cutoff still prunes the fanout of cells whose new models answer
+    identically. *)
 
 val report : ir -> report
 (** The classic report view of the current annotations.  [arrivals] lead
@@ -270,18 +281,12 @@ type factory = {
           report *)
 }
 
-val oracle_factory :
-  ?opts:Proxim_spice.Options.t ->
-  ?wire_cap:float ->
-  Design.t ->
-  Proxim_vtc.Vtc.thresholds ->
-  factory
+val oracle_factory : Design.t -> Proxim_vtc.Vtc.thresholds -> factory
 (** A [models] function backed by the golden simulator: each cell gets
     oracle models built at its actual fanout load (memoized domain-safely
     per gate type and 1 fF load bucket). *)
 
-val synthetic_factory :
-  ?seed:int -> ?spread:float -> ?work:int -> unit -> factory
+val synthetic_factory : ?seed:int -> ?work:int -> unit -> factory
 (** A [models] function over {!Proxim_macromodel.Models.synthetic}
     analytic models, one per gate type (synthetic models carry no load
     dependence).  No simulator behind it: this is the factory the

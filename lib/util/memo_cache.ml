@@ -12,15 +12,7 @@ type ('k, 'v) shard = {
   mutable evictions : int;
 }
 
-type ('k, 'v) t = {
-  shards : ('k, 'v) shard array;
-  (* the warm path: an unsynchronized per-domain read-through replica of
-     completed entries.  A local hit touches no mutex and no shared
-     cache line, so repeated queries from a hot parallel loop stop
-     contending on the shards. *)
-  local : ('k, 'v) Hashtbl.t Domain.DLS.key option;
-  local_hits : Dcounter.t;
-}
+type ('k, 'v) t = ('k, 'v) shard array
 
 (* Process-wide mirrors across every cache, for the observability
    registry (individual caches are not enumerable from outside). *)
@@ -29,45 +21,33 @@ module Global = struct
   let g_misses = Dcounter.make ()
   let g_waits = Dcounter.make ()
   let g_evictions = Dcounter.make ()
-  let g_local_hits = Dcounter.make ()
   let hits () = Dcounter.value g_hits
   let misses () = Dcounter.value g_misses
   let waits () = Dcounter.value g_waits
   let evictions () = Dcounter.value g_evictions
-  let local_hits () = Dcounter.value g_local_hits
 
   let reset () =
     Dcounter.reset g_hits;
     Dcounter.reset g_misses;
     Dcounter.reset g_waits;
-    Dcounter.reset g_evictions;
-    Dcounter.reset g_local_hits
+    Dcounter.reset g_evictions
 end
 
-let create ?(shards = 16) ?(local = false) () =
-  let shards = max 1 shards in
-  {
-    shards =
-      Array.init shards (fun _ ->
-        {
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          tbl = Hashtbl.create 32;
-          hits = 0;
-          misses = 0;
-          waits = 0;
-          evictions = 0;
-        });
-    local =
-      (if local then Some (Domain.DLS.new_key (fun () -> Hashtbl.create 32))
-       else None);
-    local_hits = Dcounter.make ();
-  }
+let create () =
+  Array.init 16 (fun _ ->
+    {
+      mutex = Mutex.create ();
+      cond = Condition.create ();
+      tbl = Hashtbl.create 32;
+      hits = 0;
+      misses = 0;
+      waits = 0;
+      evictions = 0;
+    })
 
-let shard_of t key =
-  t.shards.(Hashtbl.hash key mod Array.length t.shards)
+let shard_of t key = t.(Hashtbl.hash key mod Array.length t)
 
-let find_or_compute_shared t key f =
+let find_or_compute t key f =
   let shard = shard_of t key in
   Mutex.lock shard.mutex;
   let rec acquire ~waited =
@@ -112,23 +92,6 @@ let find_or_compute_shared t key f =
   in
   acquire ~waited:false
 
-let find_or_compute t key f =
-  match t.local with
-  | None -> find_or_compute_shared t key f
-  | Some dls ->
-    let l1 = Domain.DLS.get dls in
-    (match Hashtbl.find_opt l1 key with
-     | Some v ->
-       Dcounter.incr t.local_hits;
-       Dcounter.incr Global.g_local_hits;
-       v
-     | None ->
-       (* only completed values reach the replica, so a failed
-          computation stays uncached in both tiers *)
-       let v = find_or_compute_shared t key f in
-       Hashtbl.replace l1 key v;
-       v)
-
 let mem t key =
   let shard = shard_of t key in
   Mutex.lock shard.mutex;
@@ -146,11 +109,9 @@ type stats = {
   waits : int;
   evictions : int;
   entries : int;
-  local_hits : int;
 }
 
-let zero_stats =
-  { hits = 0; misses = 0; waits = 0; evictions = 0; entries = 0; local_hits = 0 }
+let zero_stats = { hits = 0; misses = 0; waits = 0; evictions = 0; entries = 0 }
 
 let stats (t : _ t) =
   Array.fold_left
@@ -169,13 +130,11 @@ let stats (t : _ t) =
           waits = acc.waits + shard.waits;
           evictions = acc.evictions + shard.evictions;
           entries = acc.entries + entries;
-          local_hits = acc.local_hits;
         }
       in
       Mutex.unlock shard.mutex;
       acc)
-    { zero_stats with local_hits = Dcounter.value t.local_hits }
-    t.shards
+    zero_stats t
 
 let length t = (stats t).entries
 
@@ -188,5 +147,4 @@ let reset_stats (t : _ t) =
       shard.waits <- 0;
       shard.evictions <- 0;
       Mutex.unlock shard.mutex)
-    t.shards;
-  Dcounter.reset t.local_hits
+    t

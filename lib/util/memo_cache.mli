@@ -1,11 +1,18 @@
 (** A domain-safe sharded memoization cache.
 
-    Keys are spread over [N] independent {!Hashtbl} shards, each guarded
+    Keys are spread over 16 independent {!Hashtbl} shards, each guarded
     by its own mutex, so concurrent lookups from a {!Pool} job mostly
     touch different locks.  A computation in flight is visible to other
     domains as a [Pending] entry: a second request for the same key
     blocks on the shard's condition variable instead of duplicating the
     work — exactly one transient analysis ever runs per distinct query.
+
+    Every lookup, warm or cold, takes its shard's mutex, and the cache
+    holds nothing per domain: its memory is freed with it.  A hot loop
+    that asks for the same few keys on every iteration from several
+    domains queues on those keys' shards; resolve such values once
+    before the loop instead ([Sta.build_ir] resolves each cell's models
+    once per analysis).
 
     If the computing domain raises, the pending entry is removed (counted
     as an eviction), all waiters retry (and typically re-raise from their
@@ -16,21 +23,10 @@
 
 type ('k, 'v) t
 
-val create : ?shards:int -> ?local:bool -> unit -> ('k, 'v) t
-(** [create ()] makes an empty cache with [shards] shards (default 16;
-    clamped to at least 1).  Keys use polymorphic [Hashtbl.hash] and
-    structural equality, like the plain [Hashtbl] memoization this
-    replaces.
-
-    [~local:true] adds a warm path: each domain keeps an unsynchronized
-    read-through replica of the completed entries it has seen, so
-    repeated queries from a hot parallel loop are answered without
-    touching a mutex or a shared cache line.  The replica only ever
-    holds values that the shared tier completed — failed computations
-    are cached in neither tier — so it cannot diverge.  Use it for
-    caches whose values are immutable and re-queried many times per
-    domain (model factories during characterization); skip it for
-    caches queried about once per key. *)
+val create : unit -> ('k, 'v) t
+(** [create ()] makes an empty cache with 16 shards.  Keys use
+    polymorphic [Hashtbl.hash] and structural equality, like the plain
+    [Hashtbl] memoization this replaces. *)
 
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [find_or_compute cache key f] returns the cached value for [key],
@@ -54,16 +50,11 @@ type stats = {
   evictions : int;  (** entries removed because their computation
                         raised *)
   entries : int;  (** completed entries currently stored *)
-  local_hits : int;  (** queries answered from the caller's domain-local
-                         replica ([~local:true] caches only); counted on
-                         a contention-free {!Dcounter}, so this field is
-                         approximate while domains are actively querying *)
 }
 (** The shard counters are updated under the owning shard's lock, so a
     sample is internally consistent: [hits + misses + waits] is exactly
-    the number of completed shared-tier {!find_or_compute} calls at the
-    sampling instant.  [local_hits] come on top: a warm-path answer
-    touches no shard and appears in no other counter. *)
+    the number of completed {!find_or_compute} calls at the sampling
+    instant. *)
 
 val stats : ('k, 'v) t -> stats
 
@@ -72,8 +63,7 @@ val zero_stats : stats
     keeps no cache at all. *)
 
 val reset_stats : ('k, 'v) t -> unit
-(** Zero the counters, including [local_hits] ([entries] is
-    unaffected). *)
+(** Zero the counters ([entries] is unaffected). *)
 
 (** Process-wide totals across every cache in the process, mirrored on
     contention-free per-domain counters ({!Dcounter}).  The observability
@@ -83,6 +73,5 @@ module Global : sig
   val misses : unit -> int
   val waits : unit -> int
   val evictions : unit -> int
-  val local_hits : unit -> int
   val reset : unit -> unit
 end

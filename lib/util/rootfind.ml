@@ -2,7 +2,7 @@ exception No_bracket
 
 let default_tol a b = Float.max 1e-18 (1e-13 *. Float.abs (b -. a))
 
-let bisect ?tol ?(max_iter = 200) ~f a b =
+let bisect ?tol ~f a b =
   let fa = f a and fb = f b in
   if fa = 0. then a
   else if fb = 0. then b
@@ -11,7 +11,7 @@ let bisect ?tol ?(max_iter = 200) ~f a b =
     let tol = match tol with Some t -> t | None -> default_tol a b in
     let rec loop a fa b i =
       let m = 0.5 *. (a +. b) in
-      if Float.abs (b -. a) <= tol || i >= max_iter then m
+      if Float.abs (b -. a) <= tol || i >= 200 then m
       else
         let fm = f m in
         if fm = 0. then m
@@ -22,7 +22,7 @@ let bisect ?tol ?(max_iter = 200) ~f a b =
   end
 
 (* Brent's method, following the classic Numerical Recipes formulation. *)
-let brent ?tol ?(max_iter = 100) ~f a b =
+let brent ?tol ~f a b =
   let fa = f a and fb = f b in
   if fa = 0. then a
   else if fb = 0. then b
@@ -34,7 +34,7 @@ let brent ?tol ?(max_iter = 100) ~f a b =
     let d = ref (!b -. !a) and e = ref (!b -. !a) in
     let result = ref nan in
     (try
-       for _ = 1 to max_iter do
+       for _ = 1 to 100 do
          if (!fb > 0. && !fc > 0.) || (!fb < 0. && !fc < 0.) then begin
            c := !a;
            fc := !fa;

@@ -7,19 +7,19 @@
 exception No_bracket
 (** Raised when the supplied interval does not bracket a sign change. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
+val bisect : ?tol:float -> f:(float -> float) -> float -> float -> float
 (** [bisect ~f a b] finds [x] in [\[a, b\]] with [f x = 0] by bisection.
     Requires [f a] and [f b] to have opposite signs (zero endpoints are
     returned immediately); raises {!No_bracket} otherwise.  [tol] is the
     absolute interval width at which iteration stops (default [1e-15] of
-    the initial width, floored at machine epsilon scale). *)
+    the initial width, floored at machine epsilon scale); at most 200
+    halvings run. *)
 
-val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
+val brent : ?tol:float -> f:(float -> float) -> float -> float -> float
 (** [brent ~f a b] is Brent's method (inverse quadratic interpolation with
     bisection fallback) on the bracket [\[a, b\]].  Same contract as
-    {!bisect}, converges much faster on smooth functions. *)
+    {!bisect}, converges much faster on smooth functions; at most 100
+    iterations run. *)
 
 val find_bracket :
   f:(float -> float) -> lo:float -> hi:float -> n:int -> (float * float) option

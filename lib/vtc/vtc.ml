@@ -59,7 +59,7 @@ let switching_threshold ~vin ~vout =
   in
   find 0
 
-let curve ?(points = 401) ?opts gate ~subset =
+let curve ?(points = 401) gate ~subset =
   let fan_in = gate.Gate.fan_in in
   let subset = List.sort_uniq compare subset in
   if subset = [] then invalid_arg "Vtc.curve: empty subset";
@@ -90,7 +90,7 @@ let curve ?(points = 401) ?opts gate ~subset =
       (List.init fan_in (fun i -> i))
   in
   let vin = Floatx.linspace 0. vdd points in
-  let sols = Dc.sweep_many ?opts ~overrides inst.Gate.net ~sources ~values:vin in
+  let sols = Dc.sweep_many ~overrides inst.Gate.net ~sources ~values:vin in
   let vout =
     Array.map (fun s -> s.Dc.voltages.(inst.Gate.out)) sols
   in
@@ -124,11 +124,11 @@ let subsets fan_in =
   List.map pins sorted
 
 (* The 2^n - 1 curves are independent DC sweeps: fan them out. *)
-let family ?points ?opts ?pool gate =
+let family ?points ?pool gate =
   let pool =
     match pool with Some p -> p | None -> Proxim_util.Pool.default ()
   in
-  let build subset = curve ?points ?opts gate ~subset in
+  let build subset = curve ?points gate ~subset in
   Proxim_util.Pool.map_list pool build (subsets gate.Gate.fan_in)
 
 let choose curves =
@@ -148,8 +148,8 @@ let choose curves =
     let vdd = first.vin.(Array.length first.vin - 1) in
     { vil; vih; vdd }
 
-let thresholds ?points ?opts ?pool gate =
-  choose (family ?points ?opts ?pool gate)
+let thresholds ?points ?pool gate =
+  choose (family ?points ?pool gate)
 
 let slew_scale th = th.vdd /. (th.vih -. th.vil)
 

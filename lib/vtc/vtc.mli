@@ -19,7 +19,6 @@ type curve = {
 
 val curve :
   ?points:int ->
-  ?opts:Proxim_spice.Options.t ->
   Proxim_gates.Gate.t ->
   subset:int list ->
   curve
@@ -30,7 +29,6 @@ val curve :
 
 val family :
   ?points:int ->
-  ?opts:Proxim_spice.Options.t ->
   ?pool:Proxim_util.Pool.t ->
   Proxim_gates.Gate.t ->
   curve list
@@ -51,7 +49,6 @@ val choose : curve list -> thresholds
 
 val thresholds :
   ?points:int ->
-  ?opts:Proxim_spice.Options.t ->
   ?pool:Proxim_util.Pool.t ->
   Proxim_gates.Gate.t ->
   thresholds

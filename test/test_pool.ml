@@ -229,7 +229,7 @@ let test_cache_concurrent_dedup () =
   (* hammer a few keys from every domain; each distinct key must be
      computed exactly once, everyone else waits on the pending entry *)
   let pool = Lazy.force wide in
-  let cache = Memo_cache.create ~shards:4 () in
+  let cache = Memo_cache.create () in
   let keys = 8 and queries = 400 in
   let computed = Array.init keys (fun _ -> Atomic.make 0) in
   let out =

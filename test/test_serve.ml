@@ -282,7 +282,9 @@ let test_concurrent_sessions () =
 
 (* regression: oracle factories were cached by design name alone, so an
    oracle attach after a same-name reload timed the new design with the
-   old design's fanout loads *)
+   old design's fanout loads.  And a reload drops everything the old
+   attach simulated: a daemon that re-attaches must not keep the model
+   caches of every earlier attach alive *)
 let test_oracle_reload () =
   let one_inv =
     "design d\ninput a\noutput y\ncell u1 inv a -> y\n\
@@ -309,6 +311,10 @@ let test_oracle_reload () =
   let load text =
     Json.Obj [ ("op", str "load_text"); ("text", str text); ("name", str "d") ]
   in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
   let got =
     with_server (fun addr ->
         with_conn addr (fun fd ->
@@ -316,7 +322,17 @@ let test_oracle_reload () =
             ignore (rpc_ok fd attach);
             ignore (rpc_ok fd (load two_inv));
             ignore (rpc_ok fd attach);
-            let resp = rpc_ok fd (Json.Obj [ ("op", str "report") ]) in
+            let report () = rpc_ok fd (Json.Obj [ ("op", str "report") ]) in
+            let resp = report () in
+            let before = live_words () in
+            for _ = 1 to 8 do
+              ignore (rpc_ok fd (load two_inv));
+              ignore (rpc_ok fd attach);
+              ignore (report ())
+            done;
+            let grown = live_words () - before in
+            if grown >= 2000 then
+              Alcotest.failf "8 reload/attach cycles kept %d live words" grown;
             match
               Option.map Serve.report_of_json (Json.member "report" resp)
             with

@@ -161,9 +161,9 @@ let test_critical_path_and_slack () =
       | None -> Alcotest.fail "no critical po")
    | _ -> Alcotest.fail "expected one po slack")
 
-(* [Sta.analyze] leads its report with the pi list verbatim, so a PO
-   that is also a PI listed twice appears twice: its slack must come from
-   the first entry, as with [List.assoc], and equal slacks must keep the
+(* [Sta.analyze] reports the analysis it ran: a PO that is also a PI
+   named twice carries its last event, once, a net the design lacks is
+   not listed, its slacks are [Sta.slacks]', and equal slacks keep the
    design's output order *)
 let test_po_slacks_first_match () =
   let d =
@@ -175,18 +175,29 @@ let test_po_slacks_first_match () =
   let th = { Vtc.vil = 1.263; vih = 3.737; vdd = 5.0 } in
   let { Sta.models; _ } = Sta.synthetic_factory () in
   let arr t = { Sta.time = t; slew = 2e-10; edge = Measure.Fall } in
-  let report =
-    Sta.analyze ~models ~thresholds:th d
-      ~pi:[ ("a", arr 3e-10); ("b", arr 0.); ("c", arr 3e-10); ("a", arr 9e-10) ]
+  let pi =
+    [ ("a", arr 9e-10); ("b", arr 0.); ("c", arr 3e-10); ("a", arr 3e-10);
+      ("nope", arr 0.) ]
   in
+  let report = Sta.analyze ~models ~thresholds:th d ~pi in
+  let ir = Sta.build_ir ~models ~thresholds:th d ~pi in
+  ignore (Sta.reanalyze ir);
+  Alcotest.(check bool) "the report of its analysis" true
+    (Sta.report_equal report (Sta.report ir));
+  Alcotest.(check (list string)) "each switching net once"
+    [ "a"; "b"; "c"; "y" ]
+    (List.map fst report.Sta.arrivals);
   let required = 1e-9 in
   let y = List.assoc "y" report.Sta.arrivals in
   Alcotest.(check bool) "y settles before the pads" true (y.Sta.time < 3e-10);
+  let slacks = Sta.po_slacks d report ~required in
   Alcotest.(check (list (pair string (float 0.))))
-    "first entry wins, ties in output order"
+    "last event wins, ties in output order"
     [ ("c", required -. 3e-10); ("a", required -. 3e-10);
       ("y", required -. y.Sta.time) ]
-    (Sta.po_slacks d report ~required)
+    slacks;
+  Alcotest.(check (list (pair string (float 0.))))
+    "po_slacks is Sta.slacks" (Sta.slacks ir ~required) slacks
 
 let test_mixed_edges_rejected () =
   let d = tree () in
