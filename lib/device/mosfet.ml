@@ -23,11 +23,17 @@ type eval = {
 }
 
 (* Core NMOS-convention current: given vgs, vds >= 0 (already normalized),
-   return (ids, d/dvgs, d/dvds).  [vt] is the positive threshold. *)
-let nmos_current p ~vgs ~vds =
+   write ids, d/dvgs and d/dvds into [out.(0..2)].  [vt] is the positive
+   threshold.  Inlined into {!eval_into}, so its float arguments and
+   results never leave registers. *)
+let[@inline] nmos_current p vgs vds (out : float array) =
   let vt = (match p.polarity with Nmos -> p.vt0 | Pmos -> -.p.vt0) in
   let vov = vgs -. vt in
-  if vov <= 0. then (0., 0., 0.)
+  if vov <= 0. then begin
+    out.(0) <- 0.;
+    out.(1) <- 0.;
+    out.(2) <- 0.
+  end
   else begin
     let b = beta p in
     let clm = 1. +. (p.lambda *. vds) in
@@ -36,17 +42,15 @@ let nmos_current p ~vgs ~vds =
       if vds < vov then begin
         (* linear (triode): Id = b * (vov*vds - vds^2/2) * (1 + lambda vds) *)
         let core = (vov *. vds) -. (0.5 *. vds *. vds) in
-        let id = b *. core *. clm in
-        let dvgs = b *. vds *. clm in
-        let dvds = (b *. (vov -. vds) *. clm) +. (b *. core *. p.lambda) in
-        (id, dvgs, dvds)
+        out.(0) <- b *. core *. clm;
+        out.(1) <- b *. vds *. clm;
+        out.(2) <- (b *. (vov -. vds) *. clm) +. (b *. core *. p.lambda)
       end
       else begin
         (* saturation: Id = (b/2) vov^2 (1 + lambda vds) *)
-        let id = 0.5 *. b *. vov *. vov *. clm in
-        let dvgs = b *. vov *. clm in
-        let dvds = 0.5 *. b *. vov *. vov *. p.lambda in
-        (id, dvgs, dvds)
+        out.(0) <- 0.5 *. b *. vov *. vov *. clm;
+        out.(1) <- b *. vov *. clm;
+        out.(2) <- 0.5 *. b *. vov *. vov *. p.lambda
       end
     | Alpha_power alpha ->
       (* Simplified Sakurai–Newton: Id_sat = (b/2) vov^alpha (1+l vds),
@@ -57,57 +61,62 @@ let nmos_current p ~vgs ~vds =
       if vds < vov then begin
         let u = vds /. vov in
         let shape = u *. (2. -. u) in
-        let id = idsat0 *. shape *. clm in
         (* d shape/d vds = (2 - 2u)/vov ; d shape/d vgs via u = vds/vov *)
         let dshape_dvds = (2. -. (2. *. u)) /. vov in
         let dshape_dvgs = (2. *. u *. (u -. 1.)) /. vov in
-        let dvgs =
-          ((didsat0_dvgs *. shape) +. (idsat0 *. dshape_dvgs)) *. clm
-        in
-        let dvds =
+        out.(0) <- idsat0 *. shape *. clm;
+        out.(1) <- ((didsat0_dvgs *. shape) +. (idsat0 *. dshape_dvgs)) *. clm;
+        out.(2) <-
           (idsat0 *. dshape_dvds *. clm) +. (idsat0 *. shape *. p.lambda)
-        in
-        (id, dvgs, dvds)
       end
       else begin
-        let id = idsat0 *. clm in
-        let dvgs = didsat0_dvgs *. clm in
-        let dvds = idsat0 *. p.lambda in
-        (id, dvgs, dvds)
+        out.(0) <- idsat0 *. clm;
+        out.(1) <- didsat0_dvgs *. clm;
+        out.(2) <- idsat0 *. p.lambda
       end
   end
 
 (* Normalize polarity and diffusion orientation, evaluate, and map the
    derivatives back to absolute terminal voltages. *)
-let eval p ~vg ~vd ~vs =
+let eval_into p (v : float array) (out : float array) =
   (* Polarity transform: a PMOS behaves as an NMOS with all voltages
      negated (and current direction flipped back at the end). *)
-  let sgn, vg, vd, vs =
-    match p.polarity with
-    | Nmos -> (1., vg, vd, vs)
-    | Pmos -> (-1., -.vg, -.vd, -.vs)
-  in
+  let pmos = (match p.polarity with Nmos -> false | Pmos -> true) in
+  let sgn = if pmos then -1. else 1. in
+  let vg = if pmos then -.v.(0) else v.(0) in
+  let vd = if pmos then -.v.(1) else v.(1) in
+  let vs = if pmos then -.v.(2) else v.(2) in
   (* Diffusion symmetry: if vd < vs the channel conducts in reverse. *)
   let swapped = vd < vs in
-  let vd', vs' = if swapped then (vs, vd) else (vd, vs) in
-  let vgs = vg -. vs' and vds = vd' -. vs' in
-  let ids, dvgs, dvds = nmos_current p ~vgs ~vds in
+  let vd' = if swapped then vs else vd in
+  let vs' = if swapped then vd else vs in
+  nmos_current p (vg -. vs') (vd' -. vs') out;
+  let ids = out.(0) and dvgs = out.(1) and dvds = out.(2) in
   (* In normalized space: Id flows d' -> s'.
-     d Id / d vg = dvgs; d Id / d vd' = dvds; d Id / d vs' = -dvgs - dvds. *)
-  let did_dvg_n = dvgs in
-  let did_dvd'_n = dvds in
+     d Id / d vg = dvgs; d Id / d vd' = dvds; d Id / d vs' = -dvgs - dvds.
+     When swapped, the actual drain current is -Id (it flowed s' -> d' in
+     the actual orientation) and the actual vd is the normalized vs'.
+     Undoing the polarity negation: Id_actual = sgn * Id_n(vg_n =
+     sgn*vg, ...) => d Id_actual / d v_actual = sgn * dId_n/dv_n * sgn
+     = dId_n/dv_n. *)
   let did_dvs'_n = -.dvgs -. dvds in
-  let id_n, dvd_n, dvs_n =
-    if swapped then
-      (* actual drain current = -Id (current flowed s' -> d' in actual
-         orientation); actual vd is normalized vs' and vice versa *)
-      (-.ids, -.did_dvs'_n, -.did_dvd'_n)
-    else (ids, did_dvd'_n, did_dvs'_n)
-  in
-  let dvg_n = if swapped then -.did_dvg_n else did_dvg_n in
-  (* Undo polarity negation: Id_actual = sgn * Id_n(vg_n = sgn*vg, ...)
-     => d Id_actual / d v_actual = sgn * dId_n/dv_n * sgn = dId_n/dv_n. *)
-  { id = sgn *. id_n; did_dvg = dvg_n; did_dvd = dvd_n; did_dvs = dvs_n }
+  if swapped then begin
+    out.(0) <- sgn *. -.ids;
+    out.(1) <- -.dvgs;
+    out.(2) <- -.did_dvs'_n;
+    out.(3) <- -.dvds
+  end
+  else begin
+    out.(0) <- sgn *. ids;
+    out.(1) <- dvgs;
+    out.(2) <- dvds;
+    out.(3) <- did_dvs'_n
+  end
+
+let eval p ~vg ~vd ~vs =
+  let out = Array.make 4 0. in
+  eval_into p [| vg; vd; vs |] out;
+  { id = out.(0); did_dvg = out.(1); did_dvd = out.(2); did_dvs = out.(3) }
 
 let region p ~vg ~vd ~vs =
   let vg, vd, vs =

@@ -9,9 +9,11 @@
       captures velocity saturation via the exponent [alpha] ([alpha = 2.]
       reduces exactly to Shichman–Hodges with the same parameters).
 
-    The evaluator returns the drain current together with its partial
-    derivatives with respect to the three terminal voltages, which is what
-    the MNA Newton stamps need.  Source/drain symmetry is handled
+    The evaluator writes the drain current together with its partial
+    derivatives with respect to the three terminal voltages into a float
+    array, which is what the MNA Newton stamps need: the solver's inner
+    loop calls it once per transistor per iteration and allocates
+    nothing.  Source/drain symmetry is handled
     internally (the device conducts identically with the channel reversed),
     so callers never need to order the diffusion terminals. *)
 
@@ -39,6 +41,15 @@ val k_strength : params -> float
 val beta : params -> float
 (** [kp * w / l], the conventional gain factor (= [2 * k_strength]). *)
 
+val eval_into : params -> float array -> float array -> unit
+(** [eval_into p v out] evaluates the channel current and its
+    derivatives at the absolute terminal voltages [v = [|vg; vd; vs|]]
+    and writes [out.(0) = id] (current into the drain terminal, A),
+    [out.(1) = d(id)/d(Vgate)], [out.(2) = d(id)/d(Vdrain)] and
+    [out.(3) = d(id)/d(Vsource)] (S).  The body terminal is assumed tied
+    to the rail (no body effect, as in the paper's analysis).  Allocates
+    nothing. *)
+
 type eval = {
   id : float;  (** current into the drain terminal, A *)
   did_dvg : float;  (** d(id)/d(Vgate), S *)
@@ -47,9 +58,7 @@ type eval = {
 }
 
 val eval : params -> vg:float -> vd:float -> vs:float -> eval
-(** Evaluate the channel current and its derivatives at the given absolute
-    terminal voltages.  The body terminal is assumed tied to the rail
-    (no body effect, as in the paper's analysis). *)
+(** {!eval_into} as a record, for tests and one-off queries. *)
 
 val region : params -> vg:float -> vd:float -> vs:float -> string
 (** ["cutoff"], ["linear"] or ["saturation"] — for diagnostics and tests. *)

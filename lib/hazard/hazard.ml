@@ -218,7 +218,7 @@ let analyze ?mode ?(filter_margin = 25e-12) ?required ?rule ~models
         stamp.(d) <- c;
         let o = Graph.cell_output g d in
         found := List.rev_append po_ranks.(o) !found;
-        Array.iter (fun (r, _) -> visit r) (Graph.readers g ~net:o)
+        Graph.iter_readers g ~net:o (fun r _ -> visit r)
       end
     in
     visit c;

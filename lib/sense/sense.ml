@@ -636,11 +636,10 @@ let check ?file t =
         match Graph.net_id g net with
         | None -> []
         | Some id ->
-          Array.to_list (Graph.readers g ~net:id)
-          |> List.filter_map (fun (c, _) ->
-               if infos.(c) <> None then Some (Graph.cell_name g c)
-               else None)
-          |> List.sort_uniq compare
+          let found = ref [] in
+          Graph.iter_readers g ~net:id (fun c _ ->
+            if infos.(c) <> None then found := Graph.cell_name g c :: !found);
+          List.sort_uniq compare !found
       in
       if consumers <> [] then
         add

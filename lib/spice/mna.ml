@@ -52,90 +52,131 @@ let source_names t = Array.map (fun v -> v.vname) t.vsrcs
 let source_wave t i = t.vsrcs.(i).wave
 let cap_count t = Array.length t.caps
 
-let voltage _t ~x n = if n = 0 then 0. else x.(n - 1)
+(* The stamps below are inlined top-level functions over the arrays they
+   touch: a float passed to a closure or to a function that is not
+   inlined would be boxed on every call. *)
+let[@inline] volt (x : float array) n = if n = 0 then 0. else x.(n - 1)
 
-let cap_voltage t ~x i =
-  let c = t.caps.(i) in
-  voltage t ~x c.ca -. voltage t ~x c.cb
+let cap_voltages t ~x (v : float array) =
+  for k = 0 to Array.length t.caps - 1 do
+    let c = t.caps.(k) in
+    v.(k) <- volt x c.ca -. volt x c.cb
+  done
 
-let assemble t ~x ~gmin ~source_values ~cap_companions ~jac ~res =
+type companions = { geq : float array; ieq : float array }
+
+let companions t =
+  let n = cap_count t in
+  { geq = Array.make n 0.; ieq = Array.make n 0. }
+
+type workspace = {
+  jac : Proxim_util.Linalg.mat;
+  res : float array;
+  rhs : float array;
+  dx : float array;
+  perm : int array;
+  mos_v : float array;
+  mos_out : float array;
+}
+
+let workspace t =
   let n = size t in
+  {
+    jac = Proxim_util.Linalg.make_mat n;
+    res = Array.make n 0.;
+    rhs = Array.make n 0.;
+    dx = Array.make n 0.;
+    perm = Array.make n 0;
+    mos_v = Array.make 3 0.;
+    mos_out = Array.make 4 0.;
+  }
+
+(* add [g] between the KCL row of [node] and the column of [col] *)
+let[@inline] add_j (jac : Proxim_util.Linalg.mat) node col g =
+  if node > 0 && col > 0 then begin
+    let row = jac.(node - 1) in
+    row.(col - 1) <- row.(col - 1) +. g
+  end
+
+let[@inline] add_r (res : float array) node i =
+  if node > 0 then res.(node - 1) <- res.(node - 1) +. i
+
+(* a conductance [g] between nodes [a] and [b] *)
+let[@inline] add_g jac a b g =
+  add_j jac a a g;
+  add_j jac a b (-.g);
+  add_j jac b b g;
+  add_j jac b a (-.g)
+
+let assemble t ws ~x ~gmin ~source_values ~companions =
+  let n = size t in
+  let jac = ws.jac and res = ws.res in
   for i = 0 to n - 1 do
     res.(i) <- 0.;
     Array.fill jac.(i) 0 n 0.
   done;
-  let v node = voltage t ~x node in
-  (* add [g] between the KCL row of [node] and the column of [col] *)
-  let add_j node col g =
-    if node > 0 && col > 0 then
-      jac.(node - 1).(col - 1) <- jac.(node - 1).(col - 1) +. g
-  in
-  let add_r node i = if node > 0 then res.(node - 1) <- res.(node - 1) +. i in
   (* gmin from every node to ground *)
   for node = 1 to t.n_nodes do
-    add_r node (gmin *. x.(node - 1));
-    add_j node node gmin
+    add_r res node (gmin *. x.(node - 1));
+    add_j jac node node gmin
   done;
   (* resistors *)
-  Array.iter
-    (fun { ra; rb; conductance = g } ->
-      let i = g *. (v ra -. v rb) in
-      add_r ra i;
-      add_r rb (-.i);
-      add_j ra ra g;
-      add_j ra rb (-.g);
-      add_j rb rb g;
-      add_j rb ra (-.g))
-    t.resistors;
+  for k = 0 to Array.length t.resistors - 1 do
+    let { ra; rb; conductance = g } = t.resistors.(k) in
+    let i = g *. (volt x ra -. volt x rb) in
+    add_r res ra i;
+    add_r res rb (-.i);
+    add_g jac ra rb g
+  done;
   (* capacitors through their companion models *)
-  (match cap_companions with
+  (match companions with
    | None -> ()
-   | Some comps ->
-     Array.iteri
-       (fun k { ca; cb; _ } ->
-         let geq, ieq = comps.(k) in
-         let i = (geq *. (v ca -. v cb)) -. ieq in
-         add_r ca i;
-         add_r cb (-.i);
-         add_j ca ca geq;
-         add_j ca cb (-.geq);
-         add_j cb cb geq;
-         add_j cb ca (-.geq))
-       t.caps);
+   | Some { geq; ieq } ->
+     for k = 0 to Array.length t.caps - 1 do
+       let { ca; cb; _ } = t.caps.(k) in
+       let g = geq.(k) in
+       let i = (g *. (volt x ca -. volt x cb)) -. ieq.(k) in
+       add_r res ca i;
+       add_r res cb (-.i);
+       add_g jac ca cb g
+     done);
   (* MOSFETs (with a gmin drain-source shunt: keeps internal stack nodes
      weakly tied when the whole channel is cut off, which conditions the
      Newton iteration) *)
-  Array.iter
-    (fun { params; mg; md; ms } ->
-      let ish = gmin *. (v md -. v ms) in
-      add_r md ish;
-      add_r ms (-.ish);
-      add_j md md gmin;
-      add_j md ms (-.gmin);
-      add_j ms ms gmin;
-      add_j ms md (-.gmin);
-      let e = Mosfet.eval params ~vg:(v mg) ~vd:(v md) ~vs:(v ms) in
-      (* [e.id] flows into the drain terminal: it leaves node [md] through
-         the channel and re-enters the circuit at node [ms] *)
-      add_r md e.Mosfet.id;
-      add_r ms (-.e.Mosfet.id);
-      add_j md mg e.Mosfet.did_dvg;
-      add_j md md e.Mosfet.did_dvd;
-      add_j md ms e.Mosfet.did_dvs;
-      add_j ms mg (-.e.Mosfet.did_dvg);
-      add_j ms md (-.e.Mosfet.did_dvd);
-      add_j ms ms (-.e.Mosfet.did_dvs))
-    t.mosfets;
+  let v = ws.mos_v and e = ws.mos_out in
+  for k = 0 to Array.length t.mosfets - 1 do
+    let { params; mg; md; ms } = t.mosfets.(k) in
+    let ish = gmin *. (volt x md -. volt x ms) in
+    add_r res md ish;
+    add_r res ms (-.ish);
+    add_g jac md ms gmin;
+    v.(0) <- volt x mg;
+    v.(1) <- volt x md;
+    v.(2) <- volt x ms;
+    Mosfet.eval_into params v e;
+    (* [e.(0)], the drain current, flows into the drain terminal: it
+       leaves node [md] through the channel and re-enters the circuit at
+       node [ms] *)
+    let id = e.(0) and dg = e.(1) and dd = e.(2) and ds = e.(3) in
+    add_r res md id;
+    add_r res ms (-.id);
+    add_j jac md mg dg;
+    add_j jac md md dd;
+    add_j jac md ms ds;
+    add_j jac ms mg (-.dg);
+    add_j jac ms md (-.dd);
+    add_j jac ms ms (-.ds)
+  done;
   (* voltage sources: KCL coupling plus the branch (EMF) equations *)
-  Array.iteri
-    (fun k { pos; neg; _ } ->
-      let row = t.n_nodes + k in
-      let ib = x.(row) in
-      add_r pos ib;
-      add_r neg (-.ib);
-      if pos > 0 then jac.(pos - 1).(row) <- jac.(pos - 1).(row) +. 1.;
-      if neg > 0 then jac.(neg - 1).(row) <- jac.(neg - 1).(row) -. 1.;
-      res.(row) <- v pos -. v neg -. source_values.(k);
-      if pos > 0 then jac.(row).(pos - 1) <- jac.(row).(pos - 1) +. 1.;
-      if neg > 0 then jac.(row).(neg - 1) <- jac.(row).(neg - 1) -. 1.)
-    t.vsrcs
+  for k = 0 to Array.length t.vsrcs - 1 do
+    let { pos; neg; _ } = t.vsrcs.(k) in
+    let row = t.n_nodes + k in
+    let ib = x.(row) in
+    add_r res pos ib;
+    add_r res neg (-.ib);
+    if pos > 0 then jac.(pos - 1).(row) <- jac.(pos - 1).(row) +. 1.;
+    if neg > 0 then jac.(neg - 1).(row) <- jac.(neg - 1).(row) -. 1.;
+    res.(row) <- volt x pos -. volt x neg -. source_values.(k);
+    if pos > 0 then jac.(row).(pos - 1) <- jac.(row).(pos - 1) +. 1.;
+    if neg > 0 then jac.(row).(neg - 1) <- jac.(row).(neg - 1) -. 1.
+  done

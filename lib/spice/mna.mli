@@ -29,25 +29,52 @@ val source_wave : t -> int -> Proxim_waveform.Pwl.t
 
 val cap_count : t -> int
 
-val cap_voltage : t -> x:float array -> int -> float
-(** Voltage across the [i]-th capacitor ([va - vb]) under state [x]. *)
+val cap_voltages : t -> x:float array -> float array -> unit
+(** [cap_voltages t ~x v] writes the voltage across each capacitor
+    ([va - vb]) under state [x] into [v.(0 .. cap_count - 1)]. *)
 
-val voltage : t -> x:float array -> Proxim_circuit.Netlist.node -> float
-(** Node voltage under state [x]; ground reads 0. *)
+(** {1 Assembly}
+
+    One analysis (a DC sweep, a transient) builds one {!workspace} and
+    one set of {!companions} and reuses them for every Newton iteration
+    of every point or step: assembling, factoring and solving then
+    allocate nothing. *)
+
+type companions = { geq : float array; ieq : float array }
+(** Per-capacitor companion models, one entry per capacitor: the branch
+    current is [geq.(k) * vab - ieq.(k)]. *)
+
+val companions : t -> companions
+(** Zeroed planes sized {!cap_count}. *)
+
+type workspace = {
+  jac : Proxim_util.Linalg.mat;
+      (** [size] x [size]; {!Proxim_util.Linalg.lu_factor} exchanges its
+          rows, which {!assemble} refills by index *)
+  res : float array;  (** KCL and branch residuals *)
+  rhs : float array;  (** the Newton right-hand side, [-res] *)
+  dx : float array;  (** the Newton update *)
+  perm : int array;  (** the LU row order *)
+  mos_v : float array;  (** MOSFET terminal voltages [vg; vd; vs] *)
+  mos_out : float array;  (** {!Proxim_device.Mosfet.eval_into}'s results *)
+}
+
+val workspace : t -> workspace
+(** Fresh arrays sized from [t]. *)
 
 val assemble :
   t ->
+  workspace ->
   x:float array ->
   gmin:float ->
   source_values:float array ->
-  cap_companions:(float * float) array option ->
-  jac:Proxim_util.Linalg.mat ->
-  res:float array ->
+  companions:companions option ->
   unit
-(** Fill [jac] and [res] (both zeroed first) with the linearization of the
-    circuit equations at state [x].
+(** Fill the workspace's [jac] and [res] (both zeroed first) with the
+    linearization of the circuit equations at state [x].
 
     [source_values.(k)] is the instantaneous EMF of branch [k].
-    [cap_companions] supplies per-capacitor companion models [(geq, ieq)]
-    such that the branch current is [geq * vab - ieq]; [None] means DC
-    analysis (capacitors open). *)
+    [companions] supplies the capacitors' companion models; [None] means
+    DC analysis (capacitors open).  Each Jacobian and residual entry
+    accumulates its stamps in a fixed order: gmin, resistors, capacitors,
+    MOSFETs, then voltage sources, each in netlist declaration order. *)

@@ -2,27 +2,28 @@ module Linalg = Proxim_util.Linalg
 
 type outcome = Converged of int | Diverged of string
 
-let solve sys ~opts ~gmin ~source_values ~cap_companions ~x =
-  let n = Mna.size sys in
-  let jac = Linalg.make_mat n in
-  let res = Array.make n 0. in
+let solve sys (ws : Mna.workspace) ~opts ~gmin ~source_values ~companions ~x =
+  let n = Mna.size sys and nv = Mna.node_unknowns sys in
+  let jac = ws.Mna.jac and res = ws.Mna.res and rhs = ws.Mna.rhs
+  and dx = ws.Mna.dx and perm = ws.Mna.perm in
   let rec iterate k =
     if k > opts.Options.newton_max_iter then
       Diverged "newton: iteration limit"
     else begin
-      Mna.assemble sys ~x ~gmin ~source_values ~cap_companions ~jac ~res;
-      let rhs = Array.map (fun r -> -.r) res in
-      match Linalg.solve_in_place jac rhs with
+      Mna.assemble sys ws ~x ~gmin ~source_values ~companions;
+      for i = 0 to n - 1 do
+        rhs.(i) <- -.res.(i)
+      done;
+      match Linalg.lu_factor jac ~perm with
       | exception Linalg.Singular -> Diverged "newton: singular jacobian"
       | () ->
-        let dx = rhs in
+        Linalg.lu_back_substitute jac ~perm rhs ~x:dx;
         let dx_norm = Linalg.norm_inf dx in
         if not (Float.is_finite dx_norm) then
           Diverged "newton: non-finite update"
         else begin
           (* Damp only the node-voltage components; branch currents may
              legitimately jump by many amps-equivalents in one step. *)
-          let nv = Mna.node_unknowns sys in
           let v_norm = ref 0. in
           for i = 0 to nv - 1 do
             v_norm := Float.max !v_norm (Float.abs dx.(i))

@@ -8,13 +8,16 @@ type outcome =
 
 val solve :
   Mna.t ->
+  Mna.workspace ->
   opts:Options.t ->
   gmin:float ->
   source_values:float array ->
-  cap_companions:(float * float) array option ->
+  companions:Mna.companions option ->
   x:float array ->
   outcome
-(** Iterate from the seed in [x], updating it in place.  Each update is
-    damped so that no component moves more than [opts.newton_dv_limit].
-    Convergence requires both the update and the KCL residual to fall
-    under the respective tolerances. *)
+(** Iterate from the seed in [x], updating it in place, with the
+    workspace's arrays for the Jacobian, the residual and the LU solve:
+    an iteration allocates nothing.  Each update is damped so that no
+    component moves more than [opts.newton_dv_limit].  Convergence
+    requires both the update and the KCL residual to fall under the
+    respective tolerances. *)

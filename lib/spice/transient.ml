@@ -36,31 +36,41 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
   assert (t_stop > 0.);
   let sys = Mna.build net in
   let n = Mna.size sys in
+  let nv = Mna.node_unknowns sys in
   let names = Mna.source_names sys in
   let override_value =
     Array.map (fun name -> List.assoc_opt name overrides) names
   in
+  let sv = Array.make (Mna.source_count sys) 0. in
   let source_values_at t =
-    Array.mapi
+    Array.iteri
       (fun k ov ->
-        match ov with
-        | Some v -> v
-        | None -> Pwl.value (Mna.source_wave sys k) t)
+        sv.(k) <-
+          (match ov with
+           | Some v -> v
+           | None -> Pwl.value (Mna.source_wave sys k) t))
       override_value
   in
   (* initial condition: DC at t = 0 *)
+  source_values_at 0.;
   let dc_overrides =
-    Array.to_list
-      (Array.mapi (fun k name -> (name, (source_values_at 0.).(k))) names)
+    Array.to_list (Array.mapi (fun k name -> (name, sv.(k))) names)
   in
   let op = Dc.operating_point ~opts ~overrides:dc_overrides net in
   let x = Array.copy op.Dc.raw in
   assert (Array.length x = n);
+  (* one workspace, one trial iterate and one pair of companion planes
+     for every step *)
+  let ws = Mna.workspace sys in
+  let x_try = Array.make n 0. in
+  let comps = Mna.companions sys in
+  let companions = Some comps in
   let n_caps = Mna.cap_count sys in
   let cap_i = Array.make n_caps 0. in
   (* trapezoidal needs the capacitor current at the old time point; at the
      DC point it is zero by definition *)
-  let cap_v = Array.init n_caps (fun k -> Mna.cap_voltage sys ~x k) in
+  let cap_v = Array.make n_caps 0. and v_new = Array.make n_caps 0. in
+  Mna.cap_voltages sys ~x cap_v;
   let cap_farads =
     (* recover C from companion construction: stash from the netlist *)
     let farads = ref [] in
@@ -94,32 +104,31 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
     let use_trap =
       (not !force_be) && opts.Options.integration = Options.Trapezoidal
     in
-    let companions =
-      Array.init n_caps (fun k ->
-        let c = cap_farads.(k) in
-        if use_trap then begin
-          let geq = 2. *. c /. h_try in
-          (geq, (geq *. cap_v.(k)) +. cap_i.(k))
-        end
-        else begin
-          let geq = c /. h_try in
-          (geq, geq *. cap_v.(k))
-        end)
-    in
+    for k = 0 to n_caps - 1 do
+      let c = cap_farads.(k) in
+      if use_trap then begin
+        let geq = 2. *. c /. h_try in
+        comps.Mna.geq.(k) <- geq;
+        comps.Mna.ieq.(k) <- (geq *. cap_v.(k)) +. cap_i.(k)
+      end
+      else begin
+        let geq = c /. h_try in
+        comps.Mna.geq.(k) <- geq;
+        comps.Mna.ieq.(k) <- geq *. cap_v.(k)
+      end
+    done;
     let t_new = !t +. h_try in
-    let sv = source_values_at t_new in
-    let x_try = Array.copy x in
+    source_values_at t_new;
+    Array.blit x 0 x_try 0 n;
     let outcome =
-      Newton.solve sys ~opts ~gmin:opts.Options.gmin ~source_values:sv
-        ~cap_companions:(Some companions) ~x:x_try
+      Newton.solve sys ws ~opts ~gmin:opts.Options.gmin ~source_values:sv
+        ~companions ~x:x_try
     in
-    let max_dv =
-      let m = ref 0. in
-      for i = 0 to Mna.node_unknowns sys - 1 do
-        m := Float.max !m (Float.abs (x_try.(i) -. x.(i)))
-      done;
-      !m
-    in
+    let max_dv = ref 0. in
+    for i = 0 to nv - 1 do
+      max_dv := Float.max !max_dv (Float.abs (x_try.(i) -. x.(i)))
+    done;
+    let max_dv = !max_dv in
     let step_ok =
       match outcome with
       | Newton.Converged _ ->
@@ -131,12 +140,11 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
        | Newton.Converged k -> newton_total := !newton_total + k
        | Newton.Diverged _ -> ());
       (* update capacitor companion state *)
-      Array.iteri
-        (fun k (geq, ieq) ->
-          let v_new = Mna.cap_voltage sys ~x:x_try k in
-          cap_i.(k) <- (geq *. v_new) -. ieq;
-          cap_v.(k) <- v_new)
-        companions;
+      Mna.cap_voltages sys ~x:x_try v_new;
+      for k = 0 to n_caps - 1 do
+        cap_i.(k) <- (comps.Mna.geq.(k) *. v_new.(k)) -. comps.Mna.ieq.(k);
+        cap_v.(k) <- v_new.(k)
+      done;
       Array.blit x_try 0 x 0 n;
       t := t_new;
       incr accepted;
@@ -169,7 +177,12 @@ let run ?(opts = Options.default) ?(overrides = []) net ~t_stop =
   let states = Array.of_list (List.rev !states_acc) in
   let node_voltages =
     Array.init net.Netlist.node_count (fun node ->
-      Array.map (fun st -> Mna.voltage sys ~x:st node) states)
+      let trace = Array.make (Array.length states) 0. in
+      if node > 0 then
+        Array.iteri
+          (fun i (st : float array) -> trace.(i) <- st.(node - 1))
+          states;
+      trace)
   in
   {
     times;

@@ -78,20 +78,22 @@ let primary_outputs t = names t (Graph.primary_outputs t.graph)
 let topological t =
   Array.to_list (Array.map (Graph.payload t.graph) (Graph.topological t.graph))
 
-let readers t ~net =
-  match Graph.net_id t.graph net with
-  | None -> []
-  | Some id ->
-    Array.to_list
-      (Array.map
-         (fun (c, pin) -> (Graph.payload t.graph c, pin))
-         (Graph.readers t.graph ~net:id))
-
 let driver t ~net =
   match Graph.net_id t.graph net with
   | None -> None
   | Some id ->
     Option.map (Graph.payload t.graph) (Graph.driver t.graph ~net:id)
+
+let pins_load g id =
+  let acc = ref 0. in
+  Graph.iter_readers g ~net:id (fun c _pin ->
+    acc := !acc +. Gate.input_capacitance (Graph.payload g c).gate);
+  !acc
+
+let pin_load t ~net =
+  match Graph.net_id t.graph net with
+  | None -> 0.
+  | Some id -> pins_load t.graph id
 
 let wire_cap = 20e-15
 let pad_cap = 50e-15
@@ -100,11 +102,6 @@ let fanout_load t ~net =
   let pin_caps, pad =
     match Graph.net_id t.graph net with
     | None -> (0., 0.)
-    | Some id ->
-      ( Array.fold_left
-          (fun acc (c, _pin) ->
-            acc +. Gate.input_capacitance (Graph.payload t.graph c).gate)
-          0. (Graph.readers t.graph ~net:id),
-        if t.po_net.(id) then pad_cap else 0. )
+    | Some id -> (pins_load t.graph id, if t.po_net.(id) then pad_cap else 0.)
   in
   pin_caps +. wire_cap +. pad

@@ -72,20 +72,20 @@ val primary_outputs : t -> string list
 val topological : t -> cell list
 (** Cells in dependency order (drivers before readers). *)
 
+val pin_load : t -> net:string -> float
+(** The sum of the input capacitances of all cell pins reading [net], in
+    {!Proxim_timing.Graph.iter_readers} order; 0 for an unknown net. *)
+
 val fanout_load : t -> net:string -> float
-(** Capacitive load seen by the driver of [net]: the sum of the input
-    capacitances of all cell pins reading it (in {!readers} order), plus
+(** Capacitive load seen by the driver of [net]: its {!pin_load}, plus
     20 fF for the interconnect, plus 50 fF if the net is a primary output
     (pad/probe load). *)
 
 val driver : t -> net:string -> cell option
 (** The cell driving [net]; [None] for primary inputs. *)
 
-val readers : t -> net:string -> (cell * int) list
-(** Cells (with the pin index) reading [net]. *)
-
 val graph : t -> cell Proxim_timing.Graph.t
 (** The design's timing-graph IR: interned nets and cells with adjacency,
     topological order and levels.  {!topological}, {!driver} and
-    {!readers} are views over it; the {!Sta} propagation engines and the
+    {!pin_load} are views over it; the {!Sta} propagation engines and the
     incremental timing analysis annotate it directly. *)

@@ -59,13 +59,7 @@ let flatten design ~pi_waves =
      exactly what Design.fanout_load charges the driver with *)
   List.iter
     (fun net_name ->
-      let pin_caps =
-        List.fold_left
-          (fun acc ((c : Design.cell), _pin) ->
-            acc +. Gate.input_capacitance c.Design.gate)
-          0.
-          (Design.readers design ~net:net_name)
-      in
+      let pin_caps = Design.pin_load design ~net:net_name in
       let wire = Design.fanout_load design ~net:net_name -. pin_caps in
       let total = pin_caps +. wire in
       if total > 0. then

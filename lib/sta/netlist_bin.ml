@@ -1,9 +1,10 @@
 module Gate = Proxim_gates.Gate
+module Graph = Proxim_timing.Graph
 module Vtc = Proxim_vtc.Vtc
 module Trace = Proxim_obs.Trace
 
 let magic = "PXNB"
-let version = 1
+let version = 2
 let end_marker = 0xED
 
 exception Corrupt of string
@@ -117,6 +118,8 @@ let file_is_binary path =
 
 (* --- writer ----------------------------------------------------------- *)
 
+(* Version 2: the net names once, in graph-id order, and every reference
+   to a net as its id into that table. *)
 let write_channel ?thresholds ~name design oc =
   output_string oc magic;
   output_byte oc version;
@@ -128,36 +131,39 @@ let write_channel ?thresholds ~name design oc =
      write_f64 oc th.Vtc.vil;
      write_f64 oc th.Vtc.vih;
      write_f64 oc th.Vtc.vdd);
-  let cells = Design.cells design in
+  let g = Design.graph design in
+  let n_cells = Graph.cell_count g in
+  let gate c = (Graph.payload g c : Design.cell).Design.gate.Gate.name in
   (* dense gate-name table in first-appearance order *)
   let gate_idx = Hashtbl.create 16 in
   let gate_names = ref [] in
-  List.iter
-    (fun (c : Design.cell) ->
-      let gname = c.Design.gate.Gate.name in
-      if not (Hashtbl.mem gate_idx gname) then begin
-        Hashtbl.add gate_idx gname (Hashtbl.length gate_idx);
-        gate_names := gname :: !gate_names
-      end)
-    cells;
+  for c = 0 to n_cells - 1 do
+    let gname = gate c in
+    if not (Hashtbl.mem gate_idx gname) then begin
+      Hashtbl.add gate_idx gname (Hashtbl.length gate_idx);
+      gate_names := gname :: !gate_names
+    end
+  done;
   let gate_names = List.rev !gate_names in
   write_varint oc (List.length gate_names);
   List.iter (write_string oc) gate_names;
-  let write_net_list nets =
-    write_varint oc (List.length nets);
-    List.iter (write_string oc) nets
+  write_varint oc (Graph.net_count g);
+  for n = 0 to Graph.net_count g - 1 do
+    write_string oc (Graph.net_name g n)
+  done;
+  let write_ids ids =
+    write_varint oc (Array.length ids);
+    Array.iter (write_varint oc) ids
   in
-  write_net_list (Design.primary_inputs design);
-  write_net_list (Design.primary_outputs design);
-  write_varint oc (List.length cells);
-  List.iter
-    (fun (c : Design.cell) ->
-      write_varint oc (Hashtbl.find gate_idx c.Design.gate.Gate.name);
-      write_string oc c.Design.name;
-      write_string oc c.Design.output_net;
-      write_varint oc (Array.length c.Design.input_nets);
-      Array.iter (write_string oc) c.Design.input_nets)
-    cells;
+  write_ids (Graph.primary_inputs g);
+  write_ids (Graph.primary_outputs g);
+  write_varint oc n_cells;
+  for c = 0 to n_cells - 1 do
+    write_varint oc (Hashtbl.find gate_idx (gate c));
+    write_string oc (Graph.cell_name g c);
+    write_varint oc (Graph.cell_output g c);
+    write_ids (Graph.cell_inputs g c)
+  done;
   output_byte oc end_marker;
   flush oc
 
@@ -169,9 +175,13 @@ let write_file ?thresholds ~name design path =
 
 (* --- reader ----------------------------------------------------------- *)
 
-(* One pass over the bytes: names go straight from the buffer into the
-   design builder, which hashes each once.  Only format defects surface
-   here, as [Corrupt]; the structural ones wait for [Design.finish]. *)
+(* One pass over the cells: net references go straight into the design
+   builder, as a name (version 1), which the builder hashes, or as an id
+   into the net table (version 2), which it does not.  The net table and
+   the primary input and output lists precede the cell count the builder
+   is sized by, so they are first stepped over, checked, and read again
+   once it exists.  Only format defects surface here, as [Corrupt]; the
+   structural ones wait for [Design.finish]. *)
 let decode tech s =
   let r = { s; at = 0 } in
   if String.length s < String.length magic then
@@ -180,7 +190,7 @@ let decode tech s =
   if head <> magic then corrupt "bad magic %S (want %S)" head magic;
   r.at <- String.length magic;
   let v = read_byte r ~eof:"truncated version" in
-  if v <> version then corrupt "unsupported format version %d" v;
+  if v <> 1 && v <> version then corrupt "unsupported format version %d" v;
   let name = read_string r in
   let thresholds =
     match read_byte r ~eof:"truncated thresholds" with
@@ -199,36 +209,70 @@ let decode tech s =
       | Ok g -> g
       | Error msg -> corrupt "gate table: %s" msg)
   in
-  (* the net lists precede the cell count the builder is sized by: keep
-     where each name lies until then *)
-  let read_net_list () =
+  let tables_at = r.at in
+  let n_nets =
+    if v = 1 then 0 else read_items r ~what:"net count" ~max:max_string_len
+  in
+  for _ = 1 to n_nets do
+    ignore (read_slice r : int)
+  done;
+  let net_id () =
+    let id = read_varint r in
+    if id >= n_nets then corrupt "net id %d out of table (%d nets)" id n_nets;
+    id
+  in
+  let skip_net () =
+    if v = 1 then ignore (read_slice r : int) else ignore (net_id () : int)
+  in
+  let skip_net_list () =
     let n = read_items r ~what:"net list length" ~max:max_string_len in
-    Array.init n (fun _ ->
-      let at = read_slice r in
-      (at, r.at - at))
+    for _ = 1 to n do
+      skip_net ()
+    done;
+    n
   in
-  let pis = read_net_list () in
-  let pos = read_net_list () in
+  let n_pis = skip_net_list () in
+  ignore (skip_net_list () : int);
   let n_cells = read_items r ~what:"cell count" ~max:max_string_len in
-  let b = Design.builder ~cells:n_cells ~nets:(Array.length pis + n_cells) in
-  let add_nets add =
-    Array.iter (fun (pos, len) -> add b (Design.net_sub b s ~pos ~len))
+  let cells_at = r.at in
+  let b =
+    Design.builder ~cells:n_cells
+      ~nets:(if v = 1 then n_pis + n_cells else n_nets)
   in
-  add_nets Design.add_primary_input pis;
-  add_nets Design.add_primary_output pos;
-  let read_net () =
-    let at = read_slice r in
-    Design.net_sub b s ~pos:at ~len:(r.at - at)
+  let net () =
+    if v = 1 then begin
+      let at = read_slice r in
+      Design.net_sub b s ~pos:at ~len:(r.at - at)
+    end
+    else net_id ()
   in
+  r.at <- tables_at;
+  if v > 1 then begin
+    ignore (read_varint r : int);
+    (* each name interned once, in table order: its key is its id *)
+    for k = 0 to n_nets - 1 do
+      let at = read_slice r in
+      if Design.net_sub b s ~pos:at ~len:(r.at - at) <> k then
+        corrupt "repeated net name %S" (String.sub s at (r.at - at))
+    done
+  end;
+  let add_net_list add =
+    for _ = 1 to read_varint r do
+      add b (net ())
+    done
+  in
+  add_net_list Design.add_primary_input;
+  add_net_list Design.add_primary_output;
+  r.at <- cells_at;
   for _ = 1 to n_cells do
     let gi = read_varint r in
     if gi >= n_gates then corrupt "gate index %d out of table" gi;
     let cname = read_string r in
-    let output = read_net () in
+    let output = net () in
     let n_in = read_items r ~what:"input count" ~max:0xffff in
     let inputs = Array.make n_in 0 in
     for pin = 0 to n_in - 1 do
-      inputs.(pin) <- read_net ()
+      inputs.(pin) <- net ()
     done;
     Design.add_cell b cname gates.(gi) inputs output
   done;

@@ -1,42 +1,51 @@
 (** A length-prefixed binary netlist format.
 
     The text format ({!Netlist_text}) is the human interface; this is the
-    scale interface.  A million-cell design serializes to a few tens of
-    megabytes and reads back in a single pass — no line scanner, no
-    tokenizing.  Layout (all integers
-    are unsigned LEB128 varints, all strings are varint-length-prefixed
+    scale interface.  A million-cell design serializes to about 31 MB and
+    reads back in a single pass — no line scanner, no tokenizing.
+    Layout of version 2, the one {!write_file} writes (all integers are
+    unsigned LEB128 varints, all strings are varint-length-prefixed
     bytes, floats are IEEE-754 binary64 little-endian):
 
     {v
     "PXNB"  magic
-    u8      format version (currently 1)
+    u8      format version (2)
     string  design name
     u8      thresholds flag; if 1: f64 vil, f64 vih, f64 vdd
     varint  gate-table size, then that many gate-name strings
-    varint  primary-input count, then that many net-name strings
-    varint  primary-output count, then that many net-name strings
+    varint  net count, then that many net-name strings, in net-id order
+    varint  primary-input count, then that many net ids
+    varint  primary-output count, then that many net ids
     varint  cell count, then per cell:
               varint gate-table index
               string cell name
-              string output net
-              varint input count, then that many input-net strings
+              varint output net id
+              varint input count, then that many input net ids
     u8      0xED end marker
     v}
+
+    Net ids are the {!Proxim_timing.Graph} numbering of the written
+    design, so a file read back keeps them: the builder interns each net
+    name once, in table order, and skips renumbering.
+
+    Version 1 files still read: they have no net table, and every net
+    reference (primary inputs and outputs, cell outputs and inputs) is
+    the net's name string instead of an id.  One decoder reads both;
+    only the per-pin net reference differs (a name interned, or an id).
 
     Gate names go through {!Proxim_gates.Gate.of_name} on read, exactly
     like the text parser, so the two formats accept the same gate
     vocabulary.  The writer streams cells straight to the channel.  The
     reader takes the whole file into one string the size of the file and
-    decodes it with a cursor: net names go from that buffer straight into
-    a {!Design.builder}, which hashes each once and copies a name only the
-    first time it is seen, so every pin of a net shares one string.  Peak
-    memory is the design plus the file's bytes. *)
+    decodes it with a cursor.  Peak memory is the design plus the file's
+    bytes. *)
 
 val magic : string
 (** ["PXNB"]. *)
 
 val version : int
-(** Format version written by {!write_file} (currently 1). *)
+(** Format version written by {!write_file} (2); versions 1 and 2
+    read. *)
 
 val file_is_binary : string -> bool
 (** [true] iff the file exists, is readable, and starts with {!magic} —
@@ -70,7 +79,8 @@ val of_string :
     checked against its cap and then against the bytes left before
     anything is sized by it — each record takes at least one byte, so a
     30-byte file claiming 2^28 cells is an [Error] that allocated
-    nothing for them. *)
+    nothing for them.  In a version 2 file, a net name repeated in the
+    table and a net id outside it are [Error] too. *)
 
 val read_file :
   Proxim_gates.Tech.t ->

@@ -180,7 +180,8 @@ let make_engine ~prune ~hits ~mode ~cell_models ~thresholds ~design :
 
 (* [cell_models.(id)] is what [factory] answered for cell [id], asked on
    the calling domain: the sweep reads the array and never calls the
-   factory *)
+   factory.  The collapsed baselines read no macromodel, so in that mode
+   the array is empty and the factory is never asked. *)
 type ir = {
   design : Design.t;
   timing : Design.cell Timing.t;
@@ -190,8 +191,12 @@ type ir = {
   hits : int Atomic.t array;
 }
 
+let reads_models = function Classic | Proximity -> true | Collapsed _ -> false
+
 let resolve ir id =
-  ir.cell_models.(id) <- ir.factory (Graph.payload (Design.graph ir.design) id)
+  if reads_models ir.ir_mode then
+    ir.cell_models.(id) <-
+      ir.factory (Graph.payload (Design.graph ir.design) id)
 
 let set_pi ir (net, a) =
   match Graph.net_id (Design.graph ir.design) net with
@@ -208,7 +213,11 @@ let build_ir ?(mode = Proximity) ?(prune = Prune.none) ~models ~thresholds
     invalid_arg
       (Printf.sprintf "Sta.build_ir: prune mask covers %d cells, design has %d"
          masked cells);
-  let cell_models = Array.init cells (fun id -> models (Graph.payload g id)) in
+  let cell_models =
+    if reads_models mode then
+      Array.init cells (fun id -> models (Graph.payload g id))
+    else [||]
+  in
   let hits = Array.init 3 (fun _ -> Atomic.make 0) in
   let engine =
     make_engine ~prune ~hits ~mode ~cell_models ~thresholds ~design
@@ -314,7 +323,7 @@ let apply_ecos pi ecos =
 
 let swap_models ?pool ir models =
   ir.factory <- models;
-  let cells = List.init (Array.length ir.cell_models) Fun.id in
+  let cells = List.init (Graph.cell_count (Design.graph ir.design)) Fun.id in
   List.iter (resolve ir) cells;
   Timing.update ?pool ir.timing ~dirty_nets:[] ~dirty_cells:cells
 

@@ -140,7 +140,9 @@ val build_ir :
 
     [models] is called once per cell, here, on the calling domain; the
     state keeps each cell's answer, and the sweep reads those instead of
-    calling [models] again.  The returned {!Proxim_macromodel.Models.t}
+    calling [models] again.  A [Collapsed] mode reads no macromodel, so
+    it never calls [models] (nor do {!update}'s [Touch_cell] and
+    {!swap_models}).  The returned {!Proxim_macromodel.Models.t}
     values are queried from every domain of the pool, so they must be
     safe to share — every model kind here is ({!Proxim_macromodel.Models}
     memoizes through {!Proxim_util.Memo_cache}); a hand-rolled model

@@ -174,7 +174,11 @@ type 'cell t = {
   cell_inputs : int array array;  (* cell -> input net ids, pin order *)
   cell_outputs : int array;  (* cell -> output net id *)
   net_driver : int array;  (* net -> driving cell id, or -1 for sources *)
-  net_readers : (int * int) array array;  (* net -> (cell, pin), file order *)
+  (* the pins reading net [n], in declaration order, are entries
+     [reader_start.(n) .. reader_start.(n + 1) - 1] of the two planes *)
+  reader_start : int array;  (* one entry per net, plus one *)
+  reader_cell : int array;
+  reader_pin : int array;
   pis : int array;
   pos : int array;
   topo : int array;  (* cells, drivers before readers *)
@@ -258,19 +262,10 @@ let add_cell b name payload ~inputs ~output =
 
 exception Invalid of defect
 
-(* Net ids: primary inputs, then every cell's inputs in declaration and
-   pin order, then the outputs no cell reads, then the remaining primary
-   outputs — each net numbered where it is first met. *)
-let number b =
-  let id = Array.make b.b_nets.Names.count (-1) and next = ref 0 in
-  let visit k =
-    if id.(k) < 0 then begin
-      id.(k) <- !next;
-      incr next
-    end
-  in
-  let pis = Array.of_list (List.rev b.b_pis)
-  and pos = Array.of_list (List.rev b.b_pos) in
+(* Every net key in numbering order: the primary inputs, then every
+   cell's inputs in declaration and pin order, then the cell outputs,
+   then the primary outputs. *)
+let iter_number_order b ~pis ~pos visit =
   Array.iter visit pis;
   for i = 0 to b.b_count - 1 do
     Array.iter visit b.b_inputs.(i)
@@ -278,25 +273,53 @@ let number b =
   for i = 0 to b.b_count - 1 do
     visit b.b_outputs.(i)
   done;
-  Array.iter visit pos;
-  (* a key interned but never added still gets an id, after the rest *)
-  for k = 0 to b.b_nets.Names.count - 1 do
-    visit k
-  done;
-  let renum a =
-    for j = 0 to Array.length a - 1 do
-      a.(j) <- id.(a.(j))
-    done
+  Array.iter visit pos
+
+(* Net ids: each net numbered where it is first met in that order.  Keys
+   interned in that order already (a binary netlist's net table) are
+   their own ids — each key is met first exactly when it is the next id
+   — and are kept without an id array or a renumbering pass. *)
+let number b =
+  let pis = Array.of_list (List.rev b.b_pis)
+  and pos = Array.of_list (List.rev b.b_pos) in
+  let inputs = exact b.b_inputs b.b_count
+  and outputs = exact b.b_outputs b.b_count in
+  let next = ref 0 in
+  let in_order =
+    match
+      iter_number_order b ~pis ~pos (fun k ->
+        if k = !next then incr next else if k > !next then raise_notrace Exit)
+    with
+    | () -> true
+    | exception Exit -> false
   in
-  renum pis;
-  renum pos;
-  for i = 0 to b.b_count - 1 do
-    renum b.b_inputs.(i)
-  done;
-  let outputs = exact b.b_outputs b.b_count in
-  renum outputs;
-  Names.renumber b.b_nets id;
-  (pis, pos, exact b.b_inputs b.b_count, outputs)
+  if in_order then Names.trim b.b_nets
+  else begin
+    let id = Array.make b.b_nets.Names.count (-1) in
+    next := 0;
+    let visit k =
+      if id.(k) < 0 then begin
+        id.(k) <- !next;
+        incr next
+      end
+    in
+    iter_number_order b ~pis ~pos visit;
+    (* a key interned but never added still gets an id, after the rest *)
+    for k = 0 to b.b_nets.Names.count - 1 do
+      visit k
+    done;
+    let renum a =
+      for j = 0 to Array.length a - 1 do
+        a.(j) <- id.(a.(j))
+      done
+    in
+    renum pis;
+    renum pos;
+    Array.iter renum inputs;
+    renum outputs;
+    Names.renumber b.b_nets id
+  end;
+  (pis, pos, inputs, outputs)
 
 let finish b =
   match b.b_duplicate with
@@ -329,19 +352,40 @@ let finish b =
         (fun n ->
           if undriven n then raise (Invalid (Undriven_output net_names.(n))))
         pos;
-      (* readers by counting: sized arrays, filled in declaration order *)
-      let fill = Array.make n_nets 0 in
-      Array.iter (Array.iter (fun n -> fill.(n) <- fill.(n) + 1)) cell_inputs;
-      let net_readers = Array.map (fun k -> Array.make k (0, 0)) fill in
-      Array.fill fill 0 n_nets 0;
-      Array.iteri
-        (fun i inputs ->
-          Array.iteri
-            (fun pin n ->
-              net_readers.(n).(fill.(n)) <- (i, pin);
-              fill.(n) <- fill.(n) + 1)
-            inputs)
-        cell_inputs;
+      (* reader planes by counting: [reader_start.(n + 1)] first counts
+         the pins reading [n], then a prefix sum makes the counts
+         offsets, and a pass in declaration order fills each net's
+         range, advancing [reader_start.(n)] to the range's end; the
+         offsets shift back down by one net *)
+      let reader_start = Array.make (n_nets + 1) 0 in
+      let n_pins = ref 0 in
+      for i = 0 to n_cells - 1 do
+        let inputs = cell_inputs.(i) in
+        n_pins := !n_pins + Array.length inputs;
+        for pin = 0 to Array.length inputs - 1 do
+          let n = inputs.(pin) + 1 in
+          reader_start.(n) <- reader_start.(n) + 1
+        done
+      done;
+      for n = 1 to n_nets do
+        reader_start.(n) <- reader_start.(n) + reader_start.(n - 1)
+      done;
+      let reader_cell = Array.make !n_pins 0
+      and reader_pin = Array.make !n_pins 0 in
+      for i = 0 to n_cells - 1 do
+        let inputs = cell_inputs.(i) in
+        for pin = 0 to Array.length inputs - 1 do
+          let n = inputs.(pin) in
+          let k = reader_start.(n) in
+          reader_cell.(k) <- i;
+          reader_pin.(k) <- pin;
+          reader_start.(n) <- k + 1
+        done
+      done;
+      for n = n_nets downto 1 do
+        reader_start.(n) <- reader_start.(n - 1)
+      done;
+      reader_start.(0) <- 0;
       (* topological order: DFS postorder over the cells in declaration
          order, fanin first — the traversal {!Design.create} historically
          used, so downstream report orders are unchanged *)
@@ -353,11 +397,11 @@ let finish b =
         | `Gray -> raise (Invalid (Cycle_through cell_names.Names.names.(i)))
         | `White ->
           state.(i) <- `Gray;
-          Array.iter
-            (fun net ->
-              let d = net_driver.(net) in
-              if d >= 0 then visit d)
-            cell_inputs.(i);
+          let inputs = cell_inputs.(i) in
+          for pin = 0 to Array.length inputs - 1 do
+            let d = net_driver.(inputs.(pin)) in
+            if d >= 0 then visit d
+          done;
           state.(i) <- `Black;
           topo.(!n_topo) <- i;
           incr n_topo
@@ -366,23 +410,28 @@ let finish b =
         visit i
       done;
       (* levels: a cell sits one level above its deepest driven input *)
-      let cell_levels = Array.make n_cells 0 in
+      let cell_levels = Array.make n_cells 0 and n_levels = ref 0 in
+      for k = 0 to n_cells - 1 do
+        let i = topo.(k) and l = ref 0 in
+        let inputs = cell_inputs.(i) in
+        for pin = 0 to Array.length inputs - 1 do
+          let d = net_driver.(inputs.(pin)) in
+          if d >= 0 then l := Int.max !l (cell_levels.(d) + 1)
+        done;
+        cell_levels.(i) <- !l;
+        n_levels := Int.max !n_levels (!l + 1)
+      done;
+      (* each level's cells counted, then placed in topo order *)
+      let fill = Array.make !n_levels 0 in
+      Array.iter (fun l -> fill.(l) <- fill.(l) + 1) cell_levels;
+      let levels = Array.map (fun k -> Array.make k 0) fill in
+      Array.fill fill 0 !n_levels 0;
       Array.iter
         (fun i ->
-          cell_levels.(i) <-
-            Array.fold_left
-              (fun acc net ->
-                let d = net_driver.(net) in
-                if d >= 0 then max acc (cell_levels.(d) + 1) else acc)
-              0 cell_inputs.(i))
+          let l = cell_levels.(i) in
+          levels.(l).(fill.(l)) <- i;
+          fill.(l) <- fill.(l) + 1)
         topo;
-      let n_levels = Array.fold_left (fun acc l -> max acc (l + 1)) 0 cell_levels in
-      let level_rev = Array.make n_levels [] in
-      (* walk topo backwards so each level list ends up in topo order *)
-      for k = n_cells - 1 downto 0 do
-        let i = topo.(k) in
-        level_rev.(cell_levels.(i)) <- i :: level_rev.(cell_levels.(i))
-      done;
       Ok
         {
           nets = b.b_nets;
@@ -391,12 +440,14 @@ let finish b =
           cell_inputs;
           cell_outputs;
           net_driver;
-          net_readers;
+          reader_start;
+          reader_cell;
+          reader_pin;
           pis;
           pos;
           topo;
           cell_levels;
-          levels = Array.map Array.of_list level_rev;
+          levels;
         }
     with Invalid d -> Error d)
 
@@ -442,7 +493,11 @@ let cell_output t id = t.cell_outputs.(id)
 let driver t ~net = if t.net_driver.(net) >= 0 then Some t.net_driver.(net) else None
 let driver_id t ~net = t.net_driver.(net)
 
-let readers t ~net = t.net_readers.(net)
+let iter_readers t ~net f =
+  for k = t.reader_start.(net) to t.reader_start.(net + 1) - 1 do
+    f t.reader_cell.(k) t.reader_pin.(k)
+  done
+
 let primary_inputs t = t.pis
 let primary_outputs t = t.pos
 let topological t = t.topo
@@ -472,7 +527,11 @@ let fanout_cone t ~nets ~cells =
       dirty.(i) <- true;
       mark_net t.cell_outputs.(i)
     end
-  and mark_net net = Array.iter (fun (c, _) -> mark_cell c) t.net_readers.(net) in
+  and mark_net net =
+    for k = t.reader_start.(net) to t.reader_start.(net + 1) - 1 do
+      mark_cell t.reader_cell.(k)
+    done
+  in
   List.iter mark_net nets;
   List.iter mark_cell cells;
   dirty

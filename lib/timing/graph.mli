@@ -44,7 +44,9 @@ type 'cell t
     in this order: the primary inputs, then every cell's inputs in
     declaration and pin order, then the outputs no cell reads (in
     declaration order), then the remaining primary outputs.  The order
-    in which names were interned does not matter.
+    in which names were interned does not matter; names interned in
+    exactly this order (a binary netlist's net table) keep their keys
+    as ids, and {!finish} skips the renumbering.
 
     {b Validation order.}  {!finish} reports the first defect it meets,
     checking in this order:
@@ -144,8 +146,12 @@ val driver_id : 'cell t -> net:int -> int
     once per evaluation — this form costs one array load and no
     allocation. *)
 
-val readers : 'cell t -> net:int -> (int * int) array
-(** [(cell, pin)] pairs reading [net], in declaration order. *)
+val iter_readers : 'cell t -> net:int -> (int -> int -> unit) -> unit
+(** [iter_readers g ~net f] calls [f cell pin] for every pin reading
+    [net], in declaration order.  The readers are three int planes in
+    compressed-row form (an offset per net into a cell plane and a pin
+    plane, filled by counting in {!finish}): the walk itself allocates
+    nothing. *)
 
 val primary_inputs : 'cell t -> int array
 val primary_outputs : 'cell t -> int array

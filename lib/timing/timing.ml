@@ -352,18 +352,15 @@ let update ?pool t ~dirty_nets ~dirty_cells =
       buckets.(l) <- c :: buckets.(l)
     end
   in
+  let enqueue_reader c _pin = enqueue c in
   List.iter enqueue dirty_cells;
-  List.iter
-    (fun net -> Array.iter (fun (c, _) -> enqueue c) (Graph.readers g ~net))
-    dirty_nets;
+  List.iter (fun net -> Graph.iter_readers g ~net enqueue_reader) dirty_nets;
   let evaluated = ref 0 in
   let changed = ref 0 in
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let on_change c =
     incr changed;
-    Array.iter
-      (fun (r, _) -> enqueue r)
-      (Graph.readers g ~net:(Graph.cell_output g c))
+    Graph.iter_readers g ~net:(Graph.cell_output g c) enqueue_reader
   in
   let run () =
     for l = 0 to n_levels - 1 do

@@ -22,7 +22,14 @@ let mat_vec a x =
   done;
   y
 
-let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. v
+(* a loop, not [Array.fold_left]: the polymorphic fold boxes every
+   element it reads *)
+let norm_inf (v : vec) =
+  let m = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    m := Float.max !m (Float.abs v.(i))
+  done;
+  !m
 
 let residual_norm a x b =
   let ax = mat_vec a x in
@@ -33,11 +40,13 @@ let residual_norm a x b =
   done;
   !m
 
-(* Classic LU with partial pivoting, factorizing [a] in place; [perm]
-   records row exchanges. *)
-let lu_factor_in_place a =
+(* Classic LU with partial pivoting, factorizing [a] in place (its rows
+   are exchanged as the pivots require); [perm] records the row order. *)
+let lu_factor a ~perm =
   let n = Array.length a in
-  let perm = Array.init n (fun i -> i) in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     (* pivot search *)
     let pivot_row = ref k in
@@ -58,45 +67,44 @@ let lu_factor_in_place a =
       perm.(k) <- perm.(!pivot_row);
       perm.(!pivot_row) <- tp
     end;
-    let akk = a.(k).(k) in
+    let rk = a.(k) in
+    let akk = rk.(k) in
     for i = k + 1 to n - 1 do
-      let factor = a.(i).(k) /. akk in
-      a.(i).(k) <- factor;
+      let ri = a.(i) in
+      let factor = ri.(k) /. akk in
+      ri.(k) <- factor;
       if factor <> 0. then
         for j = k + 1 to n - 1 do
-          a.(i).(j) <- a.(i).(j) -. (factor *. a.(k).(j))
+          ri.(j) <- ri.(j) -. (factor *. rk.(j))
         done
     done
-  done;
-  perm
+  done
 
-let lu_back_substitute a perm b =
+let lu_back_substitute a ~perm (b : vec) ~(x : vec) =
   let n = Array.length a in
-  let x = Array.make n 0. in
   (* forward: Ly = Pb *)
   for i = 0 to n - 1 do
+    let ri = a.(i) in
     let acc = ref b.(perm.(i)) in
     for j = 0 to i - 1 do
-      acc := !acc -. (a.(i).(j) *. x.(j))
+      acc := !acc -. (ri.(j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
   (* backward: Ux = y *)
   for i = n - 1 downto 0 do
+    let ri = a.(i) in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (a.(i).(j) *. x.(j))
+      acc := !acc -. (ri.(j) *. x.(j))
     done;
-    x.(i) <- !acc /. a.(i).(i)
-  done;
-  x
+    x.(i) <- !acc /. ri.(i)
+  done
 
 let lu_solve a b =
   let a = copy_mat a in
-  let perm = lu_factor_in_place a in
-  lu_back_substitute a perm b
-
-let solve_in_place a b =
-  let perm = lu_factor_in_place a in
-  let x = lu_back_substitute a perm b in
-  Array.blit x 0 b 0 (Array.length b)
+  let n = Array.length a in
+  let perm = Array.make n 0 and x = Array.make n 0. in
+  lu_factor a ~perm;
+  lu_back_substitute a ~perm b ~x;
+  x

@@ -389,6 +389,22 @@ let golden_case (name, args) =
         in
         Alcotest.(check string) name expected actual)
 
+(* The collapsed baselines read no macromodel: neither the analysis nor
+   an ECO that re-characterizes a cell asks the model factory, so its
+   cache stays empty *)
+let test_collapsed_resolves_no_models () =
+  let code, out, _ =
+    run_full
+      (sf "%s sta %s --domains 1 --mode jun %s --eco cell:u2 --verify-eco" cli
+         carry carry_pi)
+  in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check (option string)) "model cache line"
+    (Some "model cache: 0 hits, 0 misses, 0 waits, 0 entries")
+    (List.find_opt
+       (String.starts_with ~prefix:"model cache:")
+       (String.split_on_char '\n' out))
+
 (* cmdliner rejects a duplicate option name only when that subcommand is
    evaluated, so every subcommand's help must render *)
 let test_help_renders () =
@@ -417,6 +433,8 @@ let () =
         [
           Alcotest.test_case "valid events accepted" `Quick
             test_valid_events_accepted;
+          Alcotest.test_case "collapsed mode resolves no models" `Quick
+            test_collapsed_resolves_no_models;
         ] );
       ( "stimuli",
         [

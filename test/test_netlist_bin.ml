@@ -4,8 +4,9 @@
    every length guard), negative/oversized lengths and counts, phantom
    strings, and truncation at every byte boundary of a valid file — every
    vector must produce [Error _], never an exception, never [Ok] — plus a
-   seeded mutation fuzzer.  Then the one construction path: the three
-   loaders build the same graph, and malformed designs give the same
+   seeded mutation fuzzer, and the version 2 net table's own defects.
+   Then the one construction path: the loaders (binary versions 1 and 2,
+   text) build the same graph, and malformed designs give the same
    first error, in the same order, through each. *)
 
 module Tech = Proxim_gates.Tech
@@ -191,6 +192,83 @@ let test_count_vs_bytes_left () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* the version 2 net table                                             *)
+
+(* A version 2 file: no thresholds, one gate "inv", the net table, the
+   primary input and output id lists, then cells as (name, output id,
+   input ids) *)
+let v2_file ~nets ~pis ~pos ~cells =
+  let b = Buffer.create 64 in
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      varint (n lsr 7)
+    end
+  in
+  let str s =
+    varint (String.length s);
+    Buffer.add_string b s
+  in
+  let ids l =
+    varint (List.length l);
+    List.iter varint l
+  in
+  Buffer.add_string b "PXNB\x02";
+  str "v2";
+  Buffer.add_char b '\x00';
+  varint 1;
+  str "inv";
+  varint (List.length nets);
+  List.iter str nets;
+  ids pis;
+  ids pos;
+  varint (List.length cells);
+  List.iter
+    (fun (name, out, ins) ->
+      varint 0;
+      str name;
+      varint out;
+      ids ins)
+    cells;
+  Buffer.add_char b '\xed';
+  Buffer.contents b
+
+let test_v2_net_table () =
+  let err f = match read_bytes f with Ok _ -> "accepted" | Error m -> m in
+  let check ctx want f = Alcotest.(check string) ctx want (err f) in
+  (match read_bytes (v2_file ~nets:[ "a"; "y" ] ~pis:[ 0 ] ~pos:[ 1 ]
+                       ~cells:[ ("u1", 1, [ 0 ]) ]) with
+   | Ok (_, d, _) ->
+     Alcotest.(check (list string)) "nets" [ "a"; "y" ]
+       (List.init (Graph.net_count (Design.graph d))
+          (Graph.net_name (Design.graph d)))
+   | Error m -> Alcotest.fail m);
+  check "repeated net name" "binary netlist: repeated net name \"a\""
+    (v2_file ~nets:[ "a"; "y"; "a" ] ~pis:[ 0 ] ~pos:[ 1 ]
+       ~cells:[ ("u1", 1, [ 0 ]) ]);
+  check "input id out of the table"
+    "binary netlist: net id 5 out of table (2 nets)"
+    (v2_file ~nets:[ "a"; "y" ] ~pis:[ 0 ] ~pos:[ 1 ]
+       ~cells:[ ("u1", 1, [ 5 ]) ]);
+  check "output id out of the table"
+    "binary netlist: net id 2 out of table (2 nets)"
+    (v2_file ~nets:[ "a"; "y" ] ~pis:[ 0 ] ~pos:[ 1 ]
+       ~cells:[ ("u1", 2, [ 0 ]) ]);
+  check "primary input id out of the table"
+    "binary netlist: net id 9 out of table (2 nets)"
+    (v2_file ~nets:[ "a"; "y" ] ~pis:[ 9 ] ~pos:[ 1 ]
+       ~cells:[ ("u1", 1, [ 0 ]) ]);
+  (* a structural defect still reads as the text path reports it *)
+  check "undriven output" "Design.create: undriven primary output y"
+    (v2_file ~nets:[ "a"; "y"; "z" ] ~pis:[ 0 ] ~pos:[ 1 ]
+       ~cells:[ ("u1", 2, [ 0 ]) ]);
+  (* a version past the one written *)
+  let f = v2_file ~nets:[] ~pis:[] ~pos:[] ~cells:[] in
+  check "version 3" "binary netlist: unsupported format version 3"
+    (String.sub f 0 4 ^ "\x03" ^ String.sub f 5 (String.length f - 5))
+
+(* ------------------------------------------------------------------ *)
 (* seeded mutation fuzzer                                              *)
 
 let file_of ?thresholds ~seed ~cells () =
@@ -262,9 +340,57 @@ let test_fuzz () =
 (* ------------------------------------------------------------------ *)
 (* one construction path: the three loaders build the same graph       *)
 
+(* A hand encoder of the version 1 layout, which {!Netlist_bin.write_file}
+   no longer writes (and which it would write only for valid designs):
+   no thresholds and the gate table in sorted order. *)
+let defect_pxnb ?(end_marker = 0xed) (pis, pos, cells) =
+  let b = Buffer.create 256 in
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      varint (n lsr 7)
+    end
+  in
+  let str s =
+    varint (String.length s);
+    Buffer.add_string b s
+  in
+  let list l =
+    varint (List.length l);
+    List.iter str l
+  in
+  Buffer.add_string b "PXNB\x01";
+  str "bad";
+  Buffer.add_char b '\x00';
+  let gates = List.sort_uniq compare (List.map (fun (_, g, _, _) -> g) cells) in
+  list gates;
+  list pis;
+  list pos;
+  varint (List.length cells);
+  List.iter
+    (fun (n, g, ins, o) ->
+      let rec index i = function
+        | x :: tl -> if x = g then i else index (i + 1) tl
+        | [] -> assert false
+      in
+      varint (index 0 gates);
+      str n;
+      str o;
+      list ins)
+    cells;
+  Buffer.add_char b (Char.chr end_marker);
+  Buffer.contents b
+
+
 let same_graph ctx g g' =
   let chk what a b =
     if a <> b then Alcotest.failf "%s: %s differs" ctx what
+  in
+  let readers g n =
+    let l = ref [] in
+    Graph.iter_readers g ~net:n (fun c pin -> l := (c, pin) :: !l);
+    !l
   in
   chk "net count" (Graph.net_count g) (Graph.net_count g');
   chk "cell count" (Graph.cell_count g) (Graph.cell_count g');
@@ -273,7 +399,7 @@ let same_graph ctx g g' =
     chk "net name" name (Graph.net_name g' n);
     chk "net id" (Some n) (Graph.net_id g' name);
     chk "driver" (Graph.driver_id g ~net:n) (Graph.driver_id g' ~net:n);
-    chk "readers" (Graph.readers g ~net:n) (Graph.readers g' ~net:n)
+    chk "readers" (readers g n) (readers g' n)
   done;
   for c = 0 to Graph.cell_count g - 1 do
     let name = Graph.cell_name g c in
@@ -295,6 +421,21 @@ let same_graph ctx g g' =
     chk "level" (Graph.level g l) (Graph.level g' l)
   done
 
+(* The version 1 file of a design *)
+let v1_of design =
+  defect_pxnb
+    ( Design.primary_inputs design,
+      Design.primary_outputs design,
+      List.map
+        (fun (c : Design.cell) ->
+          ( c.Design.name,
+            c.Design.gate.Gate.name,
+            Array.to_list c.Design.input_nets,
+            c.Design.output_net ))
+        (Design.cells design) )
+
+(* a version 2 file from [write_file], a version 1 file and the text
+   form: the same graph through every loader *)
 let three_ways ctx ~name design =
   let g = Design.graph design in
   (match
@@ -302,8 +443,11 @@ let three_ways ctx ~name design =
          Netlist_bin.write_file ~name design path;
          Netlist_bin.read_file tech path)
    with
-   | Ok (_, d, _) -> same_graph (ctx ^ " (binary)") g (Design.graph d)
-   | Error m -> Alcotest.failf "%s: binary read: %s" ctx m);
+   | Ok (_, d, _) -> same_graph (ctx ^ " (binary v2)") g (Design.graph d)
+   | Error m -> Alcotest.failf "%s: binary v2 read: %s" ctx m);
+  (match Netlist_bin.of_string tech (v1_of design) with
+   | Ok (_, d, _) -> same_graph (ctx ^ " (binary v1)") g (Design.graph d)
+   | Error m -> Alcotest.failf "%s: binary v1 read: %s" ctx m);
   match Netlist_text.parse tech (Netlist_text.to_string ~name design) with
   | Ok (_, d) -> same_graph (ctx ^ " (text)") g (Design.graph d)
   | Error m -> Alcotest.failf "%s: text parse: %s" ctx m
@@ -460,48 +604,6 @@ let defect_text (pis, pos, cells) =
   Buffer.add_string b "end\n";
   Buffer.contents b
 
-(* A hand encoder, since {!Netlist_bin.write_file} only writes valid
-   designs: the v1 layout with no thresholds and the gate table in
-   sorted order. *)
-let defect_pxnb ?(end_marker = 0xed) (pis, pos, cells) =
-  let b = Buffer.create 256 in
-  let rec varint n =
-    if n < 0x80 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      varint (n lsr 7)
-    end
-  in
-  let str s =
-    varint (String.length s);
-    Buffer.add_string b s
-  in
-  let list l =
-    varint (List.length l);
-    List.iter str l
-  in
-  Buffer.add_string b "PXNB\x01";
-  str "bad";
-  Buffer.add_char b '\x00';
-  let gates = List.sort_uniq compare (List.map (fun (_, g, _, _) -> g) cells) in
-  list gates;
-  list pis;
-  list pos;
-  varint (List.length cells);
-  List.iter
-    (fun (n, g, ins, o) ->
-      let rec index i = function
-        | x :: tl -> if x = g then i else index (i + 1) tl
-        | [] -> assert false
-      in
-      varint (index 0 gates);
-      str n;
-      str o;
-      list ins)
-    cells;
-  Buffer.add_char b (Char.chr end_marker);
-  Buffer.contents b
-
 let test_defects () =
   List.iter
     (fun (label, pis, pos, cells, want, want_text) ->
@@ -594,6 +696,8 @@ let () =
             test_truncation_everywhere;
           Alcotest.test_case "end marker" `Quick test_end_marker;
         ] );
+      ( "version 2",
+        [ Alcotest.test_case "net table defects" `Quick test_v2_net_table ] );
       ("fuzz", [ Alcotest.test_case "seeded mutants" `Quick test_fuzz ]);
       ( "one path",
         [

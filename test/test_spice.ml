@@ -9,6 +9,11 @@ module Transient = Proxim_spice.Transient
 module Options = Proxim_spice.Options
 module Linalg = Proxim_util.Linalg
 module M = Proxim_device.Mosfet
+module Floatx = Proxim_util.Floatx
+module Tech = Proxim_gates.Tech
+module Gate = Proxim_gates.Gate
+module Vtc = Proxim_vtc.Vtc
+module Measure = Proxim_measure.Measure
 
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
@@ -142,16 +147,16 @@ let test_jacobian_fd () =
   let x = [| 2.1; 5.0; 2.5; -1e-4; 0. |] in
   Alcotest.(check int) "size" (Array.length x) n;
   let sv = [| 5.0; 2.5 |] in
-  let comps = Some [| (0.01, 0.003) |] in
-  let jac = Linalg.make_mat n in
-  let res = Array.make n 0. in
-  Mna.assemble sys ~x ~gmin:1e-12 ~source_values:sv ~cap_companions:comps ~jac
-    ~res;
+  let comps = Mna.companions sys in
+  comps.Mna.geq.(0) <- 0.01;
+  comps.Mna.ieq.(0) <- 0.003;
+  let companions = Some comps in
+  let ws = Mna.workspace sys in
+  Mna.assemble sys ws ~x ~gmin:1e-12 ~source_values:sv ~companions;
+  let jac = Array.map Array.copy ws.Mna.jac in
   let residual_at x =
-    let j2 = Linalg.make_mat n and r2 = Array.make n 0. in
-    Mna.assemble sys ~x ~gmin:1e-12 ~source_values:sv ~cap_companions:comps
-      ~jac:j2 ~res:r2;
-    r2
+    Mna.assemble sys ws ~x ~gmin:1e-12 ~source_values:sv ~companions;
+    Array.copy ws.Mna.res
   in
   let h = 1e-7 in
   for j = 0 to n - 1 do
@@ -260,6 +265,113 @@ let test_probe_named () =
   Alcotest.check_raises "unknown node" Not_found (fun () ->
     ignore (Transient.probe_named net result "bogus"))
 
+(* ------------------------------------------------------------------ *)
+(* The solver's bits and its allocation                                *)
+
+let gate name = Result.get_ok (Gate.of_name Tech.generic_5v name)
+
+(* Hex floats recorded from the allocating solver that the workspace
+   kernel replaced: the kernel performs the same floating-point
+   operations in the same order, so every bit of the §2 thresholds and
+   of the golden transients' measurements stays. *)
+let test_solver_bits () =
+  let hex a b = Printf.sprintf "%h %h" a b in
+  List.iter
+    (fun (name, want) ->
+      let th = Vtc.thresholds (gate name) in
+      Alcotest.(check string) ("thresholds of " ^ name) want
+        (hex th.Vtc.vil th.Vtc.vih))
+    [
+      ("inv", "0x1.b258adab99a56p+0 0x1.5e82186c829fep+1");
+      ("nand2", "0x1.baaca4565259bp+0 0x1.c0deacb3a0216p+1");
+      ("nor2", "0x1.141008d124d08p+0 0x1.589d88baecf94p+1");
+      ("nand3", "0x1.be88384036b05p+0 0x1.e947f1890628dp+1");
+      ("nor3", "0x1.c665ff65611dcp-1 0x1.55e1717b2c1b1p+1");
+      ("aoi21", "0x1.159842c8befd9p+0 0x1.bc903ae774165p+1");
+      ("oai21", "0x1.3100f7e09182dp+0 0x1.bf50a27a52d5cp+1");
+      ("nand4", "0x1.c1931587d66c3p+0 0x1.fbffafc1f6253p+1");
+    ];
+  let g = gate "nand3" in
+  let th = Vtc.thresholds g in
+  let obs what (o : Measure.observation) want =
+    Alcotest.(check string) what want
+      (hex o.Measure.delay o.Measure.out_transition)
+  in
+  List.iter
+    (fun (tau, edge, want) ->
+      obs
+        (Printf.sprintf "nand3 pin 1, %g ps %s" (tau *. 1e12)
+           (if edge = Measure.Rise then "rise" else "fall"))
+        (Measure.single_input g th ~pin:1 ~edge ~tau)
+        want)
+    [
+      (100e-12, Measure.Rise, "0x1.05b03bcf8edp-33 0x1.985bf7ea4a76cp-33");
+      (100e-12, Measure.Fall, "0x1.ecca5b8100fe4p-34 0x1.ec845e01aec94p-34");
+      (300e-12, Measure.Rise, "0x1.6e68582ef5c28p-33 0x1.9ab4a9131f10cp-33");
+      (300e-12, Measure.Fall, "0x1.cc996dca41bep-33 0x1.f197092207b88p-34");
+      (900e-12, Measure.Rise, "0x1.38118016040c4p-32 0x1.f22d20bd7353p-33");
+      (900e-12, Measure.Fall, "0x1.e81b91c23f45cp-32 0x1.659bdbdacd75p-33");
+    ];
+  let stimuli =
+    [
+      (0, { Measure.edge = Measure.Fall; tau = 300e-12; cross_time = 1e-9 });
+      (2, { Measure.edge = Measure.Fall; tau = 200e-12; cross_time = 1.05e-9 });
+    ]
+  in
+  obs "nand3 pins 0 and 2, falling"
+    (Measure.multi_input g th ~stimuli ~ref_pin:0)
+    "0x1.6c214757c744p-33 0x1.0b6db4b3c18dp-34"
+
+(* Bytes allocated by [f], read on an empty minor heap at both ends *)
+let allocated f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  Gc.minor ();
+  (v, Gc.allocated_bytes () -. before)
+
+(* One workspace per sweep and per transient.  The allocating kernel
+   took 5 341 bytes per Newton iteration of this sweep (a Jacobian per
+   solve, a right-hand side, a permutation and a solution per iteration,
+   a boxed record per MOSFET evaluation), 44.9 MB for the nand3
+   thresholds and 8.3 MB per transient; what is left is each point's
+   solution and each step's saved state. *)
+let test_kernel_allocation () =
+  let g = gate "nand3" in
+  let levels = Gate.noncontrolling_sensitization g ~pin:0 in
+  let inst =
+    Gate.instantiate g ~inputs:(Array.map Pwl.constant levels)
+  in
+  let sources = [ inst.Gate.input_sources.(0) ] in
+  let overrides =
+    [ (inst.Gate.input_sources.(1), levels.(1));
+      (inst.Gate.input_sources.(2), levels.(2)) ]
+  in
+  let values = Floatx.linspace 0. 5. 401 in
+  let sols, bytes =
+    allocated (fun () ->
+      Dc.sweep_many ~overrides inst.Gate.net ~sources ~values)
+  in
+  let iterations =
+    Array.fold_left (fun n s -> n + s.Dc.newton_iterations) 0 sols
+  in
+  let per_iteration = bytes /. float_of_int iterations in
+  if per_iteration > 1024. then
+    Alcotest.failf "the sweep allocated %.0f bytes per Newton iteration"
+      per_iteration;
+  (* the whole seven-curve family in this domain: 44.9 MB before *)
+  let pool = Proxim_util.Pool.create ~domains:1 in
+  let th, bytes = allocated (fun () -> Vtc.thresholds ~pool g) in
+  Proxim_util.Pool.shutdown pool;
+  if bytes > 8e6 then
+    Alcotest.failf "the nand3 thresholds allocated %.1f MB" (bytes /. 1e6);
+  let _, bytes =
+    allocated (fun () ->
+      Measure.single_input g th ~pin:1 ~edge:Measure.Rise ~tau:300e-12)
+  in
+  if bytes > 2e6 then
+    Alcotest.failf "one transient allocated %.1f MB" (bytes /. 1e6)
+
 let () =
   Alcotest.run "spice"
     [
@@ -291,5 +403,10 @@ let () =
           Alcotest.test_case "breakpoints" `Quick test_transient_hits_breakpoints;
           Alcotest.test_case "override" `Quick test_transient_override_pins_source;
           Alcotest.test_case "probe by name" `Quick test_probe_named;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "solver bits" `Quick test_solver_bits;
+          Alcotest.test_case "allocation" `Quick test_kernel_allocation;
         ] );
     ]

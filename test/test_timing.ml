@@ -68,8 +68,10 @@ let test_build_arena () =
   Alcotest.(check int) "u2 level" 1 (Graph.cell_level g u2);
   Alcotest.(check bool) "driver n1" true (Graph.driver g ~net:n1 = Some u1);
   Alcotest.(check bool) "driver a" true (Graph.driver g ~net:a = None);
-  (match Graph.readers g ~net:n1 with
-  | [| (c, pin) |] ->
+  let readers = ref [] in
+  Graph.iter_readers g ~net:n1 (fun c pin -> readers := (c, pin) :: !readers);
+  (match !readers with
+  | [ (c, pin) ] ->
     Alcotest.(check int) "reader cell" u2 c;
     Alcotest.(check int) "reader pin" 0 pin
   | _ -> Alcotest.fail "n1 should have one reader");
@@ -492,10 +494,10 @@ let test_update_failure domains () =
      that reader are timed, and commit, before the failure *)
   let g = Design.graph design in
   let first_reader (net, _) =
-    Array.fold_left
-      (fun m (c, _) -> min m c)
-      max_int
-      (Graph.readers g ~net:(Option.get (Graph.net_id g net)))
+    let m = ref max_int in
+    Graph.iter_readers g ~net:(Option.get (Graph.net_id g net)) (fun c _ ->
+      m := min !m c);
+    !m
   in
   let flipped, _ =
     List.fold_left
