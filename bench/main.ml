@@ -99,16 +99,25 @@ let ctx = lazy (make_ctx ())
 let event pin edge tau cross =
   { Proximity.pin; edge; tau; cross_time = cross }
 
-let golden c events ~ref_pin =
-  let stimuli =
-    List.map
-      (fun (e : Proximity.event) ->
-        ( e.Proximity.pin,
-          { Measure.edge = e.Proximity.edge; tau = e.Proximity.tau;
-            cross_time = e.Proximity.cross_time } ))
-      events
+(* The paper's §5 comparison, shared by the experiments below: the
+   model's percent error against the golden simulator. *)
+let pct_err model gold = (model -. gold) /. gold *. 100.
+
+(* Inputs a and b switching on one edge, b [s] after a: the model's
+   answer and the simulator's on the same events. *)
+let two_input_step gate th models ~edge ~tau_a ~tau_b ~base s =
+  let events = [ event 0 edge tau_a base; event 1 edge tau_b (base +. s) ] in
+  let r = Proximity.evaluate models events in
+  (r, Proximity.golden gate th events ~ref_pin:r.Proximity.ref_pin)
+
+(* [points] separations of b against a, from b's whole single-input
+   response (delay plus transition) before a to a's whole response
+   after it. *)
+let sweep_span (m : Models.t) ~edge ~tau_a ~tau_b points =
+  let reach pin tau =
+    m.Models.delay1 ~pin ~edge ~tau +. m.Models.trans1 ~pin ~edge ~tau
   in
-  Measure.multi_input c.nand3 c.th ~stimuli ~ref_pin
+  Floatx.linspace (-.reach 1 tau_b) (reach 0 tau_a) points
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1-2: delay and output transition vs separation               *)
@@ -119,11 +128,6 @@ let fig1_2 () =
     "Figure 1-2: proximity effect on a 3-input NAND (c stable at Vdd)";
   let run edge label =
     let tau_a = 500e-12 and tau_b = 100e-12 in
-    let d_a = c.models.Models.delay1 ~pin:0 ~edge ~tau:tau_a in
-    let d_b = c.models.Models.delay1 ~pin:1 ~edge ~tau:tau_b in
-    let t_a = c.models.Models.trans1 ~pin:0 ~edge ~tau:tau_a in
-    let t_b = c.models.Models.trans1 ~pin:1 ~edge ~tau:tau_b in
-    let s_lo = -.(d_b +. t_b) and s_hi = d_a +. t_a in
     subsection
       (Printf.sprintf
          "%s inputs: tau_a = 500 ps, tau_b = 100 ps (output %s)" label
@@ -134,27 +138,21 @@ let fig1_2 () =
     let points = if !quick then 9 else 17 in
     Array.iter
       (fun s ->
-        let base = 2.5e-9 in
-        let events = [ event 0 edge tau_a base; event 1 edge tau_b (base +. s) ] in
-        let r = Proximity.evaluate c.models events in
-        let g = golden c events ~ref_pin:r.Proximity.ref_pin in
-        let derr =
-          (r.Proximity.delay -. g.Measure.delay) /. g.Measure.delay *. 100.
-        in
-        let terr =
-          (r.Proximity.out_transition -. g.Measure.out_transition)
-          /. g.Measure.out_transition *. 100.
+        let r, g =
+          two_input_step c.nand3 c.th c.models ~edge ~tau_a ~tau_b ~base:2.5e-9
+            s
         in
         Printf.printf
           "  %8.1f    %s  |     %8.1f  %8.1f  %+5.1f |      %8.1f  %8.1f  \
            %+5.1f\n"
           (ps s)
           (Gate.pin_name r.Proximity.ref_pin)
-          (ps g.Measure.delay) (ps r.Proximity.delay) derr
+          (ps g.Measure.delay) (ps r.Proximity.delay)
+          (pct_err r.Proximity.delay g.Measure.delay)
           (ps g.Measure.out_transition)
           (ps r.Proximity.out_transition)
-          terr)
-      (Floatx.linspace s_lo s_hi points)
+          (pct_err r.Proximity.out_transition g.Measure.out_transition))
+      (sweep_span c.models ~edge ~tau_a ~tau_b points)
   in
   run Measure.Fall "falling";
   run Measure.Rise "rising"
@@ -194,31 +192,24 @@ let fig3_3 () =
     (fun tau_b ->
       let d_a = c.models.Models.delay1 ~pin:0 ~edge ~tau:tau_a in
       let d_b = c.models.Models.delay1 ~pin:1 ~edge ~tau:tau_b in
-      let t_a = c.models.Models.trans1 ~pin:0 ~edge ~tau:tau_a in
-      let t_b = c.models.Models.trans1 ~pin:1 ~edge ~tau:tau_b in
-      let crossover = d_a -. d_b in
       subsection
         (Printf.sprintf
            "fall(a) = 500 ps, fall(b) = %.0f ps; predicted crossover at s = \
             %.1f ps"
-           (ps tau_b) (ps crossover));
+           (ps tau_b) (ps (d_a -. d_b)));
       Printf.printf "  s_ab[ps]   dom | delay gold[ps]  model[ps]  err%%\n";
       let points = if !quick then 9 else 15 in
       Array.iter
         (fun s ->
-          let base = 3e-9 in
-          let events =
-            [ event 0 edge tau_a base; event 1 edge tau_b (base +. s) ]
-          in
-          let r = Proximity.evaluate c.models events in
-          let g = golden c events ~ref_pin:r.Proximity.ref_pin in
-          let derr =
-            (r.Proximity.delay -. g.Measure.delay) /. g.Measure.delay *. 100.
+          let r, g =
+            two_input_step c.nand3 c.th c.models ~edge ~tau_a ~tau_b ~base:3e-9
+              s
           in
           Printf.printf "  %8.1f    %s  |      %8.1f   %8.1f  %+5.1f\n" (ps s)
             (Gate.pin_name r.Proximity.ref_pin)
-            (ps g.Measure.delay) (ps r.Proximity.delay) derr)
-        (Floatx.linspace (-.(d_b +. t_b)) (d_a +. t_a) points))
+            (ps g.Measure.delay) (ps r.Proximity.delay)
+            (pct_err r.Proximity.delay g.Measure.delay))
+        (sweep_span c.models ~edge ~tau_a ~tau_b points))
     [ 100e-12; 500e-12; 1000e-12 ]
 
 (* ------------------------------------------------------------------ *)
@@ -240,59 +231,50 @@ let fig4_2 () =
 type sample = {
   s_events : Proximity.event list;
   s_gold : Measure.observation;
-  s_ref_pin : int;
   s_ref_cross : float;
 }
 
-let validation_dataset = ref None
+let dataset =
+  lazy
+    (let c = Lazy.force ctx in
+     let n = if !quick then 30 else 100 in
+     let rng = Prng.create 19951010L (* the report's date *) in
+     Array.init n (fun _ ->
+       let tau () = Prng.float rng ~lo:50e-12 ~hi:2000e-12 in
+       let base = 2.5e-9 in
+       let sep () = Prng.float rng ~lo:(-500e-12) ~hi:500e-12 in
+       let events =
+         [
+           event 0 Measure.Fall (tau ()) base;
+           event 1 Measure.Fall (tau ()) (base +. sep ());
+           event 2 Measure.Fall (tau ()) (base +. sep ());
+         ]
+       in
+       let r = Proximity.evaluate c.models events in
+       let ref_pin = r.Proximity.ref_pin in
+       {
+         s_events = events;
+         s_gold = Proximity.golden c.nand3 c.th events ~ref_pin;
+         s_ref_cross = r.Proximity.ref_cross;
+       }))
 
-let dataset () =
-  match !validation_dataset with
-  | Some d -> d
-  | None ->
-    let c = Lazy.force ctx in
-    let n = if !quick then 30 else 100 in
-    let rng = Prng.create 19951010L (* the report's date *) in
-    let samples =
-      Array.init n (fun _ ->
-        let tau () = Prng.float rng ~lo:50e-12 ~hi:2000e-12 in
-        let base = 2.5e-9 in
-        let sep () = Prng.float rng ~lo:(-500e-12) ~hi:500e-12 in
-        let events =
-          [
-            event 0 Measure.Fall (tau ()) base;
-            event 1 Measure.Fall (tau ()) (base +. sep ());
-            event 2 Measure.Fall (tau ()) (base +. sep ());
-          ]
-        in
-        let r = Proximity.evaluate c.models events in
-        let g = golden c events ~ref_pin:r.Proximity.ref_pin in
-        {
-          s_events = events;
-          s_gold = g;
-          s_ref_pin = r.Proximity.ref_pin;
-          s_ref_cross = r.Proximity.ref_cross;
-        })
-    in
-    validation_dataset := Some samples;
-    samples
+(* One prediction per sample, its delay and transition errors against
+   the sample's golden answer. *)
+let pct_errors predict samples =
+  let predicted = Array.map predict samples in
+  let errs field =
+    Array.map2
+      (fun p s -> pct_err (field p) (field s.s_gold))
+      predicted samples
+  in
+  ( errs (fun (o : Measure.observation) -> o.Measure.delay),
+    errs (fun o -> o.Measure.out_transition) )
 
-let pct_errors ~pred_delay ~pred_trans samples =
-  let derr =
-    Array.map
-      (fun s ->
-        (pred_delay s -. s.s_gold.Measure.delay)
-        /. s.s_gold.Measure.delay *. 100.)
-      samples
-  in
-  let terr =
-    Array.map
-      (fun s ->
-        (pred_trans s -. s.s_gold.Measure.out_transition)
-        /. s.s_gold.Measure.out_transition *. 100.)
-      samples
-  in
-  (derr, terr)
+(* ProximityDelay's answer for a sample, as a predictor *)
+let proximity ?correction ?trans_composition models s =
+  let r = Proximity.evaluate ?correction ?trans_composition models s.s_events in
+  { Measure.delay = r.Proximity.delay;
+    out_transition = r.Proximity.out_transition }
 
 let print_stat_row label (st : Stats.summary) =
   Printf.printf "  %-28s %+7.2f  %6.2f  %+7.2f  %+7.2f\n" label st.Stats.mean
@@ -300,14 +282,11 @@ let print_stat_row label (st : Stats.summary) =
 
 let table5_1 () =
   let c = Lazy.force ctx in
+  let samples = Lazy.force dataset in
   section
     (Printf.sprintf
        "Table 5-1: model vs circuit simulation, %d random configurations"
-       (Array.length (dataset ())));
-  let samples = dataset () in
-  let eval ?correction s =
-    Proximity.evaluate ?correction c.models s.s_events
-  in
+       (Array.length samples));
   let corr =
     Proximity.calibrate_correction c.nand3 c.th c.models ~edge:Measure.Fall
   in
@@ -316,16 +295,8 @@ let table5_1 () =
     (ps corr.Proximity.delay_err)
     (ps corr.Proximity.trans_err);
   Printf.printf "\n  quantity                       mean%%   std%%     max%%     min%%\n";
-  let d_nc, t_nc =
-    pct_errors samples
-      ~pred_delay:(fun s -> (eval s).Proximity.delay)
-      ~pred_trans:(fun s -> (eval s).Proximity.out_transition)
-  in
-  let d_c, t_c =
-    pct_errors samples
-      ~pred_delay:(fun s -> (eval ~correction:corr s).Proximity.delay)
-      ~pred_trans:(fun s -> (eval ~correction:corr s).Proximity.out_transition)
-  in
+  let d_nc, t_nc = pct_errors (proximity c.models) samples in
+  let d_c, t_c = pct_errors (proximity ~correction:corr c.models) samples in
   print_stat_row "delay (no correction)" (Stats.summarize d_nc);
   print_stat_row "delay (with correction)" (Stats.summarize d_c);
   print_stat_row "rise time (no correction)" (Stats.summarize t_nc);
@@ -348,22 +319,15 @@ let ablation_correction () =
 let baseline_cmp () =
   let c = Lazy.force ctx in
   section "Baseline comparison: collapse-to-inverter vs proximity model";
-  let samples = dataset () in
-  let prox_d, prox_t =
-    pct_errors samples
-      ~pred_delay:(fun s ->
-        (Proximity.evaluate c.models s.s_events).Proximity.delay)
-      ~pred_trans:(fun s ->
-        (Proximity.evaluate c.models s.s_events).Proximity.out_transition)
-  in
+  let samples = Lazy.force dataset in
+  let prox_d, prox_t = pct_errors (proximity c.models) samples in
   let of_variant variant =
-    pct_errors samples
-      ~pred_delay:(fun s ->
+    pct_errors
+      (fun s ->
         let p = Collapse.predict variant c.nand3 c.th ~events:s.s_events in
-        p.Collapse.out_cross -. s.s_ref_cross)
-      ~pred_trans:(fun s ->
-        let p = Collapse.predict variant c.nand3 c.th ~events:s.s_events in
-        p.Collapse.out_transition)
+        { Measure.delay = p.Collapse.out_cross -. s.s_ref_cross;
+          out_transition = p.Collapse.out_transition })
+      samples
   in
   let jun_d, jun_t = of_variant Collapse.Jun in
   let nl_d, nl_t = of_variant Collapse.Nabavi_lishi in
@@ -380,7 +344,8 @@ let ablation_table () =
   let c = Lazy.force ctx in
   section "Ablation: tabulated dual-input macromodel vs simulator oracle";
   let n = if !quick then 8 else 30 in
-  let samples = Array.sub (dataset ()) 0 (min n (Array.length (dataset ()))) in
+  let all = Lazy.force dataset in
+  let samples = Array.sub all 0 (min n (Array.length all)) in
   Printf.printf "  building 3-D tables (this triggers many transient runs)...\n%!";
   let t0 = Unix.gettimeofday () in
   let full_x_tau = Floatx.logspace 0.25 16. 6 in
@@ -396,20 +361,8 @@ let ablation_table () =
         c.nand3 c.th
     else Models.of_tables ~x_tau:full_x_tau ~x_sep:full_x_sep c.nand3 c.th
   in
-  let d_tbl, t_tbl =
-    pct_errors samples
-      ~pred_delay:(fun s ->
-        (Proximity.evaluate table_models s.s_events).Proximity.delay)
-      ~pred_trans:(fun s ->
-        (Proximity.evaluate table_models s.s_events).Proximity.out_transition)
-  in
-  let d_orc, t_orc =
-    pct_errors samples
-      ~pred_delay:(fun s ->
-        (Proximity.evaluate c.models s.s_events).Proximity.delay)
-      ~pred_trans:(fun s ->
-        (Proximity.evaluate c.models s.s_events).Proximity.out_transition)
-  in
+  let d_tbl, t_tbl = pct_errors (proximity table_models) samples in
+  let d_orc, t_orc = pct_errors (proximity c.models) samples in
   (* the paper's Fig 4-2 claim: n dual tables (one per dominant pin,
      shared across the other inputs) suffice in practice *)
   let shared_models =
@@ -423,13 +376,7 @@ let ablation_table () =
       Models.of_tables ~x_tau:full_x_tau ~x_sep:full_x_sep ~share_others:true
         c.nand3 c.th
   in
-  let d_shr, t_shr =
-    pct_errors samples
-      ~pred_delay:(fun s ->
-        (Proximity.evaluate shared_models s.s_events).Proximity.delay)
-      ~pred_trans:(fun s ->
-        (Proximity.evaluate shared_models s.s_events).Proximity.out_transition)
-  in
+  let d_shr, t_shr = pct_errors (proximity shared_models) samples in
   Printf.printf "  table construction + queries: %.1f s\n" (Unix.gettimeofday () -. t0);
   Printf.printf "\n  dual-input model / delay       mean%%   std%%     max%%     min%%\n";
   print_stat_row "oracle (paper's methodology)" (Stats.summarize d_orc);
@@ -443,18 +390,12 @@ let ablation_table () =
 let ablation_composition () =
   let c = Lazy.force ctx in
   section "Ablation: output-transition composition rule (eq 4.5 vs rates)";
-  let samples = dataset () in
-  let of_comp comp =
-    pct_errors samples
-      ~pred_delay:(fun s ->
-        (Proximity.evaluate ~trans_composition:comp c.models s.s_events)
-          .Proximity.delay)
-      ~pred_trans:(fun s ->
-        (Proximity.evaluate ~trans_composition:comp c.models s.s_events)
-          .Proximity.out_transition)
+  let samples = Lazy.force dataset in
+  let of_comp trans_composition =
+    snd (pct_errors (proximity ~trans_composition c.models) samples)
   in
-  let _, t_add = of_comp Proximity.Additive in
-  let _, t_rate = of_comp Proximity.Rate_additive in
+  let t_add = of_comp Proximity.Additive in
+  let t_rate = of_comp Proximity.Rate_additive in
   Printf.printf "\n  rise-time composition          mean%%   std%%     max%%     min%%\n";
   print_stat_row "additive (eq 4.5 verbatim)" (Stats.summarize t_add);
   print_stat_row "rate-additive (default)" (Stats.summarize t_rate)
@@ -505,26 +446,14 @@ let ablation_alpha () =
   let d_a = models.Models.delay1 ~pin:0 ~edge ~tau:tau_a in
   Printf.printf "  thresholds: Vil = %.3f V, Vih = %.3f V\n" th.Vtc.vil th.Vtc.vih;
   Printf.printf "  s_ab[ps]   delay gold[ps]  model[ps]  err%%\n";
-  let mk_events s =
-    let base = 2.5e-9 in
-    [ event 0 edge tau_a base; event 1 edge tau_b (base +. s) ]
-  in
   Array.iter
     (fun s ->
-      let events = mk_events s in
-      let r = Proximity.evaluate models events in
-      let stimuli =
-        List.map
-          (fun (e : Proximity.event) ->
-            ( e.Proximity.pin,
-              { Measure.edge; tau = e.Proximity.tau;
-                cross_time = e.Proximity.cross_time } ))
-          events
+      let r, g =
+        two_input_step nand3 th models ~edge ~tau_a ~tau_b ~base:2.5e-9 s
       in
-      let g = Measure.multi_input nand3 th ~stimuli ~ref_pin:r.Proximity.ref_pin in
       Printf.printf "  %8.1f        %8.1f   %8.1f  %+5.1f\n" (ps s)
         (ps g.Measure.delay) (ps r.Proximity.delay)
-        ((r.Proximity.delay -. g.Measure.delay) /. g.Measure.delay *. 100.))
+        (pct_err r.Proximity.delay g.Measure.delay))
     (Floatx.linspace (-300e-12) d_a (if !quick then 5 else 9))
 
 (* ------------------------------------------------------------------ *)
@@ -550,22 +479,10 @@ let fanin_sweep () =
               (base +. Prng.float rng ~lo:(-400e-12) ~hi:400e-12))
         in
         let r = Proximity.evaluate models events in
-        let stimuli =
-          List.map
-            (fun (e : Proximity.event) ->
-              ( e.Proximity.pin,
-                { Measure.edge; tau = e.Proximity.tau;
-                  cross_time = e.Proximity.cross_time } ))
-            events
-        in
-        let g = Measure.multi_input gate th ~stimuli ~ref_pin:r.Proximity.ref_pin in
-        derrs :=
-          ((r.Proximity.delay -. g.Measure.delay) /. g.Measure.delay *. 100.)
-          :: !derrs;
+        let g = Proximity.golden gate th events ~ref_pin:r.Proximity.ref_pin in
+        derrs := pct_err r.Proximity.delay g.Measure.delay :: !derrs;
         terrs :=
-          ((r.Proximity.out_transition -. g.Measure.out_transition)
-           /. g.Measure.out_transition *. 100.)
-          :: !terrs
+          pct_err r.Proximity.out_transition g.Measure.out_transition :: !terrs
       done;
       let ds = Stats.summarize (Array.of_list !derrs) in
       let ts = Stats.summarize (Array.of_list !terrs) in
@@ -699,38 +616,19 @@ let random_pi_event rng =
    not the pool -- the CI gate only enforces speedup floors on rows the
    host can actually run in parallel.                                  *)
 
-type pool_delta = {
-  pd_parallel_jobs : int;
-  pd_serial_jobs : int;
-  pd_tasks : int;
-  pd_chunks : int;
-  pd_steals : int;
-}
-
+(* The pool.* counters of the metrics registry, in BENCH_parallel.json's
+   order (the registry lists them by name). *)
 let pool_counters () =
-  ( Pool.parallel_jobs (),
-    Pool.serial_jobs (),
-    Pool.tasks_dispatched (),
-    Pool.chunks_dispatched (),
-    Pool.steals () )
+  let counters = (Obs_metrics.snapshot ()).Obs_metrics.counters in
+  List.map
+    (fun key -> (key, List.assoc ("pool." ^ key) counters))
+    [ "parallel_jobs"; "serial_jobs"; "tasks"; "chunks"; "steals" ]
 
-let pool_delta_since (pj, sj, tk, ch, st) =
-  let pj', sj', tk', ch', st' = pool_counters () in
-  {
-    pd_parallel_jobs = pj' - pj;
-    pd_serial_jobs = sj' - sj;
-    pd_tasks = tk' - tk;
-    pd_chunks = ch' - ch;
-    pd_steals = st' - st;
-  }
+let pool_delta_since before =
+  List.map2 (fun (key, now) (_, was) -> (key, now - was)) (pool_counters ())
+    before
 
-let pool_delta_json d =
-  Json.Obj
-    [
-      ("parallel_jobs", int d.pd_parallel_jobs);
-      ("serial_jobs", int d.pd_serial_jobs); ("tasks", int d.pd_tasks);
-      ("chunks", int d.pd_chunks); ("steals", int d.pd_steals);
-    ]
+let pool_delta_json d = Json.Obj (List.map (fun (key, n) -> (key, int n)) d)
 
 let parallel_bench () =
   let c = Lazy.force ctx in
@@ -784,7 +682,9 @@ let parallel_bench () =
         Printf.printf
           "  %d domains: %6.2f s (%.2fx), %d parallel jobs, %d chunks, %d \
            steals, tables %s\n%!"
-          d t speedup delta.pd_parallel_jobs delta.pd_chunks delta.pd_steals
+          d t speedup
+          (List.assoc "parallel_jobs" delta)
+          (List.assoc "chunks" delta) (List.assoc "steals" delta)
           (if identical then "bit-identical" else "DIFFER");
         (d, t, speedup, identical, delta))
       [ 2; 4; 8 ]
@@ -836,8 +736,9 @@ let parallel_bench () =
   Printf.printf
     "  STA %d domains: median %.4f s (%.2fx), %d parallel jobs, %d steals, \
      reports %s\n%!"
-    sta_domains t_sta_par sta_speedup sta_delta.pd_parallel_jobs
-    sta_delta.pd_steals
+    sta_domains t_sta_par sta_speedup
+    (List.assoc "parallel_jobs" sta_delta)
+    (List.assoc "steals" sta_delta)
     (if sta_identical then "bit-identical" else "DIFFER");
   let all_identical =
     sta_identical && List.for_all (fun (_, _, _, i, _) -> i) char_rows
@@ -849,7 +750,7 @@ let parallel_bench () =
        (List.map
           (fun (_, _, s, _, _) -> Printf.sprintf "%.2fx" s)
           char_rows))
-    sta_speedup sta_domains sta_delta.pd_parallel_jobs host_cores;
+    sta_speedup sta_domains (List.assoc "parallel_jobs" sta_delta) host_cores;
   if not all_identical then
     Printf.printf "  ERROR: parallel results differ from serial!\n";
   write_bench "BENCH_parallel.json"
@@ -1590,30 +1491,32 @@ let sense_bench () =
     in
     check_design d pi
   done;
+  (* the example netlists are read from the working directory: the bench
+     runs from the repo root, and a missing one fails it rather than
+     shrinking the check *)
   List.iter
     (fun file ->
-      if Sys.file_exists file then
-        match Netlist_bin.load_file c.tech file with
-        | Error _ -> () (* lint fodder; not a loadable design *)
-        | Ok (_, d, _) ->
-          (* an all-input stimulus when the reconvergence parities allow
-             it, else one event per run — the single-vector STA refuses
-             to order mixed edges at a cell *)
-          let all =
-            List.mapi
-              (fun i net -> ev net (float_of_int i *. 50e-12))
-              (Design.primary_inputs d)
-          in
-          (try check_design d all
-           with Sta.Mixed_input_edges _ ->
-             List.iter
-               (fun e ->
-                 try check_design d [ e ] with Sta.Mixed_input_edges _ -> ())
-               all))
+      match Netlist_bin.load_file c.tech file with
+      | Error m ->
+        failwith (Printf.sprintf "sense bench: cannot load %s (%s)" file m)
+      | Ok (_, d, _) ->
+        (* an all-input stimulus when the reconvergence parities allow
+           it, else one event per run — the single-vector STA refuses
+           to order mixed edges at a cell *)
+        let all =
+          List.mapi
+            (fun i net -> ev net (float_of_int i *. 50e-12))
+            (Design.primary_inputs d)
+        in
+        (try check_design d all
+         with Sta.Mixed_input_edges _ ->
+           List.iter
+             (fun e ->
+               try check_design d [ e ] with Sta.Mixed_input_edges _ -> ())
+             all))
     [
       "examples/carry_tree.ntl"; "examples/hazard_demo.ntl";
-      "examples/lint_demo.ntl"; "examples/sense_demo.ntl";
-      "examples/verify_demo.ntl";
+      "examples/sense_demo.ntl"; "examples/verify_demo.ntl";
     ];
   Pool.shutdown pool;
   let speedup = ratio t_full t_fused in

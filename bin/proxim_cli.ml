@@ -159,16 +159,8 @@ let run_proximity gate_name event_specs baselines =
       let th = Vtc.thresholds gate in
       let models = Models.of_oracle gate th in
       let r = Proximity.evaluate models events in
-      let stimuli =
-        List.map
-          (fun (e : Proximity.event) ->
-            ( e.Proximity.pin,
-              { Measure.edge = e.Proximity.edge; tau = e.Proximity.tau;
-                cross_time = e.Proximity.cross_time } ))
-          events
-      in
       let golden =
-        Measure.multi_input gate th ~stimuli ~ref_pin:r.Proximity.ref_pin
+        Proximity.golden gate th events ~ref_pin:r.Proximity.ref_pin
       in
       Printf.printf "dominant input: %s\n" (Gate.pin_name r.Proximity.ref_pin);
       Printf.printf "inputs inside the proximity window: %d of %d\n"

@@ -44,16 +44,8 @@ let () =
   in
   let models = Models.of_oracle nand3 th in
   let predicted = Proximity.evaluate models events in
-  let stimuli =
-    List.map
-      (fun (e : Proximity.event) ->
-        ( e.Proximity.pin,
-          { Measure.edge = e.Proximity.edge; tau = e.Proximity.tau;
-            cross_time = e.Proximity.cross_time } ))
-      events
-  in
   let golden =
-    Measure.multi_input nand3 th ~stimuli ~ref_pin:predicted.Proximity.ref_pin
+    Proximity.golden nand3 th events ~ref_pin:predicted.Proximity.ref_pin
   in
   Printf.printf "a + b 100 ps apart:     delay = %.1f ps (golden simulation)\n"
     (ps golden.Measure.delay);

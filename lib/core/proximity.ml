@@ -202,6 +202,16 @@ let evaluate ?correction ?trans_composition (models : Models.t) events =
     used_inputs = s.used;
   }
 
+let golden gate th events ~ref_pin =
+  let stimuli =
+    List.map
+      (fun e ->
+        ( e.pin,
+          { Measure.edge = e.edge; tau = e.tau; cross_time = e.cross_time } ))
+      events
+  in
+  Measure.multi_input gate th ~stimuli ~ref_pin
+
 let calibrate_correction gate th models ~edge =
   let tau_step = 20e-12 in
   let fan_in = gate.Gate.fan_in in
@@ -209,15 +219,8 @@ let calibrate_correction gate th models ~edge =
   let events =
     List.init fan_in (fun pin -> { pin; edge; tau = tau_step; cross_time })
   in
-  let stimuli =
-    List.map
-      (fun e -> (e.pin, { Measure.edge; tau = e.tau; cross_time = e.cross_time }))
-      events
-  in
   let predicted = evaluate models events in
-  let golden =
-    Measure.multi_input gate th ~stimuli ~ref_pin:predicted.ref_pin
-  in
+  let golden = golden gate th events ~ref_pin:predicted.ref_pin in
   {
     delay_err = golden.Measure.delay -. predicted.delay;
     trans_err = golden.Measure.out_transition -. predicted.out_transition;

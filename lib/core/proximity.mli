@@ -49,6 +49,19 @@ val dominance_order :
     [s_ij = Delta_i^(1) - Delta_j^(1)].  Raises [Invalid_argument] on an
     empty list or on mixed edge directions. *)
 
+val golden :
+  Proxim_gates.Gate.t ->
+  Proxim_vtc.Vtc.thresholds ->
+  event list ->
+  ref_pin:int ->
+  Proxim_measure.Measure.observation
+(** Run the events on the golden simulator
+    ({!Proxim_measure.Measure.multi_input}): each event's pin gets its
+    ramp, every other pin rests at its sensitizing level, and the delay
+    is measured from [ref_pin].  Passing a prediction's [ref_pin] gives
+    the paper's §5 comparison of the model against the simulator.  The
+    events must share one edge direction and list [ref_pin]. *)
+
 type correction = {
   delay_err : float;
       (** signed error (golden − algorithm) of the delay for the

@@ -67,7 +67,7 @@ let clamp_to_dominance ~assist ~single_other ~tau_other sep =
 
 let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?pool gate th
     ~single_dom ~single_other ~other =
-  Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"dual.build"
+  Proxim_obs.Trace.with_span ~cat:"characterize" "dual.build"
     ~args:
       [
         ("gate", gate.Gate.name);

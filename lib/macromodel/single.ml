@@ -76,7 +76,7 @@ let build_batch ~taus ~pool gate th specs =
     specs
 
 let build_many ?(taus = default_taus) ?pool gate th specs =
-  Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"single.build_many"
+  Proxim_obs.Trace.with_span ~cat:"characterize" "single.build_many"
     ~args:
       [
         ("gate", gate.Gate.name);
@@ -89,7 +89,7 @@ let build_many ?(taus = default_taus) ?pool gate th specs =
   build_batch ~taus ~pool gate th specs
 
 let build ?(taus = default_taus) ?pool gate th ~pin ~edge =
-  Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"single.build"
+  Proxim_obs.Trace.with_span ~cat:"characterize" "single.build"
     ~args:
       [
         ("gate", gate.Gate.name);

@@ -13,7 +13,7 @@ type set = {
 
 let characterize ?taus ?x_tau ?x_sep ?(edges = [ Measure.Rise; Measure.Fall ])
     ?(with_duals = true) ?pool gate th =
-  Proxim_obs.Trace.Span.with_ ~cat:"characterize" ~name:"store.characterize"
+  Proxim_obs.Trace.with_span ~cat:"characterize" "store.characterize"
     ~args:[ ("gate", gate.Gate.name) ]
   @@ fun () ->
   let fan_in = gate.Gate.fan_in in

@@ -74,10 +74,6 @@ let with_span ?(cat = "app") ?(args = []) name f =
       Printexc.raise_with_backtrace e bt
   end
 
-module Span = struct
-  let with_ ?cat ?args ~name f = with_span ?cat ?args name f
-end
-
 (* The Pool hook stays installed once set: with tracing disabled it
    costs the same single Atomic load as a bare [with_span]. *)
 let pool_hook_installed = Atomic.make false

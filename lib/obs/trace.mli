@@ -27,17 +27,6 @@ val with_span :
     ["app"]).  The span is recorded on normal and exceptional exit;
     when tracing is disabled this is just [f ()]. *)
 
-(** The combinator form used across the instrumented stack. *)
-module Span : sig
-  val with_ :
-    ?cat:string ->
-    ?args:(string * string) list ->
-    name:string ->
-    (unit -> 'a) ->
-    'a
-  (** Alias of {!with_span} with a labelled [~name]. *)
-end
-
 type event = {
   name : string;
   cat : string;

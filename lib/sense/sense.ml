@@ -23,14 +23,8 @@ let c_constants = Metrics.Counter.v "sense.constant_nets"
 
 type logic = Ternary.logic = L0 | L1 | LX
 
-let rec conducts_bool nw ~value =
-  match nw with
-  | Gate.Pin p -> value p
-  | Gate.Series l -> List.for_all (fun c -> conducts_bool c ~value) l
-  | Gate.Parallel l -> List.exists (fun c -> conducts_bool c ~value) l
-
 let eval_gate_bool (g : Gate.t) value =
-  not (conducts_bool g.Gate.pulldown ~value)
+  not (Gate.network_conducts g.Gate.pulldown ~on:value)
 
 (* --- inputs ------------------------------------------------------------- *)
 

@@ -54,16 +54,7 @@ let test_predict_validates () =
              ]))
 
 let golden events ~ref_pin =
-  let th = Lazy.force th in
-  let stimuli =
-    List.map
-      (fun (e : Proximity.event) ->
-        ( e.Proximity.pin,
-          { Measure.edge = e.Proximity.edge; tau = e.Proximity.tau;
-            cross_time = e.Proximity.cross_time } ))
-      events
-  in
-  Measure.multi_input nand3 th ~stimuli ~ref_pin
+  Proximity.golden nand3 (Lazy.force th) events ~ref_pin
 
 let test_baseline_in_right_ballpark () =
   (* the collapse methods are approximations, but they should predict an

@@ -6,13 +6,7 @@
    event", "... in pi event" and "... in pi-all event", or between
    exit 1 and exit 2. *)
 
-let cli =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/proxim_cli.exe"; "_build/default/bin/proxim_cli.exe" ]
-  with
-  | Some p -> p
-  | None -> "proxim"
+open Testkit
 
 let sf = Printf.sprintf
 

@@ -81,16 +81,7 @@ let test_dominance_validation () =
 (* The algorithm                                                       *)
 
 let golden_of_events events ~ref_pin =
-  let th = Lazy.force th in
-  let stimuli =
-    List.map
-      (fun (e : Proximity.event) ->
-        ( e.Proximity.pin,
-          { Measure.edge = e.Proximity.edge; tau = e.Proximity.tau;
-            cross_time = e.Proximity.cross_time } ))
-      events
-  in
-  Measure.multi_input nand3 th ~stimuli ~ref_pin
+  Proximity.golden nand3 (Lazy.force th) events ~ref_pin
 
 let test_single_event_equals_single_model () =
   let m = Lazy.force models in
@@ -235,15 +226,7 @@ let test_nor_gate_accuracy () =
         ]
       in
       let r = Proximity.evaluate m events in
-      let stimuli =
-        List.map
-          (fun (e : Proximity.event) ->
-            ( e.Proximity.pin,
-              { Measure.edge; tau = e.Proximity.tau;
-                cross_time = e.Proximity.cross_time } ))
-          events
-      in
-      let g = Measure.multi_input nor3 th ~stimuli ~ref_pin:r.Proximity.ref_pin in
+      let g = Proximity.golden nor3 th events ~ref_pin:r.Proximity.ref_pin in
       let err =
         Float.abs (r.Proximity.delay -. g.Measure.delay) /. g.Measure.delay
       in

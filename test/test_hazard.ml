@@ -21,6 +21,8 @@ module Verify = Proxim_verify.Verify
 module Hazard = Proxim_hazard.Hazard
 module Harness = Proxim_harness.Harness
 
+open Testkit
+
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
 let nand3 = Gate.nand tech ~fan_in:3
@@ -476,13 +478,6 @@ let test_quiet_mask_gating_not_quiet () =
   in
   ignore (check_quiet_pruned design ~pi (Hazard.quiet_mask h) : int)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  go 0
-
 (* the harness must see a wrong mask: forcing the fast path on a cell
    whose inputs fall 10 ps apart changes its output, and the
    explanation names the net, its driver and the claiming source *)
@@ -714,14 +709,6 @@ let test_analyze_validation () =
 (* ------------------------------------------------------------------ *)
 (* CLI surface                                                         *)
 
-let cli =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/proxim_cli.exe"; "_build/default/bin/proxim_cli.exe" ]
-  with
-  | Some p -> p
-  | None -> "proxim"
-
 (* the hazard_demo topology plus an unused input f, so `proxim lint`
    reliably reports a warning (PX111) for the filter test below *)
 let demo_netlist =
@@ -747,11 +734,6 @@ let with_demo_file f =
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc demo_netlist);
       f file)
-
-let run fmt =
-  Printf.ksprintf
-    (fun args -> Sys.command (Printf.sprintf "%s >/dev/null 2>&1" args))
-    fmt
 
 let test_cli_exit_codes () =
   with_demo_file (fun file ->
@@ -789,9 +771,7 @@ let test_cli_exit_codes () =
         Printf.sprintf "%s hazards %s %s --format sarif --fail-on error" cli
           file demo_stimulus
       in
-      let ic = Unix.open_process_in sarif in
-      let out = In_channel.input_all ic in
-      ignore (Unix.close_process_in ic);
+      let out = capture sarif in
       (match Proxim_util.Json.of_string out with
       | Error m -> Alcotest.fail ("sarif is not valid JSON: " ^ m)
       | Ok _ -> ());

@@ -25,13 +25,6 @@ let temp_bin f =
   let path = Filename.temp_file "proxim_nlbin" ".pxnb" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 (* Decode [bytes] as a binary netlist; the result is always a [result].
    Any escaping exception is the exact failure mode these tests exist
    to prevent, so it fails the test with the exception's name. *)
@@ -49,7 +42,7 @@ let expect_error ~ctx ~mentions bytes =
   match read_bytes bytes with
   | Ok _ -> Alcotest.failf "%s: accepted corrupt input" ctx
   | Error m ->
-    if not (contains m mentions) then
+    if not (Testkit.contains m mentions) then
       Alcotest.failf "%s: error %S does not mention %S" ctx m mentions
 
 (* A header up to the point where the design-name string begins: the
@@ -182,7 +175,7 @@ let test_count_vs_bytes_left () =
       (match r with
        | Ok _ -> Alcotest.failf "%s: accepted" ctx
        | Error m ->
-         if not (contains m "exceeds") then
+         if not (Testkit.contains m "exceeds") then
            Alcotest.failf "%s: error %S does not name the guard" ctx m);
       if words > 4e6 then
         Alcotest.failf "%s: decoder allocated %.0f major words" ctx words)

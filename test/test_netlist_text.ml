@@ -56,14 +56,9 @@ let expect_error text fragment =
   match Netlist_text.parse tech text with
   | Ok _ -> Alcotest.failf "expected parse error mentioning %S" fragment
   | Error m ->
-    let contains hay needle =
-      let nl = String.length needle and hl = String.length hay in
-      let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-      go 0
-    in
     Alcotest.(check bool)
       (Printf.sprintf "error %S mentions %S" m fragment)
-      true (contains m fragment)
+      true (Testkit.contains m fragment)
 
 let test_error_messages () =
   expect_error "cell u1 nand2 a b -> y\nend" "design";

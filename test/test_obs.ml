@@ -15,6 +15,8 @@ module Netlist_text = Proxim_sta.Netlist_text
 module Tech = Proxim_gates.Tech
 module Vtc = Proxim_vtc.Vtc
 
+open Testkit
+
 let wide = lazy (Pool.create ~domains:4)
 
 (* ------------------------------------------------------------------ *)
@@ -170,18 +172,11 @@ let test_json_name_bytes () =
   Trace.with_span ~cat:tricky ~args:[ (tricky, tricky) ] tricky ignore;
   Trace.disable ();
   let doc = Trace.to_chrome_json () in
-  let contains needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length doc && (String.sub doc i n = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool) "span name and category bytes" true
-    (contains
+    (contains doc
        (Printf.sprintf {|{"name":"%s","cat":"%s","ph":"X",|} escaped escaped));
   Alcotest.(check bool) "span argument bytes" true
-    (contains (Printf.sprintf {|,"%s":"%s"}}|} escaped escaped))
+    (contains doc (Printf.sprintf {|,"%s":"%s"}}|} escaped escaped))
 
 let test_chrome_json_wellformed () =
   Trace.clear ();
@@ -358,17 +353,6 @@ let test_update_unknown_cell () =
   Alcotest.check_raises "unknown cell is a typed error"
     (Sta.Unknown_eco_target { kind = "cell"; name = "bogus" })
     (fun () -> ignore (Sta.update ir [ Sta.Touch_cell "bogus" ]))
-
-(* dune runtest runs with the stanza directory as cwd, so the CLI binary
-   sits one level up in the build tree; a plain `dune exec` from the
-   workspace root needs the full _build path instead *)
-let cli =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/proxim_cli.exe"; "_build/default/bin/proxim_cli.exe" ]
-  with
-  | Some p -> p
-  | None -> "proxim"
 
 let with_tiny_netlist_file f =
   let file = Filename.temp_file "proxim_obs" ".ntl" in

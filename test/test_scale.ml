@@ -121,13 +121,6 @@ let test_bin_no_thresholds () =
       | Ok (_, _, Some _) -> Alcotest.fail "phantom thresholds"
       | Error m -> Alcotest.fail m)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let test_bin_errors () =
   temp_bin (fun path ->
       let oc = open_out_bin path in
@@ -136,7 +129,8 @@ let test_bin_errors () =
       Alcotest.(check bool) "not binary" false (Netlist_bin.file_is_binary path);
       (match Netlist_bin.read_file tech path with
        | Error m ->
-         Alcotest.(check bool) "mentions magic" true (contains m "magic")
+         Alcotest.(check bool) "mentions magic" true
+           (Testkit.contains m "magic")
        | Ok _ -> Alcotest.fail "accepted garbage"));
   (* truncation: drop the tail of a valid file *)
   let name, design = Synthgen.generate ~seed:2 ~depth:3 ~tech ~cells:30 () in

@@ -21,6 +21,8 @@ module Hazard = Proxim_hazard.Hazard
 module Sense = Proxim_sense.Sense
 module Harness = Proxim_harness.Harness
 
+open Testkit
+
 let tech = Tech.generic_5v
 let nand2 = Gate.nand tech ~fan_in:2
 let nand3 = Gate.nand tech ~fan_in:3
@@ -665,14 +667,6 @@ let test_report_byte_stability () =
 (* ------------------------------------------------------------------ *)
 (* CLI surface: binary sniffing everywhere, glob code filters          *)
 
-let cli =
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/proxim_cli.exe"; "_build/default/bin/proxim_cli.exe" ]
-  with
-  | Some p -> p
-  | None -> "proxim"
-
 let demo_netlist =
   {|design sense_demo
 input a q k r
@@ -703,22 +697,6 @@ let with_demo_files f =
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc demo_netlist);
       f file bin)
-
-let run fmt =
-  Printf.ksprintf
-    (fun args -> Sys.command (Printf.sprintf "%s >/dev/null 2>&1" args))
-    fmt
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let capture cmd =
-  let ic = Unix.open_process_in cmd in
-  let out = In_channel.input_all ic in
-  ignore (Unix.close_process_in ic);
-  out
 
 let test_cli_sense () =
   with_demo_files (fun file _bin ->

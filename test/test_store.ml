@@ -166,16 +166,12 @@ let liberty_text =
      in
      Liberty.library ~name:"proxim_test" ~cells:[ cell ])
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_liberty_structure () =
   let text = Lazy.force liberty_text in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains text needle))
+      Alcotest.(check bool) ("contains " ^ needle) true
+        (Testkit.contains text needle))
     [
       "library (proxim_test)";
       "lu_table_template (proxim_6x6)";
@@ -198,7 +194,7 @@ let test_liberty_values_match_model () =
   let expected_ns = Single.delay ~c_load:load s ~tau:slew *. 1e9 in
   let rendered = Printf.sprintf "%.5f" expected_ns in
   Alcotest.(check bool) "first cell_rise entry present" true
-    (contains (Lazy.force liberty_text) rendered)
+    (Testkit.contains (Lazy.force liberty_text) rendered)
 
 let test_liberty_requires_models () =
   Alcotest.(check bool) "empty singles rejected" true
