@@ -21,8 +21,55 @@ module Storage = Proxim_core.Storage
 module Collapse = Proxim_baseline.Collapse
 module Obs_metrics = Proxim_obs.Metrics
 module Obs_trace = Proxim_obs.Trace
+module Sta = Proxim_sta.Sta
 
 let ps s = s *. 1e12
+
+(* ------------------------------------------------------------------ *)
+(* the argument boundary every subcommand shares                       *)
+
+(* a malformed argument on any subcommand: the message, exit 2 *)
+let usage_error m =
+  prerr_endline m;
+  2
+
+(* The front end's checks read as a flat sequence: [Error (`Msg m)]
+   prints [m] and exits 2, the status of every usage error. *)
+let ( let* ) r k = match r with Ok v -> k v | Error (`Msg m) -> usage_error m
+
+(* the first failed usage check, in order *)
+let check checks =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, m) -> Error (`Msg m)
+  | None -> Ok ()
+
+(* the usage checks of numeric flags, worded alike on every subcommand *)
+let finite ~cmd flag v =
+  (Float.is_finite v, Printf.sprintf "proxim %s: %s must be finite" cmd flag)
+
+let non_negative ~cmd flag v =
+  ( Float.is_finite v && v >= 0.,
+    Printf.sprintf "proxim %s: %s must be a finite value >= 0" cmd flag )
+
+let positive ~cmd flag v =
+  ( Float.is_finite v && v > 0.,
+    Printf.sprintf "proxim %s: %s must be a finite value > 0" cmd flag )
+
+(* every spec of one option, or the first malformed one *)
+let parse_all parse specs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: tl -> (
+      match parse s with Ok v -> go (v :: acc) tl | Error e -> Error e)
+  in
+  go [] specs
+
+let parse_opt parse = function
+  | None -> Ok None
+  | Some s -> Result.map Option.some (parse s)
+
+let gate_of_name name =
+  Result.map_error (fun m -> `Msg m) (Gate.of_name Tech.generic_5v name)
 
 let pin_of_string gate s =
   let fail () =
@@ -42,81 +89,71 @@ let edge_of_string = function
   | s -> Error (`Msg (Printf.sprintf "unknown edge %s (rise|fall)" s))
 
 (* The EDGE:TAU_PS:CROSS_PS core every event spec ends with — shared by
-   --event (pin-prefixed), --pi (net-prefixed), --pi-all (bare) and the
-   eco specs, so a malformed edge or number yields one message and one
-   exit code (2) whatever the subcommand.  Both numbers must be finite
-   and the transition time positive.  [spec] is the caller's whole
-   original argument, quoted verbatim in the diagnostic. *)
+   the positional events of [proximity] (pin-prefixed), --pi
+   (net-prefixed), --pi-all (bare) and the eco specs, so a malformed
+   edge or number yields one message and one exit code (2) whatever the
+   subcommand.  The numbers obey {!Sta.valid_event}, the rule the daemon
+   decodes arrivals by.  [spec] is the caller's whole original argument,
+   quoted verbatim in the diagnostic. *)
 let parse_edge_tau_t ~spec edge_s tau_s t_s =
-  match edge_of_string edge_s with
-  | Error e -> Error e
-  | Ok edge -> (
-    match (float_of_string_opt tau_s, float_of_string_opt t_s) with
-    | Some tau_ps, Some t_ps
-      when Float.is_finite tau_ps && Float.is_finite t_ps && tau_ps > 0. ->
-      Ok (edge, tau_ps *. 1e-12, t_ps *. 1e-12)
-    | _ -> Error (`Msg (Printf.sprintf "bad numbers in event %s" spec)))
-
-(* exit code for a malformed event/eco spec on every subcommand *)
-let usage_error m =
-  prerr_endline m;
-  2
-
-let with_gate name f =
-  let tech = Tech.generic_5v in
-  match Gate.of_name tech name with
-  | Error m ->
-    prerr_endline m;
-    1
-  | Ok gate -> f gate
+  Result.bind (edge_of_string edge_s) (fun edge ->
+      match (float_of_string_opt tau_s, float_of_string_opt t_s) with
+      | Some tau_ps, Some t_ps
+        when Sta.valid_event
+               { Sta.time = t_ps *. 1e-12; slew = tau_ps *. 1e-12; edge } ->
+        Ok (edge, tau_ps *. 1e-12, t_ps *. 1e-12)
+      | _ -> Error (`Msg (Printf.sprintf "bad numbers in event %s" spec)))
 
 (* ------------------------------------------------------------------ *)
 (* vtc                                                                 *)
 
 let run_vtc gate_name =
-  with_gate gate_name (fun gate ->
-    let fam = Vtc.family ~points:301 gate in
-    Printf.printf "VTC family of %s:\n" gate.Gate.name;
-    List.iter (fun c -> Format.printf "  %a@." Vtc.pp_curve c) fam;
-    let th = Vtc.choose fam in
-    Printf.printf "chosen thresholds: Vil = %.3f V, Vih = %.3f V\n" th.Vtc.vil
-      th.Vtc.vih;
-    0)
+  let* gate = gate_of_name gate_name in
+  let fam = Vtc.family ~points:301 gate in
+  Printf.printf "VTC family of %s:\n" gate.Gate.name;
+  List.iter (fun c -> Format.printf "  %a@." Vtc.pp_curve c) fam;
+  let th = Vtc.choose fam in
+  Printf.printf "chosen thresholds: Vil = %.3f V, Vih = %.3f V\n" th.Vtc.vil
+    th.Vtc.vih;
+  0
 
 (* ------------------------------------------------------------------ *)
 (* delay                                                               *)
 
 let run_delay gate_name pin_s edge_s tau_ps load_ff =
-  with_gate gate_name (fun gate ->
-    match (pin_of_string gate pin_s, edge_of_string edge_s) with
-    | Error (`Msg m), _ | _, Error (`Msg m) ->
-      prerr_endline m;
-      1
-    | Ok pin, Ok edge ->
-      let th = Vtc.thresholds gate in
-      let load = Option.map (fun f -> f *. 1e-15) load_ff in
-      let obs =
-        Measure.single_input ?load gate th ~pin ~edge ~tau:(tau_ps *. 1e-12)
-      in
-      Printf.printf
-        "%s pin %s %s tau=%.0fps: delay = %.1f ps, output transition = %.1f \
-         ps\n"
-        gate.Gate.name pin_s edge_s tau_ps
-        (ps obs.Measure.delay)
-        (ps obs.Measure.out_transition);
-      0)
+  let* gate = gate_of_name gate_name in
+  let* pin = pin_of_string gate pin_s in
+  let* edge = edge_of_string edge_s in
+  let* () =
+    check
+      [
+        positive ~cmd:"delay" "--tau" tau_ps;
+        non_negative ~cmd:"delay" "--load" (Option.value load_ff ~default:0.);
+      ]
+  in
+  let th = Vtc.thresholds gate in
+  let load = Option.map (fun f -> f *. 1e-15) load_ff in
+  let obs =
+    Measure.single_input ?load gate th ~pin ~edge ~tau:(tau_ps *. 1e-12)
+  in
+  Printf.printf
+    "%s pin %s %s tau=%.0fps: delay = %.1f ps, output transition = %.1f ps\n"
+    gate.Gate.name pin_s edge_s tau_ps
+    (ps obs.Measure.delay)
+    (ps obs.Measure.out_transition);
+  0
 
 (* ------------------------------------------------------------------ *)
 (* proximity                                                           *)
 
 let parse_event gate s =
   match String.split_on_char ':' s with
-  | [ pin_s; edge_s; tau_s; t_s ] -> (
-    match (pin_of_string gate pin_s, parse_edge_tau_t ~spec:s edge_s tau_s t_s)
-    with
-    | Error e, _ | _, Error e -> Error e
-    | Ok pin, Ok (edge, tau, cross_time) ->
-      Ok { Proximity.pin; edge; tau; cross_time })
+  | [ pin_s; edge_s; tau_s; t_s ] ->
+    Result.bind (pin_of_string gate pin_s) (fun pin ->
+        Result.map
+          (fun (edge, tau, cross_time) ->
+            { Proximity.pin; edge; tau; cross_time })
+          (parse_edge_tau_t ~spec:s edge_s tau_s t_s))
   | _ ->
     Error
       (`Msg
@@ -126,113 +163,125 @@ let parse_event gate s =
            s))
 
 let run_proximity gate_name event_specs baselines =
-  with_gate gate_name (fun gate ->
-    let rec parse_all acc = function
-      | [] -> Ok (List.rev acc)
-      | s :: tl -> (
-        match parse_event gate s with
-        | Ok e -> parse_all (e :: acc) tl
-        | Error e -> Error e)
+  let* gate = gate_of_name gate_name in
+  let* events = parse_all (parse_event gate) event_specs in
+  let pins = List.map (fun (e : Proximity.event) -> e.Proximity.pin) events in
+  let edges = List.map (fun (e : Proximity.event) -> e.Proximity.edge) events in
+  let* () =
+    check
+      [
+        (events <> [], "need at least one event");
+        ( List.length (List.sort_uniq compare edges) <= 1,
+          "proxim proximity: events mix rise and fall edges" );
+        ( List.length (List.sort_uniq compare pins) = List.length pins,
+          "proxim proximity: a pin takes at most one event" );
+      ]
+  in
+  (* shift all events so every ramp starts at positive time *)
+  let max_tau =
+    List.fold_left
+      (fun acc (e : Proximity.event) -> Float.max acc e.Proximity.tau)
+      0. events
+  in
+  let min_cross =
+    List.fold_left
+      (fun acc (e : Proximity.event) -> Float.min acc e.Proximity.cross_time)
+      infinity events
+  in
+  let shift = max_tau +. 0.3e-9 -. min_cross in
+  let events =
+    List.map
+      (fun (e : Proximity.event) ->
+        { e with Proximity.cross_time = e.Proximity.cross_time +. shift })
+      events
+  in
+  let th = Vtc.thresholds gate in
+  let models = Models.of_oracle gate th in
+  let r = Proximity.evaluate models events in
+  let golden = Proximity.golden gate th events ~ref_pin:r.Proximity.ref_pin in
+  Printf.printf "dominant input: %s\n" (Gate.pin_name r.Proximity.ref_pin);
+  Printf.printf "inputs inside the proximity window: %d of %d\n"
+    r.Proximity.used_inputs (List.length events);
+  Printf.printf "ProximityDelay : delay = %8.1f ps  transition = %8.1f ps\n"
+    (ps r.Proximity.delay)
+    (ps r.Proximity.out_transition);
+  Printf.printf "golden (SPICE) : delay = %8.1f ps  transition = %8.1f ps\n"
+    (ps golden.Measure.delay)
+    (ps golden.Measure.out_transition);
+  Printf.printf "model error    : delay %+.2f%%, transition %+.2f%%\n"
+    ((r.Proximity.delay -. golden.Measure.delay)
+     /. golden.Measure.delay *. 100.)
+    ((r.Proximity.out_transition -. golden.Measure.out_transition)
+     /. golden.Measure.out_transition *. 100.);
+  if baselines then begin
+    let show variant name =
+      let p = Collapse.predict variant gate th ~events in
+      let delay = p.Collapse.out_cross -. r.Proximity.ref_cross in
+      Printf.printf
+        "%-15s: delay = %8.1f ps  transition = %8.1f ps  (delay err %+.2f%%)\n"
+        name (ps delay)
+        (ps p.Collapse.out_transition)
+        ((delay -. golden.Measure.delay) /. golden.Measure.delay *. 100.)
     in
-    match parse_all [] event_specs with
-    | Error (`Msg m) -> usage_error m
-    | Ok [] -> usage_error "need at least one event"
-    | Ok events ->
-      (* shift all events so every ramp starts at positive time *)
-      let max_tau =
-        List.fold_left
-          (fun acc (e : Proximity.event) -> Float.max acc e.Proximity.tau)
-          0. events
-      in
-      let min_cross =
-        List.fold_left
-          (fun acc (e : Proximity.event) -> Float.min acc e.Proximity.cross_time)
-          infinity events
-      in
-      let shift = max_tau +. 0.3e-9 -. min_cross in
-      let events =
-        List.map
-          (fun (e : Proximity.event) ->
-            { e with Proximity.cross_time = e.Proximity.cross_time +. shift })
-          events
-      in
-      let th = Vtc.thresholds gate in
-      let models = Models.of_oracle gate th in
-      let r = Proximity.evaluate models events in
-      let golden =
-        Proximity.golden gate th events ~ref_pin:r.Proximity.ref_pin
-      in
-      Printf.printf "dominant input: %s\n" (Gate.pin_name r.Proximity.ref_pin);
-      Printf.printf "inputs inside the proximity window: %d of %d\n"
-        r.Proximity.used_inputs (List.length events);
-      Printf.printf "ProximityDelay : delay = %8.1f ps  transition = %8.1f ps\n"
-        (ps r.Proximity.delay)
-        (ps r.Proximity.out_transition);
-      Printf.printf "golden (SPICE) : delay = %8.1f ps  transition = %8.1f ps\n"
-        (ps golden.Measure.delay)
-        (ps golden.Measure.out_transition);
-      Printf.printf "model error    : delay %+.2f%%, transition %+.2f%%\n"
-        ((r.Proximity.delay -. golden.Measure.delay)
-         /. golden.Measure.delay *. 100.)
-        ((r.Proximity.out_transition -. golden.Measure.out_transition)
-         /. golden.Measure.out_transition *. 100.);
-      if baselines then begin
-        let show variant name =
-          let p = Collapse.predict variant gate th ~events in
-          let delay = p.Collapse.out_cross -. r.Proximity.ref_cross in
-          Printf.printf
-            "%-15s: delay = %8.1f ps  transition = %8.1f ps  (delay err \
-             %+.2f%%)\n"
-            name (ps delay)
-            (ps p.Collapse.out_transition)
-            ((delay -. golden.Measure.delay) /. golden.Measure.delay *. 100.)
-        in
-        show Collapse.Jun "Jun collapse";
-        show Collapse.Nabavi_lishi "Nabavi-Lishi"
-      end;
-      0)
+    show Collapse.Jun "Jun collapse";
+    show Collapse.Nabavi_lishi "Nabavi-Lishi"
+  end;
+  0
 
 (* ------------------------------------------------------------------ *)
 (* glitch                                                              *)
 
 let run_glitch gate_name fall_pin_s rise_pin_s tau_fall_ps tau_rise_ps sep_ps
     find_min =
-  with_gate gate_name (fun gate ->
-    match (pin_of_string gate fall_pin_s, pin_of_string gate rise_pin_s) with
-    | Error (`Msg m), _ | _, Error (`Msg m) ->
-      prerr_endline m;
-      1
-    | Ok fall_pin, Ok rise_pin ->
-      let th = Vtc.thresholds gate in
-      let tau_fall = tau_fall_ps *. 1e-12 in
-      let tau_rise = tau_rise_ps *. 1e-12 in
-      if find_min then begin
-        let s =
-          Inertial.minimum_valid_separation gate th ~fall_pin ~rise_pin
-            ~tau_fall ~tau_rise
-        in
-        Printf.printf
-          "minimum separation for a full output transition: %.1f ps\n\
-           (inertial delay: %.1f ps)\n"
-          (ps s) (ps (-.s));
-        0
-      end
-      else begin
-        let sep = sep_ps *. 1e-12 in
-        let g =
-          Inertial.glitch gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep
-        in
-        Printf.printf
-          "glitch extreme: %.3f V at t = %.1f ps; output %s a transition\n"
-          g.Inertial.v_extreme (ps g.Inertial.t_extreme)
-          (if g.Inertial.full_swing then "completes" else "does not complete");
-        0
-      end)
+  let* gate = gate_of_name gate_name in
+  let* fall_pin = pin_of_string gate fall_pin_s in
+  let* rise_pin = pin_of_string gate rise_pin_s in
+  let* () =
+    check
+      [
+        ( fall_pin <> rise_pin,
+          "proxim glitch: --fall-pin and --rise-pin must differ" );
+        positive ~cmd:"glitch" "--tau-fall" tau_fall_ps;
+        positive ~cmd:"glitch" "--tau-rise" tau_rise_ps;
+        finite ~cmd:"glitch" "--sep" sep_ps;
+      ]
+  in
+  let th = Vtc.thresholds gate in
+  let tau_fall = tau_fall_ps *. 1e-12 in
+  let tau_rise = tau_rise_ps *. 1e-12 in
+  if find_min then begin
+    let s =
+      Inertial.minimum_valid_separation gate th ~fall_pin ~rise_pin ~tau_fall
+        ~tau_rise
+    in
+    Printf.printf
+      "minimum separation for a full output transition: %.1f ps\n\
+       (inertial delay: %.1f ps)\n"
+      (ps s) (ps (-.s))
+  end
+  else begin
+    let sep = sep_ps *. 1e-12 in
+    let g =
+      Inertial.glitch gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep
+    in
+    Printf.printf
+      "glitch extreme: %.3f V at t = %.1f ps; output %s a transition\n"
+      g.Inertial.v_extreme (ps g.Inertial.t_extreme)
+      (if g.Inertial.full_swing then "completes" else "does not complete")
+  end;
+  0
 
 (* ------------------------------------------------------------------ *)
 (* storage                                                             *)
 
 let run_storage fan_in points =
+  let* () =
+    check
+      [
+        (fan_in >= 1, "proxim storage: --fan-in must be >= 1");
+        (points >= 1, "proxim storage: --points must be >= 1");
+      ]
+  in
   Format.printf "%a"
     (fun ppf () -> Storage.pp_comparison ppf ~fan_in ~points_per_axis:points)
     ();
@@ -348,15 +397,13 @@ let print_report format diags =
   | `Sarif -> print_endline (Diagnostic.report_sarif_string diags)
 
 let run_lint files format fail_on fanout_limit codes =
-  match resolve_code_filter codes with
-  | Error (`Msg m) ->
-    prerr_endline m;
-    2
-  | Ok `Table -> print_code_table ()
-  | Ok (`All | `Keep _) when files = [] ->
-    prerr_endline "proxim lint: need at least one FILE (or --codes)";
-    2
-  | Ok filter ->
+  let* filter = resolve_code_filter codes in
+  if filter = `Table then print_code_table ()
+  else
+    let* () =
+      check
+        [ (files <> [], "proxim lint: need at least one FILE (or --codes)") ]
+    in
     let lint_one f =
       Obs_trace.with_span ~cat:"lint" ~args:[ ("file", f) ] "lint.file"
         (fun () -> lint_file ~fanout_limit f)
@@ -371,7 +418,6 @@ let run_lint files format fail_on fanout_limit codes =
 (* ------------------------------------------------------------------ *)
 (* the analysis front end                                              *)
 
-module Sta = Proxim_sta.Sta
 module Design = Proxim_sta.Design
 module Netlist_text = Proxim_sta.Netlist_text
 module Netlist_bin = Proxim_sta.Netlist_bin
@@ -383,21 +429,25 @@ module Verify = Proxim_verify.Verify
 module Hazard = Proxim_hazard.Hazard
 module Sense = Proxim_sense.Sense
 
-let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
-
-let parse_pi_spec s =
-  match String.split_on_char ':' s with
+(* --pi NET:EDGE:TAU_PS:CROSS_PS, or with [~all] the net-less
+   EDGE:TAU_PS:CROSS_PS of --pi-all, the one event applied to every
+   primary input no --pi names (its net is then "").  A wrong field
+   count is reported with the spec kind's own grammar. *)
+let parse_pi_spec ?(all = false) s =
+  match String.split_on_char ':' (if all then ":" ^ s else s) with
   | [ net; edge_s; tau_s; t_s ] ->
     Result.map
       (fun (edge, slew, time) -> (net, { Sta.time; slew; edge }))
       (parse_edge_tau_t ~spec:s edge_s tau_s t_s)
   | _ ->
+    let kind, grammar, example =
+      if all then ("pi-all", "edge:tau_ps:cross_ps", "fall:500:0")
+      else ("pi", "net:edge:tau_ps:cross_ps", "a:fall:500:0")
+    in
     Error
       (`Msg
-        (Printf.sprintf
-           "bad pi event %s (expected net:edge:tau_ps:cross_ps, e.g. \
-            a:fall:500:0)"
-           s))
+        (Printf.sprintf "bad %s event %s (expected %s, e.g. %s)" kind s grammar
+           example))
 
 let parse_eco_spec s =
   match String.split_on_char ':' s with
@@ -415,22 +465,24 @@ let parse_eco_spec s =
             or cell:NAME)"
            s))
 
-(* --pi-all: one event applied to every primary input not already named
-   by a --pi option — the only sane way to drive a generated
-   million-input-free design where PIs are pi0..piN *)
-let parse_pi_all_spec s =
-  match String.split_on_char ':' s with
-  | [ edge_s; tau_s; t_s ] ->
-    Result.map
-      (fun (edge, slew, time) -> { Sta.time; slew; edge })
-      (parse_edge_tau_t ~spec:s edge_s tau_s t_s)
-  | _ ->
-    Error
-      (`Msg
-        (Printf.sprintf
-           "bad pi-all event %s (expected edge:tau_ps:cross_ps, e.g. \
-            fall:500:0)"
-           s))
+(* The stimulus of [sta] and [serve --smoke]: the --pi events, the
+   --eco edits and the --pi-all event, checked in that order, then at
+   least one event and --paths >= 1. *)
+let parse_stimulus ~cmd ~pi_specs ~pi_all_spec ~eco_specs ~paths_k =
+  let ( let* ) = Result.bind in
+  let* named_pi = parse_all parse_pi_spec pi_specs in
+  let* ecos = parse_all parse_eco_spec eco_specs in
+  let* pi_all = parse_opt (parse_pi_spec ~all:true) pi_all_spec in
+  let* () =
+    check
+      [
+        ( named_pi <> [] || pi_all <> None,
+          Printf.sprintf "proxim %s: need at least one --pi event (or --pi-all)"
+            cmd );
+        (paths_k >= 1, Printf.sprintf "proxim %s: --paths must be >= 1" cmd);
+      ]
+  in
+  Ok (named_pi, Option.map snd pi_all, ecos)
 
 (* --pi-window: a bare PS value sets the global arrival-time window,
    NET=PS overrides it for one net *)
@@ -444,47 +496,22 @@ let parse_window_spec s =
   match String.index_opt s '=' with
   | None -> (
     match float_of_string_opt s with
-    | Some ps when ps >= 0. -> Ok (`Global (ps *. 1e-12))
+    | Some ps when Float.is_finite ps && ps >= 0. -> Ok (`Global (ps *. 1e-12))
     | Some _ | None -> bad ())
   | Some i -> (
     let net = String.sub s 0 i in
     let v = String.sub s (i + 1) (String.length s - i - 1) in
     match float_of_string_opt v with
-    | Some ps when ps >= 0. && net <> "" -> Ok (`Net (net, ps *. 1e-12))
+    | Some ps when Float.is_finite ps && ps >= 0. && net <> "" ->
+      Ok (`Net (net, ps *. 1e-12))
     | Some _ | None -> bad ())
 
 let parse_const_spec s =
+  let n = String.length s in
   match String.index_opt s '=' with
-  | Some i when i > 0 && i = String.length s - 2 -> (
-    let net = String.sub s 0 i in
-    match s.[i + 1] with
-    | '0' -> Ok (net, false)
-    | '1' -> Ok (net, true)
-    | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s)))
+  | Some i when i > 0 && i = n - 2 && (s.[i + 1] = '0' || s.[i + 1] = '1') ->
+    Ok (String.sub s 0 i, s.[i + 1] = '1')
   | _ -> Error (`Msg (Printf.sprintf "bad --const %s (expected NET=0|1)" s))
-
-(* every spec of one option, or the first malformed one *)
-let parse_all parse specs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: tl -> (
-      match parse s with Ok v -> go (v :: acc) tl | Error e -> Error e)
-  in
-  go [] specs
-
-let parse_opt parse = function
-  | None -> Ok None
-  | Some s -> Result.map Option.some (parse s)
-
-(* The front end's checks read as a flat sequence: [Error (`Msg m)]
-   prints [m] and exits 2, the status of every usage error. *)
-let ( let* ) r k = match r with Ok v -> k v | Error (`Msg m) -> usage_error m
-
-(* the first failed usage check, in order *)
-let check checks =
-  match List.find_opt (fun (ok, _) -> not ok) checks with
-  | Some (_, m) -> Error (`Msg m)
-  | None -> Ok ()
 
 (* a usage error a library call reports past the command-line checks *)
 exception Usage of string
@@ -500,9 +527,7 @@ exception Usage of string
 let with_design ?(around_load = fun f -> f ()) cmd file k =
   let error fmt =
     Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "proxim %s: error: %s\n" cmd m;
-        2)
+      (fun m -> usage_error (Printf.sprintf "proxim %s: error: %s" cmd m))
       fmt
   in
   let load () = Netlist_bin.load_file Tech.generic_5v file in
@@ -512,9 +537,7 @@ let with_design ?(around_load = fun f -> f ()) cmd file k =
     1
   | Ok (name, design, file_th) -> (
     try k name design file_th with
-    | Usage m ->
-      Printf.eprintf "proxim %s: %s\n" cmd m;
-      2
+    | Usage m -> usage_error (Printf.sprintf "proxim %s: %s" cmd m)
     | Verify.Not_primary_input { flag; net } ->
       error "%s names %s, which is not a primary input of the design" flag net
     | Sta.Unknown_eco_target { kind; name } ->
@@ -546,7 +569,7 @@ let print_sta_report ?(summary = false) (report : Sta.report) ~paths =
     List.iter
       (fun (net, (a : Sta.arrival)) ->
         Printf.printf "  %-14s %8.1f ps  slew %7.1f ps  %s\n" net
-          (ps a.Sta.time) (ps a.Sta.slew) (edge_name a.Sta.edge))
+          (ps a.Sta.time) (ps a.Sta.slew) (Measure.edge_name a.Sta.edge))
       report.Sta.arrivals
   end;
   match report.Sta.critical_po with
@@ -563,16 +586,12 @@ let print_sta_report ?(summary = false) (report : Sta.report) ~paths =
 let run_sta file pi_specs pi_all_spec mode models_kind paths_k required_ps
     eco_specs verify_eco summary =
   with_design "sta" file @@ fun name design file_th ->
-  let* named_pi = parse_all parse_pi_spec pi_specs in
-  let* ecos = parse_all parse_eco_spec eco_specs in
-  let* pi_all = parse_opt parse_pi_all_spec pi_all_spec in
+  let* named_pi, pi_all, ecos =
+    parse_stimulus ~cmd:"sta" ~pi_specs ~pi_all_spec ~eco_specs ~paths_k
+  in
   let* () =
     check
-      [
-        ( named_pi <> [] || pi_all <> None,
-          "proxim sta: need at least one --pi event (or --pi-all)" );
-        (paths_k >= 1, "proxim sta: --paths must be >= 1");
-      ]
+      [ finite ~cmd:"sta" "--required" (Option.value required_ps ~default:0.) ]
   in
   Verify.validate_pi_nets ~flag:"--pi" design (List.map fst named_pi);
   let pi = Sta.with_pi_all design named_pi pi_all in
@@ -662,9 +681,7 @@ let run_gen cells seed depth window reach out fmt =
     Synthgen.generate ~seed ~depth ~window ~reach ~tech:Tech.generic_5v
       ~cells ()
   with
-  | exception Invalid_argument m ->
-    prerr_endline ("proxim gen: " ^ m);
-    2
+  | exception Invalid_argument m -> usage_error ("proxim gen: " ^ m)
   | name, design ->
     let g = Design.graph design in
     (match out with
@@ -703,12 +720,11 @@ let run_convert input output fmt =
 (* profile                                                             *)
 
 (* One STA run with every pipeline stage wrapped in a "phase" span:
-   parse -> thresholds -> characterize (one model-factory call per cell)
-   -> build_ir -> analyze (the section-4 fold) -> report.  Oracle models
+   parse -> thresholds -> build_ir (which resolves every cell's models
+   once) -> analyze (the section-4 fold) -> report.  Oracle models
    simulate lazily, on their first query, so the golden transients that
-   stand in for the section-3 macromodels land in analyze, not in
-   characterize.  Prints the per-phase time/alloc breakdown from the
-   trace aggregation. *)
+   stand in for the section-3 macromodels land in analyze.  Prints the
+   per-phase time/alloc breakdown from the trace aggregation. *)
 let run_profile file pi_specs mode models_kind =
   Obs_metrics.install_util_sources ();
   Obs_trace.clear ();
@@ -726,10 +742,6 @@ let run_profile file pi_specs mode models_kind =
     phase "thresholds" (fun () -> Sta.default_thresholds design file_th)
   in
   let factory = factory_of models_kind design th in
-  phase "characterize" (fun () ->
-      List.iter
-        (fun c -> ignore (factory.Sta.models c : Models.t))
-        (Design.cells design));
   let ir =
     phase "build_ir" (fun () ->
         Sta.build_ir ~mode ~models:factory.Sta.models ~thresholds:th design
@@ -746,11 +758,11 @@ let run_profile file pi_specs mode models_kind =
    | Some (po, a) ->
      Printf.printf "critical output: %s at %.1f ps\n" po (ps a.Sta.time));
   let aggs = Obs_trace.aggregate ~cat:"phase" () in
-  (* pipeline order reads better than duration order for six rows *)
+  (* pipeline order reads better than duration order for five rows *)
   let phases =
     List.filter_map
       (fun n -> List.find_opt (fun a -> a.Obs_trace.agg_name = n) aggs)
-      [ "parse"; "thresholds"; "characterize"; "build_ir"; "analyze"; "report" ]
+      [ "parse"; "thresholds"; "build_ir"; "analyze"; "report" ]
   in
   let mb bytes = bytes /. 1048576. in
   Printf.printf "\n%-14s %12s  %6s %12s\n" "phase" "time" "% wall" "alloc";
@@ -820,12 +832,12 @@ let run_diagnostics ~cmd ~file ~pi_specs ?(need_pi = true) ?(window_specs = [])
     let need_pi =
       ( (not need_pi) || pi <> [],
         Printf.sprintf "proxim %s: need at least one --pi event" cmd )
-    and tau_window =
-      ( Float.is_finite tau_window_ps && tau_window_ps >= 0.,
-        Printf.sprintf "proxim %s: --tau-window must be a finite value >= 0"
-          cmd )
     in
-    let* () = check ((need_pi :: checks) @ [ tau_window ]) in
+    let* () =
+      check
+        ((need_pi :: checks)
+        @ [ non_negative ~cmd "--tau-window" tau_window_ps ])
+    in
     Verify.validate_pi_nets ~flag:"--pi" design (List.map fst pi);
     Verify.validate_pi_nets ~flag:"--pi-window" design
       (List.filter_map
@@ -1028,16 +1040,8 @@ let run_serve_send addr payloads =
    analysis.  The first report is discarded: it warms the session's
    number memo, which writes the printed one. *)
 let run_serve_smoke addr file pi_specs pi_all_spec eco_specs mode paths_k =
-  let* named_pi = parse_all parse_pi_spec pi_specs in
-  let* ecos = parse_all parse_eco_spec eco_specs in
-  let* pi_all = parse_opt parse_pi_all_spec pi_all_spec in
-  let* () =
-    check
-      [
-        ( named_pi <> [] || pi_all <> None,
-          "proxim serve: need at least one --pi event (or --pi-all)" );
-        (paths_k >= 1, "proxim serve: --paths must be >= 1");
-      ]
+  let* named_pi, pi_all, ecos =
+    parse_stimulus ~cmd:"serve" ~pi_specs ~pi_all_spec ~eco_specs ~paths_k
   in
   with_connection addr @@ fun fd ->
   let ( let* ) = Result.bind in
@@ -1212,6 +1216,13 @@ let finish_obs obs code =
      print_endline (Obs_metrics.to_json (Obs_metrics.snapshot ())));
   code
 
+(* [body] after the observability setup, then the trace and metrics *)
+let observed body = Term.(const finish_obs $ obs_setup $ body)
+
+(* the same after the --domains setup: every analysis subcommand *)
+let analysis body =
+  Term.(const (fun () code -> code) $ domains_setup $ observed body)
+
 (* ---- options used by several subcommands: each is defined once and
    takes only its default, its accepted values and its doc text ---- *)
 
@@ -1299,7 +1310,7 @@ let codes_doc example =
 
 let vtc_cmd =
   Cmd.v (Cmd.info "vtc" ~doc:"Print the VTC family and chosen thresholds")
-    Term.(const (fun () g -> run_vtc g) $ domains_setup $ gate_arg)
+    Term.(const (fun () -> run_vtc) $ domains_setup $ gate_arg)
 
 let delay_cmd =
   let pin = Arg.(value & opt string "a" & info [ "pin" ] ~docv:"PIN") in
@@ -1312,7 +1323,7 @@ let delay_cmd =
   in
   Cmd.v (Cmd.info "delay" ~doc:"Single-input delay on the golden simulator")
     Term.(
-      const (fun () g p e t l -> run_delay g p e t l)
+      const (fun () -> run_delay)
       $ domains_setup $ gate_arg $ pin $ edge $ tau $ load)
 
 let proximity_cmd =
@@ -1329,7 +1340,7 @@ let proximity_cmd =
     (Cmd.info "proximity"
        ~doc:"Run ProximityDelay on a set of input events and compare with the golden simulator")
     Term.(
-      const (fun () g ev b -> run_proximity g ev b)
+      const (fun () -> run_proximity)
       $ domains_setup $ gate_arg $ events $ baselines)
 
 let glitch_cmd =
@@ -1343,7 +1354,7 @@ let glitch_cmd =
   in
   Cmd.v (Cmd.info "glitch" ~doc:"Opposite-transition glitch analysis (paper section 6)")
     Term.(
-      const (fun () g fp rp tf tr s m -> run_glitch g fp rp tf tr s m)
+      const (fun () -> run_glitch)
       $ domains_setup $ gate_arg $ fall_pin $ rise_pin $ tau_fall $ tau_rise
       $ sep $ find_min)
 
@@ -1372,10 +1383,10 @@ let lint_cmd =
        ~doc:
          "Static diagnostics for netlists, threshold sets and characterized \
           stores")
-    Term.(
-      const (fun obs fs fmt fo fl c -> finish_obs obs (run_lint fs fmt fo fl c))
-      $ obs_setup $ files $ report_format_arg $ fail_on_arg $ fanout_limit
-      $ codes)
+    (observed
+       Term.(
+         const run_lint $ files $ report_format_arg $ fail_on_arg
+         $ fanout_limit $ codes))
 
 let sta_cmd =
   let file =
@@ -1438,11 +1449,10 @@ let sta_cmd =
        ~doc:
          "Static timing analysis of a netlist (text or binary): arrivals, \
           K-worst paths, slacks, incremental (ECO) re-analysis")
-    Term.(
-      const (fun () obs f p pa m k pk r e v s ->
-          finish_obs obs (run_sta f p pa m k pk r e v s))
-      $ domains_setup $ obs_setup $ file $ pi_arg () $ pi_all $ mode $ models
-      $ paths $ required $ eco $ verify_eco $ summary)
+    (analysis
+       Term.(
+         const run_sta $ file $ pi_arg () $ pi_all $ mode $ models $ paths
+         $ required $ eco $ verify_eco $ summary))
 
 let verify_cmd =
   let run file pi_specs window_specs tau_window_ps mode models_kind format
@@ -1471,21 +1481,26 @@ let verify_cmd =
        ~doc:
          "Static proximity verification: interval abstract interpretation \
           over the timing graph, PX3xx diagnostics")
-    Term.(
-      const (fun () obs f p w tw m mk fmt fo c sn ->
-          finish_obs obs (run f p w tw m mk fmt fo c sn))
-      $ domains_setup $ obs_setup
-      $ file_arg "Netlist (.ntl) to verify."
-      $ pi_arg () $ pi_window_arg $ tau_window_arg $ mode $ models
-      $ report_format_arg $ fail_on_arg
-      $ codes_arg (codes_doc "PX301,PX304 or PX3*")
-      $ sense)
+    (analysis
+       Term.(
+         const run
+         $ file_arg "Netlist (.ntl) to verify."
+         $ pi_arg () $ pi_window_arg $ tau_window_arg $ mode $ models
+         $ report_format_arg $ fail_on_arg
+         $ codes_arg (codes_doc "PX301,PX304 or PX3*")
+         $ sense))
 
 let hazards_cmd =
   let run file pi_specs window_specs tau_window_ps mode models_kind
       filter_margin_ps required_ps format fail_on codes sense =
     run_diagnostics ~cmd:"hazards" ~file ~pi_specs ~window_specs
       ~tau_window_ps ~sense ~format ~fail_on ~codes
+      ~checks:
+        [
+          non_negative ~cmd:"hazards" "--filter-margin" filter_margin_ps;
+          finite ~cmd:"hazards" "--required"
+            (Option.value required_ps ~default:0.);
+        ]
       (hazards_analysis ~mode ~models_kind ~filter_margin_ps ~required_ps)
   in
   let pi =
@@ -1533,15 +1548,14 @@ let hazards_cmd =
          "Static glitch/hazard analysis: edge-pair windows against the \
           section-6 minimum-separation rule, required-time observability, \
           PX4xx diagnostics")
-    Term.(
-      const (fun () obs f p w tw m mk fm r fmt fo c sn ->
-          finish_obs obs (run f p w tw m mk fm r fmt fo c sn))
-      $ domains_setup $ obs_setup
-      $ file_arg "Netlist (.ntl) to analyze."
-      $ pi $ pi_window_arg $ tau_window_arg $ mode $ models $ filter_margin
-      $ required $ report_format_arg $ fail_on_arg
-      $ codes_arg (codes_doc "PX401,PX402 or PX40?")
-      $ sense)
+    (analysis
+       Term.(
+         const run
+         $ file_arg "Netlist (.ntl) to analyze."
+         $ pi $ pi_window_arg $ tau_window_arg $ mode $ models $ filter_margin
+         $ required $ report_format_arg $ fail_on_arg
+         $ codes_arg (codes_doc "PX401,PX402 or PX40?")
+         $ sense))
 
 let sense_cmd =
   let run file pi_specs const_specs budget max_support format fail_on codes =
@@ -1590,13 +1604,12 @@ let sense_cmd =
        ~doc:
          "Static sensitization analysis: ternary constant propagation, \
           bounded implication over input pairs, PX5xx diagnostics")
-    Term.(
-      const (fun () obs f p cn b su fmt fo c ->
-          finish_obs obs (run f p cn b su fmt fo c))
-      $ domains_setup $ obs_setup
-      $ file_arg "Netlist (text or binary) to analyze."
-      $ pi $ consts $ budget $ support $ report_format_arg $ fail_on_arg
-      $ codes_arg (codes_doc "PX503 or PX5*"))
+    (analysis
+       Term.(
+         const run
+         $ file_arg "Netlist (text or binary) to analyze."
+         $ pi $ consts $ budget $ support $ report_format_arg $ fail_on_arg
+         $ codes_arg (codes_doc "PX503 or PX5*")))
 
 let profile_cmd =
   let mode = mode_arg "Propagation mode: proximity (default) or classic." in
@@ -1609,12 +1622,12 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Per-phase time and allocation breakdown of an STA run (parse, \
-          thresholds, characterize, build, analyze, report)")
-    Term.(
-      const (fun () obs f p m mk -> finish_obs obs (run_profile f p m mk))
-      $ domains_setup $ obs_setup
-      $ file_arg "Netlist (.ntl) to profile."
-      $ pi_arg () $ mode $ models)
+          thresholds, build, analyze, report)")
+    (analysis
+       Term.(
+         const run_profile
+         $ file_arg "Netlist (.ntl) to profile."
+         $ pi_arg () $ mode $ models))
 
 let storage_cmd =
   let fan_in = Arg.(value & opt int 3 & info [ "fan-in" ]) in
@@ -1678,7 +1691,7 @@ let gen_cmd =
          "Generate a deterministic synthetic layered design for scale \
           testing")
     Term.(
-      const (fun n s d w r o f -> run_gen n s d w r o f)
+      const run_gen
       $ cells $ seed $ depth $ window $ reach $ out $ format_arg)
 
 let convert_cmd =
@@ -1745,7 +1758,7 @@ let serve_cmd =
          "Long-lived multi-session incremental timing daemon (and its \
           client modes) over a length-prefixed JSON protocol")
     Term.(
-      const (fun () l c sn sm p pa e m k -> run_serve l c sn sm p pa e m k)
+      const (fun () -> run_serve)
       $ domains_setup $ listen $ connect $ send $ smoke
       $ pi_arg
           ~doc:"Smoke-mode primary-input event net:edge:tau_ps:cross_ps." ()

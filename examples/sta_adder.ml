@@ -65,7 +65,7 @@ let () =
       (fun (net, (a : Sta.arrival)) ->
         Printf.printf "  %-6s  t = %7.1f ps  slew = %6.1f ps  (%s)\n" net
           (ps a.Sta.time) (ps a.Sta.slew)
-          (match a.Sta.edge with Measure.Rise -> "rise" | Measure.Fall -> "fall"))
+          (Measure.edge_name a.Sta.edge))
       report.Sta.arrivals;
     match report.Sta.critical_po with
     | Some (net, a) ->

@@ -93,8 +93,6 @@ let hazard_windows h net edge =
       | Measure.Rise -> ns.Hazard.ns_rise
       | Measure.Fall -> ns.Hazard.ns_fall)
 
-let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
-
 let window_escapes ?pool rng ~draws ~mode ~models ~thresholds ~time_window
     ~tau_window ~window design ~pi =
   let escapes = ref [] in
@@ -109,7 +107,7 @@ let window_escapes ?pool rng ~draws ~mode ~models ~thresholds ~time_window
         | None ->
           escapes :=
             Printf.sprintf "%s switches (%s) concretely but carries no window"
-              net (edge_name a.Sta.edge)
+              net (Measure.edge_name a.Sta.edge)
             :: !escapes
         | Some w ->
           if
@@ -244,7 +242,8 @@ let prune_divergence ?pool ~models ~thresholds design ~pi masks =
 (* --- reports ------------------------------------------------------------- *)
 
 let show_arrival (a : Sta.arrival) =
-  Printf.sprintf "%s %.17g/%.17g" (edge_name a.Sta.edge) a.Sta.time a.Sta.slew
+  Printf.sprintf "%s %.17g/%.17g" (Measure.edge_name a.Sta.edge) a.Sta.time
+    a.Sta.slew
 
 let report_diff ?design ?(prune = Prune.none) (la, (ra : Sta.report))
     (lb, (rb : Sta.report)) =

@@ -71,23 +71,6 @@ type rule = Verify.rule
 
 let model_rule = Verify.model_rule
 
-(* corner sampling + spread widening, the Models.delay1_bounds idiom:
-   exact on degenerate boxes, a curvature margin otherwise *)
-let widen_frac = 0.25
-
-let corner_bounds (lo_a, hi_a) (lo_b, hi_b) f =
-  let axis (lo, hi) = if hi > lo then [ lo; hi ] else [ lo ] in
-  let vs =
-    List.concat_map (fun a -> List.map (fun b -> f a b) (axis (lo_b, hi_b)))
-      (axis (lo_a, hi_a))
-  in
-  let lo = List.fold_left min infinity vs
-  and hi = List.fold_left max neg_infinity vs in
-  (* [hi > lo] also guards the infinite sentinels: widening a degenerate
-     [+inf] box would produce NaN bounds *)
-  let m = if hi > lo then widen_frac *. (hi -. lo) else 0. in
-  (lo -. m, hi +. m)
-
 let inertial_rule ?load ~thresholds () : rule =
   let memo : (string * int * int * float * float, float) Hashtbl.t =
     Hashtbl.create 64
@@ -150,8 +133,15 @@ let inertial_rule ?load ~thresholds () : rule =
           | Measure.Rise -> (tau_ender, tau_starter)
           | Measure.Fall -> (tau_starter, tau_ender)
         in
-        corner_bounds tau_fall_box tau_rise_box (fun tau_fall tau_rise ->
-          sigma_min ~tau_fall ~tau_rise)
+        (* the box's corners exactly: [lo + (hi - lo)] need not be [hi] *)
+        let corners (lo, hi) = if hi > lo then [ lo; hi ] else [ lo ] in
+        Models.bounds_over
+          (List.concat_map
+             (fun tau_fall ->
+               List.map (fun tau_rise -> (tau_fall, tau_rise))
+                 (corners tau_rise_box))
+             (corners tau_fall_box))
+          (fun (tau_fall, tau_rise) -> sigma_min ~tau_fall ~tau_rise)
       end
     end
 

@@ -101,8 +101,8 @@ val inertial_rule :
   rule
 (** The golden-simulator rule: bisect
     {!Proxim_core.Inertial.minimum_valid_separation} at the corners of
-    the tau box and widen the observed spread (the
-    [Models.delay1_bounds] sampling idiom).  Bisections are memoized per
+    the tau box and widen the observed spread
+    ({!Proxim_macromodel.Models.bounds_over}).  Bisections are memoized per
     (gate, pins, taus).  Orientations that disagree with the gate's
     physical resting polarity, and same-pin pulse pairs (which the
     two-pin simulation cannot drive), fall back conservatively — the

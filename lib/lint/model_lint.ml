@@ -6,8 +6,6 @@ module Dual = Proxim_macromodel.Dual
 module Store = Proxim_macromodel.Store
 module Interp = Proxim_util.Interp
 
-let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
-
 let subset_name subset =
   "{" ^ String.concat "" (List.map Gate.pin_name subset) ^ "}"
 
@@ -249,11 +247,12 @@ let check_dual ?file ~name (d : Dual.t) =
 (* --- whole stores ------------------------------------------------------ *)
 
 let single_name gate pin edge =
-  Printf.sprintf "%s single %s %s" gate (Gate.pin_name pin) (edge_name edge)
+  Printf.sprintf "%s single %s %s" gate (Gate.pin_name pin)
+    (Measure.edge_name edge)
 
 let dual_name gate dom other edge =
   Printf.sprintf "%s dual %s<-%s %s" gate (Gate.pin_name dom)
-    (Gate.pin_name other) (edge_name edge)
+    (Gate.pin_name other) (Measure.edge_name edge)
 
 (* Relative disagreement allowed between the two predicted output
    crossings at the dominance crossover before PX206 fires. *)
@@ -305,7 +304,7 @@ let check_store ?file (set : Store.set) =
                  "no single-input table for pin %s edge %s — this dual can \
                   never be evaluated"
                  (Gate.pin_name pin)
-                 (edge_name (Dual.edge d))))
+                 (Measure.edge_name (Dual.edge d))))
         [ Dual.dom d; Dual.other d ])
     set.Store.duals;
   (* PX208: pins/edges visible anywhere in the set but not singly
@@ -325,7 +324,7 @@ let check_store ?file (set : Store.set) =
           add
             (Diagnostic.make ?file ~context:gate PX208
                "no single-input table for pin %s edge %s" (Gate.pin_name pin)
-               (edge_name edge)))
+               (Measure.edge_name edge)))
       [ Measure.Rise; Measure.Fall ]
   done;
   (* PX206: at the crossover separation s_ab = Delta_a - Delta_b the

@@ -137,13 +137,6 @@ let build ?(x_tau = default_x_tau) ?(x_sep = default_x_sep) ?pool gate th
 
 (* --- serialization ------------------------------------------------- *)
 
-let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
-
-let edge_of_name = function
-  | "rise" -> Measure.Rise
-  | "fall" -> Measure.Fall
-  | s -> failwith ("Dual.load: bad edge " ^ s)
-
 let save_axis buf name axis =
   Buffer.add_string buf (Printf.sprintf "%s %d" name (Array.length axis));
   Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %.17g" v)) axis;
@@ -172,7 +165,8 @@ let save t =
   Buffer.add_string buf "dual-v1\n";
   Buffer.add_string buf (Printf.sprintf "dom %d\n" t.dom);
   Buffer.add_string buf (Printf.sprintf "other %d\n" t.other);
-  Buffer.add_string buf (Printf.sprintf "edge %s\n" (edge_name t.edge));
+  Buffer.add_string buf
+    (Printf.sprintf "edge %s\n" (Measure.edge_name t.edge));
   Buffer.add_string buf
     (Printf.sprintf "assist %b\n" t.assist);
   save_grid buf "delay" t.delay_grid;
@@ -231,7 +225,12 @@ let load text =
   if header <> "dual-v1" then fail "bad header %S" header;
   let dom = field "dom" int_of_string in
   let other = field "other" int_of_string in
-  let edge = field "edge" edge_of_name in
+  let edge =
+    field "edge" (fun s ->
+        match Measure.edge_of_name s with
+        | Some e -> e
+        | None -> fail "bad edge %s" s)
+  in
   let assist = field "assist" bool_of_string in
   let delay_grid = grid "delay" in
   let trans_grid = grid "trans" in

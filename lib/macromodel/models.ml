@@ -234,8 +234,10 @@ let axis ?(extra = []) n (lo, hi) =
     in
     pts @ List.filter (fun x -> lo < x && x < hi) extra
 
+(* [hi > lo] also guards the infinite sentinels: widening a degenerate
+   [+inf] spread would produce NaN bounds *)
 let widen (lo, hi) =
-  let m = widen_frac *. (hi -. lo) in
+  let m = if hi > lo then widen_frac *. (hi -. lo) else 0. in
   (lo -. m, hi +. m)
 
 let bounds_over pts f =

@@ -148,6 +148,14 @@ val of_tables :
     interval analysis collapses onto the concrete STA.  All evaluations
     go through the model's own closures (and so its caches, if any). *)
 
+val bounds_over : 'a list -> ('a -> float) -> float * float
+(** [bounds_over pts f]: the observed min/max of [f] over the sample
+    points [pts], widened by a quarter of the spread on each side — the
+    one sampled-bound heuristic every bound below, and the hazard
+    analysis's simulator rule, rest on.  A zero spread is not widened,
+    so a single point (or an infinite sentinel) comes back exact.
+    Raises [Invalid_argument] on an empty [pts]. *)
+
 val delay1_bounds :
   t ->
   pin:int ->

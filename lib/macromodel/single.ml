@@ -94,7 +94,7 @@ let build ?(taus = default_taus) ?pool gate th ~pin ~edge =
       [
         ("gate", gate.Gate.name);
         ("pin", string_of_int pin);
-        ("edge", match edge with Measure.Rise -> "rise" | Fall -> "fall");
+        ("edge", Measure.edge_name edge);
       ]
   @@ fun () ->
   let pool =
@@ -114,20 +114,14 @@ let out_transition ?c_load t ~tau =
 
 (* --- serialization ------------------------------------------------- *)
 
-let edge_name = function Measure.Rise -> "rise" | Measure.Fall -> "fall"
-
-let edge_of_name = function
-  | "rise" -> Measure.Rise
-  | "fall" -> Measure.Fall
-  | s -> failwith ("Single.load: bad edge " ^ s)
-
 let save t =
   let buf = Buffer.create 1024 in
   let xs, d = Interp.pchip_knots t.delay_tbl in
   let _, tr = Interp.pchip_knots t.trans_tbl in
   Buffer.add_string buf "single-v1\n";
   Buffer.add_string buf (Printf.sprintf "pin %d\n" t.pin);
-  Buffer.add_string buf (Printf.sprintf "edge %s\n" (edge_name t.edge));
+  Buffer.add_string buf
+    (Printf.sprintf "edge %s\n" (Measure.edge_name t.edge));
   Buffer.add_string buf (Printf.sprintf "k %.17g\n" t.k);
   Buffer.add_string buf (Printf.sprintf "vdd %.17g\n" t.vdd);
   Buffer.add_string buf (Printf.sprintf "c_build %.17g\n" t.c_build);
@@ -156,7 +150,14 @@ let load text =
   match lines with
   | "single-v1" :: rest ->
     let pin, rest = field "pin" int_of_string rest in
-    let edge, rest = field "edge" edge_of_name rest in
+    let edge, rest =
+      field "edge"
+        (fun s ->
+          match Measure.edge_of_name s with
+          | Some e -> e
+          | None -> fail "bad edge %s" s)
+        rest
+    in
     let k, rest = field "k" float_of_string rest in
     let vdd, rest = field "vdd" float_of_string rest in
     let c_build, rest = field "c_build" float_of_string rest in

@@ -8,6 +8,13 @@ type edge = Rise | Fall
 
 let opposite = function Rise -> Fall | Fall -> Rise
 
+let edge_name = function Rise -> "rise" | Fall -> "fall"
+
+let edge_of_name = function
+  | "rise" -> Some Rise
+  | "fall" -> Some Fall
+  | _ -> None
+
 type stimulus = { edge : edge; tau : float; cross_time : float }
 
 let input_threshold (th : Vtc.thresholds) = function

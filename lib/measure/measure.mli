@@ -18,6 +18,13 @@ type edge = Rise | Fall
 
 val opposite : edge -> edge
 
+val edge_name : edge -> string
+(** ["rise"] or ["fall"]: the one spelling of an edge in reports, store
+    files and the serve protocol. *)
+
+val edge_of_name : string -> edge option
+(** The inverse of {!edge_name}; [None] for any other string. *)
+
 type stimulus = {
   edge : edge;
   tau : float;  (** full-swing ramp width (the paper's "fall time"), s *)

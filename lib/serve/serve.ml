@@ -129,30 +129,23 @@ let int_field name j =
   Option.bind (num_field name j) (fun f ->
       if Float.is_integer f then Some (int_of_float f) else None)
 
-let edge_to_string = function
-  | Measure.Rise -> "rise"
-  | Measure.Fall -> "fall"
-
-let edge_of_string = function
-  | "rise" -> Some Measure.Rise
-  | "fall" -> Some Measure.Fall
-  | _ -> None
-
 let arrival_to_json (a : Sta.arrival) =
   Json.Obj
     [
       ("time", Json.Number a.Sta.time);
       ("slew", Json.Number a.Sta.slew);
-      ("edge", Json.String (edge_to_string a.Sta.edge));
+      ("edge", Json.String (Measure.edge_name a.Sta.edge));
     ]
 
 let arrival_of_json j =
   match
     ( num_field "time" j,
       num_field "slew" j,
-      Option.bind (str_field "edge" j) edge_of_string )
+      Option.bind (str_field "edge" j) Measure.edge_of_name )
   with
-  | Some time, Some slew, Some edge -> Some { Sta.time; slew; edge }
+  | Some time, Some slew, Some edge ->
+    let a = { Sta.time; slew; edge } in
+    if Sta.valid_event a then Some a else None
   | _ -> None
 
 let named_arrival_to_json (net, a) =
@@ -198,7 +191,7 @@ let add_report_reply memo buf (r : Sta.report) =
     Buffer.add_string buf ",\"slew\":";
     number ((2 * i) + 1) a.Sta.slew;
     Buffer.add_string buf ",\"edge\":";
-    Json.add_string buf (edge_to_string a.Sta.edge);
+    Json.add_string buf (Measure.edge_name a.Sta.edge);
     Buffer.add_char buf '}'
   in
   let pair name add x =

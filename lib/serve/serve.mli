@@ -28,7 +28,8 @@
       [[net, arrival]] pairs; [pi_all] applies one arrival to every
       remaining primary input.  Arrivals are
       [{"time", "slew", "edge"}] with times in seconds ([%.17g]
-      round-trips them losslessly, preserving bit-identity over JSON).
+      round-trips them losslessly, preserving bit-identity over JSON);
+      one that breaks {!Proxim_sta.Sta.valid_event} is a [bad_request].
     - [eco {"ecos"}] — [{"kind": "set_pi", "net", "arrival"|null}] or
       [{"kind": "touch_cell", "cell"}], applied in order through
       {!Proxim_sta.Sta.update}.
@@ -154,6 +155,7 @@ val call : Unix.file_descr -> Json.t -> (Json.t, string) result
 
 val arrival_to_json : Proxim_sta.Sta.arrival -> Json.t
 val arrival_of_json : Json.t -> Proxim_sta.Sta.arrival option
+(** [None] also for an arrival {!Proxim_sta.Sta.valid_event} rejects. *)
 
 val report_to_json : Proxim_sta.Sta.report -> Json.t
 (** The report as a tree: what a client decodes a [report] reply into,

@@ -22,6 +22,9 @@ type arrival = Timing.arrival = {
   edge : Measure.edge;
 }
 
+let valid_event a =
+  Float.is_finite a.time && Float.is_finite a.slew && a.slew > 0.
+
 exception Mixed_input_edges of { cell : string }
 
 exception Unknown_eco_target of { kind : string; name : string }

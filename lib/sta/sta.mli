@@ -39,6 +39,11 @@ type arrival = Proxim_timing.Timing.arrival = {
   edge : Proxim_measure.Measure.edge;
 }
 
+val valid_event : arrival -> bool
+(** The rule every stimulus event obeys, on the command line and on the
+    wire: a finite time and a finite, positive slew.  Anything else
+    describes no transition. *)
+
 type mode =
   | Classic
   | Proximity

@@ -1,12 +1,15 @@
 (* The malformed-event matrix at the CLI boundary: every subcommand
-   that accepts EDGE:TAU:T event specs (--event, --pi, --pi-all, --eco)
-   routes them through one shared parser, so a malformed spec must
-   produce the identical diagnostic and exit code 2 on every
-   subcommand — no more per-command drift between "bad numbers in
-   event", "... in pi event" and "... in pi-all event", or between
-   exit 1 and exit 2. *)
+   that accepts EDGE:TAU:T event specs (positional events, --pi,
+   --pi-all, --eco) routes them through one shared parser, so a
+   malformed spec must produce the identical diagnostic and exit code 2
+   on every subcommand — no more per-command drift between "bad numbers
+   in event", "... in pi event" and "... in pi-all event", or between
+   exit 1 and exit 2.  A seeded fuzzer then mutates valid argument
+   vectors of every subcommand: none may escape as an uncaught
+   exception. *)
 
 open Testkit
+module Prng = Proxim_util.Prng
 
 let sf = Printf.sprintf
 
@@ -56,6 +59,15 @@ let run_err fmt =
       (code, String.trim err))
     fmt
 
+(* each command line exits 2 with exactly its message on stderr *)
+let check_usage_errors rows =
+  List.iter
+    (fun (args, msg) ->
+      let code, err = run_err "%s %s" cli args in
+      Alcotest.(check int) (args ^ " exits 2") 2 code;
+      Alcotest.(check string) (args ^ " message") msg err)
+    rows
+
 (* every subcommand × way of smuggling in the same broken event spec *)
 let matrix file =
   [
@@ -100,14 +112,15 @@ let test_bad_numbers_uniform () =
       check_uniform ~ctx:"negative tau" ~spec:"fall:-500:0"
         ~expect_msg:"bad numbers in event a:fall:-500:0" file)
 
-(* the same rule reaches --pi-all and the oracle path's zero slew *)
+(* the same rule reaches --pi-all and the oracle path's zero slew, and
+   every numeric flag checks its range before a library call sees it *)
 let test_non_transition_numbers () =
   with_netlist (fun file ->
-      List.iter
-        (fun (args, msg) ->
-          let code, err = run_err "%s %s" cli args in
-          Alcotest.(check int) (args ^ " exits 2") 2 code;
-          Alcotest.(check string) (args ^ " message") msg err)
+      let pi = sf "%s --models synthetic --pi a:fall:300:0" file in
+      let tau = "proxim delay: --tau must be a finite value > 0"
+      and load = "proxim delay: --load must be a finite value >= 0"
+      and window = "bad window inf (expected PS or NET=PS, e.g. 25 or a=25)" in
+      check_usage_errors
         [
           ( sf "sta %s --models synthetic --pi-all fall:500:inf" file,
             "bad numbers in event fall:500:inf" );
@@ -115,12 +128,39 @@ let test_non_transition_numbers () =
           ( sf "sta %s --models synthetic --pi a:fall:400:0 --eco \
                 pi:a:fall:nan:0" file,
             "bad numbers in event a:fall:nan:0" );
+          ("delay nand2 --tau nan", tau);
+          ("delay nand2 --tau 0", tau);
+          ("delay nand2 --tau=-500", tau);
+          ("delay nand2 --load=nan", load);
+          ("delay nand2 --load=-5", load);
+          ( "glitch nand2 --tau-fall nan",
+            "proxim glitch: --tau-fall must be a finite value > 0" );
+          ("glitch nand2 --sep inf", "proxim glitch: --sep must be finite");
+          ("storage --fan-in 0", "proxim storage: --fan-in must be >= 1");
+          ("storage --points=-3", "proxim storage: --points must be >= 1");
+          ( sf "sta %s --required nan" pi,
+            "proxim sta: --required must be finite" );
+          ( sf "hazards %s --required nan" pi,
+            "proxim hazards: --required must be finite" );
+          ( sf "hazards %s --filter-margin nan" pi,
+            "proxim hazards: --filter-margin must be a finite value >= 0" );
+          (sf "verify %s --pi-window inf" pi, window);
+          (sf "hazards %s --pi-window inf" pi, window);
         ])
 
 let test_bad_edge_uniform () =
   with_netlist
     (check_uniform ~ctx:"bad edge" ~spec:"sideways:400:0"
-       ~expect_msg:"unknown edge sideways (rise|fall)")
+       ~expect_msg:"unknown edge sideways (rise|fall)");
+  check_usage_errors
+    [
+      ("delay nand2 --edge sideways", "unknown edge sideways (rise|fall)");
+      (* an unknown gate or pin is the same kind of usage error *)
+      ("delay nand2 --pin z", "unknown pin z (gate has 2 pins: a..b)");
+      ( "vtc nand9",
+        "unknown gate nand9 (expected inv, nandN or norN with N in 1..6, \
+         aoi21, oai21)" );
+    ]
 
 (* shape errors keep their per-spec-kind wording (each names its own
    expected grammar) but still exit 2 everywhere *)
@@ -243,7 +283,18 @@ let test_mixed_edges () =
     (fun cmd ->
       sf "proxim %s: error: mixed input edges at cell u1 (a single-vector \
           analysis cannot order a glitch)"
-        cmd)
+        cmd);
+  (* the paper-level fold and glitch take one event per pin, and the
+     fold one edge direction *)
+  check_usage_errors
+    [
+      ( "proximity nand2 a:fall:500:0 b:rise:300:10",
+        "proxim proximity: events mix rise and fall edges" );
+      ( "proximity nand2 a:fall:500:0 a:fall:300:10",
+        "proxim proximity: a pin takes at most one event" );
+      ( "glitch nand2 --fall-pin a --rise-pin a",
+        "proxim glitch: --fall-pin and --rise-pin must differ" );
+    ]
 
 (* the smoke client checks what it can before it connects *)
 let test_smoke_checks_first () =
@@ -329,6 +380,14 @@ let golden_cases =
     ("codes_verify", sf "verify %s --domains 1 --codes" verify_demo);
     ("codes_hazards", sf "hazards %s --domains 1 --codes" hazard_demo);
     ("codes_sense", sf "sense %s --domains 1 --codes" sense_demo);
+    (* the paper-level subcommands *)
+    ("vtc_nand3", "vtc nand3 --domains 1");
+    ("delay_nand3", "delay nand3 --domains 1 --pin b --edge rise --tau 300");
+    ( "proximity_baselines",
+      "proximity nand3 --domains 1 a:fall:500:0 b:fall:100:50 --baselines" );
+    ( "glitch_find_min",
+      "glitch nand3 --domains 1 --tau-fall 500 --tau-rise 100 --find-min" );
+    ("storage_fan_in_4", "storage --fan-in 4");
     (* error paths *)
     ("missing_sta", sf "sta %s --domains 1 %s" missing carry_pi);
     ("missing_verify", sf "verify %s --domains 1 %s" missing carry_pi);
@@ -382,6 +441,109 @@ let golden_case (name, args) =
             In_channel.input_all
         in
         Alcotest.(check string) name expected actual)
+
+(* ------------------------------------------------------------------ *)
+(* Seeded argument fuzzer                                              *)
+
+(* A valid argument vector of every subcommand.  The fuzzer replaces
+   one field of an event spec, the value of a --flag=VALUE, or a gate,
+   pin, edge or --const name; paths, bare flags and --domains (checked
+   before any subcommand runs) stay as they are.  The smoke client's
+   daemon does not exist, so it never connects. *)
+let fuzz_bases =
+  let d1 args = args @ [ "--domains"; "1" ] in
+  [
+    d1 [ "vtc"; "nand2" ];
+    d1
+      [ "delay"; "nand2"; "--pin"; "b"; "--edge"; "rise"; "--tau=300";
+        "--load=5" ];
+    d1 [ "proximity"; "nand2"; "a:fall:500:0"; "b:fall:100:50" ];
+    d1
+      [ "glitch"; "nand2"; "--fall-pin"; "a"; "--rise-pin"; "b";
+        "--tau-fall=500"; "--tau-rise=100"; "--sep=50" ];
+    [ "storage"; "--fan-in=4"; "--points=10" ];
+    d1
+      [ "sta"; carry; "--models"; "synthetic"; "--pi"; "a:fall:300:0";
+        "--pi-all"; "fall:250:40"; "--eco"; "pi:a:fall:200:10"; "--paths=2";
+        "--required=900" ];
+    d1
+      [ "verify"; carry; "--pi"; "a:fall:300:0"; "--pi-window=25";
+        "--tau-window=5" ];
+    d1
+      [ "hazards"; hazard_demo; "--pi"; "a:fall:400:500"; "--pi";
+        "b:rise:300:0"; "--filter-margin=25"; "--required=900";
+        "--pi-window=10"; "--tau-window=5" ];
+    d1
+      [ "sense"; sense_demo; "--pi"; "a:rise:300:0"; "--const"; "k=0";
+        "--budget=64"; "--support=4" ];
+    d1 [ "profile"; carry; "--models"; "synthetic"; "--pi"; "a:fall:300:0" ];
+    [ "lint"; "--fanout-limit=8"; carry ];
+    [ "gen"; "--cells=40"; "--depth=4"; "--window=2"; "--reach=2";
+      "--seed=1" ];
+    d1
+      [ "serve"; "--connect"; "unix:/nonexistent"; "--smoke"; carry; "--pi";
+        "a:fall:300:0"; "--pi-all"; "fall:250:40"; "--eco";
+        "pi:a:fall:200:10"; "--paths=2" ];
+  ]
+
+let fuzz_numbers = [| ""; "nan"; "inf"; "-1"; "0"; "1e999"; "#x!" |]
+let fuzz_names = [| ""; "z"; "A"; "ab"; "a"; "rise"; "nand9"; "#x!" |]
+
+(* what the fuzzer may replace in word [w], which follows [prev] *)
+let slot_kind prev w =
+  if String.starts_with ~prefix:"--" w && String.contains w '=' then
+    Some `Flag_value
+  else if String.contains w ':' && not (String.contains w '/') then
+    Some `Event_field
+  else if
+    List.mem prev
+      [ "vtc"; "delay"; "proximity"; "glitch"; "--pin"; "--edge";
+        "--fall-pin"; "--rise-pin"; "--const" ]
+  then Some `Name
+  else None
+
+let mutate rng kind w =
+  let pick a = a.(Prng.int rng ~lo:0 ~hi:(Array.length a - 1)) in
+  match kind with
+  | `Flag_value -> String.sub w 0 (String.index w '=' + 1) ^ pick fuzz_numbers
+  | `Name -> pick fuzz_names
+  | `Event_field ->
+    (* the first field is a pin, net, edge or eco kind; the rest are
+       mostly numbers *)
+    let fields = String.split_on_char ':' w in
+    let k = Prng.int rng ~lo:0 ~hi:(List.length fields - 1) in
+    let v = pick (if k = 0 then fuzz_names else fuzz_numbers) in
+    String.concat ":" (List.mapi (fun j f -> if j = k then v else f) fields)
+
+(* 104 seeded runs, each base with one or two slots replaced: every run
+   ends in a result (0), a finding or an unreachable daemon (1), a usage
+   error (2) or a cmdliner type error (124) — never an uncaught
+   exception (125, "internal error") *)
+let test_argument_fuzzer () =
+  let rng = Prng.create 20261020L in
+  let bases = Array.of_list (List.map Array.of_list fuzz_bases) in
+  for run = 0 to 103 do
+    let args = Array.copy bases.(run mod Array.length bases) in
+    let slots =
+      List.init (Array.length args - 1) succ
+      |> List.filter_map (fun i ->
+             Option.map (fun k -> (i, k)) (slot_kind args.(i - 1) args.(i)))
+      |> Array.of_list
+    in
+    for _ = 1 to Prng.int rng ~lo:1 ~hi:2 do
+      let i, kind = slots.(Prng.int rng ~lo:0 ~hi:(Array.length slots - 1)) in
+      args.(i) <- mutate rng kind args.(i)
+    done;
+    let line =
+      String.concat " " (List.map Filename.quote (Array.to_list args))
+    in
+    let code, out, err = run_full (cli ^ " " ^ line) in
+    if
+      (not (List.mem code [ 0; 1; 2; 124 ]))
+      || contains err "internal error"
+      || contains out "internal error"
+    then Alcotest.failf "proxim %s: exit %d\n%s" line code err
+  done
 
 (* The collapsed baselines read no macromodel: neither the analysis nor
    an ECO that re-characterizes a cell asks the model factory, so its
@@ -443,6 +605,8 @@ let () =
           Alcotest.test_case "mixed edges exit 2" `Quick test_mixed_edges;
           Alcotest.test_case "serve --smoke checks before connecting" `Quick
             test_smoke_checks_first;
+          Alcotest.test_case "seeded argument fuzzer" `Quick
+            test_argument_fuzzer;
         ] );
       ("golden", List.map golden_case golden_cases);
       ( "help",

@@ -232,7 +232,7 @@ let test_nor_gate_accuracy () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "nor3 %s err %.1f%% < 10%%"
-           (match edge with Measure.Rise -> "rise" | Measure.Fall -> "fall")
+           (Measure.edge_name edge)
            (err *. 100.))
         true (err < 0.10))
     [ Measure.Rise; Measure.Fall ]

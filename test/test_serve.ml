@@ -133,6 +133,23 @@ let expect_code fd req code =
   Alcotest.(check (option string)) ("error code " ^ code) (Some code)
     (Serve.error_code j)
 
+(* arrivals that break Sta.valid_event (a zero, negative or infinite
+   slew, an infinite time) as wire text: the JSON writer never prints
+   1e999, which reads back as infinity *)
+let invalid_arrivals =
+  List.map
+    (fun (t, s) -> Printf.sprintf {|{"time":%s,"slew":%s,"edge":"fall"}|} t s)
+    [ ("0", "0"); ("0", "-5e-10"); ("0", "1e999"); ("1e999", "4e-10") ]
+
+(* a payload sent as one raw frame *)
+let expect_raw_code fd payload code =
+  Frame.write fd payload;
+  match Frame.read fd with
+  | Ok s ->
+    Alcotest.(check (option string)) ("error code " ^ code) (Some code)
+      (Serve.error_code (Result.get_ok (Json.of_string s)))
+  | Error e -> Alcotest.failf "no reply: %s" (Frame.read_error_to_string e)
+
 let str s = Json.String s
 let num f = Json.Number f
 
@@ -353,13 +370,7 @@ let test_typed_errors () =
   with_server (fun addr ->
       with_conn addr (fun fd ->
           (* bad JSON keeps the session alive: framing is still intact *)
-          Frame.write fd "this is not json";
-          (match Frame.read fd with
-           | Ok s ->
-             let j = Result.get_ok (Json.of_string s) in
-             Alcotest.(check (option string)) "bad_json" (Some "bad_json")
-               (Serve.error_code j)
-           | Error e -> Alcotest.failf "no reply: %s" (Frame.read_error_to_string e));
+          expect_raw_code fd "this is not json" "bad_json";
           ignore (rpc_ok fd (Json.Obj [ ("op", str "ping") ]));
           expect_code fd (Json.Obj [ ("x", num 1.) ]) "bad_request";
           expect_code fd (Json.Obj [ ("op", str "frobnicate") ]) "unknown_op";
@@ -373,7 +384,29 @@ let test_typed_errors () =
                [ ("op", str "load"); ("path", str "/nonexistent/file.ntl") ])
             "load_error";
           load_design fd;
+          (* an arrival that describes no transition is a bad request in
+             pi (either kind of models), in pi_all and in a set_pi eco *)
+          List.iter
+            (fun a ->
+              List.iter
+                (fun fields ->
+                  expect_raw_code fd
+                    ({|{"op":"attach","design":"serve_demo",|} ^ fields ^ "}")
+                    "bad_request")
+                [
+                  {|"pi":[["a",|} ^ a ^ "]]";
+                  {|"models":"oracle","pi":[["a",|} ^ a ^ "]]";
+                  {|"pi_all":|} ^ a;
+                ])
+            invalid_arrivals;
           ignore (rpc_ok fd attach_req);
+          List.iter
+            (fun a ->
+              expect_raw_code fd
+                ({|{"op":"eco","ecos":[{"kind":"set_pi","net":"a","arrival":|}
+                ^ a ^ "}]}")
+                "bad_request")
+            invalid_arrivals;
           (* analysis-layer exceptions surface as typed codes *)
           expect_code fd
             (eco_json [ set_pi_json "no_such_net" eco_arrival ])
