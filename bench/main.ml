@@ -606,7 +606,7 @@ let random_pi_event rng =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel scaling: serial vs the work-stealing domain pool on the
+(* Parallel scaling: serial vs the shared-cursor domain pool on the
    characterization and STA workloads.  One run produces one row per
    domain count (2/4/8), each with the pool.* counter deltas observed
    during that row's build, so the committed BENCH_parallel.json shows
@@ -622,7 +622,7 @@ let pool_counters () =
   let counters = (Obs_metrics.snapshot ()).Obs_metrics.counters in
   List.map
     (fun key -> (key, List.assoc ("pool." ^ key) counters))
-    [ "parallel_jobs"; "serial_jobs"; "tasks"; "chunks"; "steals" ]
+    [ "parallel_jobs"; "serial_jobs"; "tasks" ]
 
 let pool_delta_since before =
   List.map2 (fun (key, now) (_, was) -> (key, now - was)) (pool_counters ())
@@ -680,11 +680,9 @@ let parallel_bench () =
         let identical = String.equal tables_serial tables in
         let speedup = ratio t_serial t in
         Printf.printf
-          "  %d domains: %6.2f s (%.2fx), %d parallel jobs, %d chunks, %d \
-           steals, tables %s\n%!"
+          "  %d domains: %6.2f s (%.2fx), %d parallel jobs, tables %s\n%!"
           d t speedup
           (List.assoc "parallel_jobs" delta)
-          (List.assoc "chunks" delta) (List.assoc "steals" delta)
           (if identical then "bit-identical" else "DIFFER");
         (d, t, speedup, identical, delta))
       [ 2; 4; 8 ]
@@ -734,11 +732,9 @@ let parallel_bench () =
   let sta_identical = Sta.report_equal report_serial report_par in
   let sta_speedup = ratio t_sta_serial t_sta_par in
   Printf.printf
-    "  STA %d domains: median %.4f s (%.2fx), %d parallel jobs, %d steals, \
-     reports %s\n%!"
+    "  STA %d domains: median %.4f s (%.2fx), %d parallel jobs, reports %s\n%!"
     sta_domains t_sta_par sta_speedup
     (List.assoc "parallel_jobs" sta_delta)
-    (List.assoc "steals" sta_delta)
     (if sta_identical then "bit-identical" else "DIFFER");
   let all_identical =
     sta_identical && List.for_all (fun (_, _, _, i, _) -> i) char_rows

@@ -33,6 +33,14 @@ let usage_error m =
   prerr_endline m;
   2
 
+(* [k ()] on the golden simulator: a stimulus outside its domain, or an
+   output that never completes its transition, is one line on stderr
+   and exit 2, like any other usage error *)
+let simulating cmd k =
+  try k ()
+  with Measure.Unsimulatable m ->
+    usage_error (Printf.sprintf "proxim %s: error: %s" cmd m)
+
 (* The front end's checks read as a flat sequence: [Error (`Msg m)]
    prints [m] and exits 2, the status of every usage error. *)
 let ( let* ) r k = match r with Ok v -> k v | Error (`Msg m) -> usage_error m
@@ -131,6 +139,7 @@ let run_delay gate_name pin_s edge_s tau_ps load_ff =
         non_negative ~cmd:"delay" "--load" (Option.value load_ff ~default:0.);
       ]
   in
+  simulating "delay" @@ fun () ->
   let th = Vtc.thresholds gate in
   let load = Option.map (fun f -> f *. 1e-15) load_ff in
   let obs =
@@ -195,6 +204,7 @@ let run_proximity gate_name event_specs baselines =
         { e with Proximity.cross_time = e.Proximity.cross_time +. shift })
       events
   in
+  simulating "proximity" @@ fun () ->
   let th = Vtc.thresholds gate in
   let models = Models.of_oracle gate th in
   let r = Proximity.evaluate models events in
@@ -246,6 +256,7 @@ let run_glitch gate_name fall_pin_s rise_pin_s tau_fall_ps tau_rise_ps sep_ps
         finite ~cmd:"glitch" "--sep" sep_ps;
       ]
   in
+  simulating "glitch" @@ fun () ->
   let th = Vtc.thresholds gate in
   let tau_fall = tau_fall_ps *. 1e-12 in
   let tau_rise = tau_rise_ps *. 1e-12 in
@@ -520,7 +531,8 @@ exception Usage of string
    (exit 1 when the file is unreadable), then the user errors the
    analyses find — a stimulus on a net that is not a primary input, an
    ECO naming an unknown net or cell or re-timing a cell-driven net,
-   edges a single-vector analysis cannot order — each printed as
+   edges a single-vector analysis cannot order, a stimulus the golden
+   simulator refuses — each printed as
    "proxim CMD: error: ..." with exit 2, never escaping as an uncaught
    exception.  [around_load] wraps the load (profile times it as a
    phase). *)
@@ -546,7 +558,8 @@ let with_design ?(around_load = fun f -> f ()) cmd file k =
       error
         "mixed input edges at cell %s (a single-vector analysis cannot order \
          a glitch)"
-        cell)
+        cell
+    | Measure.Unsimulatable m -> error "%s" m)
 
 let factory_of models_kind design th =
   match models_kind with

@@ -20,7 +20,7 @@ let rests_high gate th ~fall_pin ~rise_pin =
     else if p = rise_pin then false
     else base.(p) > th.Vtc.vdd /. 2.
   in
-  not (Gate.network_conducts gate.Gate.pulldown ~on:level)
+  Gate.eval_bool gate level
 
 let glitch ?load gate th ~fall_pin ~rise_pin ~tau_fall ~tau_rise ~sep =
   if fall_pin = rise_pin then invalid_arg "Inertial.glitch: same pin";

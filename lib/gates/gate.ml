@@ -164,6 +164,8 @@ let rec network_conducts nw ~on =
   | Series l -> List.for_all (fun c -> network_conducts c ~on) l
   | Parallel l -> List.exists (fun c -> network_conducts c ~on) l
 
+let eval_bool g on = not (network_conducts g.pulldown ~on)
+
 let switching_assist g ~pins ~output_rising =
   let first =
     match pins with

@@ -72,8 +72,15 @@ val output_parasitic : t -> float
 val network_conducts : network -> on:(int -> bool) -> bool
 (** Does the series/parallel network conduct when exactly the pins [on]
     selects are switched on?  The one boolean evaluator of a transistor
-    network ({!switching_assist}, the collapse baselines and the glitch
-    polarity rule all decide through it). *)
+    network ({!switching_assist}, {!eval_bool} and the collapse baselines
+    all decide through it). *)
+
+val eval_bool : t -> (int -> bool) -> bool
+(** [eval_bool g on] is the gate's boolean output when input [p] is high
+    exactly when [on p]: high exactly when the pull-down network does
+    not conduct.  The boolean restriction of {!Ternary.eval_gate},
+    shared by the glitch polarity rule, the sensitization engine and the
+    harness's logic oracle. *)
 
 val switching_assist : t -> pins:int list -> output_rising:bool -> bool
 (** Do the transistors of the switching [pins] {e assist} each other in

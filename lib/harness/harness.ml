@@ -146,9 +146,9 @@ let two_frame design stim =
       let cell : Design.cell = Graph.payload g cid in
       let ins = Graph.cell_inputs g cid in
       let o = Graph.cell_output g cid in
-      init.(o) <- Sense.eval_gate_bool cell.Design.gate (fun p -> init.(ins.(p)));
+      init.(o) <- Gate.eval_bool cell.Design.gate (fun p -> init.(ins.(p)));
       final.(o) <-
-        Sense.eval_gate_bool cell.Design.gate (fun p -> final.(ins.(p))))
+        Gate.eval_bool cell.Design.gate (fun p -> final.(ins.(p))))
     (Graph.topological g);
   fun net ->
     let id = Option.get (Graph.net_id g net) in

@@ -21,16 +21,36 @@ let input_threshold (th : Vtc.thresholds) = function
   | Rise -> th.Vtc.vil
   | Fall -> th.Vtc.vih
 
+exception Unsimulatable of string
+
+let () =
+  Printexc.register_printer (function
+    | Unsimulatable m -> Some ("Measure.Unsimulatable: " ^ m)
+    | _ -> None)
+
+let unsimulatable fmt = Printf.ksprintf (fun m -> raise (Unsimulatable m)) fmt
+
+(* The golden simulator's input domain.  A ramp narrower than 1 fs may
+   have no two distinct breakpoints near its crossing time, and the
+   transient's stop time follows the last input: a run to 5-10 us
+   already takes about a second, and the cost grows with the span. *)
+let min_slew = 1e-15
+let max_input_end = 10e-6
+
 let ramp_of_stimulus (th : Vtc.thresholds) { edge; tau; cross_time } =
-  assert (tau > 0.);
+  if not (tau >= min_slew) then
+    unsimulatable "slew %g s is below the simulator's 1 fs floor" tau;
   let vdd = th.Vtc.vdd in
-  match edge with
-  | Rise ->
-    let frac = th.Vtc.vil /. vdd in
-    Pwl.ramp ~t0:(cross_time -. (frac *. tau)) ~width:tau ~v_from:0. ~v_to:vdd
-  | Fall ->
-    let frac = (vdd -. th.Vtc.vih) /. vdd in
-    Pwl.ramp ~t0:(cross_time -. (frac *. tau)) ~width:tau ~v_from:vdd ~v_to:0.
+  let frac, v_from, v_to =
+    match edge with
+    | Rise -> (th.Vtc.vil /. vdd, 0., vdd)
+    | Fall -> ((vdd -. th.Vtc.vih) /. vdd, vdd, 0.)
+  in
+  let t0 = cross_time -. (frac *. tau) in
+  if not (Float.is_finite t0 && t0 +. tau <= max_input_end) then
+    unsimulatable "an input ending at %g s runs past the simulator's 10 us bound"
+      (t0 +. tau);
+  Pwl.ramp ~t0 ~width:tau ~v_from ~v_to
 
 let input_cross_time (th : Vtc.thresholds) wave edge =
   match edge with
@@ -94,8 +114,8 @@ let observe th ~run ~ref_edge ~ref_cross =
   in
   match (delay, out_transition) with
   | Some d, Some t -> { delay = d; out_transition = t }
-  | None, _ -> failwith "Measure: output never crossed the delay threshold"
-  | _, None -> failwith "Measure: output never completed its transition"
+  | None, _ -> unsimulatable "output never crossed the delay threshold"
+  | _, None -> unsimulatable "output never completed its transition"
 
 let stimuli_waves gate th ~stimuli =
   let fan_in = gate.Gate.fan_in in

@@ -36,11 +36,20 @@ type stimulus = {
 val input_threshold : Proxim_vtc.Vtc.thresholds -> edge -> float
 (** [Vil] for rising inputs, [Vih] for falling ones. *)
 
+exception Unsimulatable of string
+(** A stimulus outside the golden simulator's input domain, or an output
+    that never completes the measured transition.  Raised before any
+    transient runs when a slew is below 1 fs or an input ramp ends more
+    than 10 us into the simulation (the transient's cost follows its
+    stop time: 5-10 us already take about a second).  A printer is
+    registered. *)
+
 val ramp_of_stimulus :
   Proxim_vtc.Vtc.thresholds -> stimulus -> Proxim_waveform.Pwl.t
 (** The full-swing PWL ramp realizing the stimulus: swings rail-to-rail
     over [tau] seconds, positioned so the input threshold is crossed at
-    [cross_time]. *)
+    [cross_time].  Raises {!Unsimulatable} when [tau] is below 1 fs or
+    the ramp ends past 10 us. *)
 
 val input_cross_time :
   Proxim_vtc.Vtc.thresholds -> Proxim_waveform.Pwl.t -> edge -> float option
@@ -106,8 +115,9 @@ val single_input :
 (** The paper's single-input experiment: [pin] gets a full-swing ramp of
     width [tau]; every other input is pinned at its sensitizing level.
     Returns the measured delay [Delta^(1)] and output transition
-    [tau_out^(1)].  Raises [Failure] if the output never completes its
-    transition (which indicates a broken setup, not a physical outcome). *)
+    [tau_out^(1)].  Raises {!Unsimulatable} on a stimulus outside the
+    simulator's domain, or if the output never completes its transition
+    (which indicates a broken setup, not a physical outcome). *)
 
 val multi_input :
   ?load:float ->

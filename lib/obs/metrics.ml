@@ -437,8 +437,6 @@ let install_util_sources ?(registry = default) () =
   register_counter_source ~registry "pool.parallel_jobs" P.parallel_jobs;
   register_counter_source ~registry "pool.serial_jobs" P.serial_jobs;
   register_counter_source ~registry "pool.tasks" P.tasks_dispatched;
-  register_counter_source ~registry "pool.chunks" P.chunks_dispatched;
-  register_counter_source ~registry "pool.steals" P.steals;
   register_gauge_source ~registry "pool.active_domains" (fun () ->
     float_of_int (P.active_domains ()));
   register_counter_source ~registry "interp.grid_clamps" I.grid_clamp_events;

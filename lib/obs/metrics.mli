@@ -131,9 +131,9 @@ val install_util_sources : ?registry:registry -> unit -> unit
 (** Register the util-layer instrumentation as sources: [cache.hits],
     [cache.misses], [cache.waits], [cache.evictions] (process-wide
     {!Proxim_util.Memo_cache} totals), [pool.parallel_jobs],
-    [pool.serial_jobs], [pool.tasks], [pool.chunks], [pool.steals], the
-    [pool.active_domains] utilization gauge, [interp.grid_clamps]
-    (out-of-range grid queries under the clamping policy), and the
+    [pool.serial_jobs], [pool.tasks], the [pool.active_domains]
+    utilization gauge, [interp.grid_clamps] (out-of-range grid queries
+    under the clamping policy), and the
     [process.peak_rss_bytes] gauge ({!peak_rss_bytes}), which therefore
     lands in every snapshot — including the [metrics] object embedded in
     each bench [BENCH_*.json].  Idempotent. *)

@@ -23,9 +23,6 @@ let c_constants = Metrics.Counter.v "sense.constant_nets"
 
 type logic = Ternary.logic = L0 | L1 | LX
 
-let eval_gate_bool (g : Gate.t) value =
-  not (Gate.network_conducts g.Gate.pulldown ~on:value)
-
 (* --- inputs ------------------------------------------------------------- *)
 
 type stimulus = Switch of Measure.edge | Pulse | Const of bool
@@ -320,10 +317,10 @@ let decide_nets g ~stim ~acts ~budget ~max_support ~init_val ~final_val na nb =
               let inputs = Graph.cell_inputs g c in
               let out = Graph.cell_output g c in
               init_val.(out) <-
-                eval_gate_bool cell.Design.gate (fun p ->
+                Gate.eval_bool cell.Design.gate (fun p ->
                   init_val.(inputs.(p)));
               final_val.(out) <-
-                eval_gate_bool cell.Design.gate (fun p ->
+                Gate.eval_bool cell.Design.gate (fun p ->
                   final_val.(inputs.(p))))
             cone;
           ( init_val.(na) <> final_val.(na),

@@ -42,10 +42,6 @@ type logic = Proxim_gates.Ternary.logic = L0 | L1 | LX
 (** Kleene three-valued logic ({!Proxim_gates.Ternary}); [LX] is
     "unknown", not "illegal". *)
 
-val eval_gate_bool : Proxim_gates.Gate.t -> (int -> bool) -> bool
-(** The boolean restriction of {!Proxim_gates.Ternary.eval_gate} — the concrete evaluator
-    the implication engine and the randomized soundness draws share. *)
-
 (** {1 Inputs} *)
 
 type stimulus =

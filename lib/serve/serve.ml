@@ -642,7 +642,8 @@ let handle_safely srv sess req =
   | Sta.Unknown_eco_target { kind; name } -> error (Unknown_target (kind, name))
   | Sta.Mixed_input_edges { cell } -> error (Mixed_edges cell)
   | Pool.Shut_down -> error Pool_shutdown
-  | Invalid_argument m | Failure m -> error (Bad_request m)
+  | Measure.Unsimulatable m | Invalid_argument m | Failure m ->
+    error (Bad_request m)
   | Stack_overflow -> error (Internal "stack overflow")
   | e -> error (Internal (Printexc.to_string e))
 
@@ -756,6 +757,14 @@ let accept_loop srv =
   in
   go ()
 
+(* a TCP endpoint: [host] as a dotted address, else by name lookup *)
+let inet_addr host port =
+  let inet =
+    try Unix.inet_addr_of_string host
+    with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+  in
+  Unix.ADDR_INET (inet, port)
+
 let start (addr : listen) =
   ignore (Lazy.force mx);
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
@@ -777,11 +786,7 @@ let start (addr : listen) =
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       (try
          Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         let inet =
-           try Unix.inet_addr_of_string host
-           with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-         in
-         Unix.bind fd (Unix.ADDR_INET (inet, port))
+         Unix.bind fd (inet_addr host port)
        with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
       let actual =
         match Unix.getsockname fd with
@@ -832,12 +837,7 @@ let connect (addr : listen) =
     fd
   | `Tcp (host, port) ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try
-       let inet =
-         try Unix.inet_addr_of_string host
-         with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-       in
-       Unix.connect fd (Unix.ADDR_INET (inet, port))
+    (try Unix.connect fd (inet_addr host port)
      with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
     fd
 

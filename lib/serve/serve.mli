@@ -44,13 +44,15 @@
 
     Malformed frames, oversized payloads, bad JSON, unknown ops,
     analysis errors ({!Proxim_sta.Sta.Unknown_eco_target},
-    {!Proxim_sta.Sta.Mixed_input_edges}), and
+    {!Proxim_sta.Sta.Mixed_input_edges}), stimuli the golden simulator
+    refuses ({!Proxim_measure.Measure.Unsimulatable}, a [bad_request]
+    answered before any transient runs) and
     {!Proxim_util.Pool.Shut_down} all degrade to typed per-session
     error responses; a client disconnect ends its session thread.  No
     client behavior terminates the process.
 
     Sessions share the characterized model store (the factories'
-    memo caches are domain-safe) and one work-stealing pool; engine
+    memo caches are domain-safe) and one domain pool; engine
     calls are serialized on a process-wide mutex so the pool's
     domain-local re-entrancy flag is never interleaved by sibling
     systhreads.

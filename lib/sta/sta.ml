@@ -449,10 +449,13 @@ let with_pi_all design named = function
         (Design.primary_inputs design)
 
 let default_thresholds design file_th =
-  match (file_th, Design.cells design) with
-  | Some th, _ -> th
-  | None, c :: _ -> Vtc.thresholds c.Design.gate
-  | None, [] -> Vtc.thresholds (Gate.inverter Proxim_gates.Tech.generic_5v)
+  match file_th with
+  | Some th -> th
+  | None ->
+    let g = Design.graph design in
+    Vtc.thresholds
+      (if Graph.cell_count g > 0 then (Graph.payload g 0).Design.gate
+       else Gate.inverter Proxim_gates.Tech.generic_5v)
 
 (* ---- model factories ---- *)
 

@@ -306,10 +306,10 @@ let eval_cells t pool ~level ~cells ~changed =
     end
     else begin
       (* chunked fan-out: ~2 contiguous slices per domain over the
-         dense-id array — coarse enough that a chunk claim is noise,
-         with one spare slice per domain for the steal loop to
+         dense-id array — coarse enough that a claim is noise, with one
+         spare slice per domain so the pool's shared cursor can
          rebalance uneven engine costs.  Each slice is one pool index
-         with a cursor of its own. *)
+         with an engine cursor of its own. *)
       let chunk = max 1 ((width + (2 * d) - 1) / (2 * d)) in
       let chunks = (width + chunk - 1) / chunk in
       let have = Array.length t.slots in
@@ -319,7 +319,7 @@ let eval_cells t pool ~level ~cells ~changed =
               if k < have then t.slots.(k)
               else bind t.engine (cursor t.fan_in));
       let flags = t.committed in
-      Pool.parallel_for ~chunk:1 pool ~n:chunks (fun k ->
+      Pool.parallel_for pool ~n:chunks (fun k ->
           let slot = t.slots.(k) in
           for i = k * chunk to min width ((k + 1) * chunk) - 1 do
             if settle t slot cells.(i) then Bytes.unsafe_set flags i '\001'

@@ -161,10 +161,11 @@ val parallel_threshold : int
 (** Levels narrower than this many cells are timed serially on the
     caller; at or above it, the level's sorted dense-id array is split
     into ~2 contiguous chunks per pool domain and fanned out through
-    {!Pool.parallel_for} (the steal loop rebalances uneven engine
-    costs), each chunk on its own cursor.  A worker commits its own
-    cells' slots; the caller then counts the changes and enqueues their
-    readers in index order, so results are bit-identical either way. *)
+    {!Pool.parallel_for} (domains claim chunks from one shared cursor,
+    which rebalances uneven engine costs), each chunk on its own engine
+    cursor.  A worker commits its own cells' slots; the caller then
+    counts the changes and enqueues their readers in index order, so
+    results are bit-identical either way. *)
 
 val analyze : ?pool:Pool.t -> 'cell t -> stats
 (** Full propagation from scratch: clears every verdict, then evaluates

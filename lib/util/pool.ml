@@ -1,33 +1,22 @@
-(* A persistent work-stealing domain pool.
+(* A persistent domain pool with one shared cursor per job.
 
    Worker domains are spawned once at [create] and live until [shutdown];
-   submitting a job never spawns a domain.  Each job's index range is cut
-   into contiguous chunks which are dealt out across per-participant
-   queues; every participant drains its own queue first (contiguous
-   slices, cache-friendly) and then turns thief, scanning the other
-   queues for leftover chunks.  Chunk claims are a single
-   [Atomic.fetch_and_add] on the owning queue's cursor, so the owner and
-   its thieves synchronize only when a queue is nearly dry.
+   submitting a job never spawns a domain.  A job is its index range and
+   one [Atomic] cursor: every participant claims the next index with one
+   [Atomic.fetch_and_add] until the range is exhausted, so a domain that
+   drew an expensive index never holds up the cheap ones behind it.
 
-   One job runs at a time ([submit_m]); the submitting domain executes
-   chunks alongside the workers, then parks on [done_cv] until the last
-   chunk completes.  Idle workers park on [work_cv] waiting for
+   One job runs at a time ([submit_m]); the submitting domain claims
+   indices alongside the workers, then parks on [done_cv] until the last
+   index completes.  Idle workers park on [work_cv] waiting for
    [generation] to advance — a parked domain sits in a blocking section,
    so an idle pool costs nothing and does not stall the GC. *)
-
-type queue = {
-  q_lo : int;  (** first chunk id owned by this queue *)
-  q_hi : int;  (** one past the last chunk id owned by this queue *)
-  cursor : int Atomic.t;  (** next unclaimed offset from [q_lo] *)
-}
 
 type job = {
   fn : int -> unit;
   n : int;  (** index count *)
-  chunk : int;  (** indices per chunk *)
-  total_chunks : int;
-  queues : queue array;  (** one per participant *)
-  completed : int Atomic.t;  (** chunks fully executed (or drained) *)
+  next : int Atomic.t;  (** the shared cursor: next unclaimed index *)
+  completed : int Atomic.t;  (** indices fully executed (or drained) *)
   mutable failed : (exn * Printexc.raw_backtrace) option;
       (** first failure; protected by the pool mutex *)
 }
@@ -51,17 +40,11 @@ let () =
     | Shut_down -> Some "Proxim_util.Pool.Shut_down"
     | _ -> None)
 
-(* Set while a domain is executing job chunks: inner parallel calls from
+(* Set while a domain is executing job indices: inner parallel calls from
    such a domain run serially instead of re-entering a pool. *)
 let busy_key = Domain.DLS.new_key (fun () -> ref false)
 
 let busy () = !(Domain.DLS.get busy_key)
-
-let run_serially f =
-  let flag = Domain.DLS.get busy_key in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) f
 
 let domains t = t.width
 
@@ -73,14 +56,10 @@ let domains t = t.width
 let c_parallel_jobs = Dcounter.make ()
 let c_serial_jobs = Dcounter.make ()
 let c_tasks = Dcounter.make ()
-let c_chunks = Dcounter.make ()
-let c_steals = Dcounter.make ()
 let c_active = Atomic.make 0
 let parallel_jobs () = Dcounter.value c_parallel_jobs
 let serial_jobs () = Dcounter.value c_serial_jobs
 let tasks_dispatched () = Dcounter.value c_tasks
-let chunks_dispatched () = Dcounter.value c_chunks
-let steals () = Dcounter.value c_steals
 let active_domains () = Atomic.get c_active
 
 type instrument = name:string -> total:int -> (unit -> unit) -> unit
@@ -88,98 +67,44 @@ type instrument = name:string -> total:int -> (unit -> unit) -> unit
 let instrument : instrument ref = ref (fun ~name:_ ~total:_ f -> f ())
 let set_instrument i = instrument := i
 
-(* --- chunk policy --------------------------------------------------- *)
-
-(* Deal ~4 chunks per domain: coarse enough that a chunk claim costs one
-   atomic op per many indices, fine enough that the steal loop has slack
-   to rebalance when chunk costs are skewed.  Callers with cheaper or
-   more uniform work pass an explicit [?chunk]. *)
-let default_chunk ~n ~domains =
-  max 1 ((n + (4 * domains) - 1) / (4 * domains))
-
-let make_job ~fn ~n ~chunk ~width =
-  let total_chunks = (n + chunk - 1) / chunk in
-  (* block-deal the chunks: queue [p] owns a contiguous run of chunks,
-     so its indices are contiguous too *)
-  let base = total_chunks / width and rem = total_chunks mod width in
-  let queues =
-    Array.init width (fun p ->
-      let lo = (p * base) + min p rem in
-      let hi = lo + base + (if p < rem then 1 else 0) in
-      { q_lo = lo; q_hi = hi; cursor = Atomic.make 0 })
-  in
-  {
-    fn;
-    n;
-    chunk;
-    total_chunks;
-    queues;
-    completed = Atomic.make 0;
-    failed = None;
-  }
-
 (* --- job execution -------------------------------------------------- *)
 
-let run_chunk pool job c =
-  let lo = c * job.chunk in
-  let hi = min job.n ((c + 1) * job.chunk) in
+let run_index pool job i =
   (match job.failed with
    | Some _ -> ()  (* drain without working once something failed *)
    | None -> (
-     try
-       for i = lo to hi - 1 do
-         job.fn i
-       done
+     try job.fn i
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        Mutex.lock pool.mutex;
        if job.failed = None then job.failed <- Some (e, bt);
        Mutex.unlock pool.mutex));
-  let done_before = Atomic.fetch_and_add job.completed 1 in
-  if done_before + 1 = job.total_chunks then begin
+  if Atomic.fetch_and_add job.completed 1 + 1 = job.n then begin
     Mutex.lock pool.mutex;
     Condition.broadcast pool.done_cv;
     Mutex.unlock pool.mutex
   end
 
-let claim job q =
-  let queue = job.queues.(q) in
-  let i = Atomic.fetch_and_add queue.cursor 1 in
-  let c = queue.q_lo + i in
-  if c < queue.q_hi then Some c else None
-
-(* Participant [me] drains its own queue, then scans the others for
-   leftovers.  The scan keeps claiming from a victim until it is dry,
-   then moves on; it terminates when a full circle finds every queue
-   empty (chunks still in flight belong to other participants). *)
-let execute pool job ~me =
+(* Claim and run indices until the cursor passes the end of the range
+   (indices still in flight belong to other participants). *)
+let execute pool job =
   let flag = Domain.DLS.get busy_key in
   let saved = !flag in
   flag := true;
-  let width = Array.length job.queues in
-  let rec own () =
-    match claim job me with
-    | Some c ->
-      run_chunk pool job c;
-      own ()
-    | None -> steal ((me + 1) mod width) 1
-  and steal q tried =
-    if tried > width - 1 then ()
-    else
-      match claim job q with
-      | Some c ->
-        Dcounter.incr c_steals;
-        run_chunk pool job c;
-        steal q tried  (* keep draining this victim *)
-      | None -> steal ((q + 1) mod width) (tried + 1)
+  let rec claim () =
+    let i = Atomic.fetch_and_add job.next 1 in
+    if i < job.n then begin
+      run_index pool job i;
+      claim ()
+    end
   in
   Atomic.incr c_active;
   Fun.protect
     ~finally:(fun () -> Atomic.decr c_active)
-    (fun () -> !instrument ~name:"pool.run" ~total:job.n own);
+    (fun () -> !instrument ~name:"pool.run" ~total:job.n claim);
   flag := saved
 
-let worker_loop pool ~me =
+let worker_loop pool =
   let seen = ref 0 in
   let rec loop () =
     Mutex.lock pool.mutex;
@@ -191,7 +116,7 @@ let worker_loop pool ~me =
       seen := pool.generation;
       let job = pool.job in
       Mutex.unlock pool.mutex;
-      (match job with Some j -> execute pool j ~me | None -> ());
+      (match job with Some j -> execute pool j | None -> ());
       loop ()
     end
   in
@@ -212,10 +137,9 @@ let create ~domains:width =
       workers = [];
     }
   in
+  (* the submitting domain is the [width]-th participant *)
   pool.workers <-
-    List.init (width - 1) (fun i ->
-      (* participant 0 is the submitting domain *)
-      Domain.spawn (fun () -> worker_loop pool ~me:(i + 1)));
+    List.init (width - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
 
 let shutdown pool =
@@ -232,65 +156,62 @@ let serial_for ~n f =
     f i
   done
 
-let parallel_for ?chunk pool ~n f =
+let parallel_for pool ~n f =
   (* [stop] only ever flips false -> true, so this unlocked read is a
      best-effort gate: a submission racing shutdown may still slip
-     through, in which case the submitting domain drains every chunk
-     itself (the steal loop needs no workers) — never a hang.  Anything
+     through, in which case the submitting domain claims every index
+     itself (the cursor needs no workers) — never a hang.  Anything
      arriving after is the typed error a long-lived server maps to a
      per-session failure instead of dying. *)
   if pool.stop then raise Shut_down;
   if n <= 0 then ()
+  else if pool.width = 1 || n = 1 || busy () then begin
+    Dcounter.incr c_serial_jobs;
+    Dcounter.add c_tasks n;
+    serial_for ~n f
+  end
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
-      | None -> default_chunk ~n ~domains:pool.width
+    Dcounter.incr c_parallel_jobs;
+    Dcounter.add c_tasks n;
+    !instrument ~name:"pool.job" ~total:n (fun () ->
+    Mutex.lock pool.submit_m;
+    let job =
+      {
+        fn = f;
+        n;
+        next = Atomic.make 0;
+        completed = Atomic.make 0;
+        failed = None;
+      }
     in
-    if pool.width = 1 || n <= chunk || busy () then begin
-      Dcounter.incr c_serial_jobs;
-      Dcounter.add c_tasks n;
-      serial_for ~n f
-    end
-    else begin
-      Dcounter.incr c_parallel_jobs;
-      Dcounter.add c_tasks n;
-      !instrument ~name:"pool.job" ~total:n (fun () ->
-      Mutex.lock pool.submit_m;
-      let job = make_job ~fn:f ~n ~chunk ~width:pool.width in
-      Dcounter.add c_chunks job.total_chunks;
-      Mutex.lock pool.mutex;
-      pool.job <- Some job;
-      pool.generation <- pool.generation + 1;
-      Condition.broadcast pool.work_cv;
-      Mutex.unlock pool.mutex;
-      execute pool job ~me:0;
-      Mutex.lock pool.mutex;
-      while Atomic.get job.completed < job.total_chunks do
-        Condition.wait pool.done_cv pool.mutex
-      done;
-      pool.job <- None;
-      Mutex.unlock pool.mutex;
-      Mutex.unlock pool.submit_m;
-      match job.failed with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    end
+    Mutex.lock pool.mutex;
+    pool.job <- Some job;
+    pool.generation <- pool.generation + 1;
+    Condition.broadcast pool.work_cv;
+    Mutex.unlock pool.mutex;
+    execute pool job;
+    Mutex.lock pool.mutex;
+    while Atomic.get job.completed < n do
+      Condition.wait pool.done_cv pool.mutex
+    done;
+    pool.job <- None;
+    Mutex.unlock pool.mutex;
+    Mutex.unlock pool.submit_m;
+    match job.failed with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ())
   end
 
-let map ?(chunk = 1) pool f arr =
+let map pool f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_for ~chunk pool ~n (fun i -> out.(i) <- Some (f arr.(i)));
+    parallel_for pool ~n (fun i -> out.(i) <- Some (f arr.(i)));
     Array.map
       (function Some v -> v | None -> assert false (* every slot filled *))
       out
   end
-
-let map_list ?chunk pool f l = Array.to_list (map ?chunk pool f (Array.of_list l))
 
 (* --- default pool -------------------------------------------------- *)
 

@@ -1,4 +1,4 @@
-(** A persistent work-stealing domain pool for data-parallel sweeps.
+(** A persistent domain pool for data-parallel sweeps.
 
     Built on stdlib [Domain] + [Mutex]/[Condition] only (no external
     dependencies).  The pool owns [domains - 1] worker domains, spawned
@@ -6,21 +6,19 @@
     work never spawns a domain.  The submitting domain participates in
     every job, so [create ~domains:n] gives [n]-way parallelism.
 
-    Scheduling is chunked work-stealing: a job's index range is cut into
-    contiguous chunks, block-dealt across one queue per participating
-    domain.  Each domain drains its own queue first (contiguous indices,
-    cache-friendly sweeps over dense-id arrays) and then steals leftover
-    chunks from the other queues, which load-balances wildly varying
-    per-index costs (individual transient analyses) as well as skewed
-    chunk sizes.  A chunk claim is one [Atomic.fetch_and_add], so for
-    coarse chunks the scheduling cost per index is a fraction of an
-    atomic operation.
+    Scheduling is one shared cursor per job: every participating domain
+    claims the next index with one [Atomic.fetch_and_add] until the range
+    is exhausted.  A domain that draws an expensive index (one transient
+    analysis, one slice of a wide STA level) simply claims fewer, so
+    wildly varying per-index costs balance themselves.  Callers with
+    cheap indices cut their own coarse slices and hand the pool one index
+    per slice, as [Timing] does for level evaluation.
 
     Determinism: every index [i] writes only its own result slot, so
     {!map} and {!parallel_for} produce results that are bit-identical to
-    a serial loop regardless of the number of domains, the chunk size or
-    the stealing order.  [create ~domains:1] never spawns a domain and
-    degrades to a plain loop.
+    a serial loop regardless of the number of domains or the order in
+    which they claim indices.  [create ~domains:1] never spawns a domain
+    and degrades to a plain loop.
 
     Nesting is safe: a task that itself calls {!map} or {!parallel_for}
     (on any pool) runs the inner job serially on its own domain instead
@@ -42,7 +40,7 @@ val domains : t -> int
 (** The parallelism width the pool was created with. *)
 
 exception Shut_down
-(** Raised by {!parallel_for}/{!map}/{!map_list} when the pool has been
+(** Raised by {!parallel_for}/{!map} when the pool has been
     {!shutdown}.  A typed, catchable error — never a hang on vanished
     workers — so long-lived callers holding a stale pool reference
     (e.g. a [serve] session that outlives a {!set_default_domains}
@@ -55,35 +53,18 @@ val shutdown : t -> unit
     instead complete normally on the submitting domain (the check is
     best-effort, the job's completion is not). *)
 
-val parallel_for : ?chunk:int -> t -> n:int -> (int -> unit) -> unit
-(** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], distributing
-    contiguous chunks of indices across the pool's domains and stealing
-    to rebalance.  Blocks until every index has completed.  [chunk] is
-    the number of indices per claim (default
-    [max 1 (ceil (n / (4 * domains)))], ~4 chunks per domain: coarse
-    enough to amortize chunk claims, with slack for the steal loop to
-    rebalance skewed costs); pass
-    [~chunk:1] for fully dynamic per-index balancing of expensive,
-    uneven tasks.  Raises [Invalid_argument] if [chunk < 1].  Jobs with
-    [n <= chunk] run serially on the caller.  If any [f i] raises, the
-    first exception (by completion order) is re-raised in the caller
-    after the job drains; remaining chunks are abandoned. *)
+val parallel_for : t -> n:int -> (int -> unit) -> unit
+(** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], each index claimed
+    from the job's shared cursor by whichever domain is free next.
+    Blocks until every index has completed.  Jobs with [n <= 1] run
+    serially on the caller.  If any [f i] raises, the first exception
+    (by completion order) is re-raised in the caller after the job
+    drains; remaining indices are abandoned. *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] with the elements evaluated
     across the pool's domains.  Result order matches input order.
-    [chunk] defaults to [1]: map workloads here (transient analyses,
-    VTC curves) are expensive and uneven, so per-element claims
-    load-balance best.  Exceptions propagate as in {!parallel_for}. *)
-
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)
-
-val run_serially : (unit -> 'a) -> 'a
-(** [run_serially f] runs [f] with pool parallelism disabled on the
-    current domain: any {!map}/{!parallel_for} reached from inside [f]
-    degrades to a plain loop.  Used by the [--domains 1] fallbacks and
-    by determinism tests. *)
+    Exceptions propagate as in {!parallel_for}. *)
 
 (** {1 Observability}
 
@@ -95,23 +76,14 @@ val parallel_jobs : unit -> int
 (** Jobs that actually fanned out across domains. *)
 
 val serial_jobs : unit -> int
-(** Jobs that degraded to a plain loop (width 1, job no larger than one
-    chunk, or nested call). *)
+(** Jobs that degraded to a plain loop (width 1, a single index, or a
+    nested call). *)
 
 val tasks_dispatched : unit -> int
 (** Total indices dispatched across all jobs, serial or parallel. *)
 
-val chunks_dispatched : unit -> int
-(** Chunks dealt out across parallel jobs.  [tasks / chunks] is the
-    average scheduling granularity actually achieved. *)
-
-val steals : unit -> int
-(** Chunks executed by a domain other than the queue's owner.  A steady
-    non-zero rate means the steal loop is rebalancing skewed work; zero
-    on a wide pool with uneven levels suggests chunks are too coarse. *)
-
 val active_domains : unit -> int
-(** Domains currently executing job chunks — the instantaneous pool
+(** Domains currently executing job indices — the instantaneous pool
     utilization, sampled by the [pool.active_domains] gauge. *)
 
 type instrument = name:string -> total:int -> (unit -> unit) -> unit

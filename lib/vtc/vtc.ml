@@ -129,7 +129,8 @@ let family ?points ?pool gate =
     match pool with Some p -> p | None -> Proxim_util.Pool.default ()
   in
   let build subset = curve ?points gate ~subset in
-  Proxim_util.Pool.map_list pool build (subsets gate.Gate.fan_in)
+  Array.to_list
+    (Proxim_util.Pool.map pool build (Array.of_list (subsets gate.Gate.fan_in)))
 
 let choose curves =
   match curves with

@@ -296,6 +296,34 @@ let test_mixed_edges () =
         "proxim glitch: --fall-pin and --rise-pin must differ" );
     ]
 
+(* stimuli outside the golden simulator's domain (a slew below 1 fs, an
+   input ending past 10 us) and an output that never completes its
+   transition: refused before any transient runs, on the paper-level
+   commands and on sta's oracle models alike *)
+let test_unsimulatable () =
+  let floor cmd =
+    sf "proxim %s: error: slew 1e-32 s is below the simulator's 1 fs floor"
+      cmd
+  and past cmd at =
+    sf "proxim %s: error: an input ending at %s s runs past the simulator's \
+        10 us bound" cmd at
+  in
+  check_usage_errors
+    [
+      ("delay nand2 --tau 1e-20", floor "delay");
+      ("proximity nand2 a:fall:1e-20:0", floor "proximity");
+      (sf "sta %s --pi a:fall:1e-20:0" carry, floor "sta");
+      ( "delay nand2 --load=1e4",
+        "proxim delay: error: output never crossed the delay threshold" );
+      ("delay nand2 --tau 1e9", past "delay" "0.00170136");
+      ("glitch nand2 --sep 1e9", past "glitch" "0.001");
+      ("proximity nand2 a:fall:500:0 b:fall:300:1e9", past "proximity" "0.001");
+      (sf "sta %s --pi a:fall:1e9:0" carry, past "sta" "0.0017474");
+      ( sf "sta %s --pi a:rise:300:0 --pi b:rise:300:1e9 --pi c:rise:300:0"
+          carry,
+        past "sta" "0.001" );
+    ]
+
 (* the smoke client checks what it can before it connects *)
 let test_smoke_checks_first () =
   let code, err =
@@ -603,6 +631,8 @@ let () =
           Alcotest.test_case "negative --tau-window exits 2" `Quick
             test_negative_tau_window;
           Alcotest.test_case "mixed edges exit 2" `Quick test_mixed_edges;
+          Alcotest.test_case "unsimulatable stimuli exit 2" `Quick
+            test_unsimulatable;
           Alcotest.test_case "serve --smoke checks before connecting" `Quick
             test_smoke_checks_first;
           Alcotest.test_case "seeded argument fuzzer" `Quick

@@ -39,12 +39,6 @@ let test_map_preserves_order () =
     (fun i v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (i * i) v)
     out
 
-let test_map_list_preserves_order () =
-  let pool = Lazy.force wide in
-  let input = List.init 257 (fun i -> i) in
-  let out = Pool.map_list pool (fun i -> 2 * i) input in
-  Alcotest.(check (list int)) "order" (List.map (fun i -> 2 * i) input) out
-
 let test_parallel_for_covers_all_indices () =
   let pool = Lazy.force wide in
   let n = 500 in
@@ -95,14 +89,6 @@ let test_serial_pool_matches_wide_pool () =
   Alcotest.(check bool) "bit-identical floats" true (a = b);
   Pool.shutdown serial
 
-let test_run_serially () =
-  let pool = Lazy.force wide in
-  let out =
-    Pool.run_serially (fun () ->
-      Pool.map pool (fun i -> i + 1) (Array.init 50 Fun.id))
-  in
-  Alcotest.(check int) "serial-mode map still correct" 50 out.(49)
-
 let test_shutdown_idempotent () =
   let pool = Pool.create ~domains:3 in
   Pool.shutdown pool;
@@ -132,7 +118,7 @@ let test_shutdown_idempotent () =
   Pool.shutdown fresh
 
 (* ------------------------------------------------------------------ *)
-(* Work-stealing internals: persistence, skewed chunks, nested chunks  *)
+(* Scheduling: persistence, skewed costs, nesting                      *)
 
 let test_persistent_pool_reuse () =
   let pool = Lazy.force wide in
@@ -148,12 +134,12 @@ let test_persistent_pool_reuse () =
     (Pool.parallel_jobs ());
   Alcotest.(check int) "pool width unchanged" 4 (Pool.domains pool)
 
-let test_steal_correctness_under_skew () =
+let test_skewed_map_matches_serial () =
   let pool = Lazy.force wide in
   let n = 64 in
-  (* chunk:4 block-deals 16 chunks, 4 per queue; all the heavy work sits
-     in queue 0's chunks (i < 16), so the other domains drain their own
-     queues immediately and finish the job through the steal loop *)
+  (* all the heavy work sits in the first quarter of the range: whichever
+     domains draw those indices claim few, the others take the cheap
+     tail from the same cursor *)
   let spin i = if i < 16 then 30_000 else 10 in
   let f i =
     let acc = ref 0. in
@@ -163,27 +149,27 @@ let test_steal_correctness_under_skew () =
     !acc
   in
   let expect = Array.init n f in
-  let chunks_before = Pool.chunks_dispatched () in
-  let out = Pool.map ~chunk:4 pool f (Array.init n Fun.id) in
-  Alcotest.(check int) "16 chunks dispatched" (chunks_before + 16)
-    (Pool.chunks_dispatched ());
+  let jobs_before = Pool.parallel_jobs () in
+  let out = Pool.map pool f (Array.init n Fun.id) in
+  Alcotest.(check int) "one parallel job" (jobs_before + 1)
+    (Pool.parallel_jobs ());
   Alcotest.(check bool) "skewed map bit-identical to serial reference" true
     (out = expect)
 
-let test_nested_parallel_for_chunked () =
+let test_nested_parallel_for_serial () =
   let pool = Lazy.force wide in
   let n = 40 in
   let serial_before = Pool.serial_jobs () in
   let out = Array.make n 0 in
-  Pool.parallel_for ~chunk:2 pool ~n (fun i ->
-    (* re-entry from a busy domain must degrade to a serial loop, even
-       with an explicit chunk size that would otherwise fan out *)
+  Pool.parallel_for pool ~n (fun i ->
+    (* re-entry from a busy domain must degrade to a serial loop, though
+       an 8-index job would otherwise fan out *)
     let inner = Array.make 8 0 in
-    Pool.parallel_for ~chunk:3 pool ~n:8 (fun j -> inner.(j) <- (i * 8) + j);
+    Pool.parallel_for pool ~n:8 (fun j -> inner.(j) <- (i * 8) + j);
     out.(i) <- Array.fold_left ( + ) 0 inner);
   Array.iteri
     (fun i v ->
-      Alcotest.(check int) (Printf.sprintf "nested chunked %d" i)
+      Alcotest.(check int) (Printf.sprintf "nested %d" i)
         ((i * 64) + 28) v)
     out;
   Alcotest.(check int) "each inner call counted as a serial job"
@@ -385,8 +371,6 @@ let () =
           Alcotest.test_case "create rejects width 0" `Quick test_create_invalid;
           Alcotest.test_case "map preserves order" `Quick
             test_map_preserves_order;
-          Alcotest.test_case "map_list preserves order" `Quick
-            test_map_list_preserves_order;
           Alcotest.test_case "parallel_for covers all indices" `Quick
             test_parallel_for_covers_all_indices;
           Alcotest.test_case "exceptions propagate" `Quick
@@ -395,15 +379,14 @@ let () =
             test_nested_use_is_safe;
           Alcotest.test_case "serial pool matches wide pool" `Quick
             test_serial_pool_matches_wide_pool;
-          Alcotest.test_case "run_serially" `Quick test_run_serially;
           Alcotest.test_case "shutdown is idempotent" `Quick
             test_shutdown_idempotent;
           Alcotest.test_case "persistent pool reused across maps" `Quick
             test_persistent_pool_reuse;
-          Alcotest.test_case "steal path correct under skewed chunks" `Quick
-            test_steal_correctness_under_skew;
-          Alcotest.test_case "nested parallel_for with explicit chunks" `Quick
-            test_nested_parallel_for_chunked;
+          Alcotest.test_case "skewed map matches serial" `Quick
+            test_skewed_map_matches_serial;
+          Alcotest.test_case "nested parallel_for runs serially" `Quick
+            test_nested_parallel_for_serial;
         ] );
       ( "memo-cache",
         [

@@ -49,7 +49,7 @@ let test_eval_gate_exhaustive () =
       for bits = 0 to (1 lsl n) - 1 do
         let b p = bits land (1 lsl p) <> 0 in
         let l p = if b p then Sense.L1 else Sense.L0 in
-        let expect = Sense.eval_gate_bool g b in
+        let expect = Gate.eval_bool g b in
         Alcotest.(check bool)
           (Printf.sprintf "%s bits=%d" name bits)
           true

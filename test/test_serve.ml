@@ -399,6 +399,21 @@ let test_typed_errors () =
                   {|"pi_all":|} ^ a;
                 ])
             invalid_arrivals;
+          (* stimuli the golden simulator refuses (a 1e-32 s slew, rising
+             events 1 ms apart) are answered before any transient runs,
+             so the engine lock is free for the next session *)
+          List.iter
+            (fun pi ->
+              expect_raw_code fd
+                ({|{"op":"attach","design":"serve_demo","models":"oracle",|}
+                ^ {|"pi":|} ^ pi ^ "}")
+                "bad_request";
+              with_conn addr (fun other -> ignore (rpc_ok other attach_req)))
+            [
+              {|[["a",{"time":0,"slew":1e-32,"edge":"fall"}]]|};
+              {|[["a",{"time":0,"slew":3e-10,"edge":"rise"}],|}
+              ^ {|["b",{"time":1e-3,"slew":3e-10,"edge":"rise"}]]|};
+            ];
           ignore (rpc_ok fd attach_req);
           List.iter
             (fun a ->
